@@ -37,7 +37,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import statistics
+import subprocess
 import tempfile
 import time
 from collections import deque
@@ -47,6 +49,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy
 
 from repro.cluster.ec2 import EC2_VM_TYPES, ec2_pm_shape
 from repro.cluster.simulation import SimulationConfig
@@ -986,6 +989,29 @@ def append_entry(entry: Dict[str, object], out: Path = DEFAULT_OUT) -> None:
     benchfile.append_entry(entry, out)
 
 
+def host_stamp() -> Dict[str, object]:
+    """Where an entry was measured: cores, library versions, commit.
+
+    ``git_sha`` is ``git describe --always --dirty`` of the checkout, so
+    an entry recorded on uncommitted changes says so.
+    """
+    try:
+        sha = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        sha = "unknown"
+    return {
+        "cpu_count": os.cpu_count() or 1,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "git_sha": sha,
+    }
+
+
 def phase_entries(
     phases: Sequence[str],
     quick: bool = False,
@@ -995,7 +1021,7 @@ def phase_entries(
 
     The flat harness entry carries no ``phase`` key; the kernel and
     delta entries are tagged so ``repro perf check`` gates them against
-    their own histories.
+    their own histories.  Every entry carries :func:`host_stamp`.
     """
     entries: List[Dict[str, object]] = []
     recorded_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -1023,7 +1049,8 @@ def phase_entries(
                 ),
             }
         )
-    return entries
+    stamp = host_stamp()
+    return [{**entry, **stamp} for entry in entries]
 
 
 def main(argv=None) -> int:

@@ -200,7 +200,7 @@ def test_perf_ec2_snap_lookup(benchmark, ec2_table):
 
 def test_perf_ec2_batch_snap(benchmark, ec2_table):
     # Every round gets a fresh table so the whole batch is a true miss
-    # batch resolved by one vectorized distance computation.
+    # batch resolved by one batched snap-tree query (tree build included).
     usages = off_graph_usages(ec2_table.shape, 64)
 
     def fresh_table():

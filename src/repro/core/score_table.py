@@ -8,7 +8,8 @@ provider introduces many new VM types — so it supports JSON persistence.
 
 Profiles that fall outside the graph (possible after migrations remove a
 VM from a packing the successor strategy would not have produced) are
-scored by *snapping* to the nearest known profile in L1 distance.
+scored by *snapping* to the nearest known profile in L1 distance,
+found through an exact KD-tree over the table's usage rows.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import tempfile
 from collections import OrderedDict
 from pathlib import Path
 from typing import (
-    Callable,
     Dict,
     Iterable,
     List,
@@ -31,12 +31,7 @@ from typing import (
 )
 
 import numpy as np
-
-_cdist: Optional[Callable[..., np.ndarray]]
-try:  # scipy's C cityblock kernel; optional, with a NumPy fallback below.
-    from scipy.spatial.distance import cdist as _cdist
-except ImportError:  # pragma: no cover - exercised via monkeypatch in tests
-    _cdist = None
+from scipy.spatial import cKDTree
 
 from repro.core.graph import ProfileGraph, SuccessorStrategy
 from repro.core.graph_cache import load_or_build_profile_graph
@@ -47,23 +42,6 @@ from repro.util.floatguard import GUARD, check_finite
 from repro.util.validation import ValidationError, require
 
 __all__ = ["ScoreTable", "build_score_table"]
-
-
-def _pairwise_l1(queries: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """(queries, rows) L1 distance matrix without a 3-D intermediate.
-
-    A naive ``abs(matrix[None] - queries[:, None]).sum(axis=2)`` allocates
-    a (queries x rows x dims) array — hundreds of MB against an EC2-scale
-    table — and is slower than one scan per query.  scipy's cityblock
-    cdist streams in C; the fallback accumulates one dimension at a time
-    so the largest intermediate is (queries x rows).
-    """
-    if _cdist is not None:
-        return _cdist(queries, matrix, metric="cityblock")
-    distances = np.zeros((queries.shape[0], matrix.shape[0]))
-    for dim in range(matrix.shape[1]):
-        distances += np.abs(matrix[np.newaxis, :, dim] - queries[:, dim, np.newaxis])
-    return distances
 
 
 class ScoreTable:
@@ -85,8 +63,8 @@ class ScoreTable:
 
     __slots__ = (
         "shape", "damping", "strategy", "vote_direction", "_scores",
-        "_flat_matrix", "_flat_usages", "_flat_scores", "_snap_cache",
-        "_snap_cache_size",
+        "_flat_matrix", "_flat_usages", "_flat_scores", "_snap_tree",
+        "_snap_cache", "_snap_cache_size",
     )
 
     def __init__(
@@ -111,6 +89,7 @@ class ScoreTable:
         self._flat_matrix: Optional[np.ndarray] = None
         self._flat_usages: Optional[List[Usage]] = None
         self._flat_scores: Optional[np.ndarray] = None
+        self._snap_tree: Optional[cKDTree] = None
         self._snap_cache: "OrderedDict[Usage, float]" = OrderedDict()
         self._snap_cache_size = int(snap_cache_size)
 
@@ -154,6 +133,7 @@ class ScoreTable:
         table._flat_matrix = matrix
         table._flat_usages = None
         table._flat_scores = flat_scores
+        table._snap_tree = None
         table._snap_cache = OrderedDict()
         table._snap_cache_size = int(snap_cache_size)
         return table
@@ -221,7 +201,7 @@ class ScoreTable:
         — rank redistributes over every profile when the graph grows,
         so all scores are replaced while the existing matrix rows are
         only appended to.  Lazy structures (exact-lookup dict, snap
-        cache) reset and rebuild on demand.
+        tree, snap cache) reset and rebuild on demand.
 
         Frozen or shared tables refuse the mutation — a published shm
         segment is immutable by contract; grow a private master table
@@ -253,6 +233,7 @@ class ScoreTable:
         self._flat_scores = new_scores.copy()
         self._scores = None
         self._flat_usages = None
+        self._snap_tree = None
         self._snap_cache.clear()
 
     def __len__(self) -> int:
@@ -284,19 +265,20 @@ class ScoreTable:
         if cached is not None:
             self._snap_cache.move_to_end(usage)
             return cached
-        score = self._snap_one(usage)
+        (score,) = self._snap([usage])
+        if GUARD.active:
+            check_finite(score, "snapped profile score")
         self._snap_remember(usage, score)
         return score
 
     def score_or_snap_many(
         self, usages: Sequence[Union[Usage, Profile]]
     ) -> List[float]:
-        """Scores of many usages, batching the snap distance computation.
+        """Scores of many usages, batching the nearest-profile search.
 
         Exact hits and previously snapped usages resolve from the
-        dictionaries; all remaining misses share *one* vectorized L1
-        distance computation against the table matrix instead of one scan
-        per miss.
+        dictionaries; the remaining distinct misses go through one
+        batched KD-tree query (:meth:`_snap`).
         """
         keys = [u.usage if isinstance(u, Profile) else u for u in usages]
         results: List[Optional[float]] = [None] * len(keys)
@@ -314,16 +296,9 @@ class ScoreTable:
                 continue
             misses.setdefault(key, []).append(i)
         if misses:
-            matrix, _, flat_scores = self._snap_structures()
-            flats = np.asarray(
-                [[u for group in key for u in group] for key in misses],
-                dtype=float,
-            )
-            distances = _pairwise_l1(flats, matrix)
-            nearest = distances.min(axis=1, keepdims=True)
-            for row, (key, positions) in enumerate(misses.items()):
-                candidates = np.nonzero(distances[row] == nearest[row, 0])[0]
-                score = float(flat_scores[candidates].min())
+            for (key, positions), score in zip(
+                misses.items(), self._snap(list(misses))
+            ):
                 self._snap_remember(key, score)
                 for i in positions:
                     results[i] = score
@@ -332,16 +307,54 @@ class ScoreTable:
             check_finite(results, "snapped profile scores")
         return cast(List[float], results)
 
-    def _snap_one(self, usage: Usage) -> float:
+    def _snap(self, usages: Sequence[Usage]) -> List[float]:
+        """Scores of the L1-nearest table rows, lowest score on ties.
+
+        ``query`` finds each usage's nearest distance ``d``;
+        ``query_ball_point`` at radius ``d`` then returns every row at
+        exactly that distance.  Usages are small integers, so every L1
+        distance is exact in float64 and the result is bit-identical to
+        a brute-force scan of the whole matrix.
+        """
+        tree = self._tree()
+        flats = np.asarray(
+            [[u for group in usage for u in group] for usage in usages],
+            dtype=float,
+        )
+        nearest, _ = tree.query(flats, k=1, p=1)
+        ties = tree.query_ball_point(flats, r=nearest, p=1)
+        flat_scores = self._snap_structures()[2]
+        return [float(flat_scores[rows].min()) for rows in ties]
+
+    def _tree(self) -> cKDTree:
+        """The snap tree, built on first use over the matrix in place.
+
+        :meth:`apply_delta` drops it with the matrix.  Sliding-midpoint
+        splits (``balanced_tree=False``) answer queries far from every
+        row about twice as fast as median splits on the EC2 M3 table.
+        """
+        if self._snap_tree is None:
+            self._snap_tree = cKDTree(
+                self._snap_structures()[0], copy_data=False,
+                balanced_tree=False,
+            )
+        return self._snap_tree
+
+    def view(self) -> "ScoreTable":
+        """A table sharing this one's arrays and snap tree, built now.
+
+        A view handed to a live policy never builds an index on a
+        request.  It keeps its own snap cache, and a later
+        :meth:`apply_delta` replaces this table's arrays, not the view's.
+        """
         matrix, _, flat_scores = self._snap_structures()
-        flat = np.asarray([u for group in usage for u in group], dtype=float)
-        distances = np.abs(matrix - flat).sum(axis=1)
-        nearest = distances.min()
-        candidates = np.nonzero(distances == nearest)[0]
-        score = float(flat_scores[candidates].min())
-        if GUARD.active:
-            check_finite(score, "snapped profile score")
-        return score
+        view = ScoreTable.from_flat_arrays(
+            self.shape, matrix, flat_scores, damping=self.damping,
+            strategy=self.strategy, vote_direction=self.vote_direction,
+            snap_cache_size=self._snap_cache_size,
+        )
+        view._snap_tree = self._tree()
+        return view
 
     def _snap_remember(self, usage: Usage, score: float) -> None:
         self._snap_cache[usage] = score

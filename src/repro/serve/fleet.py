@@ -134,9 +134,9 @@ class FleetDeltaPlane:
     immutable snapshots into the service between admission batches
     (pool republish under the bumped content key, then policy table
     replacement).  The serving tables are never mutated: each swap
-    hands out a fresh :meth:`ScoreTable.from_flat_arrays` view whose
-    arrays the master abandons (never edits) on its next delta, so a
-    stale reader can at worst see a complete old generation.
+    hands out a fresh :meth:`ScoreTable.view` of the master, whose
+    arrays and snap tree the master abandons (never edits) on its next
+    delta, so a stale reader can at worst see a complete old generation.
 
     Bootstrapping the plane performs one cold build per shape (graphs
     come from the on-disk cache when ``graph_cache_dir`` is set); every
@@ -212,18 +212,6 @@ class FleetDeltaPlane:
         """The writable master table of a shape (do not serve from it)."""
         return self._masters[shape]
 
-    def _snapshot(self, shape: MachineShape) -> ScoreTable:
-        master = self._masters[shape]
-        matrix, _, flat_scores = master._snap_structures()
-        return ScoreTable.from_flat_arrays(
-            shape=shape,
-            matrix=matrix,
-            flat_scores=flat_scores,
-            damping=master.damping,
-            strategy=master.strategy,
-            vote_direction=master.vote_direction,
-        )
-
     def swap_current(self) -> None:
         """Hot-swap the service onto snapshots of the current masters.
 
@@ -232,7 +220,7 @@ class FleetDeltaPlane:
         as its "swap with no semantic change" probe.
         """
         self._service.hot_swap(
-            {shape: self._snapshot(shape) for shape in self._masters},
+            {shape: master.view() for shape, master in self._masters.items()},
             vm_types=tuple(self._vm_types),
         )
 

@@ -131,6 +131,46 @@ class TestBatchSnap:
         assert table._snap_cache[missing] == score
 
 
+class TestView:
+    OFF_GRAPH = [((1, 0, 0, 0),), ((0, 0, 1, 2),), ((6, 6, 6, 6),)]
+
+    def test_view_shares_arrays_and_prebuilt_tree(
+        self, toy_shape, toy_vm_types
+    ):
+        table = build_score_table(toy_shape, toy_vm_types)
+        view = table.view()
+        matrix, _, scores = table._snap_structures()
+        assert view._snap_tree is not None
+        assert view._snap_tree is table._snap_tree
+        assert view._snap_structures()[0] is matrix
+        assert view._snap_structures()[2] is scores
+        assert view.score_or_snap_many(self.OFF_GRAPH) == [
+            table.score_or_snap(u) for u in self.OFF_GRAPH
+        ]
+        assert view._snap_cache is not table._snap_cache
+
+    def test_delta_on_the_source_leaves_the_view_intact(
+        self, toy_shape, toy_vm_types
+    ):
+        import numpy as np
+
+        table = build_score_table(toy_shape, toy_vm_types)
+        view = table.view()
+        before = view.score_or_snap_many(self.OFF_GRAPH)
+        tree = view._snap_tree
+        # One appended row sits on an off-graph usage with a score above
+        # every other, and the whole score vector changes.
+        table.apply_delta(
+            np.asarray([[1.0, 0.0, 0.0, 0.0]]),
+            np.concatenate([table._snap_structures()[2] * 0.5, [10.0]]),
+        )
+        assert table._snap_tree is None
+        assert table.score_or_snap(((1, 0, 0, 0),)) == 10.0
+        view._snap_cache.clear()
+        assert view._snap_tree is tree
+        assert view.score_or_snap_many(self.OFF_GRAPH) == before
+
+
 class TestPersistence:
     def test_roundtrip(self, toy_table, tmp_path):
         path = tmp_path / "table.json"

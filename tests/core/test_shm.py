@@ -188,6 +188,34 @@ class TestScoreTableArtifacts:
         finally:
             bundle.close()
 
+    def test_attached_table_snaps_like_its_publisher(self, toy_table):
+        # Over-capacity and out-of-order usages are off the table: both
+        # sides snap them, the attached side through a tree built over
+        # the read-only shared matrix without copying it.
+        off_table = [
+            ((0, 1, 1, 5),), ((3, 2, 1, 0),), ((6, 6, 6, 6),),
+            ((0, 0, 0, 5),), ((1, 3, 0, 2),),
+        ]
+        bundle = shm.share_score_table(toy_table)
+        try:
+            attached, reader = shm.attach_score_table(bundle.key)
+            matrix = attached._flat_matrix
+            try:
+                assert all(attached.score(u) is None for u in off_table)
+                expected = [toy_table.score_or_snap(u) for u in off_table]
+                assert attached.score_or_snap_many(off_table) == expected
+                attached._snap_cache.clear()
+                assert [attached.score_or_snap(u) for u in off_table] == (
+                    expected
+                )
+                assert np.shares_memory(attached._snap_tree.data, matrix)
+                assert not matrix.flags.writeable
+            finally:
+                del attached, matrix
+                reader.close()
+        finally:
+            bundle.close()
+
 
 class TestCrashSafety:
     def test_sigkilled_attacher_leaks_nothing(self):

@@ -10,8 +10,10 @@ import math
 
 import pytest
 
+from repro.core.placement import PageRankVMPolicy
 from repro.core.profile import VMType
 from repro.core.score_table import build_score_table
+from repro.core.soa import SoADatacenter
 from repro.serve.fleet import (
     FleetDeltaPlane,
     build_toy_service,
@@ -135,6 +137,50 @@ class TestRegister:
             delta_service.close()
             if cold_service is not None:
                 cold_service.close()
+
+    def test_grown_master_snaps_like_a_cold_table(self):
+        # The paper's toy catalog {vm2, vm4} reaches only even-total
+        # profiles; registering vm1 appends the odd-total rows.  Each
+        # over-capacity usage below is strictly nearer to an appended
+        # row than to any original one.  The master's snap tree is
+        # built before the delta, so a stale tree would miss them.
+        shape = toy_shape()
+        catalog = tuple(t for t in toy_vm_types() if t.name != "vm1")
+        vm1 = next(t for t in toy_vm_types() if t.name == "vm1")
+        service = PlacementService(
+            SoADatacenter([(i, shape, "toy.4x4") for i in range(4)]),
+            PageRankVMPolicy({shape: build_score_table(shape, catalog)}),
+            catalog,
+        )
+        off_graph = [
+            ((0, 0, 0, 5),), ((0, 1, 2, 5),), ((1, 1, 3, 5),),
+            ((0, 3, 5, 5),), ((1, 5, 5, 5),),
+        ]
+        try:
+            plane = FleetDeltaPlane(service)
+            master = plane.master_table(shape)
+            before = master.score_or_snap_many(off_graph)
+            report = plane.register(vm1)
+            assert report["shapes"][repr(shape)]["new_nodes"] > 0
+            cold = build_score_table(shape, catalog + (vm1,))
+            expected = [cold.score_or_snap(u) for u in off_graph]
+            assert not any(
+                math.isclose(a, b, rel_tol=1e-9)
+                for a, b in zip(before, expected)
+            )
+            served = service.policy.tables[shape]
+            # The swap published a tree built over the grown matrix, so
+            # no request builds one.
+            assert served._snap_tree is not None
+            assert served._snap_tree is master._snap_tree
+            for table in (master, served):
+                snapped = table.score_or_snap_many(off_graph)
+                assert all(
+                    math.isclose(a, b, rel_tol=1e-9)
+                    for a, b in zip(snapped, expected)
+                )
+        finally:
+            service.close()
 
     def test_duplicate_registration_rejected(self):
         service = build_toy_service(n_pms=4)
