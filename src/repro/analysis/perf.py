@@ -8,7 +8,9 @@ module turns that history into a regression gate (``repro perf check``):
   the sweep/serve/shared entries, ``"harness"`` for the flat harness
   entries — and only compared against history from the same phase with
   the same ``quick`` flag (quick runs use different workloads, so their
-  walls are not comparable to full runs);
+  walls are not comparable to full runs) and the same ``cpu_count``
+  (another host's timings are no baseline; entries without one form
+  their own group);
 * each phase has a small registry of metrics with a declared direction
   (throughput up, wall-clock down);
 * the **baseline** for a metric is the median of the last ``window``
@@ -254,6 +256,7 @@ def _check_metric(
     phase: str,
     spec: MetricSpec,
     history: Sequence[Tuple[int, float, bool]],
+    entries: Sequence[Entry],
     window: int,
     tolerance: float,
     sigma: float,
@@ -262,11 +265,17 @@ def _check_metric(
     """Gate the newest value of one metric against its history."""
     if not history:
         return None
-    latest_quick = history[-1][2]
-    latest = history[-1][1]
-    # Only comparable history: same phase (by construction) and the same
-    # quick flag — quick runs measure different workload sizes.
-    prior = [v for _, v, quick in history[:-1] if quick == latest_quick]
+    latest_index, latest, latest_quick = history[-1]
+    latest_cpus = entries[latest_index].get("cpu_count")
+    # Only comparable history: same phase (by construction), the same
+    # quick flag — quick runs measure different workload sizes — and the
+    # same cpu_count (None for entries without one).
+    prior = [
+        v
+        for index, v, quick in history[:-1]
+        if quick == latest_quick
+        and entries[index].get("cpu_count") == latest_cpus
+    ]
     baseline_window = prior[-window:]
     if len(baseline_window) < min_history:
         return MetricCheck(
@@ -337,6 +346,7 @@ def check_trajectory(
                 phase,
                 spec,
                 metric_history(entries, phase, spec),
+                entries,
                 window,
                 tolerance,
                 sigma,

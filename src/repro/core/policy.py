@@ -698,26 +698,6 @@ class ProfileScorePolicy(PlacementPolicy):
             )
         return None
 
-    def warm_batch(
-        self, vm_types: Sequence[VMType], view: IndexedMachines
-    ) -> None:
-        """Pre-resolve candidates for a coming request batch.
-
-        The serving layer's admission queue coalesces concurrent
-        placement requests and calls this once per batch: every distinct
-        (used class, VM type) pair is scored with one batched
-        :meth:`profile_scores` call per shape, so the sequential
-        per-request selection that follows runs almost entirely on cache
-        hits.  The cache is content-addressed, warming consumes no RNG,
-        and the entries are byte-identical to what the per-request path
-        would compute — decisions are unaffected, which is what the
-        coalescing-determinism tests assert.
-        """
-        self._observe_index(view)
-        classes = view.used_classes()
-        for vm in dict.fromkeys(vm_types):
-            self._warm_class_candidates(vm, classes)
-
     def _warm_class_candidates(self, vm: VMType, classes: Sequence[Any]) -> None:
         """Resolve uncached classes with one batched scoring pass per shape.
 

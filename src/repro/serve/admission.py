@@ -5,12 +5,12 @@ holds at most ``max_depth`` waiting tickets; a request arriving past
 that is shed on the spot with a 429 and a ``Retry-After`` hint — the
 service never buffers unbounded load.  Admitted tickets are drained by
 a single dispatcher coroutine that coalesces up to ``batch_max``
-consecutive tickets into one :meth:`PlacementService.serve_batch` call:
-scoring is batched (one warm pass over the distinct VM types), but the
-decisions are applied strictly in ticket order, so the decision stream
-is bit-identical to the same requests arriving one at a time.  The
-coalescing-determinism tests assert exactly that by comparing rolling
-decision digests.
+consecutive tickets into one :meth:`PlacementService.serve_batch` call.
+Coalescing batches admission only: the tickets are served strictly in
+order, each decision scoring the used classes it has not seen before,
+so the decision stream is bit-identical to the same requests arriving
+one at a time.  The coalescing-determinism tests assert exactly that by
+comparing rolling decision digests.
 
 The dispatcher is lazy and loop-aware: it is (re)spawned on first use
 inside whichever event loop is running, so the queue survives repeated

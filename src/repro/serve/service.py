@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Sequence
 
 from repro.cluster.vm import VirtualMachine
-from repro.core.placement import TABLE_FAULTS
 from repro.core.policy import PlacementPolicy
 from repro.core.profile import VMType
 from repro.experiments.runner import RetryPolicy
@@ -449,40 +448,14 @@ class PlacementService:
     ) -> List[ServeResponse]:
         """Serve one coalesced admission batch, sequentially in order.
 
-        Scoring is batched — one :meth:`warm_batch` pass resolves every
-        (used class, VM type) pair of the batch up front — but the
-        decisions themselves are applied strictly in ticket order, so
-        the decision stream is bit-identical to the same requests
-        arriving one at a time (the warm cache is content-addressed and
-        consumes no RNG).
+        Coalescing batches admission only: each request is served by
+        :meth:`serve_one` in ticket order, and each decision scores the
+        used classes it has not seen before.  The decision stream is
+        therefore bit-identical to the same requests arriving one at a
+        time.
         """
         self.counters.batches += 1
-        self._warm_for(requests)
         return [self.serve_one(request) for request in requests]
-
-    def _warm_for(self, requests: Sequence[ServeRequest]) -> None:
-        """Batch-resolve scoring for the distinct VM types of a batch."""
-        if not self._breaker_allows_primary():
-            return
-        if bool(getattr(self._policy, "degraded", False)):
-            return
-        warm = getattr(self._policy, "warm_batch", None)
-        if warm is None:
-            return
-        vm_types = [
-            self._vm_types[r.vm_type]
-            for r in requests
-            if r.op == "place" and r.vm_type in self._vm_types
-        ]
-        if not vm_types:
-            return
-        try:
-            warm(vm_types, self._dc.indexed_machines())
-        except TABLE_FAULTS:
-            # The per-request path will hit the same fault and resolve
-            # it through the breaker + degradation machinery; warming
-            # never decides anything.
-            pass
 
     def serve_one(self, request: ServeRequest) -> ServeResponse:
         """Serve one request to its terminal outcome (never raises)."""
@@ -681,12 +654,6 @@ class PlacementService:
     # ------------------------------------------------------------------
     # The breaker-guarded decision
     # ------------------------------------------------------------------
-    def _breaker_allows_primary(self) -> bool:
-        """Non-mutating peek: would the next decision use the tables?"""
-        if self._breaker.state == "open":
-            return False
-        return True
-
     def _decide(self, vm_type: VMType, excluded_pm: Optional[int] = None):
         """One policy decision through the circuit breaker.
 

@@ -5,7 +5,7 @@ the recorded BENCH trajectory, so what this suite pins is the
 *statistics*, not any particular machine's numbers:
 
 * baselines come only from comparable history — same phase, same
-  ``quick`` flag, latest entry excluded;
+  ``quick`` flag, same ``cpu_count``, latest entry excluded;
 * the allowed band is the larger of the relative tolerance and the
   robust (MAD-based) spread, so flat histories still tolerate CI noise
   and noisy histories earn wider bands, in the worse direction only;
@@ -36,8 +36,14 @@ def write_trajectory(path, entries):
     return path
 
 
-def harness_entries(values, metric="placement_decisions_per_s", quick=False):
-    return [{metric: value, "quick": quick} for value in values]
+def harness_entries(
+    values, metric="placement_decisions_per_s", quick=False, cpu_count=None
+):
+    entries = [{metric: value, "quick": quick} for value in values]
+    if cpu_count is not None:
+        for entry in entries:
+            entry["cpu_count"] = cpu_count
+    return entries
 
 
 class TestEntryPhase:
@@ -156,6 +162,28 @@ class TestCheckTrajectory:
         check = report.checks[0]
         assert check.status == "no-history"
         assert check.n_history == 2
+
+    def test_hosts_with_other_cpu_counts_never_mix(self, tmp_path):
+        # A 2-CPU entry with only 1-CPU history has no baseline, however
+        # far it sits from the 1-CPU values.
+        entries = harness_entries([1000.0] * 6, cpu_count=1) + (
+            harness_entries([500.0], cpu_count=2)
+        )
+        path = write_trajectory(tmp_path / "b.json", entries)
+        check = check_trajectory(path).checks[0]
+        assert check.status == "no-history"
+        assert check.n_history == 0
+
+        # With 2-CPU history of its own, a degraded 2-CPU entry is
+        # still flagged, against the 2-CPU baseline alone.
+        entries = (
+            harness_entries([1000.0] * 6, cpu_count=1)
+            + harness_entries([800.0, 790.0, 810.0, 500.0], cpu_count=2)
+        )
+        path = write_trajectory(tmp_path / "b.json", entries)
+        (degraded,) = check_trajectory(path).degraded
+        assert degraded.baseline == pytest.approx(800.0)
+        assert degraded.n_history == 3
 
     def test_window_limits_the_baseline(self, tmp_path):
         # Ancient slow history outside the window must not drag the

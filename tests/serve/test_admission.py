@@ -49,6 +49,13 @@ class TestCoalescingDeterminism:
         # The burst actually coalesced: far fewer serve_batch calls.
         assert batched.counters.batches < sequential.counters.batches
         assert batched.counters.batches <= -(-len(bodies) // 16) + 1
+        # Coalescing scores nothing extra: every decision resolves the
+        # same candidates in the same order as sequential arrival.
+        seq_cache = sequential.policy.cache_info()
+        burst_cache = batched.policy.cache_info()
+        assert (burst_cache.hits, burst_cache.misses, burst_cache.currsize) == (
+            seq_cache.hits, seq_cache.misses, seq_cache.currsize
+        )
 
     def test_batch_max_bounds_batch_size(self):
         service = build_toy_service(n_pms=16, clock=ManualClock())
