@@ -135,8 +135,9 @@ class FleetDeltaPlane:
     (pool republish under the bumped content key, then policy table
     replacement).  The serving tables are never mutated: each swap
     hands out a fresh :meth:`ScoreTable.view` of the master, whose
-    arrays and snap tree the master abandons (never edits) on its next
-    delta, so a stale reader can at worst see a complete old generation.
+    arrays, exact-lookup dict and snap tree the master abandons (never
+    edits) on its next delta, so a stale reader can at worst see a
+    complete old generation.
 
     Bootstrapping the plane performs one cold build per shape (graphs
     come from the on-disk cache when ``graph_cache_dir`` is set); every
@@ -181,9 +182,11 @@ class FleetDeltaPlane:
             self._graphs[shape] = graph
             self._results[shape] = result
             # The master is built straight over its flat arrays in graph
-            # node-id order — no per-profile dict walk; the exact-lookup
-            # dict materializes lazily if anything ever asks for it.
-            self._masters[shape] = ScoreTable.from_flat_arrays(
+            # node-id order.  Its exact-lookup dict and snap tree are
+            # built here, at set-up: every swap's views share them, so
+            # neither a swap nor the first request after one builds
+            # either, and after a delta only the appended rows convert.
+            master = ScoreTable.from_flat_arrays(
                 shape=shape,
                 matrix=np.ascontiguousarray(
                     graph.flat_profiles().astype(float)
@@ -193,6 +196,9 @@ class FleetDeltaPlane:
                 strategy=table.strategy,
                 vote_direction=table.vote_direction,
             )
+            master._scores_map()
+            master._tree()
+            self._masters[shape] = master
 
     @property
     def vm_types(self) -> Tuple[VMType, ...]:

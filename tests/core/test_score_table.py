@@ -171,6 +171,30 @@ class TestView:
         assert view.score_or_snap_many(self.OFF_GRAPH) == before
 
 
+    def test_delta_rebuilds_the_dict_from_the_grown_arrays(
+        self, toy_shape, toy_vm_types
+    ):
+        import numpy as np
+
+        table = build_score_table(toy_shape, toy_vm_types)
+        view = table.view()
+        shared = view._scores
+        assert shared is table._scores
+        before = dict(shared)
+        table.apply_delta(
+            np.asarray([[1.0, 0.0, 0.0, 0.0]]),
+            np.concatenate([table._snap_structures()[2] * 0.5, [10.0]]),
+        )
+        # The rebuilt dict matches one materialized from scratch over
+        # the grown arrays, and the view's dict is left as it was.
+        matrix, _, scores = table._snap_structures()
+        fresh = ScoreTable.from_flat_arrays(toy_shape, matrix, scores)
+        assert list(table.items()) == list(fresh.items())
+        assert table.score(((1, 0, 0, 0),)) == 10.0
+        assert view._scores is shared
+        assert shared == before
+
+
 class TestPersistence:
     def test_roundtrip(self, toy_table, tmp_path):
         path = tmp_path / "table.json"
