@@ -9,17 +9,15 @@ Each entry records ops/sec for the kernels that dominate evaluation
 wall-clock — the PageRank power iteration on an EC2-scale graph, snap
 lookups against the EC2 score table, one Algorithm 2 placement decision
 over a fleet — plus graph-construction wall-clock on the EC2-scale
-workload (serial, parallel, and a cache reload) and end-to-end
+workload (a cold build and a cache reload) and end-to-end
 :func:`run_experiment` wall-clock at ``workers=1`` and
 ``workers=cpu_count`` (with a bit-identical-results check between the
 two), and an online-serving phase — allocate plus a day-long simulate on
 the EC2 M3 workload — timed against the seed serving path (linear scans
-and the chunk-walking tick) with a decision-identity cross-check, and a
-zero-copy shared-plane phase (shared-memory table attach vs pickle
-reload, the parallel shard tick vs its serial twin with exact-counter
-identity).  Two tagged phase entries ride along: a ``"kernel"`` entry
-(the exact DAG-sweep rank kernel vs the warm power iteration, with its
-fixed-point residual) and a ``"delta"`` entry (live VM-type
+and the chunk-walking tick) with a decision-identity cross-check.  Two
+tagged phase entries ride along: a ``"kernel"`` entry (the exact
+DAG-sweep rank kernel vs the warm power iteration, with its fixed-point
+residual) and a ``"delta"`` entry (live VM-type
 registration through the fleet delta plane vs a cold rebuild of the
 grown catalog, with a decision-digest identity check against a
 cold-built control service).  Future PRs append entries, so the file
@@ -356,13 +354,11 @@ def measure_kernels(
 def measure_graph_build(
     repeats: int = 3,
     with_seed_baseline: bool = True,
-    jobs: Optional[int] = None,
 ) -> Dict[str, object]:
     """Graph-construction metrics on the EC2-scale workload.
 
-    Times the interned/memoized serial builder from cold placement memos
-    (the honest first-build cost), the process-pool builder at
-    ``jobs=cpu_count``, and a reload from the on-disk graph cache; when
+    Times the interned/memoized builder from cold placement memos (the
+    honest first-build cost) and a reload from the on-disk graph cache; when
     the seed baseline is enabled, also times the seed repo's builder and
     reports the speedup plus a node/edge identity check against it.
     """
@@ -393,27 +389,6 @@ def measure_graph_build(
         metrics["graph_build_matches_seed"] = (
             seed_graph.profiles == serial.profiles
             and seed_graph.successors == serial.successors
-        )
-
-    n_jobs = jobs if jobs is not None else (os.cpu_count() or 1)
-    if n_jobs > 1:
-        def cold_parallel() -> ProfileGraph:
-            permutations.clear_group_memos()
-            return build_profile_graph(
-                shape, EC2_VM_TYPES,
-                strategy=SuccessorStrategy.BALANCED, mode="reachable",
-                jobs=n_jobs,
-            )
-
-        parallel_start = time.perf_counter()
-        parallel = cold_parallel()
-        metrics["graph_build_parallel_wall_s"] = (
-            time.perf_counter() - parallel_start
-        )
-        metrics["graph_build_parallel_jobs"] = n_jobs
-        metrics["graph_build_parallel_identical"] = (
-            parallel.profiles == serial.profiles
-            and parallel.successors == serial.successors
         )
 
     with tempfile.TemporaryDirectory() as cache_dir:
@@ -706,78 +681,6 @@ def measure_end_to_end(
     return metrics
 
 
-#: Decision counters compared exactly between the parallel-tick run and
-#: its serial twin in the shared-plane phase.
-_SHARED_TICK_EXACT = (
-    "pms_used", "unplaced_vms", "migrations", "overload_events", "energy_kwh",
-)
-
-
-def measure_shared_plane(
-    table: ScoreTable,
-    repeats: int = 3,
-    quick: bool = False,
-    tick_workers: Optional[int] = None,
-) -> Dict[str, object]:
-    """Zero-copy data plane phase: shared attach vs pickle, parallel tick.
-
-    Two costs anchor the zero-copy claim:
-
-    * **attach vs pickle** — mapping a published score table from shared
-      memory (``shm.attach_score_table``) against rebuilding a private
-      copy from its pickle, which is what an N-process service without
-      the data plane would pay N times.
-    * **parallel tick** — one 480-PM columnar allocate + simulate with
-      the shard tick pool against its serial twin, decision counters and
-      energy compared exactly (the bit-identity contract).  Skipped on a
-      single core, where the pool's serial fallback makes the
-      comparison a no-op (``shared_tick_workers = 1`` records why).
-    """
-    import pickle
-
-    from repro.core import shm
-
-    payload = pickle.dumps(table)
-    pickle_wall = _best_of(lambda: pickle.loads(payload), repeats)
-    published = shm.share_score_table(table)
-    try:
-        def attach_once() -> None:
-            attached, bundle = shm.attach_score_table(published.key)
-            # Drop the table's views before the close so the segment
-            # unmaps cleanly instead of lingering until GC.
-            del attached
-            bundle.close()
-
-        attach_wall = _best_of(attach_once, max(repeats, 3))
-    finally:
-        published.close()
-    metrics: Dict[str, object] = {
-        "shared_pickle_bytes": len(payload),
-        "shared_pickle_load_wall_s": pickle_wall,
-        "shared_attach_wall_s": attach_wall,
-        "shared_attach_speedup_vs_pickle": pickle_wall / attach_wall,
-    }
-
-    cpu = os.cpu_count() or 1
-    workers = tick_workers if tick_workers is not None else min(cpu, 4)
-    metrics["shared_tick_workers"] = workers
-    if workers > 1:
-        from repro.experiments.sweep import run_point
-
-        duration_s = 7_200.0 if quick else 21_600.0
-        parallel = run_point(
-            table, 480, duration_s=duration_s, tick_workers=workers
-        )
-        serial = run_point(table, 480, duration_s=duration_s)
-        metrics["shared_tick_wall_s"] = parallel["soa_wall_s"]
-        metrics["shared_tick_serial_wall_s"] = serial["soa_wall_s"]
-        metrics["shared_tick_identical"] = all(
-            parallel[field] == serial[field] for field in _SHARED_TICK_EXACT
-        )
-        metrics["shared_tick_pool"] = parallel.get("tick_pool")
-    return metrics
-
-
 def measure_kernel_phase(
     graph: Optional[ProfileGraph] = None, repeats: int = 3
 ) -> Dict[str, object]:
@@ -972,9 +875,6 @@ def run_harness(
         )
     )
     entry.update(measure_end_to_end(table_cache_dir=table_cache_dir))
-    entry.update(
-        measure_shared_plane(table, repeats=1 if quick else 3, quick=quick)
-    )
     entry.update(measure_scale_sweep(table, quick=quick))
     return entry
 

@@ -161,28 +161,6 @@ def test_perf_ec2_graph_build_speedup_vs_seed():
     assert speedup >= floor
 
 
-def test_perf_ec2_graph_build_parallel_identical():
-    # The process-pool builder must reproduce the serial graph bit for
-    # bit at benchmark scale, not just on toy shapes.
-    from repro.core import permutations
-
-    shape = ec2_pm_shape("M3")
-    permutations.clear_group_memos()
-    serial = build_profile_graph(
-        shape, EC2_VM_TYPES,
-        strategy=SuccessorStrategy.BALANCED, mode="reachable",
-    )
-    parallel = build_profile_graph(
-        shape, EC2_VM_TYPES,
-        strategy=SuccessorStrategy.BALANCED, mode="reachable", jobs=4,
-    )
-    assert parallel.profiles == serial.profiles
-    assert parallel.successors == serial.successors
-    np.testing.assert_array_equal(
-        parallel.packed_profiles(), serial.packed_profiles()
-    )
-
-
 def test_perf_ec2_pagerank_iteration(benchmark, ec2_graph):
     profile_pagerank(ec2_graph)
     result = benchmark(lambda: profile_pagerank(ec2_graph))

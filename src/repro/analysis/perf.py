@@ -1,11 +1,11 @@
 """Perf-trajectory regression gate over the BENCH_perf.json history.
 
 ``BENCH_perf.json`` is an append-only trajectory: every harness run,
-scale sweep, serve loadgen and shared-phase run adds one entry.  This
+scale sweep and serve loadgen run adds one entry.  This
 module turns that history into a regression gate (``repro perf check``):
 
 * entries are grouped into **phases** — explicit ``"phase"`` keys for
-  the sweep/serve/shared entries, ``"harness"`` for the flat harness
+  the sweep/serve entries, ``"harness"`` for the flat harness
   entries — and only compared against history from the same phase with
   the same ``quick`` flag (quick runs use different workloads, so their
   walls are not comparable to full runs) and the same ``cpu_count``
@@ -127,14 +127,6 @@ PHASE_METRICS: Dict[str, Tuple[MetricSpec, ...]] = {
             "online_serving_speedup_vs_seed", True,
             _key("online_serving_speedup_vs_seed"),
         ),
-        MetricSpec(
-            "shared_attach_wall_s", False, _key("shared_attach_wall_s")
-        ),
-        MetricSpec(
-            "shared_attach_speedup_vs_pickle", True,
-            _key("shared_attach_speedup_vs_pickle"),
-        ),
-        MetricSpec("shared_tick_wall_s", False, _key("shared_tick_wall_s")),
     ),
     "scale_sweep": (
         MetricSpec("soa_wall_total_s", False, _sweep_soa_wall),
@@ -142,10 +134,6 @@ PHASE_METRICS: Dict[str, Tuple[MetricSpec, ...]] = {
     "serve": (
         MetricSpec("placements_per_s", True, _key("placements_per_s")),
         MetricSpec("p99_ms", False, _key("p99_ms")),
-    ),
-    "shared": (
-        MetricSpec("placements_per_s", True, _key("placements_per_s")),
-        MetricSpec("soa_wall_total_s", False, _sweep_soa_wall),
     ),
     "kernel": (
         MetricSpec("sweep_wall_s", False, _key("sweep_wall_s")),

@@ -9,8 +9,8 @@ Commands:
 * ``exact``     — solve a small random instance exactly and report
   heuristic gaps.
 * ``graph``     — build (and cache) profile graphs for EC2 PM shapes;
-  ``graph build --jobs N --graph-cache DIR`` exercises the parallel
-  frontier BFS and the on-disk graph cache directly.
+  ``graph build --graph-cache DIR`` exercises the frontier BFS and the
+  on-disk graph cache directly.
 * ``bench``     — performance measurements outside the full harness;
   ``bench sweep --pms N`` runs the columnar scale sweep (allocate +
   simulate at N PMs, optionally twinned against the object path).
@@ -92,10 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
              "runs and worker processes (default: $REPRO_TABLE_CACHE); "
              "cached profile graphs live in its graphs/ subdirectory")
     simulate.add_argument(
-        "--graph-jobs", type=int, default=1,
-        help="worker processes for building any profile graph a score-"
-             "table miss requires; bit-identical to 1 (default)")
-    simulate.add_argument(
         "--audit", action="store_true",
         help="validate every run's final placements against the MIP "
              "constraints (1)-(11) inside the worker that produced them")
@@ -175,10 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     graph_build.add_argument(
         "--mode", choices=("reachable", "full"), default="reachable")
     graph_build.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the parallel frontier BFS; 0 means "
-             "one per CPU.  Output is bit-identical to --jobs 1")
-    graph_build.add_argument(
         "--graph-cache", metavar="DIR", default=None,
         help="on-disk graph cache directory: load the graph from it when "
              "present, store the built graph into it otherwise")
@@ -218,11 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sweep.add_argument(
         "--shard-size", type=int, default=4_096,
         help="rows per columnar shard (default: 4096)")
-    bench_sweep.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="shared-memory tick workers per point (default: 1, serial; "
-             "N > 1 fans the monitor fold out bit-identically and "
-             "records a 'shared' BENCH phase)")
     bench_sweep.add_argument(
         "--out", metavar="FILE", default=None,
         help="append the sweep entry to this BENCH trajectory file")
@@ -392,15 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--fleet", choices=("toy", "ec2"), default="toy",
             help="toy: 4x4-core PMs (instant); ec2: the paper's M3 fleet")
-        sp.add_argument(
-            "--workers", type=int, default=1, metavar="N",
-            help="multi-process admission scoring over shared score "
-                 "tables (decisions bit-identical to --workers 1); "
-                 "loadgen records a 'shared' BENCH phase when N > 1")
-        sp.add_argument(
-            "--scoring-min-batch", type=int, default=64, metavar="ROWS",
-            help="smallest admission batch worth fanning out to the "
-                 "scoring workers (smaller ones score locally)")
         sp.add_argument("--pms", type=int, default=None,
                         help="fleet size (default: 8 toy / 480 ec2)")
         sp.add_argument("--seed", type=int, default=0)
@@ -478,7 +456,6 @@ def _cmd_simulate(args) -> int:
         retry=retry,
         checkpoint_path=args.checkpoint,
         resume=args.resume,
-        graph_jobs=args.graph_jobs,
     )
     any_degraded = any(
         run.degraded
@@ -614,7 +591,6 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    import os
     import time
 
     from repro.cluster.ec2 import EC2_VM_TYPES, ec2_pm_shape
@@ -625,7 +601,6 @@ def _cmd_graph(args) -> int:
         "balanced": SuccessorStrategy.BALANCED,
         "all": SuccessorStrategy.ALL_PLACEMENTS,
     }[args.strategy]
-    jobs = args.jobs or (os.cpu_count() or 1)
     print(f"{'shape':8s} {'nodes':>10s} {'edges':>10s} {'seconds':>9s} "
           f"{'source':>7s}")
     for pm_name in args.pm:
@@ -638,7 +613,6 @@ def _cmd_graph(args) -> int:
             strategy=strategy,
             mode=args.mode,
             node_limit=args.node_limit,
-            jobs=jobs,
             cache_dir=args.graph_cache,
         )
         elapsed = time.perf_counter() - start
@@ -659,18 +633,13 @@ def _cmd_bench(args) -> int:
     object_max_pms = args.object_max_pms
     if args.check_identity and object_max_pms == 0:
         object_max_pms = max(args.pms)
-    # A parallel-tick sweep lands in the "shared" phase (the zero-copy
-    # data plane's trajectory); the serial sweep keeps "scale_sweep".
     entry = {
         "recorded_at": datetime.now(timezone.utc).isoformat(
             timespec="seconds"
         ),
-        "phase": "shared" if args.workers > 1 else "scale_sweep",
+        "phase": "scale_sweep",
         "quick": args.quick,
     }
-    if args.workers > 1:
-        entry["source"] = "bench_sweep"
-        entry["workers"] = args.workers
     entry.update(run_sweep(
         args.pms,
         quick=args.quick,
@@ -678,7 +647,6 @@ def _cmd_bench(args) -> int:
         object_max_pms=object_max_pms,
         scan_anchor_pms=args.scan_anchor_pms,
         table_cache_dir=args.table_cache,
-        tick_workers=args.workers,
     ))
     if args.out is not None:
         benchfile.append_entry(entry, Path(args.out))
@@ -884,22 +852,16 @@ def _cmd_serve(args) -> int:
     )
 
     def make_service():
-        workers = getattr(args, "workers", 1)
-        min_batch = getattr(args, "scoring_min_batch", 64)
         if args.fleet == "ec2":
             counts = {"M3": args.pms if args.pms is not None else 480}
             return build_ec2_service(
                 counts,
                 seed=args.seed,
                 table_cache_dir=args.table_cache,
-                scoring_workers=workers,
-                scoring_min_batch=min_batch,
             )
         return build_toy_service(
             n_pms=args.pms if args.pms is not None else 8,
             seed=args.seed,
-            scoring_workers=workers,
-            scoring_min_batch=min_batch,
         )
 
     if args.serve_command == "run":
@@ -962,12 +924,6 @@ def _cmd_serve(args) -> int:
                 seed=args.seed,
                 after_request=after_request,
             )
-        # Pool vitals (incl. live per-worker RSS) before close kills them.
-        scoring = (
-            service.scoring_pool.stats()
-            if service.scoring_pool is not None
-            else None
-        )
         digest = service.decision_digest
         service.close()
         payload = report.as_dict()
@@ -976,7 +932,7 @@ def _cmd_serve(args) -> int:
             payload["hot_swaps"] = swaps_done[0]
         print(json.dumps(payload, indent=2, sort_keys=True))
         if args.out is not None:
-            from repro.serve import record_report, record_shared_report
+            from repro.serve import record_report
 
             recorded_at = datetime.now(timezone.utc).isoformat(
                 timespec="seconds"
@@ -984,23 +940,13 @@ def _cmd_serve(args) -> int:
             extra = {"seed": args.seed, "decision_digest": digest}
             if args.hot_swap_at is not None:
                 extra["hot_swaps"] = swaps_done[0]
-            if scoring is not None:
-                record_shared_report(
-                    report,
-                    Path(args.out),
-                    fleet=args.fleet,
-                    recorded_at=recorded_at,
-                    scoring=scoring,
-                    extra=extra,
-                )
-            else:
-                record_report(
-                    report,
-                    Path(args.out),
-                    fleet=args.fleet,
-                    recorded_at=recorded_at,
-                    extra=extra,
-                )
+            record_report(
+                report,
+                Path(args.out),
+                fleet=args.fleet,
+                recorded_at=recorded_at,
+                extra=extra,
+            )
         return 0
 
     # chaos

@@ -163,12 +163,6 @@ class CloudSimulation:
             decisions, migrations and overload counts are identical
             either way; energy/SLO totals agree up to float summation
             order.
-        tick_workers: fold the per-shard monitor demand in parallel over
-            a :class:`~repro.core.soa.ShardTickPool` of this many forked
-            workers (columnar path only; requires an ``SoADatacenter``).
-            The parallel fold is bit-identical to the serial tick; 1
-            (default) or an unavailable ``fork`` keeps the serial path,
-            and any worker failure degrades back to it mid-run.
     """
 
     def __init__(
@@ -180,7 +174,6 @@ class CloudSimulation:
         power_models: Optional[dict] = None,
         faults: Optional[FaultInjector] = None,
         fast_path: bool = True,
-        tick_workers: int = 1,
     ):
         self._dc = datacenter
         self._policy = policy
@@ -204,10 +197,6 @@ class CloudSimulation:
         self._pending: List[_PendingVM] = []
         self._monitor_down = False
         self._loop: Optional[EventLoop] = None
-        self._tick_workers = tick_workers
-        self._tick_pool = None
-        self._tick_pool_tried = False
-        self._tick_pool_stats: Optional[dict] = None
 
     # ------------------------------------------------------------------
     # Phase 1: initial allocation
@@ -247,10 +236,7 @@ class CloudSimulation:
             self._on_tick(loop.now, interval)
 
         loop.schedule_every(interval, tick)
-        try:
-            loop.run_until(self._config.duration_s)
-        finally:
-            self.close()
+        loop.run_until(self._config.duration_s)
         self._finalize_resilience()
 
         return SimulationResult(
@@ -341,47 +327,6 @@ class CloudSimulation:
                 )
             self._relieve(machine, time_s)
 
-    def _columnar_monitor(self, time_s: float, burst):
-        """``monitor_arrays`` via the shard tick pool when one is wanted.
-
-        The pool is created lazily on the first columnar tick (so a run
-        that never reaches the monitoring loop forks nothing) and only
-        when the datacenter really is the SoA substrate; its fold is
-        bit-identical to the serial one, so this choice is invisible to
-        every downstream decision.
-        """
-        if self._tick_workers > 1 and not self._tick_pool_tried:
-            self._tick_pool_tried = True
-            from repro.core.soa import ShardTickPool, SoADatacenter
-
-            if isinstance(self._dc, SoADatacenter):
-                self._tick_pool = ShardTickPool.create(
-                    self._dc, self._tick_workers, burst=burst
-                )
-        if self._tick_pool is not None:
-            return self._tick_pool.monitor_arrays(time_s, burst)
-        return self._dc.monitor_arrays(time_s, burst)
-
-    def close(self) -> None:
-        """Release the tick pool's workers and segments (idempotent).
-
-        The pool's vitals (including live per-worker RSS) are snapshotted
-        first, so :meth:`tick_pool_stats` stays meaningful after a run —
-        ``run`` closes the pool on the way out.
-        """
-        if self._tick_pool is not None:
-            if self._tick_pool_stats is None:
-                self._tick_pool_stats = self._tick_pool.stats()
-            self._tick_pool.close()
-
-    def tick_pool_stats(self) -> Optional[dict]:
-        """The shard tick pool's counters, or None on the serial path."""
-        if self._tick_pool_stats is not None:
-            return self._tick_pool_stats
-        if self._tick_pool is None:
-            return None
-        return self._tick_pool.stats()
-
     def _tick_columnar(self, time_s: float, dt_s: float) -> None:
         """One monitoring tick straight off the SoA datacenter's columns.
 
@@ -393,7 +338,7 @@ class CloudSimulation:
         matching the vectorized tick's dict-insertion grouping.
         """
         burst = self._config.burst_model
-        positions, utilization, active, type_ids = self._columnar_monitor(
+        positions, utilization, active, type_ids = self._dc.monitor_arrays(
             time_s, burst
         )
         self._slo.record_many(utilization, dt_s, active)
@@ -814,10 +759,7 @@ class DynamicSimulation(CloudSimulation):
         self._install_faults(loop)
         loop.schedule_every(interval, tick)
         pms_initial = self._dc.pms_used
-        try:
-            loop.run_until(self._config.duration_s)
-        finally:
-            self.close()
+        loop.run_until(self._config.duration_s)
         self._finalize_resilience()
 
         return SimulationResult(

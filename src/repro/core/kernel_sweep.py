@@ -60,7 +60,7 @@ skipping the BFS graph rebuild and warm-starting ``theta``, not
 skipping sweeps (DESIGN.md section 3.15).
 
 :data:`KERNEL_CODE_VERSION` stamps every rank-derived cache key (graph
-npz cache, score-table shm segments, experiment table cache) so a
+npz cache, experiment table cache) so a
 kernel change can never serve stale scores.
 """
 
@@ -91,8 +91,8 @@ __all__ = [
 ]
 
 #: Generation stamp of the rank kernel; part of every cache key that
-#: embeds rank-derived data (graph npz cache, score-table shm content
-#: keys, experiment table cache).  Bump whenever kernel output could
+#: embeds rank-derived data (graph npz cache, experiment table
+#: cache).  Bump whenever kernel output could
 #: change.
 KERNEL_CODE_VERSION = 1
 

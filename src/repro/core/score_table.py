@@ -106,13 +106,12 @@ class ScoreTable:
     ) -> "ScoreTable":
         """Construct a table directly over its snap matrix and score vector.
 
-        This is the zero-copy attach path of the shared data plane (see
-        :mod:`repro.core.shm`): ``matrix`` and ``flat_scores`` are
-        typically read-only views into a shared segment.  The
-        exact-lookup dict is *not* built here — attaching stays O(1) in
-        table size — but materialized lazily from the matrix rows on
-        first exact lookup (:meth:`_scores_map`), in row order, which
-        reproduces the builder's insertion order exactly.
+        :meth:`view` and the fleet delta plane build tables this way over
+        another table's arrays.  The exact-lookup dict is *not* built
+        here — construction stays O(1) in table size — but materialized
+        lazily from the matrix rows on first exact lookup
+        (:meth:`_scores_map`), in row order, which reproduces the
+        builder's insertion order exactly.
         """
         require(matrix.ndim == 2, "snap matrix must be 2-D")
         require(
@@ -146,16 +145,16 @@ class ScoreTable:
     def _scores_map(self) -> Dict[Usage, float]:
         """The exact-lookup dict, materialized from the flat arrays.
 
-        Shared (attached) tables start dict-less; the first exact
-        lookup rebuilds the usage tuples from the snap matrix rows —
-        the matrix stores exact small integers as float64, so the round
-        trip is lossless and the dict is identical to the builder's.
+        Tables built by :meth:`from_flat_arrays` start dict-less; the
+        first exact lookup rebuilds the usage tuples from the snap
+        matrix rows — the matrix stores exact small integers as float64,
+        so the round trip is lossless and the dict is identical to the
+        builder's.
 
-        The shared snap matrix is never copied wholesale: rows convert
-        through bounded chunks (:data:`_MATERIALIZE_CHUNK`), the
-        attached array object itself stays in place, and its
-        ``writeable=False`` protection is untouched — the contract the
-        zero-copy shm plane relies on (see :mod:`repro.core.shm`).
+        The snap matrix is never copied wholesale: rows convert through
+        bounded chunks (:data:`_MATERIALIZE_CHUNK`), the array object
+        itself stays in place, and a frozen table's ``writeable=False``
+        protection is untouched.
         """
         if self._scores is None:
             assert self._flat_scores is not None
@@ -189,9 +188,8 @@ class ScoreTable:
         """Build the snap structures and mark them read-only.
 
         Returns ``self``.  A frozen table's matrix/score vector reject
-        in-place mutation (``writeable=False``) — the contract shared
-        artifacts rely on; PRV-style writes fail loudly instead of
-        silently diverging one process's copy.
+        in-place mutation (``writeable=False``), so a stray write fails
+        loudly instead of silently changing scores a policy serves.
         """
         matrix, _, flat_scores = self._snap_structures()
         matrix.flags.writeable = False
@@ -213,9 +211,9 @@ class ScoreTable:
         of the kept rows survive, so the dict rebuild converts only the
         appended rows.
 
-        Frozen or shared tables refuse the mutation — a published shm
-        segment is immutable by contract; grow a private master table
-        and republish under the new content key instead (see
+        Tables over read-only arrays (frozen, or loaded with
+        ``mmap_mode="r"``) refuse the mutation; grow a private master
+        table and swap a fresh view in instead (see
         ``repro.serve.fleet.FleetDeltaPlane``).
 
         Raises:
@@ -398,7 +396,7 @@ class ScoreTable:
                 count=len(self._flat_usages),
             )
         assert self._flat_scores is not None
-        # _flat_usages is None for shared (attached) tables until the
+        # _flat_usages is None for from_flat_arrays tables until the
         # exact-lookup dict materializes; snap callers only use the
         # matrix and score vector.
         return self._flat_matrix, self._flat_usages, self._flat_scores
@@ -543,7 +541,6 @@ def build_score_table(
     vote_direction: str = "forward",
     scoring: str = "pagerank",
     graph: Optional[ProfileGraph] = None,
-    jobs: int = 1,
     graph_cache_dir: Optional[Union[str, Path]] = None,
     rank_kernel: str = "sweep",
 ) -> ScoreTable:
@@ -563,8 +560,6 @@ def build_score_table(
         graph: optionally a prebuilt :class:`ProfileGraph` for ``shape``
             and ``vm_types``; sweeps over damping/scoring reuse one
             graph this way instead of rebuilding it per variant.
-        jobs: worker processes for graph construction (ignored when
-            ``graph`` is supplied); results are bit-identical to serial.
         graph_cache_dir: optional on-disk graph cache consulted before
             building (see :mod:`repro.core.graph_cache`); ignored when
             ``graph`` is supplied.
@@ -594,7 +589,6 @@ def build_score_table(
             strategy=strategy,
             mode=mode,
             node_limit=node_limit,
-            jobs=jobs,
             cache_dir=graph_cache_dir,
         )
     else:

@@ -8,9 +8,7 @@ See DESIGN.md section 3.11.  Public surface:
 * :class:`SoAUsageClassIndex` / :class:`SoAIndexedMachines` /
   :class:`SoAClassTable` — the class-id-table-backed usage index;
 * :class:`ShardColumns` / :class:`TraceColumns` — the raw column
-  storage (benchmarks and the auditor read these directly);
-* :class:`ShardTickPool` — the parallel twin of the monitor fold over
-  shared-memory CSR mirrors (DESIGN.md section 3.14).
+  storage (benchmarks and the auditor read these directly).
 """
 
 from repro.core.soa.columns import (
@@ -25,7 +23,6 @@ from repro.core.soa.index import (
     SoAIndexedMachines,
     SoAUsageClassIndex,
 )
-from repro.core.soa.parallel import ShardTickPool
 
 __all__ = [
     "DEFAULT_SHARD_SIZE",
@@ -37,5 +34,4 @@ __all__ = [
     "SoAClassTable",
     "SoAIndexedMachines",
     "SoAUsageClassIndex",
-    "ShardTickPool",
 ]

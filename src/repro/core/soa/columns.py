@@ -135,7 +135,7 @@ class _BurstCSR:
     accumulation order of the object path's per-machine fold.
     """
 
-    __slots__ = ("rows", "slots", "ceilings", "n", "spans", "dead", "version")
+    __slots__ = ("rows", "slots", "ceilings", "n", "spans", "dead")
 
     def __init__(self) -> None:
         self.rows = np.empty(256, dtype=np.intp)
@@ -145,9 +145,6 @@ class _BurstCSR:
         #: (row, vm_id) -> (start, length) of the live entry span.
         self.spans: Dict[Tuple[int, int], Tuple[int, int]] = {}
         self.dead = 0
-        #: Monotone mutation counter: the parallel tick pool republishes
-        #: a shard's shared CSR mirror only when this moved.
-        self.version = 0
 
     def _grow(self, need: int) -> None:
         capacity = self.rows.size
@@ -171,7 +168,6 @@ class _BurstCSR:
         self.ceilings[start:start + k] = ceilings
         self.n += k
         self.spans[(row, vm_id)] = (start, k)
-        self.version += 1
 
     def remove(self, row: int, vm_id: int) -> None:
         start, k = self.spans.pop((row, vm_id))
@@ -179,7 +175,6 @@ class _BurstCSR:
         # exact no-ops under bincount accumulation.
         self.ceilings[start:start + k] = 0.0
         self.dead += k
-        self.version += 1
 
     def live(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (rows, slots, ceilings) views covering all entries."""

@@ -514,11 +514,7 @@ class SoADatacenter:
     # Columnar tick
     # ------------------------------------------------------------------
     def ensure_csr(self, burst: Any) -> None:
-        """Build any missing per-shard CSR for ``burst``.
-
-        Lazily invoked by the serial tick; the parallel tick pool calls
-        it up front so mirror synchronization sees every shard built.
-        """
+        """Build any missing per-shard CSR for ``burst`` (lazily, per tick)."""
         for shard in self._shards:
             if burst not in shard.csr:
                 shard.build_csr(

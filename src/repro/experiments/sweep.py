@@ -66,14 +66,11 @@ _EXACT_FIELDS = (
 )
 
 
-def sweep_table(
-    table_cache_dir: Optional[str] = None, jobs: int = 1
-) -> ScoreTable:
+def sweep_table(table_cache_dir: Optional[str] = None) -> ScoreTable:
     """The M3 score table the sweep serves from (harness-identical)."""
     return build_score_table(
         ec2_pm_shape("M3"), EC2_VM_TYPES,
         strategy=SuccessorStrategy.BALANCED,
-        jobs=jobs,
         graph_cache_dir=table_cache_dir,
     )
 
@@ -93,13 +90,8 @@ def sweep_workload(n_vms: int, seed: int = 0) -> List[VirtualMachine]:
 def _simulate(
     datacenter, table: ScoreTable, vms, duration_s: float,
     fast_path: bool = True,
-    tick_workers: int = 1,
 ):
-    """One allocate + simulate run on an already-built datacenter.
-
-    Returns ``(result, simulation)`` — the simulation is what holds the
-    tick-pool vitals (snapshotted at close) for the shared bench phase.
-    """
+    """One allocate + simulate run on an already-built datacenter."""
     from repro.baselines import MinimumMigrationTimeSelector
 
     simulation = CloudSimulation(
@@ -108,9 +100,8 @@ def _simulate(
         MinimumMigrationTimeSelector(),
         SimulationConfig(duration_s=duration_s, monitor_interval_s=300.0),
         fast_path=fast_path,
-        tick_workers=tick_workers,
     )
-    return simulation.run(vms), simulation
+    return simulation.run(vms)
 
 
 def measure_scan_anchor(
@@ -122,7 +113,7 @@ def measure_scan_anchor(
     vms = sweep_workload(int(n_pms * VMS_PER_PM), seed=workload_seed)
     start = time.perf_counter()
     datacenter = build_ec2_datacenter({"M3": n_pms})
-    _simulate(datacenter, table, vms, duration_s, fast_path=False)[0]
+    _simulate(datacenter, table, vms, duration_s, fast_path=False)
     return time.perf_counter() - start
 
 
@@ -133,19 +124,13 @@ def run_point(
     shard_size: int = 4_096,
     workload_seed: int = 0,
     check_identity: bool = False,
-    tick_workers: int = 1,
 ) -> Dict[str, object]:
     """Measure one sweep point; optionally twin it against the object path.
 
     Returns a dict with the SoA wall time and decision counters; with
     ``check_identity`` the object path runs on the same workload and the
     entry gains its wall time plus an ``identical`` verdict (exact
-    counters, energy/SLO to 1e-9 relative).  With ``tick_workers > 1``
-    the monitor fold fans out over the shared-memory tick pool — its
-    vitals land in ``tick_pool`` — and the identity gate (when on)
-    checks the *parallel* run against the object path: the exact-counter
-    contract covers the zero-copy data plane, not just the serial SoA
-    fold.
+    counters, energy/SLO to 1e-9 relative).
 
     Raises:
         AssertionError: when ``check_identity`` finds a divergence —
@@ -159,9 +144,7 @@ def run_point(
 
     start = time.perf_counter()
     soa_dc = build_ec2_soa_datacenter({"M3": n_pms}, shard_size=shard_size)
-    soa_result, soa_sim = _simulate(
-        soa_dc, table, vms, duration_s, tick_workers=tick_workers
-    )
+    soa_result = _simulate(soa_dc, table, vms, duration_s)
     soa_wall = time.perf_counter() - start
 
     point: Dict[str, object] = {
@@ -169,7 +152,6 @@ def run_point(
         "n_vms": n_vms,
         "duration_s": duration_s,
         "shard_size": shard_size,
-        "tick_workers": tick_workers,
         "soa_wall_s": soa_wall,
         "pms_used": soa_result.pms_used_final,
         "unplaced_vms": soa_result.unplaced_vms,
@@ -177,13 +159,10 @@ def run_point(
         "overload_events": soa_result.overload_events,
         "energy_kwh": soa_result.energy_kwh,
     }
-    pool_stats = soa_sim.tick_pool_stats()
-    if pool_stats is not None:
-        point["tick_pool"] = pool_stats
     if check_identity:
         start = time.perf_counter()
         object_dc = build_ec2_datacenter({"M3": n_pms})
-        object_result, _ = _simulate(object_dc, table, vms, duration_s)
+        object_result = _simulate(object_dc, table, vms, duration_s)
         point["object_wall_s"] = time.perf_counter() - start
         mismatches = [
             (field, getattr(object_result, field), getattr(soa_result, field))
@@ -212,7 +191,6 @@ def run_sweep(
     object_max_pms: int = 0,
     scan_anchor_pms: int = 480,
     table_cache_dir: Optional[str] = None,
-    tick_workers: int = 1,
 ) -> Dict[str, object]:
     """Run the scale sweep and summarize it as one BENCH-ready mapping.
 
@@ -232,9 +210,6 @@ def run_sweep(
             at this size and twice it, and every point gains a
             ``scan_wall_extrapolated_s`` from the exact quadratic
             through the two anchors (0 disables the scan baseline).
-        tick_workers: fan the monitor fold out over this many
-            shared-memory tick workers per point (1 = serial; decisions
-            are bit-identical either way, so baselines stay comparable).
     """
     if table is None:
         table = sweep_table(table_cache_dir)
@@ -246,7 +221,6 @@ def run_sweep(
             duration_s=duration_s,
             shard_size=shard_size,
             check_identity=0 < n_pms <= object_max_pms,
-            tick_workers=tick_workers,
         ))
     measured = [p for p in sweep if "object_wall_s" in p]
     if measured:
@@ -265,7 +239,6 @@ def run_sweep(
         "scale_sweep_points": sweep,
         "scale_sweep_duration_s": duration_s,
         "scale_sweep_shard_size": shard_size,
-        "scale_sweep_tick_workers": tick_workers,
     }
     if scan_anchor_pms > 0:
         w1 = measure_scan_anchor(table, scan_anchor_pms, duration_s)

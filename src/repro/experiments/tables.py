@@ -90,15 +90,13 @@ def score_tables_for(
     scoring: str = "pagerank",
     cache_dir: Optional[str] = None,
     node_limit: int = 1_000_000,
-    jobs: int = 1,
     graph_cache_dir: Optional[str] = None,
 ) -> Dict[MachineShape, ScoreTable]:
     """Tables for every distinct shape, built at most once each.
 
     Resolution order: in-memory cache, then the disk cache (when a
     directory is configured), then a fresh build (which populates both).
-    A fresh build constructs the profile graph with ``jobs`` workers and
-    consults the on-disk *graph* cache first: ``graph_cache_dir`` when
+    A fresh build consults the on-disk *graph* cache first: ``graph_cache_dir`` when
     given, else a ``graphs/`` subdirectory of the table cache — a table
     miss that shares a graph with an earlier variant (other damping,
     other scoring) then skips construction entirely.
@@ -128,7 +126,6 @@ def score_tables_for(
                 vote_direction=vote_direction,
                 scoring=scoring,
                 node_limit=node_limit,
-                jobs=jobs,
                 graph_cache_dir=graph_cache,
             )
             _BUILD_COUNTS[key] = _BUILD_COUNTS.get(key, 0) + 1

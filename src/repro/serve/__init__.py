@@ -25,7 +25,6 @@ from repro.serve.fleet import (
 from repro.serve.loadgen import (
     LoadgenReport,
     record_report,
-    record_shared_report,
     run_closed_loop,
     run_open_loop,
 )
@@ -38,7 +37,6 @@ from repro.serve.service import (
     TransientServeError,
 )
 from repro.serve.testclient import ASGITestClient, ClientResponse
-from repro.serve.workers import PooledScoreTable, ScoringWorkerPool
 
 __all__ = [
     # clock + breaker
@@ -67,15 +65,11 @@ __all__ = [
     "toy_vm_types",
     "build_toy_service",
     "build_ec2_service",
-    # multi-process scoring
-    "ScoringWorkerPool",
-    "PooledScoreTable",
     # load + chaos
     "LoadgenReport",
     "run_closed_loop",
     "run_open_loop",
     "record_report",
-    "record_shared_report",
     "ChaosSpec",
     "ChaosReport",
     "ServiceChaosDrill",

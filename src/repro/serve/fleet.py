@@ -29,7 +29,6 @@ from repro.core.soa.datacenter import SoADatacenter
 from repro.experiments.sweep import sweep_table
 from repro.serve.clock import Clock
 from repro.serve.service import PlacementService
-from repro.serve.workers import PooledScoreTable, ScoringWorkerPool
 from repro.util.rng import RngFactory
 from repro.util.validation import require
 
@@ -40,30 +39,6 @@ __all__ = [
     "build_ec2_service",
     "FleetDeltaPlane",
 ]
-
-
-def _pooled_tables(
-    tables: Dict[MachineShape, ScoreTable],
-    scoring_workers: int,
-    min_batch: int = 64,
-) -> Tuple[Dict[MachineShape, ScoreTable], Optional[ScoringWorkerPool]]:
-    """Share the tables and wrap them over a worker pool when asked.
-
-    ``scoring_workers <= 1`` returns the tables untouched (the serial
-    path); otherwise each table is published into shared memory once and
-    wrapped so batched admission scoring fans out across the workers —
-    value-identical either way (see :mod:`repro.serve.workers`).
-    """
-    pool = ScoringWorkerPool.create(
-        list(tables.values()), scoring_workers, min_batch=min_batch
-    )
-    if pool is None:
-        return tables, None
-    wrapped: Dict[MachineShape, ScoreTable] = {
-        shape: PooledScoreTable.wrap(table, pool, index)
-        for index, (shape, table) in enumerate(tables.items())
-    }
-    return wrapped, pool
 
 
 def toy_shape() -> MachineShape:
@@ -87,20 +62,13 @@ def build_toy_service(
     seed: int = 0,
     clock: Optional[Clock] = None,
     pool_size: Optional[int] = None,
-    scoring_workers: int = 1,
-    scoring_min_batch: int = 64,
     **service_kwargs,
 ) -> PlacementService:
     """A small table-driven service on the struct-of-arrays substrate."""
     shape = toy_shape()
     vm_types = toy_vm_types()
-    tables, pool = _pooled_tables(
-        {shape: build_score_table(shape, vm_types)},
-        scoring_workers,
-        min_batch=scoring_min_batch,
-    )
     policy = PageRankVMPolicy(
-        tables,
+        {shape: build_score_table(shape, vm_types)},
         pool_size=pool_size,
         rng=RngFactory(seed).generator("serve-policy"),
     )
@@ -113,7 +81,6 @@ def build_toy_service(
         vm_types,
         clock=clock,
         seed=seed,
-        scoring_pool=pool,
         **service_kwargs,
     )
 
@@ -132,8 +99,7 @@ class FleetDeltaPlane:
     (:func:`~repro.core.kernel_sweep.resweep_delta`), in-place table
     row append (:meth:`ScoreTable.apply_delta`) — and hot-swaps
     immutable snapshots into the service between admission batches
-    (pool republish under the bumped content key, then policy table
-    replacement).  The serving tables are never mutated: each swap
+    (policy table replacement).  The serving tables are never mutated: each swap
     hands out a fresh :meth:`ScoreTable.view` of the master, whose
     arrays, exact-lookup dict and snap tree the master abandons (never
     edits) on its next delta, so a stale reader can at worst see a
@@ -150,7 +116,6 @@ class FleetDeltaPlane:
         self,
         service: PlacementService,
         graph_cache_dir: Optional[Union[str, Path]] = None,
-        jobs: int = 1,
         node_limit: int = 1_000_000,
     ) -> None:
         tables = getattr(service.policy, "tables", None)
@@ -171,7 +136,6 @@ class FleetDeltaPlane:
                 tuple(self._vm_types),
                 strategy=table.strategy,
                 node_limit=node_limit,
-                jobs=jobs,
                 cache_dir=graph_cache_dir,
             )
             result = sweep_profile_pagerank(
@@ -285,20 +249,14 @@ def build_ec2_service(
     clock: Optional[Clock] = None,
     pool_size: Optional[int] = None,
     table_cache_dir: Optional[str] = None,
-    jobs: int = 1,
     shard_size: int = 4_096,
-    scoring_workers: int = 1,
-    scoring_min_batch: int = 64,
     **service_kwargs,
 ) -> PlacementService:
     """The paper's M3 fleet as a service (loadgen's default world)."""
     counts = counts if counts is not None else {"M3": 480}
-    table = sweep_table(table_cache_dir, jobs=jobs)
-    tables, pool = _pooled_tables(
-        {table.shape: table}, scoring_workers, min_batch=scoring_min_batch
-    )
+    table = sweep_table(table_cache_dir)
     policy = PageRankVMPolicy(
-        tables,
+        {table.shape: table},
         pool_size=pool_size,
         rng=RngFactory(seed).generator("serve-policy"),
     )
@@ -309,6 +267,5 @@ def build_ec2_service(
         EC2_VM_TYPES,
         clock=clock,
         seed=seed,
-        scoring_pool=pool,
         **service_kwargs,
     )

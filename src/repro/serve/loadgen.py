@@ -38,7 +38,6 @@ __all__ = [
     "run_closed_loop",
     "run_open_loop",
     "record_report",
-    "record_shared_report",
 ]
 
 
@@ -236,42 +235,6 @@ def record_report(
         "recorded_at": recorded_at,
         "phase": "serve",
         "fleet": fleet,
-    }
-    entry.update(report.as_dict())
-    if extra:
-        entry.update(extra)
-    benchfile.append_entry(entry, out)
-    return entry
-
-
-def record_shared_report(
-    report: LoadgenReport,
-    out: Path,
-    fleet: str,
-    recorded_at: str,
-    scoring: Dict[str, Any],
-    extra: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
-    """Append a ``"shared"`` phase entry (multi-process serving run).
-
-    On top of the loadgen report this records the zero-copy data plane's
-    vitals: worker count, per-worker resident set (each worker *maps*
-    the shared tables instead of holding a private unpickled copy), how
-    many batches/rows actually fanned out, and the shm segment counters.
-    """
-    from repro.util import benchfile
-
-    entry: Dict[str, Any] = {
-        "recorded_at": recorded_at,
-        "phase": "shared",
-        "source": "serve_loadgen",
-        "fleet": fleet,
-        "workers": scoring.get("workers"),
-        "rss_per_worker_mb": scoring.get("rss_per_worker_mb"),
-        "scoring_batches": scoring.get("batches"),
-        "scoring_rows": scoring.get("rows"),
-        "scoring_failed": scoring.get("failed"),
-        "shm": scoring.get("shm"),
     }
     entry.update(report.as_dict())
     if extra:

@@ -232,12 +232,6 @@ class PlacementService:
             raise :class:`TransientServeError` to exercise the retry
             path.  Chaos drills install this; production leaves it None.
         log_limit: ring-buffer size of the structured request log.
-        scoring_pool: optional
-            :class:`~repro.serve.workers.ScoringWorkerPool` whose
-            lifecycle this service owns (closed by :meth:`close`, stats
-            exposed at ``/cluster/state``).  The pool itself is wired
-            into the policy's tables by the fleet builders; decisions
-            are bit-identical with or without it.
     """
 
     def __init__(
@@ -253,7 +247,6 @@ class PlacementService:
         retry_after_s: float = 1.0,
         fault_hook: Optional[Callable[[str, int], float]] = None,
         log_limit: int = 1024,
-        scoring_pool: Optional[Any] = None,
     ):
         require(len(vm_types) > 0, "vm_types catalog must not be empty")
         self._dc = datacenter
@@ -277,7 +270,6 @@ class PlacementService:
         self._log: Deque[Dict[str, Any]] = deque(maxlen=log_limit)
         self._ledger = ResilienceMetrics()
         self._pending_displaced: List[VirtualMachine] = []
-        self._scoring_pool = scoring_pool
 
     # ------------------------------------------------------------------
     # Introspection
@@ -323,15 +315,12 @@ class PlacementService:
         """The newest entries of the structured request log."""
         return list(self._log)
 
-    @property
-    def scoring_pool(self) -> Optional[Any]:
-        """The multi-process scoring pool, or None on the serial path."""
-        return self._scoring_pool
-
     def close(self) -> None:
-        """Release owned resources (the scoring pool); idempotent."""
-        if self._scoring_pool is not None:
-            self._scoring_pool.close()
+        """End the service's lifetime; idempotent.
+
+        The service owns no process or OS resource, so this does
+        nothing; it stays so callers can scope a service uniformly.
+        """
 
     def vm_type_named(self, name: str) -> Optional[VMType]:
         """Resolve a catalog VM type by name (None when unknown)."""
@@ -366,9 +355,7 @@ class PlacementService:
     ) -> None:
         """Swap the policy's score tables with zero downtime.
 
-        The scoring pool (when alive) republishes the new generation
-        into shared memory and re-attaches every worker first; then the
-        policy's local tables are replaced and its content-addressed
+        The policy's tables are replaced and its content-addressed
         caches dropped; an optional grown VM type catalog lands in the
         same swap.  Admission batches are served synchronously, so a
         call between :meth:`serve_batch` calls (the load generator's
@@ -382,17 +369,7 @@ class PlacementService:
             replace is not None,
             f"policy {self._policy.name!r} does not support table hot swap",
         )
-        swapped = dict(tables)
-        pool = self._scoring_pool
-        if pool is not None and getattr(pool, "alive", False):
-            if pool.swap_tables(list(swapped.values())):
-                from repro.serve.workers import PooledScoreTable
-
-                swapped = {
-                    shape: PooledScoreTable.wrap(table, pool, index)
-                    for index, (shape, table) in enumerate(swapped.items())
-                }
-        replace(swapped)
+        replace(dict(tables))
         if vm_types is not None:
             require(len(vm_types) > 0, "vm_types catalog must not be empty")
             self._vm_types = {vm.name: vm for vm in vm_types}
@@ -433,11 +410,6 @@ class PlacementService:
             "decisions": self._digest.events,
             "pending_displaced": len(self._pending_displaced),
             "ledger": self._ledger.as_dict(),
-            "scoring": (
-                None
-                if self._scoring_pool is None
-                else self._scoring_pool.stats()
-            ),
         }
 
     # ------------------------------------------------------------------

@@ -50,10 +50,6 @@ class TestFullMode:
             for succ in successors:
                 assert position[node] < position[succ]
 
-    def test_limit_enforced(self, toy_shape, toy_vm_types):
-        with pytest.raises(GraphLimitExceeded):
-            build_profile_graph(toy_shape, toy_vm_types, mode="full", node_limit=10)
-
 
 class TestReachableMode:
     def test_subset_of_full(self, toy_shape, toy_vm_types, toy_graph):
@@ -72,12 +68,6 @@ class TestReachableMode:
     def test_root_is_empty_profile(self, toy_shape, toy_vm_types):
         graph = build_profile_graph(toy_shape, toy_vm_types, mode="reachable")
         assert graph.profiles[0] == toy_shape.empty_usage()
-
-    def test_limit_enforced(self, toy_shape, toy_vm_types):
-        with pytest.raises(GraphLimitExceeded):
-            build_profile_graph(
-                toy_shape, toy_vm_types, mode="reachable", node_limit=3
-            )
 
 
 class TestBalancedStrategy:
@@ -101,6 +91,18 @@ class TestBalancedStrategy:
         assert balanced.n_nodes <= full.n_nodes
         for usage in balanced.profiles:
             assert full.contains(usage)
+
+
+class TestNodeLimit:
+    @pytest.mark.parametrize(
+        "mode, node_limit", [("full", 10), ("reachable", 3)],
+        ids=["full", "reachable"],
+    )
+    def test_limit_enforced(self, toy_shape, toy_vm_types, mode, node_limit):
+        with pytest.raises(GraphLimitExceeded):
+            build_profile_graph(
+                toy_shape, toy_vm_types, mode=mode, node_limit=node_limit
+            )
 
 
 class TestValidation:
@@ -164,52 +166,3 @@ class TestGraphQueries:
         for node, succ in enumerate(toy_graph.successors):
             got = tuple(int(s) for s in indices[indptr[node]:indptr[node + 1]])
             assert got == succ
-
-
-class TestParallelBuild:
-    """``jobs=N`` must be bit-identical to the serial build."""
-
-    @pytest.mark.parametrize("mode", ["reachable", "full"])
-    @pytest.mark.parametrize(
-        "strategy",
-        [SuccessorStrategy.ALL_PLACEMENTS, SuccessorStrategy.BALANCED],
-    )
-    def test_identical_to_serial(self, toy_shape, toy_vm_types, strategy, mode):
-        serial = build_profile_graph(
-            toy_shape, toy_vm_types, strategy=strategy, mode=mode, jobs=1
-        )
-        parallel = build_profile_graph(
-            toy_shape, toy_vm_types, strategy=strategy, mode=mode, jobs=3
-        )
-        assert parallel.profiles == serial.profiles
-        assert parallel.successors == serial.successors
-        for got, want in zip(
-            parallel.successor_csr(), serial.successor_csr()
-        ):
-            np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(
-            parallel.packed_profiles(), serial.packed_profiles()
-        )
-
-    def test_pagerank_scores_identical(self, toy_shape, toy_vm_types):
-        from repro.core.pagerank import profile_pagerank
-
-        serial = build_profile_graph(toy_shape, toy_vm_types, mode="reachable")
-        parallel = build_profile_graph(
-            toy_shape, toy_vm_types, mode="reachable", jobs=2
-        )
-        scores_serial = profile_pagerank(serial).scores
-        scores_parallel = profile_pagerank(parallel).scores
-        # Bit-identical, not merely close: same nodes, same edge order,
-        # therefore the same float operations in the same order.
-        np.testing.assert_array_equal(scores_parallel, scores_serial)
-
-    def test_node_limit_enforced_in_parallel(self, toy_shape, toy_vm_types):
-        with pytest.raises(GraphLimitExceeded):
-            build_profile_graph(
-                toy_shape, toy_vm_types, mode="reachable", node_limit=3, jobs=2
-            )
-
-    def test_bad_jobs_rejected(self, toy_shape, toy_vm_types):
-        with pytest.raises(ValidationError):
-            build_profile_graph(toy_shape, toy_vm_types, jobs=0)

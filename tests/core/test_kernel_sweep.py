@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import graph as graph_module
-from repro.core import kernel_sweep, shm
+from repro.core import kernel_sweep
 from repro.core.graph import (
     SuccessorStrategy,
     build_profile_graph,
@@ -296,12 +296,6 @@ class TestKernelVersionStamping:
         )
         assert before != after
 
-    def test_score_table_shm_key_changes(self, toy_table, monkeypatch):
-        before = shm.score_table_key(toy_table)
-        self._bump(monkeypatch)
-        after = shm.score_table_key(toy_table)
-        assert before != after
-
     def test_experiment_table_cache_key_changes(
         self, toy_shape, toy_vm_types, monkeypatch
     ):
@@ -333,20 +327,6 @@ class TestKernelVersionStamping:
         )
         assert cache_events()["misses"] == 2
         clear_cache_events()
-
-    def test_bump_republishes_under_a_fresh_segment(
-        self, toy_table, monkeypatch
-    ):
-        first = shm.share_score_table(toy_table)
-        try:
-            self._bump(monkeypatch)
-            second = shm.share_score_table(toy_table)
-            try:
-                assert first.key != second.key
-            finally:
-                second.close()
-        finally:
-            first.close()
 
     def test_sweep_tables_agree_with_iterative_build(
         self, toy_shape, toy_vm_types

@@ -36,11 +36,11 @@ class TestConstruction:
     def test_name(self, policy):
         assert policy.name == "PageRankVM"
 
-    def test_for_shapes_with_jobs_and_graph_cache(
+    def test_for_shapes_with_graph_cache(
         self, tmp_path, toy_shape, toy_vm_types
     ):
         cached = PageRankVMPolicy.for_shapes(
-            [toy_shape], toy_vm_types, jobs=2, graph_cache_dir=tmp_path
+            [toy_shape], toy_vm_types, graph_cache_dir=tmp_path
         )
         plain = PageRankVMPolicy.for_shapes([toy_shape], toy_vm_types)
         assert dict(cached.tables[toy_shape].items()) == dict(

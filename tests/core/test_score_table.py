@@ -353,14 +353,9 @@ class TestPrebuiltGraph:
         assert dict(first.items()) == dict(second.items())
         clear_cache_events()
 
-    def test_jobs_produce_identical_table(self, toy_shape, toy_vm_types):
-        serial = build_score_table(toy_shape, toy_vm_types)
-        parallel = build_score_table(toy_shape, toy_vm_types, jobs=2)
-        assert dict(serial.items()) == dict(parallel.items())
-
 
 class TestFreezeAndSharedContract:
-    """The shared-artifact contract: frozen arrays, in-place laziness."""
+    """The frozen-table contract: read-only arrays, in-place laziness."""
 
     def _flat_table(self, toy_table):
         import numpy as np
@@ -396,8 +391,8 @@ class TestFreezeAndSharedContract:
         matrix = table._flat_matrix
         matrix.flags.writeable = False
         assert table._scores is None
-        # Exact lookups force the dict; the attached matrix object must
-        # stay in place with its read-only protection untouched.
+        # Exact lookups force the dict; the matrix object must stay in
+        # place with its read-only protection untouched.
         assert len(table) == len(toy_table)
         for usage, score in list(toy_table.items())[:8]:
             assert table.score(usage) == score

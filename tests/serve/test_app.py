@@ -110,6 +110,11 @@ class TestClusterState:
         assert state["policy"]
         assert state["n_vms"] == 1
         assert len(state["decision_digest"]) == 64
+        assert set(state) == {
+            "policy", "n_machines", "pms_used", "n_vms", "counters",
+            "breaker", "tripped", "policy_degraded", "policy_degraded_reason",
+            "decision_digest", "decisions", "pending_displaced", "ledger",
+        }
 
 
 class TestLifespan:

@@ -212,10 +212,8 @@ class TestRegister:
         finally:
             service.close()
 
-    def test_register_swaps_through_a_scoring_pool(self):
-        service = build_toy_service(
-            n_pms=6, scoring_workers=2, scoring_min_batch=1
-        )
+    def test_registered_services_keep_equal_digests(self):
+        service = build_toy_service(n_pms=6)
         control = build_toy_service(n_pms=6)
         try:
             plane = FleetDeltaPlane(service)
