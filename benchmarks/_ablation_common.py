@@ -7,7 +7,11 @@ across every variant, so a sweep costs one graph build plus cheap
 rescoring.
 """
 
-from repro.cluster.ec2 import EC2_VM_TYPES, build_ec2_datacenter, ec2_pm_shape
+from repro.cluster.ec2 import (
+    EC2_VM_TYPES,
+    build_ec2_soa_datacenter,
+    ec2_pm_shape,
+)
 from repro.cluster.simulation import CloudSimulation, SimulationConfig
 from repro.core.graph import SuccessorStrategy, build_profile_graph
 from repro.core.migration import PageRankMigrationSelector
@@ -61,7 +65,7 @@ def run_variant(tables, pool_size=None, repetitions=REPETITIONS):
         sim=SimulationConfig(),
     )
     for rep in range(repetitions):
-        datacenter = build_ec2_datacenter(DATACENTER)
+        datacenter = build_ec2_soa_datacenter(DATACENTER)
         policy = PageRankVMPolicy(tables, pool_size=pool_size)
         selector = PageRankMigrationSelector(tables)
         simulation = CloudSimulation(datacenter, policy, selector, config.sim)

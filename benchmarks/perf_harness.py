@@ -49,7 +49,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy
 
-from repro.cluster.ec2 import EC2_VM_TYPES, ec2_pm_shape
+from repro.cluster.ec2 import (
+    EC2_VM_TYPES,
+    build_ec2_datacenter,
+    build_ec2_soa_datacenter,
+    ec2_pm_shape,
+)
 from repro.cluster.simulation import SimulationConfig
 from repro.core.graph import ProfileGraph, SuccessorStrategy, build_profile_graph
 from repro.core.pagerank import profile_pagerank
@@ -465,9 +470,10 @@ def seed_serving_path():
 
     Inside the context, ``PhysicalMachine.actual_cpu_utilization`` walks
     chunks per call and the datacenter inventory queries are O(n) scans —
-    the pre-index serving path.  Combined with ``fast_path=False`` (the
-    verbatim sequential tick and list-based policy scan) this reproduces
-    the seed's end-to-end behavior for honest baseline timing.
+    the pre-index serving path.  Combined with the object datacenter
+    (whose simulation runs the verbatim sequential tick and list-based
+    policy scan) this reproduces the seed's end-to-end behavior for
+    honest baseline timing.
     """
     from repro.cluster.datacenter import Datacenter
     from repro.cluster.machine import PhysicalMachine
@@ -516,30 +522,28 @@ def online_serving_workload(n_vms: int, seed: int = 0):
 
 def run_online_serving(
     table: ScoreTable,
-    n_pms: int,
+    datacenter,
     n_vms: int,
     duration_s: float,
-    fast_path: bool,
     workload_seed: int = 0,
     faults=None,
 ):
-    """One allocate-plus-simulate run; returns the SimulationResult."""
+    """One allocate-plus-simulate run; returns the SimulationResult.
+
+    The substrate picks the path: an ``SoADatacenter`` serves through
+    its usage-class index and columnar tick, the object ``Datacenter``
+    runs the seed scan.
+    """
     from repro.baselines import MinimumMigrationTimeSelector
-    from repro.cluster.datacenter import Datacenter
-    from repro.cluster.machine import PhysicalMachine
     from repro.cluster.simulation import CloudSimulation
 
     shape = table.shape
-    datacenter = Datacenter(
-        [PhysicalMachine(i, shape, type_name="M3") for i in range(n_pms)]
-    )
     simulation = CloudSimulation(
         datacenter,
         PageRankVMPolicy({shape: table}),
         MinimumMigrationTimeSelector(),
         SimulationConfig(duration_s=duration_s, monitor_interval_s=300.0),
         faults=faults,
-        fast_path=fast_path,
     )
     return simulation.run(online_serving_workload(n_vms, seed=workload_seed))
 
@@ -557,10 +561,9 @@ def measure_online_serving(
 ) -> Dict[str, object]:
     """Online-serving phase: allocate + simulate on the EC2 M3 workload.
 
-    Times the indexed/vectorized serving path (``fast_path=True``)
-    against the seed baseline — ``fast_path=False`` under
-    :func:`seed_serving_path`, i.e. the verbatim pre-optimization code —
-    and cross-checks that both report identical decision counters
+    Times the serving path on the SoA substrate against the seed
+    baseline — the object datacenter under :func:`seed_serving_path`,
+    i.e. the verbatim pre-optimization code — and cross-checks that both report identical decision counters
     (identical placements, migrations and overload handling; energy/SLO
     agree up to float summation order).
     """
@@ -575,13 +578,13 @@ def measure_online_serving(
 
     def fast_run():
         return run_online_serving(
-            table, n_pms, n_vms, duration_s, fast_path=True
+            table, build_ec2_soa_datacenter({"M3": n_pms}), n_vms, duration_s
         )
 
     def seed_run():
         with seed_serving_path():
             return run_online_serving(
-                table, n_pms, n_vms, duration_s, fast_path=False
+                table, build_ec2_datacenter({"M3": n_pms}), n_vms, duration_s
             )
 
     fast_result = fast_run()  # warm the policy-independent caches once
@@ -751,7 +754,6 @@ def measure_delta_phase(
     delta-swapped service and a cold-built control service; their
     rolling decision digests must match bit-for-bit.
     """
-    from repro.cluster.ec2 import build_ec2_soa_datacenter
     from repro.core import permutations
     from repro.serve.fleet import FleetDeltaPlane, build_ec2_service
     from repro.serve.service import PlacementService, ServeRequest
@@ -825,20 +827,15 @@ def measure_scale_sweep(
 ) -> Dict[str, object]:
     """Scale-sweep phase: the columnar path at 480 → 100k PMs.
 
-    Quick mode stops at 5k PMs with a 2h horizon and twins both points
-    against the object path (the CI identity gate); the full sweep runs
-    the {480, 5k, 50k, 100k} ladder over a 24h day, measuring the
-    object baseline up to 50k PMs and extrapolating it at 100k.
+    Quick mode stops at 5k PMs with a 2h horizon; the full sweep runs
+    the {480, 5k, 50k, 100k} ladder over a 24h day.  Either way the
+    480-PM point is checked against the seed scan's anchor run (the CI
+    identity gate).
     """
     from repro.experiments.sweep import run_sweep
 
     points = (480, 5_000) if quick else (480, 5_000, 50_000, 100_000)
-    return run_sweep(
-        points,
-        table=table,
-        quick=quick,
-        object_max_pms=5_000 if quick else 50_000,
-    )
+    return run_sweep(points, table=table, quick=quick, check_identity=True)
 
 
 def run_harness(

@@ -7,7 +7,11 @@ trade per policy with consolidation on and off.
 """
 
 from repro.baselines import FirstFitPolicy, MinimumMigrationTimeSelector
-from repro.cluster.ec2 import EC2_VM_TYPES, build_ec2_datacenter, ec2_pm_shape
+from repro.cluster.ec2 import (
+    EC2_VM_TYPES,
+    build_ec2_soa_datacenter,
+    ec2_pm_shape,
+)
 from repro.cluster.simulation import DynamicSimulation, SimulationConfig
 from repro.core.graph import SuccessorStrategy
 from repro.core.migration import PageRankMigrationSelector
@@ -47,7 +51,7 @@ def test_ablation_consolidation(benchmark, emit):
             for consolidate in (False, True):
                 policy, selector = _policy(name)
                 sim = DynamicSimulation(
-                    build_ec2_datacenter(DATACENTER),
+                    build_ec2_soa_datacenter(DATACENTER),
                     policy,
                     selector,
                     SimulationConfig(

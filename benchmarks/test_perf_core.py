@@ -224,9 +224,9 @@ def test_perf_ec2_placement_decision(benchmark, ec2_table):
 # Online serving path (allocate + day-long simulate on the M3 workload)
 # ----------------------------------------------------------------------
 def test_perf_online_serving_speedup_vs_seed(ec2_table):
-    # Acceptance bar for the usage-class index + vectorized tick,
-    # end-to-end over the seed serving path (linear per-decision scans,
-    # chunk-walking monitor tick) on the EC2 M3 simulate workload:
+    # Acceptance bar for the SoA substrate (usage-class index + columnar
+    # tick), end-to-end over the seed serving path (linear per-decision
+    # scans, chunk-walking monitor tick) on the EC2 M3 simulate workload:
     # derived from the BENCH trajectory (half the recent median), 3x on
     # a history-free clone — the headline is ~10x at this scale.
     from perf_harness import measure_online_serving
@@ -239,16 +239,21 @@ def test_perf_online_serving_speedup_vs_seed(ec2_table):
     print(f"\nonline serving: seed {metrics['online_serving_seed_wall_s']:.3f}s, "
           f"fast {metrics['online_serving_wall_s']:.3f}s, "
           f"speedup {speedup:.1f}x (floor {floor:.1f}x)")
-    # The fast path must not change behavior, only wall-clock.
+    # The substrate must not change behavior, only wall-clock.
     assert metrics["online_serving_results_identical"]
     assert metrics["online_serving_float_metrics_close"]
     assert speedup >= floor
 
 
 def test_perf_online_serving_identical_under_faults(ec2_table):
-    # EC2-scale bit-identity of the indexed path vs the plain scan
-    # (both unpatched), including PMs crashing and recovering mid-run.
+    # EC2-scale bit-identity of the SoA substrate vs the seed scan on
+    # the object datacenter (both unpatched), including PMs crashing and
+    # recovering mid-run.
     from perf_harness import run_online_serving
+    from repro.cluster.ec2 import (
+        build_ec2_datacenter,
+        build_ec2_soa_datacenter,
+    )
     from repro.faults import FaultEvent, FaultInjector, FaultSchedule, FaultSpec
     from repro.util.rng import RngFactory
 
@@ -266,10 +271,12 @@ def test_perf_online_serving_identical_under_faults(ec2_table):
         return FaultInjector(schedule, RngFactory(5).spawn("fault-draws", 0))
 
     fast = run_online_serving(
-        ec2_table, 160, 400, 21_600.0, fast_path=True, faults=injector()
+        ec2_table, build_ec2_soa_datacenter({"M3": 160}), 400, 21_600.0,
+        faults=injector(),
     )
     scan = run_online_serving(
-        ec2_table, 160, 400, 21_600.0, fast_path=False, faults=injector()
+        ec2_table, build_ec2_datacenter({"M3": 160}), 400, 21_600.0,
+        faults=injector(),
     )
     for field in (
         "n_vms", "unplaced_vms", "pms_used_initial", "pms_used_peak",

@@ -1,9 +1,9 @@
 """Lockstep sanitize smoke: every twin pair, tiny scale, zero drift.
 
 Not a paper artifact — this is the CI face of ``repro sanitize run``.
-Each twin pair (object vs struct-of-arrays, scan vs vectorized monitor
-tick, loop vs vector ranking) runs a small fleet over a 30-minute
-horizon from one seed; decision streams must match bit-for-bit and the
+Each twin pair (seed scan on the object datacenter vs struct-of-arrays,
+loop vs vector ranking, DAG-sweep vs iterative rank kernel) runs a
+small fleet over a 30-minute horizon from one seed; decision streams must match bit-for-bit and the
 float streams must stay inside the documented ULP bounds (DESIGN.md
 section 3.12).  The paper-scale run (480 PMs, 24h) lives in the
 sanitize-smoke CI job and in ISSUE acceptance, not here.

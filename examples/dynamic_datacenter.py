@@ -10,7 +10,11 @@ Run:  python examples/dynamic_datacenter.py
 """
 
 from repro.baselines import FirstFitPolicy, MinimumMigrationTimeSelector
-from repro.cluster.ec2 import EC2_VM_TYPES, build_ec2_datacenter, ec2_pm_shape
+from repro.cluster.ec2 import (
+    EC2_VM_TYPES,
+    build_ec2_soa_datacenter,
+    ec2_pm_shape,
+)
 from repro.cluster.simulation import DynamicSimulation, SimulationConfig
 from repro.core.graph import SuccessorStrategy
 from repro.core.migration import PageRankMigrationSelector
@@ -56,7 +60,10 @@ def main():
                 underload_threshold=0.2 if consolidate else None
             )
             simulation = DynamicSimulation(
-                build_ec2_datacenter(DATACENTER), policy, selector, sim_config
+                build_ec2_soa_datacenter(DATACENTER),
+                policy,
+                selector,
+                sim_config,
             )
             result = simulation.run_events(events)
             print(

@@ -307,9 +307,9 @@ IMMUTABLE_VALUE_NAME = re.compile(r"(^|_)(graph|table|tables)$")
 #: where a full-inventory read (PRV010) would reintroduce the per-tick
 #: O(n_machines) cost the usage-class index removed.
 TICK_PATH_FUNCS: Set[str] = {
-    "_on_tick", "_tick_vectorized", "_tick_scan", "_relieve",
+    "_on_tick", "_tick_columnar", "_tick_scan", "_relieve",
     "_consolidate_underloaded", "_destination_candidates", "_healthy",
-    "_replace_pending", "snapshot", "snapshot_frame", "overloaded",
+    "_replace_pending", "snapshot", "overloaded",
 }
 
 #: Identifiers that syntactically denote the datacenter object whose

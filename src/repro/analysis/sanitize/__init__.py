@@ -1,8 +1,9 @@
 """Divergence sanitizer: lockstep twin execution with auto-bisection.
 
-The repo carries three pairs of twin implementations that must be *the
-same algorithm* (object vs struct-of-arrays substrate, scan vs
-vectorized monitor tick, loop vs vectorized class ranking).  This
+The repo carries pairs of twin implementations that must be *the same
+algorithm* (the seed scan on the object datacenter vs the
+struct-of-arrays substrate, loop vs vectorized class ranking, DAG-sweep
+vs iterative rank kernel).  This
 package drives both members of a pair from one seed under the trace
 layer (:mod:`repro.util.trace`), compares their canonical decision
 streams per monitor window, and on mismatch bisects — O(log n) digest

@@ -48,21 +48,21 @@ __all__ = [
 OP_KINDS = frozenset({"tick", "place", "victim", "migrate", "fault", "rng"})
 
 #: The built-in twin pairs ``run_twin`` knows how to drive.
-TWIN_NAMES: Tuple[str, ...] = ("soa", "tick", "rank", "kernel")
+TWIN_NAMES: Tuple[str, ...] = ("soa", "rank", "kernel")
 
 #: Documented ULP tolerance per twin pair for the float stream (energy /
-#: SLO running totals).  The SoA substrate and the vectorized ranking
-#: reproduce the object path's summation order exactly (0 ULPs); the
-#: vectorized tick re-associates the per-tick power summation
-#: (per-machine adds vs one grouped ``sum()``), which drifts the
-#: running total by well under 1e-12 relative — 1024 ULPs bounds a full
-#: 24 h day with margin while still catching any real reordering.  The
+#: SLO running totals).  The SoA substrate's columnar tick re-associates
+#: the seed scan's per-tick power summation (per-machine adds vs one
+#: grouped ``sum()`` per PM type), which drifts the running total by
+#: well under 1e-12 relative — 1024 ULPs bounds a full 24 h day with
+#: margin while still catching any real reordering.  The vectorized
+#: ranking reproduces the loop's summation order exactly (0 ULPs).  The
 #: kernel twin compares *decisions* made over two independently solved
 #: score tables (exact DAG sweep vs near-machine-precision iteration);
 #: the scores differ by a handful of ulps but every ranking winner —
 #: and therefore every downstream float — must match exactly.
 DEFAULT_MAX_ULPS: Mapping[str, int] = {
-    "soa": 0, "tick": 1024, "rank": 0, "kernel": 0,
+    "soa": 1024, "rank": 0, "kernel": 0,
 }
 
 
@@ -414,10 +414,13 @@ def _scenario_leg(
     scenario: SanitizeScenario,
     table: object,
     backend: str,
-    fast_path: bool = True,
     vector_scores: Optional[bool] = None,
 ) -> TwinLeg:
-    """A leg running the default M3 scenario on one backend/path."""
+    """A leg running the default M3 scenario on one backend.
+
+    The ``object`` backend runs the seed scan; ``soa`` runs the indexed
+    selection and the columnar tick.
+    """
 
     def runner() -> object:
         # Imported here: the sanitizer is analysis-layer code driving
@@ -450,7 +453,6 @@ def _scenario_leg(
             SimulationConfig(
                 duration_s=scenario.duration_s, monitor_interval_s=300.0
             ),
-            fast_path=fast_path,
         )
         return simulation.run(vms)
 
@@ -467,8 +469,9 @@ def run_twin(
     """Run one built-in twin pair on the default EC2 M3 scenario.
 
     Twins:
-        ``soa``  — object fast path vs struct-of-arrays substrate.
-        ``tick`` — scan tick (``fast_path=False``) vs vectorized tick.
+        ``soa``  — seed scan on the object datacenter (plain machine
+        lists, machine-by-machine tick) vs the struct-of-arrays
+        substrate (indexed selection, columnar tick).
         ``rank`` — per-class scoring loop vs ``vector_class_scores``
         (both on the SoA substrate, where the vector path activates).
         ``kernel`` — score table solved by the exact DAG-sweep kernel
@@ -512,13 +515,8 @@ def run_twin(
         leg_a = _scenario_leg("sweep-kernel", scenario, table, "soa")
         leg_b = _scenario_leg("iterative-kernel", scenario, iterative, "soa")
     elif twin == "soa":
-        leg_a = _scenario_leg("object", scenario, table, "object")
+        leg_a = _scenario_leg("scan", scenario, table, "object")
         leg_b = _scenario_leg("soa", scenario, table, "soa")
-    elif twin == "tick":
-        leg_a = _scenario_leg(
-            "scan", scenario, table, "object", fast_path=False
-        )
-        leg_b = _scenario_leg("vector", scenario, table, "object")
     else:
         leg_a = _scenario_leg(
             "rank-loop", scenario, table, "soa", vector_scores=False

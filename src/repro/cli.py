@@ -13,7 +13,7 @@ Commands:
   on-disk graph cache directly.
 * ``bench``     — performance measurements outside the full harness;
   ``bench sweep --pms N`` runs the columnar scale sweep (allocate +
-  simulate at N PMs, optionally twinned against the object path).
+  simulate at N PMs, optionally checked against the seed scan).
 * ``perf``      — trajectory analysis; ``perf check`` gates the latest
   BENCH_perf.json entry of each phase against per-phase baselines
   (median of recent history) and fails on statistically significant
@@ -23,9 +23,9 @@ Commands:
   and ``--strict-suppressions`` fails on stale ``# prv: disable``
   comments.
 * ``sanitize``  — lockstep twin-execution divergence sanitizer;
-  ``sanitize run --twin soa`` drives the object and struct-of-arrays
-  substrates from one seed and bisects to the first diverging event
-  on mismatch.
+  ``sanitize run --twin soa`` drives the seed scan on the object
+  datacenter and the struct-of-arrays substrate from one seed and
+  bisects to the first diverging event on mismatch.
 * ``audit``     — replay a saved artifact (score table or placements)
   against the MIP constraints (1)-(11); ``--format json|sarif`` emits
   machine-readable reports, as for ``lint``.
@@ -195,17 +195,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulate a 2h horizon instead of the paper's 24h day")
     bench_sweep.add_argument(
         "--check-identity", action="store_true",
-        help="twin every point against the object path and assert "
-             "identical decisions (sets --object-max-pms to the largest "
-             "size unless given)")
-    bench_sweep.add_argument(
-        "--object-max-pms", type=int, default=0, metavar="N",
-        help="largest size at which the object-path baseline runs; "
-             "larger points extrapolate its wall time (default: 0, off)")
+        help="assert that every point at a scan anchor size makes the "
+             "same decisions as that anchor's seed-scan run")
     bench_sweep.add_argument(
         "--scan-anchor-pms", type=int, default=480, metavar="N",
-        help="measure the pre-index scan path at N and 2N PMs and "
-             "extrapolate it quadratically to every point (default: "
+        help="measure the seed scan (object datacenter) at N and 2N "
+             "PMs and extrapolate it quadratically to every point (default: "
              "480; 0 disables the scan baseline)")
     bench_sweep.add_argument(
         "--shard-size", type=int, default=4_096,
@@ -277,11 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a twin pair from one seed and compare decision streams",
     )
     sanitize_run.add_argument(
-        "--twin", choices=("soa", "tick", "rank", "kernel"), default="soa",
-        help="twin pair: soa (object vs struct-of-arrays), tick (scan "
-             "vs vectorized monitor tick), rank (class-scoring loop vs "
-             "vector ranking), kernel (DAG-sweep vs iterative rank "
-             "kernel); default: soa")
+        "--twin", choices=("soa", "rank", "kernel"), default="soa",
+        help="twin pair: soa (seed scan on the object datacenter vs "
+             "struct-of-arrays), rank (class-scoring loop vs vector "
+             "ranking), kernel (DAG-sweep vs iterative rank kernel); "
+             "default: soa")
     sanitize_run.add_argument(
         "--pms", type=int, default=480, metavar="N",
         help="M3 fleet size (default: 480, the paper's scale)")
@@ -630,9 +625,6 @@ def _cmd_bench(args) -> int:
     from repro.experiments.sweep import run_sweep
     from repro.util import benchfile
 
-    object_max_pms = args.object_max_pms
-    if args.check_identity and object_max_pms == 0:
-        object_max_pms = max(args.pms)
     entry = {
         "recorded_at": datetime.now(timezone.utc).isoformat(
             timespec="seconds"
@@ -644,7 +636,7 @@ def _cmd_bench(args) -> int:
         args.pms,
         quick=args.quick,
         shard_size=args.shard_size,
-        object_max_pms=object_max_pms,
+        check_identity=args.check_identity,
         scan_anchor_pms=args.scan_anchor_pms,
         table_cache_dir=args.table_cache,
     ))

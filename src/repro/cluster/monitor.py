@@ -10,14 +10,12 @@ trace-driven CPU utilization exceeds the threshold (90 % in the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from typing import List, Sequence
 
 from repro.cluster.machine import PhysicalMachine
 from repro.util.validation import require
 
-__all__ = ["MachineSnapshot", "MonitorFrame", "UtilizationMonitor"]
+__all__ = ["MachineSnapshot", "UtilizationMonitor"]
 
 
 @dataclass(frozen=True)
@@ -32,33 +30,6 @@ class MachineSnapshot:
     def overloaded_at(self) -> float:
         """Alias kept for readable call sites (the utilization value)."""
         return self.cpu_utilization
-
-
-@dataclass(frozen=True)
-class MonitorFrame:
-    """One tick's fleet state in array form.
-
-    The batched twin of a ``List[MachineSnapshot]``: per-machine
-    utilization and activity as numpy arrays, so SLO accounting, energy
-    integration and overload detection become a handful of array ops.
-    Utilization values are computed by the same per-PM demand fold as
-    :class:`MachineSnapshot`, so both forms are bit-identical.
-    """
-
-    machines: Tuple[PhysicalMachine, ...]
-    utilization: np.ndarray
-    active: np.ndarray
-
-    def snapshots(self) -> List[MachineSnapshot]:
-        """Materialize the equivalent snapshot list (interop/tests)."""
-        return [
-            MachineSnapshot(
-                machine=m,
-                cpu_utilization=float(u),
-                active=bool(a),
-            )
-            for m, u, a in zip(self.machines, self.utilization, self.active)
-        ]
 
 
 class UtilizationMonitor:
@@ -103,36 +74,6 @@ class UtilizationMonitor:
             )
             for m in machines
         ]
-
-    def snapshot_frame(
-        self, machines: Sequence[PhysicalMachine], time_s: float
-    ) -> MonitorFrame:
-        """Fleet utilization at ``time_s`` as one :class:`MonitorFrame`.
-
-        The per-PM demand reduction reuses each machine's cached
-        per-allocation CPU ceilings (rebuilt only when placements
-        change), so a tick costs one trace lookup per hosted VM plus
-        array ops — no per-tick assignment walking.
-        """
-        machines = tuple(machines)
-        n = len(machines)
-        utilization = np.fromiter(
-            (m.actual_cpu_utilization(time_s, self._burst) for m in machines),
-            dtype=float,
-            count=n,
-        )
-        active = np.fromiter(
-            (m.is_used for m in machines), dtype=bool, count=n
-        )
-        return MonitorFrame(
-            machines=machines, utilization=utilization, active=active
-        )
-
-    def overloaded_indices(self, frame: MonitorFrame) -> np.ndarray:
-        """Indices of overloaded machines in a frame (ascending)."""
-        return np.flatnonzero(
-            frame.active & (frame.utilization > self._threshold)
-        )
 
     def is_overloaded(self, snapshot: MachineSnapshot) -> bool:
         """True when an active PM exceeds the overload threshold."""

@@ -17,7 +17,7 @@ One simulation run:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -155,14 +155,17 @@ class CloudSimulation:
             (anti-collocation still enforced by the machines), and the
             run's :class:`~repro.faults.metrics.ResilienceMetrics` are
             attached to the result.
-        fast_path: serve placement requests through the datacenter's
-            usage-class index and run the vectorized monitor tick
-            (default).  False keeps the original machine-by-machine
-            loop — the seed baseline the perf harness times against and
-            the oracle the bit-identity tests compare with.  Placement
-            decisions, migrations and overload counts are identical
-            either way; energy/SLO totals agree up to float summation
-            order.
+
+    The substrate picks the serving path.  A columnar datacenter (one
+    exposing ``monitor_arrays``, i.e.
+    :class:`~repro.core.soa.SoADatacenter`) serves placement requests
+    through its usage-class index and runs the columnar monitor tick.
+    The object :class:`~repro.cluster.datacenter.Datacenter` runs the
+    verbatim seed code instead — plain machine lists and the
+    machine-by-machine tick — which is the baseline the perf harness
+    times against and the oracle the identity tests compare with.
+    Placement decisions, migrations and overload counts are identical
+    on both; energy/SLO totals agree up to float summation order.
     """
 
     def __init__(
@@ -173,7 +176,6 @@ class CloudSimulation:
         config: SimulationConfig = SimulationConfig(),
         power_models: Optional[dict] = None,
         faults: Optional[FaultInjector] = None,
-        fast_path: bool = True,
     ):
         self._dc = datacenter
         self._policy = policy
@@ -192,7 +194,7 @@ class CloudSimulation:
         self._peak_pms = 0
         self._consolidations = 0
         self._faults = faults
-        self._fast_path = fast_path
+        self._columnar = hasattr(datacenter, "monitor_arrays")
         self._resilience = ResilienceMetrics() if faults is not None else None
         self._pending: List[_PendingVM] = []
         self._monitor_down = False
@@ -278,10 +280,8 @@ class CloudSimulation:
             # or SLO accounting, and overloads go unnoticed this tick.
             self._resilience.monitor_dropped_ticks += 1
             return
-        if self._fast_path and hasattr(self._dc, "monitor_arrays"):
+        if self._columnar:
             self._tick_columnar(time_s, dt_s)
-        elif self._fast_path:
-            self._tick_vectorized(time_s, dt_s)
         else:
             self._tick_scan(time_s, dt_s)
         if self._config.underload_threshold is not None:
@@ -297,45 +297,15 @@ class CloudSimulation:
                 violation=self._slo.violation_seconds,
             )
 
-    def _tick_vectorized(self, time_s: float, dt_s: float) -> None:
-        """One monitoring tick as array ops over the healthy fleet.
-
-        Utilization comes from the same per-PM demand fold as the scan
-        path (cached ceilings make it cheap), so overload detection —
-        and with it every migration decision — is bit-identical; SLO
-        and energy integrate via the batched tracker/meter forms.
-        """
-        frame = self._monitor.snapshot_frame(self._healthy(), time_s)
-        self._slo.record_many(frame.utilization, dt_s, frame.active)
-        clamped = np.minimum(frame.utilization, 1.0)
-        by_type: Dict[str, List[int]] = {}
-        for i in np.flatnonzero(frame.active):
-            by_type.setdefault(frame.machines[i].type_name, []).append(int(i))
-        for indices in by_type.values():
-            self._energy.accumulate_many(
-                self._power_model(frame.machines[indices[0]]),
-                clamped[indices],
-                dt_s,
-            )
-        for i in self._monitor.overloaded_indices(frame):
-            self._overload_events += 1
-            machine = frame.machines[int(i)]
-            if TRACE.active:
-                tracepoint(
-                    "overload", pm=machine.pm_id,
-                    util=float(frame.utilization[int(i)]),
-                )
-            self._relieve(machine, time_s)
-
     def _tick_columnar(self, time_s: float, dt_s: float) -> None:
         """One monitoring tick straight off the SoA datacenter's columns.
 
         ``monitor_arrays`` reduces per-PM demand with the shard-level
         bincount fold — the same left-to-right summation as the
         per-machine walk, so overload detection and every downstream
-        migration decision stay bit-identical to both other tick forms.
-        Energy integrates per PM type in first-active-occurrence order,
-        matching the vectorized tick's dict-insertion grouping.
+        migration decision stay bit-identical to the seed scan.  Energy
+        integrates per PM type in first-active-occurrence order; only
+        its summation order differs from the scan's per-machine adds.
         """
         burst = self._config.burst_model
         positions, utilization, active, type_ids = self._dc.monitor_arrays(
@@ -369,8 +339,8 @@ class CloudSimulation:
     def _tick_scan(self, time_s: float, dt_s: float) -> None:
         """The seed machine-by-machine monitoring loop, kept verbatim.
 
-        Serves as the perf harness baseline and as the oracle the
-        vectorized tick is asserted bit-identical against.
+        Runs on the object datacenter: the perf harness baseline and the
+        oracle the columnar tick is asserted identical against.
         """
         snapshots = self._monitor.snapshot(self._healthy(), time_s)
         for snap in snapshots:
@@ -515,10 +485,11 @@ class CloudSimulation:
     def _healthy(self) -> Sequence[PhysicalMachine]:
         """The candidate pool policies see: every non-crashed PM.
 
-        The fast path hands out the datacenter's live class-structured
-        view; the scan path returns the same machines as plain lists.
+        The columnar datacenter hands out its live class-structured
+        view; the object datacenter returns the same machines as plain
+        lists (the seed scan).
         """
-        if self._fast_path:
+        if self._columnar:
             return self._dc.indexed_machines()
         if self._faults is None:
             return self._dc.machines  # prv: disable=PRV010 -- seed baseline path, kept verbatim for bit-identity benchmarking

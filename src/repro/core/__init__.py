@@ -7,7 +7,7 @@ Public surface:
 * :mod:`repro.core.permutations` — enumeration of the canonically-distinct
   ways a VM's permutable demands can be placed (anti-collocation).
 * :mod:`repro.core.graph` — the profile graph G (Algorithm 1, line 1).
-* :mod:`repro.core.interning` — dense integer ids for canonical usages.
+* :mod:`repro.core.interning` — packed storage width for usage profiles.
 * :mod:`repro.core.graph_cache` — content-keyed on-disk graph cache.
 * :mod:`repro.core.pagerank` — Algorithm 1: PageRank + BPRU discounting.
 * :mod:`repro.core.score_table` — the Profile-PageRank score table.
@@ -24,7 +24,7 @@ from repro.core.profile import (
 )
 from repro.core.graph import ProfileGraph, SuccessorStrategy, build_profile_graph
 from repro.core.graph_cache import graph_cache_key, load_or_build_profile_graph
-from repro.core.interning import UsageInterner, packed_dtype_for
+from repro.core.interning import packed_dtype_for
 from repro.core.pagerank import PageRankResult, profile_pagerank
 from repro.core.score_table import ScoreTable, build_score_table
 from repro.core.placement import PageRankVMPolicy
@@ -41,7 +41,6 @@ __all__ = [
     "build_profile_graph",
     "graph_cache_key",
     "load_or_build_profile_graph",
-    "UsageInterner",
     "packed_dtype_for",
     "PageRankResult",
     "profile_pagerank",

@@ -1,34 +1,20 @@
-"""Interning of canonical usage profiles into dense integer ids.
+"""Packed storage width for canonical usage profiles.
 
-A canonical :data:`~repro.core.profile.Usage` is a tuple of per-group
-tuples — expressive, but expensive to hash and store by the hundreds of
-thousands during graph construction.  :class:`UsageInterner` assigns
-every distinct canonical usage a dense integer id and stores the flat
-profile values in one packed unsigned-integer matrix, so BFS dedup,
-successor bookkeeping and :class:`~repro.core.graph.ProfileGraph`
-storage become array operations keyed on small ints (or raw packed rows)
-instead of nested-tuple hashing.
-
-The packed dtype is chosen from the shape's largest unit capacity
+A profile graph stores its flat profile values in one packed
+unsigned-integer matrix (see
+:meth:`repro.core.graph.ProfileGraph.packed_profiles`).  The dtype is
+chosen from the shape's largest unit capacity
 (``uint8``/``uint16``/``uint32``), so an EC2-scale graph's profile store
 is a few MB instead of a forest of tuple objects.
 """
 
 from __future__ import annotations
 
-from array import array
-from typing import Dict, Iterable, List, Optional, Tuple
-
 import numpy as np
 
-from repro.core.profile import MachineShape, Usage
+from repro.core.profile import MachineShape
 
-__all__ = ["UsageInterner", "packed_dtype_for"]
-
-#: numpy dtype -> :mod:`array` typecode with a matching item size (the
-#: packed-row byte keys must be identical whichever path produced them).
-_TYPECODES = {np.dtype(np.uint8): "B", np.dtype(np.uint16): "H",
-              np.dtype(np.uint32): "I"}
+__all__ = ["packed_dtype_for"]
 
 
 def packed_dtype_for(shape: MachineShape) -> np.dtype:
@@ -39,136 +25,3 @@ def packed_dtype_for(shape: MachineShape) -> np.dtype:
     if max_cap <= np.iinfo(np.uint16).max:
         return np.dtype(np.uint16)
     return np.dtype(np.uint32)
-
-
-class UsageInterner:
-    """Bijection between canonical usages and dense integer ids.
-
-    Ids are assigned in first-intern order, which is exactly the BFS
-    discovery order when the graph builder drives the interner — so the
-    interner's row order *is* the graph's node-id order.
-
-    Args:
-        shape: the machine shape whose usages are interned; fixes the
-            row width (total dimensions) and the packed dtype.
-        initial_capacity: initial row allocation of the packed matrix
-            (grows by doubling).
-    """
-
-    __slots__ = (
-        "shape", "_group_sizes", "_n_dims", "_dtype", "_typecode",
-        "_rows", "_ids", "_count",
-    )
-
-    def __init__(self, shape: MachineShape, initial_capacity: int = 1024):
-        self.shape = shape
-        self._group_sizes = tuple(g.n_units for g in shape.groups)
-        self._n_dims = sum(self._group_sizes)
-        self._dtype = packed_dtype_for(shape)
-        self._typecode = _TYPECODES[self._dtype]
-        assert array(self._typecode).itemsize == self._dtype.itemsize
-        self._rows = np.zeros(
-            (max(1, initial_capacity), self._n_dims), dtype=self._dtype
-        )
-        self._ids: Dict[bytes, int] = {}
-        self._count = 0
-
-    def __len__(self) -> int:
-        return self._count
-
-    @property
-    def dtype(self) -> np.dtype:
-        """The packed matrix dtype (derived from the shape's capacities)."""
-        return self._dtype
-
-    @property
-    def n_dims(self) -> int:
-        """Row width: total dimensions of the shape."""
-        return self._n_dims
-
-    def _key(self, usage: Usage) -> bytes:
-        flat = array(self._typecode)
-        for group in usage:
-            flat.extend(group)
-        return flat.tobytes()
-
-    def _append(self, key: bytes) -> int:
-        idx = self._count
-        if idx == len(self._rows):
-            grown = np.zeros((2 * len(self._rows), self._n_dims), self._dtype)
-            grown[:idx] = self._rows
-            self._rows = grown
-        self._rows[idx] = np.frombuffer(key, dtype=self._dtype)
-        self._ids[key] = idx
-        self._count = idx + 1
-        return idx
-
-    def intern(self, usage: Usage) -> int:
-        """The id of ``usage``, assigning the next dense id if new."""
-        key = self._key(usage)
-        idx = self._ids.get(key)
-        if idx is None:
-            idx = self._append(key)
-        return idx
-
-    def lookup(self, usage: Usage) -> Optional[int]:
-        """The id of ``usage``, or None when it was never interned."""
-        return self._ids.get(self._key(usage))
-
-    def intern_packed(self, row: np.ndarray) -> int:
-        """Id of a packed row (dtype must match), interning it if new."""
-        key = row.tobytes()
-        idx = self._ids.get(key)
-        if idx is None:
-            idx = self._append(key)
-        return idx
-
-    def lookup_packed(self, row: np.ndarray) -> Optional[int]:
-        """Id of a packed row, or None when absent."""
-        return self._ids.get(row.tobytes())
-
-    def usage(self, idx: int) -> Usage:
-        """Reconstruct the canonical usage tuple of an id."""
-        if not 0 <= idx < self._count:
-            raise IndexError(f"interner holds {self._count} usages, got {idx}")
-        row = self._rows[idx].tolist()
-        groups: List[Tuple[int, ...]] = []
-        start = 0
-        for size in self._group_sizes:
-            groups.append(tuple(row[start:start + size]))
-            start += size
-        return tuple(groups)
-
-    def usages(self) -> List[Usage]:
-        """All interned usages, in id order."""
-        flat = self._rows[: self._count].tolist()
-        sizes = self._group_sizes
-        result: List[Usage] = []
-        for row in flat:
-            groups: List[Tuple[int, ...]] = []
-            start = 0
-            for size in sizes:
-                groups.append(tuple(row[start:start + size]))
-                start += size
-            result.append(tuple(groups))
-        return result
-
-    def matrix(self) -> np.ndarray:
-        """The packed (n_interned, n_dims) matrix, in id order.
-
-        Returned as a read-only view; interning more usages afterwards
-        may reallocate, so callers needing a stable array should copy.
-        """
-        view = self._rows[: self._count]
-        view.flags.writeable = False
-        return view
-
-    @classmethod
-    def from_usages(
-        cls, shape: MachineShape, usages: Iterable[Usage]
-    ) -> "UsageInterner":
-        """An interner pre-populated with ``usages`` in iteration order."""
-        interner = cls(shape)
-        for usage in usages:
-            interner.intern(usage)
-        return interner

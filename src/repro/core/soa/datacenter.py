@@ -1,17 +1,20 @@
 """Columnar datacenter: the object-path API served from shard columns.
 
-:class:`SoADatacenter` is a drop-in replacement for
-:class:`~repro.cluster.datacenter.Datacenter`: same constructor
-invariants, same mutation methods, same error types and messages, same
-rollback semantics on failed migrations.  The difference is storage —
-all machine state lives in :class:`~repro.core.soa.columns.ShardColumns`
-arrays — and two additional capabilities the simulation and auditor
-discover by duck typing:
+:class:`SoADatacenter` is the substrate the simulation, serving and
+testbed paths run on.  It keeps the API of the object
+:class:`~repro.cluster.datacenter.Datacenter`, which survives only as
+the seed-scan baseline the identity tests and twins compare against:
+same constructor invariants, same mutation methods, same error types
+and messages, same rollback semantics on failed migrations.  The
+difference is storage — all machine state lives in
+:class:`~repro.core.soa.columns.ShardColumns` arrays — and two
+additional capabilities the simulation and auditor discover by duck
+typing:
 
 * :meth:`monitor_arrays` — one monitor tick's utilization/active/type
   columns for the healthy fleet, reduced shard by shard (the columnar
   tick in :class:`~repro.cluster.simulation.CloudSimulation` consumes
-  this instead of building a ``MonitorFrame`` from n Python calls);
+  this instead of n per-machine utilization calls);
 * :meth:`check_columns` — the auditor's "I2" check: every column is
   re-derived from the allocation records and compared.
 
@@ -529,9 +532,9 @@ class SoADatacenter:
         """One tick's ``(positions, utilization, active, type_ids)``.
 
         Rows cover the healthy fleet in inventory order — the same
-        machines, in the same order, as ``monitor.snapshot_frame`` over
-        the indexed view — with utilization reduced per shard via the
-        bincount fold (bit-identical to the per-machine walk).
+        machines, in the same order, as the seed scan's
+        ``monitor.snapshot`` — with utilization reduced per shard via
+        the bincount fold (bit-identical to the per-machine walk).
         """
         validate_burst(burst)
         self.ensure_csr(burst)

@@ -35,7 +35,7 @@ from repro.baselines import (
     FirstFitPolicy,
     MinimumMigrationTimeSelector,
 )
-from repro.cluster.ec2 import EC2_VM_TYPES, build_ec2_datacenter, ec2_pm_shape
+from repro.cluster.ec2 import EC2_VM_TYPES, build_ec2_soa_datacenter, ec2_pm_shape
 from repro.cluster.simulation import CloudSimulation, SimulationResult
 from repro.core.graph import SuccessorStrategy
 from repro.core.migration import PageRankMigrationSelector
@@ -169,7 +169,7 @@ def run_single(
             name — so every policy in a repetition faces the identical
             crash/flap sequence and policy comparisons stay paired.
     """
-    datacenter = build_ec2_datacenter(dict(config.datacenter))
+    datacenter = build_ec2_soa_datacenter(dict(config.datacenter))
     policy, selector = make_policy_and_selector(
         policy_name, config, repetition, table_cache_dir=table_cache_dir
     )

@@ -8,23 +8,19 @@ are drawn from U(0.05, 0.48) — calmer than the 480-PM phase — so
 overload churn (Python-bound in both substrates) does not dominate the
 wall clock at 100k PMs while migrations still happen.
 
-At sizes where the object path is affordable the sweep optionally runs
-it as a twin on the same workload and asserts the decision counters
-match exactly — the same identity contract the fast-path tests enforce.
+One baseline is recorded: the **seed scan** on the object datacenter
+(per-machine monitor walk, linear candidate scans) — the pre-index
+substrate the paper's headline numbers compare against.  It is
+measured at two small anchor sizes (n and 2n) and extrapolated with the
+exact quadratic through them, ``w(x) = a*x + b*x**2`` — the scan's
+per-decision cost grows with fleet size, so its wall clock is
+superlinear; a linear extrapolation would understate the baseline (and
+so the speedup), while the quadratic models the measured growth.
 
-Two baselines are recorded, both transparently:
-
-* **object fast path** (``fast_path=True`` on the object datacenter) —
-  measured wherever it is twinned, extrapolated linearly beyond that.
-  This is the strongest baseline: PR 5's indexed serving path.
-* **scan path** (``fast_path=False``: per-machine monitor walk, linear
-  candidate scans) — the pre-index substrate the paper's headline
-  numbers compare against.  It is measured at two small anchor sizes
-  (n and 2n) and extrapolated with the exact quadratic through them,
-  ``w(x) = a*x + b*x**2`` — the scan path's per-decision cost grows
-  with fleet size, so its wall clock is superlinear; a linear
-  extrapolation would understate the baseline (and so the speedup),
-  while the quadratic models the measured growth.
+With ``check_identity`` the anchor runs double as twins: wherever an
+anchor size is also a sweep point, the scan and the columnar run serve
+the same workload and their decision counters must match exactly — the
+same identity contract the substrate tests enforce.
 """
 
 from __future__ import annotations
@@ -35,7 +31,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cluster.ec2 import EC2_VM_TYPES, ec2_pm_shape, ec2_vm_type
-from repro.cluster.simulation import CloudSimulation, SimulationConfig
+from repro.cluster.simulation import (
+    CloudSimulation,
+    SimulationConfig,
+    SimulationResult,
+)
 from repro.cluster.vm import VirtualMachine
 from repro.core.graph import SuccessorStrategy
 from repro.core.placement import PageRankVMPolicy
@@ -58,7 +58,7 @@ SWEEP_POINTS: Tuple[int, ...] = (480, 5_000, 50_000, 100_000)
 #: VMs per PM: fills the M3 fleet to its memory-bound packing density.
 VMS_PER_PM = 2.5
 
-#: Decision counters compared exactly between the two substrates.
+#: Decision counters compared exactly between the scan and SoA runs.
 _EXACT_FIELDS = (
     "n_vms", "unplaced_vms", "pms_used_initial", "pms_used_peak",
     "pms_used_final", "migrations", "failed_migrations", "overload_events",
@@ -87,10 +87,7 @@ def sweep_workload(n_vms: int, seed: int = 0) -> List[VirtualMachine]:
     return vms
 
 
-def _simulate(
-    datacenter, table: ScoreTable, vms, duration_s: float,
-    fast_path: bool = True,
-):
+def _simulate(datacenter, table: ScoreTable, vms, duration_s: float):
     """One allocate + simulate run on an already-built datacenter."""
     from repro.baselines import MinimumMigrationTimeSelector
 
@@ -99,22 +96,54 @@ def _simulate(
         PageRankVMPolicy({table.shape: table}),
         MinimumMigrationTimeSelector(),
         SimulationConfig(duration_s=duration_s, monitor_interval_s=300.0),
-        fast_path=fast_path,
     )
     return simulation.run(vms)
 
 
 def measure_scan_anchor(
     table: ScoreTable, n_pms: int, duration_s: float, workload_seed: int = 0
-) -> float:
-    """Wall time of the scan path (``fast_path=False``) at one size."""
+) -> Tuple[float, SimulationResult]:
+    """Wall time and result of the seed scan on the object datacenter."""
     from repro.cluster.ec2 import build_ec2_datacenter
 
     vms = sweep_workload(int(n_pms * VMS_PER_PM), seed=workload_seed)
     start = time.perf_counter()
     datacenter = build_ec2_datacenter({"M3": n_pms})
-    _simulate(datacenter, table, vms, duration_s, fast_path=False)
-    return time.perf_counter() - start
+    result = _simulate(datacenter, table, vms, duration_s)
+    return time.perf_counter() - start, result
+
+
+def _measure_point(
+    table: ScoreTable,
+    n_pms: int,
+    duration_s: float,
+    shard_size: int,
+    workload_seed: int,
+) -> Tuple[Dict[str, object], SimulationResult]:
+    require(n_pms > 0, f"n_pms must be positive, got {n_pms}")
+    from repro.cluster.ec2 import build_ec2_soa_datacenter
+
+    n_vms = int(n_pms * VMS_PER_PM)
+    vms = sweep_workload(n_vms, seed=workload_seed)
+
+    start = time.perf_counter()
+    datacenter = build_ec2_soa_datacenter({"M3": n_pms}, shard_size=shard_size)
+    result = _simulate(datacenter, table, vms, duration_s)
+    wall = time.perf_counter() - start
+
+    point: Dict[str, object] = {
+        "n_pms": n_pms,
+        "n_vms": n_vms,
+        "duration_s": duration_s,
+        "shard_size": shard_size,
+        "soa_wall_s": wall,
+        "pms_used": result.pms_used_final,
+        "unplaced_vms": result.unplaced_vms,
+        "migrations": result.migrations,
+        "overload_events": result.overload_events,
+        "energy_kwh": result.energy_kwh,
+    }
+    return point, result
 
 
 def run_point(
@@ -123,64 +152,40 @@ def run_point(
     duration_s: float = 86_400.0,
     shard_size: int = 4_096,
     workload_seed: int = 0,
-    check_identity: bool = False,
 ) -> Dict[str, object]:
-    """Measure one sweep point; optionally twin it against the object path.
+    """Measure one sweep point on the SoA substrate.
 
-    Returns a dict with the SoA wall time and decision counters; with
-    ``check_identity`` the object path runs on the same workload and the
-    entry gains its wall time plus an ``identical`` verdict (exact
-    counters, energy/SLO to 1e-9 relative).
+    Returns a dict with the SoA wall time and decision counters.
+    """
+    return _measure_point(
+        table, n_pms, duration_s, shard_size, workload_seed
+    )[0]
+
+
+def _assert_identical(
+    scan: SimulationResult, soa: SimulationResult, n_pms: int
+) -> None:
+    """Exact decision counters, energy/SLO to 1e-9 relative.
 
     Raises:
-        AssertionError: when ``check_identity`` finds a divergence —
-            a sweep whose substrates disagree measures nothing.
+        AssertionError: on a divergence — a sweep whose substrates
+            disagree measures nothing.
     """
-    require(n_pms > 0, f"n_pms must be positive, got {n_pms}")
-    from repro.cluster.ec2 import build_ec2_datacenter, build_ec2_soa_datacenter
-
-    n_vms = int(n_pms * VMS_PER_PM)
-    vms = sweep_workload(n_vms, seed=workload_seed)
-
-    start = time.perf_counter()
-    soa_dc = build_ec2_soa_datacenter({"M3": n_pms}, shard_size=shard_size)
-    soa_result = _simulate(soa_dc, table, vms, duration_s)
-    soa_wall = time.perf_counter() - start
-
-    point: Dict[str, object] = {
-        "n_pms": n_pms,
-        "n_vms": n_vms,
-        "duration_s": duration_s,
-        "shard_size": shard_size,
-        "soa_wall_s": soa_wall,
-        "pms_used": soa_result.pms_used_final,
-        "unplaced_vms": soa_result.unplaced_vms,
-        "migrations": soa_result.migrations,
-        "overload_events": soa_result.overload_events,
-        "energy_kwh": soa_result.energy_kwh,
-    }
-    if check_identity:
-        start = time.perf_counter()
-        object_dc = build_ec2_datacenter({"M3": n_pms})
-        object_result = _simulate(object_dc, table, vms, duration_s)
-        point["object_wall_s"] = time.perf_counter() - start
-        mismatches = [
-            (field, getattr(object_result, field), getattr(soa_result, field))
-            for field in _EXACT_FIELDS
-            if getattr(object_result, field) != getattr(soa_result, field)
-        ]
-        close = (
-            abs(object_result.energy_kwh - soa_result.energy_kwh)
-            <= 1e-9 * max(1.0, abs(object_result.energy_kwh))
-            and abs(object_result.slo_violation_rate
-                    - soa_result.slo_violation_rate) <= 1e-9
-        )
-        point["identical"] = not mismatches and close
-        assert point["identical"], (
-            f"object/SoA divergence at {n_pms} PMs: "
+    mismatches = [
+        (field, getattr(scan, field), getattr(soa, field))
+        for field in _EXACT_FIELDS
+        if getattr(scan, field) != getattr(soa, field)
+    ]
+    close = (
+        abs(scan.energy_kwh - soa.energy_kwh)
+        <= 1e-9 * max(1.0, abs(scan.energy_kwh))
+        and abs(scan.slo_violation_rate - soa.slo_violation_rate) <= 1e-9
+    )
+    if mismatches or not close:
+        raise AssertionError(
+            f"scan/SoA divergence at {n_pms} PMs: "
             f"counters {mismatches}, energy/slo close={close}"
         )
-    return point
 
 
 def run_sweep(
@@ -188,7 +193,7 @@ def run_sweep(
     table: Optional[ScoreTable] = None,
     quick: bool = False,
     shard_size: int = 4_096,
-    object_max_pms: int = 0,
+    check_identity: bool = False,
     scan_anchor_pms: int = 480,
     table_cache_dir: Optional[str] = None,
 ) -> Dict[str, object]:
@@ -199,50 +204,41 @@ def run_sweep(
         table: prebuilt M3 score table; built once here when omitted.
         quick: 2h simulated horizon instead of the paper's 24h day.
         shard_size: rows per columnar shard.
-        object_max_pms: every point up to this size is twinned against
-            the object fast path — its wall time recorded and the
-            outcomes asserted identical (0 disables twinning).  Points
-            beyond it extrapolate the object wall linearly from the
-            largest measured baseline — a conservative floor, since the
-            object path's per-tick and per-decision costs grow
-            super-linearly with fleet size.
-        scan_anchor_pms: the scan path (``fast_path=False``) is measured
-            at this size and twice it, and every point gains a
-            ``scan_wall_extrapolated_s`` from the exact quadratic
-            through the two anchors (0 disables the scan baseline).
+        check_identity: every sweep point at a scan anchor size gains
+            an ``identical`` verdict against that anchor's seed-scan run
+            (asserted); at least one point must sit at an anchor size.
+        scan_anchor_pms: the seed scan is measured at this size and
+            twice it, and every point gains a ``scan_wall_extrapolated_s``
+            from the exact quadratic through the two anchors (0 disables
+            the scan baseline).
     """
+    anchors: Tuple[int, ...] = ()
+    if scan_anchor_pms > 0:
+        anchors = (scan_anchor_pms, 2 * scan_anchor_pms)
+    if check_identity:
+        require(
+            any(n_pms in anchors for n_pms in points),
+            f"check_identity needs a sweep point at a scan anchor size "
+            f"{anchors}; got points {tuple(points)}",
+        )
     if table is None:
         table = sweep_table(table_cache_dir)
     duration_s = 7_200.0 if quick else 86_400.0
     sweep: List[Dict[str, object]] = []
+    results: Dict[int, SimulationResult] = {}
     for n_pms in sorted(points):
-        sweep.append(run_point(
-            table, n_pms,
-            duration_s=duration_s,
-            shard_size=shard_size,
-            check_identity=0 < n_pms <= object_max_pms,
-        ))
-    measured = [p for p in sweep if "object_wall_s" in p]
-    if measured:
-        anchor = measured[-1]
-        for point in sweep:
-            if "object_wall_s" not in point:
-                scale = point["n_pms"] / anchor["n_pms"]
-                point["object_wall_extrapolated_s"] = (
-                    anchor["object_wall_s"] * scale
-                )
-            baseline = point.get(
-                "object_wall_s", point.get("object_wall_extrapolated_s")
-            )
-            point["speedup_vs_object"] = baseline / point["soa_wall_s"]
+        point, results[n_pms] = _measure_point(
+            table, n_pms, duration_s, shard_size, workload_seed=0
+        )
+        sweep.append(point)
     summary: Dict[str, object] = {
         "scale_sweep_points": sweep,
         "scale_sweep_duration_s": duration_s,
         "scale_sweep_shard_size": shard_size,
     }
-    if scan_anchor_pms > 0:
-        w1 = measure_scan_anchor(table, scan_anchor_pms, duration_s)
-        w2 = measure_scan_anchor(table, 2 * scan_anchor_pms, duration_s)
+    if anchors:
+        scans = [measure_scan_anchor(table, n, duration_s) for n in anchors]
+        (w1, _), (w2, _) = scans
         # Exact quadratic through (1, w1) and (2, w2) in units of the
         # anchor size: w(x) = a*x + b*x**2 with w(0) = 0.  The guard
         # keeps the fit monotone if noise makes w2 < 2*w1.
@@ -261,4 +257,9 @@ def run_sweep(
             point["speedup_vs_scan_extrapolated"] = (
                 point["scan_wall_extrapolated_s"] / point["soa_wall_s"]
             )
+            if check_identity and point["n_pms"] in anchors:
+                n_pms = point["n_pms"]
+                scan = scans[anchors.index(n_pms)][1]
+                _assert_identical(scan, results[n_pms], n_pms)
+                point["identical"] = True
     return summary

@@ -10,9 +10,10 @@ tracks the accumulated interruption time as an extra testbed metric.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.cluster.datacenter import Datacenter
+import numpy as np
+
 from repro.cluster.machine import PhysicalMachine
 from repro.cluster.monitor import UtilizationMonitor
 from repro.cluster.slo import SLOTracker
@@ -20,6 +21,7 @@ from repro.cluster.vm import VirtualMachine
 from repro.core.permutations import can_place
 from repro.core.policy import PlacementPolicy
 from repro.core.profile import VMType
+from repro.core.soa import SoADatacenter
 from repro.faults.schedule import FaultInjector
 from repro.util.validation import ValidationError, require
 
@@ -50,7 +52,8 @@ class CentralizedController:
     """Assigns jobs to instances and relieves overloaded instances.
 
     Args:
-        datacenter: the instance fleet (as a :class:`Datacenter`).
+        datacenter: the instance fleet; heartbeats read its columnar
+            monitor arrays.
         policy: placement policy deciding destinations.
         victim_selector: which job to kill on an overloaded instance.
         overload_threshold: utilization above which an instance sheds
@@ -76,7 +79,7 @@ class CentralizedController:
 
     def __init__(
         self,
-        datacenter: Datacenter,
+        datacenter: SoADatacenter,
         policy: PlacementPolicy,
         victim_selector,
         overload_threshold: float = 0.9,
@@ -107,7 +110,7 @@ class CentralizedController:
         self.unassigned_jobs = 0
 
     @property
-    def datacenter(self) -> Datacenter:
+    def datacenter(self) -> SoADatacenter:
         """The controlled instance fleet."""
         return self._dc
 
@@ -123,7 +126,9 @@ class CentralizedController:
         """Assign a batch of jobs; returns how many were placed."""
         placed = 0
         for job in self._policy.order_vms(list(jobs)):
-            decision = self._policy.select(job.vm_type, self._dc.machines)
+            decision = self._policy.select(
+                job.vm_type, self._dc.indexed_machines()
+            )
             if decision is None:
                 self.unassigned_jobs += 1
                 continue
@@ -146,14 +151,17 @@ class CentralizedController:
                 any instance even when empty — restarting it can never
                 succeed, so looping on it would never terminate.
         """
-        snapshots = self._monitor.snapshot(self._dc.machines, time_s)
-        for snap in snapshots:
-            self._slo.record(snap.cpu_utilization, dt_s, active=snap.active)
+        positions, utilization, active, _ = self._dc.monitor_arrays(
+            time_s, self._burst
+        )
+        self._slo.record_many(utilization, dt_s, active)
         budget = self._max_restarts_per_poll
-        for snap in self._monitor.overloaded(snapshots):
+        threshold = self._monitor.overload_threshold
+        for i in np.flatnonzero(active & (utilization > threshold)):
             self.overload_events += 1
             if budget > 0:
-                budget = self._relieve(snap.machine, time_s, budget)
+                instance = self._dc.machine_at(int(positions[i]))
+                budget = self._relieve(instance, time_s, budget)
 
     def _fits_any_empty_instance(self, vm_type: VMType) -> bool:
         """Could the job run *somewhere* in the fleet, capacity permitting?"""
@@ -220,8 +228,8 @@ class CentralizedController:
 
     def _candidates(
         self, source: PhysicalMachine, time_s: float
-    ) -> List[PhysicalMachine]:
+    ) -> Sequence[PhysicalMachine]:
         # As in the simulation, destinations are chosen purely by the
         # placement policy — no global hot-PM filter (see the paper's
         # migration description in Section VI.A).
-        return [m for m in self._dc.machines if m.pm_id != source.pm_id]
+        return self._dc.indexed_machines().excluding(source.pm_id)

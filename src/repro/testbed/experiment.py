@@ -5,10 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
-from repro.cluster.datacenter import Datacenter
 from repro.cluster.events import EventLoop
 from repro.cluster.vm import VirtualMachine
 from repro.core.policy import PlacementPolicy
+from repro.core.soa import SoADatacenter
 from repro.testbed.controller import CentralizedController
 from repro.testbed.instance import make_instances
 from repro.testbed.job import make_jobs
@@ -104,7 +104,7 @@ class TestbedExperiment:
         )
         jobs = make_jobs(n_jobs, rngs.generator("job-types"), pool, cfg.job_mix)
 
-        datacenter = Datacenter(
+        datacenter = SoADatacenter.from_machines(
             make_instances(cfg.n_instances, cfg.n_cores, cfg.slots_per_core)
         )
         controller = CentralizedController(

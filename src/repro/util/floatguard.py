@@ -10,7 +10,7 @@ discipline: call sites test ``GUARD.active`` (one slotted attribute
 load) and skip the checks entirely outside a guard context.
 
 :func:`ulp_diff` / :func:`ulp_close` implement the documented
-summation-order tolerance: the vectorized tick re-associates float
+summation-order tolerance: the columnar tick re-associates float
 reductions, so energy/SLO running totals are compared in units-in-the-
 last-place rather than bit-for-bit (see DESIGN.md §3.12 for the
 documented bounds per twin pair).

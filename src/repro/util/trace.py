@@ -1,7 +1,7 @@
 """Trace-point layer: canonical decision-event streams with digests.
 
-The twin implementations in this repository (object ``Datacenter`` vs
-the struct-of-arrays core, the scan tick vs the vectorized/columnar
+The twin implementations in this repository (the seed scan on the
+object ``Datacenter`` vs the struct-of-arrays core with its columnar
 tick, the per-class scoring loop vs ``vector_class_scores``) are
 required to be *the same algorithm*.  The trace layer makes that
 machine-checkable: the ~10 decision sites that define semantic

@@ -393,10 +393,19 @@ class TestMachineScanInTickPath:
         source = """\
         __all__ = []
         class Sim:
-            def _tick_vectorized(self, frame, dt_s):
+            def _tick_columnar(self, frame, dt_s):
                 return frame.machines[0]
         """
         assert codes(source, self.SIM) == []
+
+    def test_inventory_read_in_columnar_tick_flagged(self):
+        source = """\
+        __all__ = []
+        class Sim:
+            def _tick_columnar(self, time_s, dt_s):
+                return len(self._dc.machines)
+        """
+        assert codes(source, self.SIM) == ["PRV010"]
 
     def test_outside_tick_path_clean(self):
         source = """\

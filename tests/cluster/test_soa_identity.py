@@ -10,8 +10,9 @@ this suite exercises:
   per-class walk.
 * **simulation**: a full run with the columnar tick
   (``monitor_arrays`` + bincount demand fold) reports the same counters
-  as the object fast path, with float accumulators equal up to
-  summation order — including under PM crash/recover faults.
+  as the seed scan on the object datacenter, with float accumulators
+  equal up to summation order — including under PM crash/recover
+  faults.
 * **auditing**: the final SoA state passes the MIP constraint replay
   plus the I1 (index) and I2 (column re-derivation) checks.
 """
@@ -205,7 +206,6 @@ def run_once(dc, toy_table, vms, faults=None):
         MinimumMigrationTimeSelector(),
         SimulationConfig(duration_s=3600.0, monitor_interval_s=300.0),
         faults=faults,
-        fast_path=True,
     )
     return sim.run(vms)
 
@@ -223,7 +223,7 @@ def crash_injector():
 
 
 class TestSoATickEquivalence:
-    def test_columnar_tick_matches_object_fast_path(
+    def test_columnar_tick_matches_seed_scan(
         self, toy_shape, toy_table, vm2, constraint_audit
     ):
         dc_obj = object_datacenter(toy_shape, count=6)

@@ -1,9 +1,8 @@
-"""Tests for repro.core.interning: packed usage interning."""
+"""Tests for repro.core.interning: packed profile storage width."""
 
 import numpy as np
-import pytest
 
-from repro.core.interning import UsageInterner, packed_dtype_for
+from repro.core.interning import packed_dtype_for
 from repro.core.profile import MachineShape, ResourceGroup
 
 
@@ -39,73 +38,3 @@ class TestPackedDtype:
             )
         )
         assert packed_dtype_for(shape) == np.dtype(np.uint32)
-
-
-class TestUsageInterner:
-    def test_ids_are_dense_and_first_come(self):
-        shape = small_shape()
-        interner = UsageInterner(shape)
-        a = ((0, 0, 0), (0,))
-        b = ((0, 1, 2), (3,))
-        assert interner.intern(a) == 0
-        assert interner.intern(b) == 1
-        assert interner.intern(a) == 0
-        assert len(interner) == 2
-
-    def test_lookup_without_insertion(self):
-        interner = UsageInterner(small_shape())
-        usage = ((1, 1, 2), (4,))
-        assert interner.lookup(usage) is None
-        assert len(interner) == 0
-        idx = interner.intern(usage)
-        assert interner.lookup(usage) == idx
-
-    def test_round_trip(self):
-        interner = UsageInterner(small_shape())
-        usage = ((0, 2, 4), (7,))
-        idx = interner.intern(usage)
-        assert interner.usage(idx) == usage
-        assert interner.usages() == [usage]
-
-    def test_usage_out_of_range(self):
-        interner = UsageInterner(small_shape())
-        with pytest.raises(IndexError):
-            interner.usage(0)
-
-    def test_packed_rows_agree_with_tuple_path(self):
-        interner = UsageInterner(small_shape())
-        usage = ((1, 2, 3), (5,))
-        idx = interner.intern(usage)
-        row = interner.matrix()[idx]
-        assert interner.lookup_packed(row) == idx
-        other = UsageInterner(small_shape())
-        assert other.intern_packed(row) == 0
-        assert other.usage(0) == usage
-
-    def test_matrix_grows_past_initial_capacity(self):
-        shape = MachineShape(
-            groups=(
-                ResourceGroup(
-                    name="mem", capacities=(1000,), anti_collocation=False
-                ),
-            )
-        )
-        interner = UsageInterner(shape, initial_capacity=2)
-        for value in range(50):
-            assert interner.intern(((value,),)) == value
-        assert len(interner) == 50
-        matrix = interner.matrix()
-        assert matrix.shape == (50, 1)
-        assert matrix.dtype == np.dtype(np.uint16)
-        assert [int(v) for v in matrix[:, 0]] == list(range(50))
-
-    def test_matrix_view_is_read_only(self):
-        interner = UsageInterner(small_shape())
-        interner.intern(((0, 0, 0), (0,)))
-        with pytest.raises(ValueError):
-            interner.matrix()[0, 0] = 9
-
-    def test_from_usages_preserves_order(self):
-        usages = [((0, 0, 0), (0,)), ((0, 0, 1), (1,)), ((0, 1, 1), (2,))]
-        interner = UsageInterner.from_usages(small_shape(), usages)
-        assert interner.usages() == usages

@@ -145,7 +145,9 @@ class TestAuditHook:
 
         def corrupting_run(self, vms):
             result = original(self, vms)
-            self._dc.machines[0]._usage[0][0] += 1  # break conservation
+            # Break conservation: a phantom unit in PM 0's usage column.
+            self._dc.shards[0].usage[0, 0] += 1
+            self._dc._usage_cache[0] = None
             return result
 
         monkeypatch.setattr(CloudSimulation, "run", corrupting_run)

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.baselines import FirstFitPolicy, MinimumMigrationTimeSelector
-from repro.cluster.datacenter import Datacenter
 from repro.cluster.vm import VirtualMachine
 from repro.core.profile import VMType
+from repro.core.soa import SoADatacenter
 from repro.faults import FaultInjector, FaultSchedule, FaultSpec
 from repro.testbed.controller import CentralizedController, JobTooLargeError
 from repro.testbed.instance import make_instances
@@ -16,7 +16,7 @@ from repro.util.validation import ValidationError
 
 
 def controller_with(n_instances=3, **kwargs):
-    datacenter = Datacenter(make_instances(n_instances))
+    datacenter = SoADatacenter.from_machines(make_instances(n_instances))
     return CentralizedController(
         datacenter,
         FirstFitPolicy(),
