@@ -408,11 +408,25 @@ class TestRunTwin:
         assert TWIN_NAMES == ("soa", "rank", "kernel")
         assert set(DEFAULT_MAX_ULPS) == set(TWIN_NAMES)
 
-    @pytest.mark.parametrize("twin", TWIN_NAMES)
-    def test_small_scenario_has_zero_divergences(self, twin, m3_table):
+    @pytest.mark.parametrize(
+        "twin, duration_s",
+        [
+            pytest.param("soa", 1800.0, id="soa"),
+            # The soa twin also carries the tick check (columnar tick vs
+            # the seed scan's machine-by-machine tick): twelve hours of
+            # monitoring windows let the energy/SLO summation-order
+            # drift accumulate against the documented ULP bound.
+            pytest.param("soa", 43_200.0, id="tick"),
+            pytest.param("rank", 1800.0, id="rank"),
+            pytest.param("kernel", 1800.0, id="kernel"),
+        ],
+    )
+    def test_small_scenario_has_zero_divergences(
+        self, twin, duration_s, m3_table
+    ):
         report = run_twin(
             twin,
-            SanitizeScenario(n_pms=16, duration_s=1800.0, shard_size=8),
+            SanitizeScenario(n_pms=16, duration_s=duration_s, shard_size=8),
             table=m3_table,
         )
         assert report.ok, report.render()

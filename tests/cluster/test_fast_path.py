@@ -1,12 +1,19 @@
-"""Bit-identity of indexed selection with the pre-index scan.
+"""Bit-identity of the online fast path with the pre-index code.
 
-For every policy, selecting against the
-:class:`~repro.core.usage_index.IndexedMachines` view returns the same
-:class:`~repro.core.policy.PlacementDecision` as the legacy linear scan
-over a plain machine list — through placements, evictions, migrations
-and PM crash/repair cycles — at toy scale (EC2 scale lives in
-``benchmarks/test_perf_core.py``).  The monitoring tick's identity with
-the seed scan is asserted in ``test_soa_identity.py``.
+Two guarantees are asserted here, at toy scale (EC2 scale lives in
+``benchmarks/test_perf_core.py``):
+
+* **selection**: for every policy, selecting against the
+  :class:`~repro.core.usage_index.IndexedMachines` view returns the same
+  :class:`~repro.core.policy.PlacementDecision` as the legacy linear
+  scan over a plain machine list — through placements, evictions,
+  migrations and PM crash/repair cycles.
+* **monitoring**: a simulation on the struct-of-arrays datacenter, in
+  its production single-shard layout (vectorized columnar tick), reports
+  the same decisions-and-counters as the verbatim sequential tick on the
+  object datacenter, with float accumulators equal up to summation
+  order.  ``test_soa_identity.py`` repeats the check on a ragged
+  multi-shard layout and compares the final per-PM state.
 """
 
 import numpy as np
@@ -17,13 +24,18 @@ from repro.baselines import (
     CompVMPolicy,
     FFDSumPolicy,
     FirstFitPolicy,
+    MinimumMigrationTimeSelector,
 )
 from repro.cluster.datacenter import Datacenter
 from repro.cluster.machine import PhysicalMachine
+from repro.cluster.simulation import CloudSimulation, SimulationConfig
 from repro.cluster.vm import VirtualMachine
 from repro.core.placement import PageRankVMPolicy
 from repro.core.policy import PlacementDecision
-from repro.traces.base import ConstantTrace
+from repro.core.soa import SoADatacenter
+from repro.faults import FaultEvent, FaultInjector, FaultSchedule, FaultSpec
+from repro.traces.base import ArrayTrace, ConstantTrace
+from repro.util.rng import RngFactory
 
 
 def toy_datacenter(toy_shape, count=8):
@@ -206,3 +218,91 @@ class TestSelectionIdentity:
         decision = FirstFitPolicy().select(vm2, dc.indexed_machines())
         assert isinstance(decision, PlacementDecision)
         assert decision.pm_id == 0
+
+
+def bursty_vms(n, vm_type, seed=3):
+    rng = np.random.default_rng(seed)
+    vms = []
+    for i in range(n):
+        samples = np.clip(rng.uniform(0.2, 1.0, size=12), 0.0, 1.0)
+        vms.append(VirtualMachine(i, vm_type, ArrayTrace(samples, 300.0)))
+    return vms
+
+
+def run_once(toy_shape, toy_table, vms, vectorized, faults=None):
+    """One hour on six PMs: SoA (columnar tick) or object (seed scan)."""
+    if vectorized:
+        dc = SoADatacenter([(i, toy_shape, "M3") for i in range(6)])
+    else:
+        dc = toy_datacenter(toy_shape, count=6)
+    sim = CloudSimulation(
+        dc,
+        PageRankVMPolicy({toy_shape: toy_table}),
+        MinimumMigrationTimeSelector(),
+        SimulationConfig(duration_s=3600.0, monitor_interval_s=300.0),
+        faults=faults,
+    )
+    return dc, sim.run(vms)
+
+
+def crash_injector():
+    schedule = FaultSchedule(
+        spec=FaultSpec(pm_crashes=1),
+        horizon_s=3600.0,
+        events=(
+            FaultEvent("pm_crash", 900.0, target=0),
+            FaultEvent("pm_recover", 2100.0, target=0),
+        ),
+    )
+    return FaultInjector(schedule, RngFactory(99).spawn("fault-draws", 0))
+
+
+class TestTickEquivalence:
+    def test_vectorized_tick_matches_sequential(
+        self, toy_shape, toy_table, vm2, constraint_audit
+    ):
+        dc_fast, fast = run_once(
+            toy_shape, toy_table, bursty_vms(14, vm2), vectorized=True
+        )
+        dc_scan, scan = run_once(
+            toy_shape, toy_table, bursty_vms(14, vm2), vectorized=False
+        )
+        assert len(dc_fast.shards) == 1  # the production layout at this size
+        assert fast.overload_events > 0  # the workload must exercise ticks
+        for field in (
+            "n_vms", "unplaced_vms", "pms_used_initial", "pms_used_peak",
+            "pms_used_final", "migrations", "failed_migrations",
+            "overload_events", "consolidations",
+        ):
+            assert getattr(fast, field) == getattr(scan, field), field
+        assert fast.energy_kwh == pytest.approx(scan.energy_kwh, rel=1e-12)
+        assert fast.slo_violation_rate == pytest.approx(
+            scan.slo_violation_rate, rel=1e-12
+        )
+        assert [m.pm_id for m in dc_fast.used_machines()] == [
+            m.pm_id for m in dc_scan.used_machines()
+        ]
+        constraint_audit(dc_fast, fast)
+
+    def test_vectorized_tick_matches_under_faults(
+        self, toy_shape, toy_table, vm2, constraint_audit
+    ):
+        dc_fast, fast = run_once(
+            toy_shape, toy_table, bursty_vms(10, vm2),
+            vectorized=True, faults=crash_injector(),
+        )
+        dc_scan, scan = run_once(
+            toy_shape, toy_table, bursty_vms(10, vm2),
+            vectorized=False, faults=crash_injector(),
+        )
+        assert fast.resilience is not None
+        assert fast.resilience.pm_crashes == scan.resilience.pm_crashes
+        assert fast.resilience.vms_displaced == scan.resilience.vms_displaced
+        assert fast.resilience.vms_restored == scan.resilience.vms_restored
+        for field in (
+            "unplaced_vms", "pms_used_final", "migrations",
+            "failed_migrations", "overload_events",
+        ):
+            assert getattr(fast, field) == getattr(scan, field), field
+        assert fast.energy_kwh == pytest.approx(scan.energy_kwh, rel=1e-12)
+        constraint_audit(dc_fast, fast)

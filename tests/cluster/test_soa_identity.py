@@ -9,10 +9,10 @@ this suite exercises:
   class ranking over the SoA class table agrees with the object path's
   per-class walk.
 * **simulation**: a full run with the columnar tick
-  (``monitor_arrays`` + bincount demand fold) reports the same counters
-  as the seed scan on the object datacenter, with float accumulators
-  equal up to summation order — including under PM crash/recover
-  faults.
+  (``monitor_arrays`` + bincount demand fold) over a ragged multi-shard
+  layout reports the same counters and final per-PM state as the seed
+  scan on the object datacenter, with float accumulators equal up to
+  summation order — including under PM crash/recover faults.
 * **auditing**: the final SoA state passes the MIP constraint replay
   plus the I1 (index) and I2 (column re-derivation) checks.
 """
@@ -223,9 +223,11 @@ def crash_injector():
 
 
 class TestSoATickEquivalence:
-    def test_columnar_tick_matches_seed_scan(
+    def test_columnar_tick_matches_object_fast_path(
         self, toy_shape, toy_table, vm2, constraint_audit
     ):
+        # The object datacenter's one simulation path is the seed scan;
+        # shard_size=4 splits the six PMs into a full and a ragged shard.
         dc_obj = object_datacenter(toy_shape, count=6)
         dc_soa = soa_datacenter(toy_shape, count=6, shard_size=4)
         obj = run_once(dc_obj, toy_table, bursty_vms(14, vm2))
