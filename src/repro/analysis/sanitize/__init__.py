@@ -1,9 +1,8 @@
 """Divergence sanitizer: lockstep twin execution with auto-bisection.
 
-The repo carries pairs of twin implementations that must be *the same
-algorithm* (the seed scan on the object datacenter vs the
-struct-of-arrays substrate, loop vs vectorized class ranking, DAG-sweep
-vs iterative rank kernel).  This
+The repo carries pairs of twin implementations that must make *the
+same decisions* (the seed scan on the object datacenter vs the
+struct-of-arrays substrate, DAG-sweep vs iterative rank kernel).  This
 package drives both members of a pair from one seed under the trace
 layer (:mod:`repro.util.trace`), compares their canonical decision
 streams per monitor window, and on mismatch bisects — O(log n) digest

@@ -48,22 +48,19 @@ __all__ = [
 OP_KINDS = frozenset({"tick", "place", "victim", "migrate", "fault", "rng"})
 
 #: The built-in twin pairs ``run_twin`` knows how to drive.
-TWIN_NAMES: Tuple[str, ...] = ("soa", "rank", "kernel")
+TWIN_NAMES: Tuple[str, ...] = ("soa", "kernel")
 
 #: Documented ULP tolerance per twin pair for the float stream (energy /
 #: SLO running totals).  The SoA substrate's columnar tick re-associates
 #: the seed scan's per-tick power summation (per-machine adds vs one
 #: grouped ``sum()`` per PM type), which drifts the running total by
 #: well under 1e-12 relative — 1024 ULPs bounds a full 24 h day with
-#: margin while still catching any real reordering.  The vectorized
-#: ranking reproduces the loop's summation order exactly (0 ULPs).  The
-#: kernel twin compares *decisions* made over two independently solved
-#: score tables (exact DAG sweep vs near-machine-precision iteration);
-#: the scores differ by a handful of ulps but every ranking winner —
-#: and therefore every downstream float — must match exactly.
-DEFAULT_MAX_ULPS: Mapping[str, int] = {
-    "soa": 1024, "rank": 0, "kernel": 0,
-}
+#: margin while still catching any real reordering.  The kernel twin
+#: compares *decisions* made over two independently solved score tables
+#: (exact DAG sweep vs near-machine-precision iteration); the scores
+#: differ by a handful of ulps but every ranking winner — and therefore
+#: every downstream float — must match exactly.
+DEFAULT_MAX_ULPS: Mapping[str, int] = {"soa": 1024, "kernel": 0}
 
 
 @dataclass(frozen=True)
@@ -414,7 +411,6 @@ def _scenario_leg(
     scenario: SanitizeScenario,
     table: object,
     backend: str,
-    vector_scores: Optional[bool] = None,
 ) -> TwinLeg:
     """A leg running the default M3 scenario on one backend.
 
@@ -444,8 +440,6 @@ def _scenario_leg(
         else:
             datacenter = build_ec2_datacenter({"M3": scenario.n_pms})
         policy = PageRankVMPolicy({table.shape: table})
-        if vector_scores is not None:
-            policy.vector_class_scores = vector_scores
         simulation = CloudSimulation(
             datacenter,
             policy,
@@ -472,8 +466,6 @@ def run_twin(
         ``soa``  — seed scan on the object datacenter (plain machine
         lists, machine-by-machine tick) vs the struct-of-arrays
         substrate (indexed selection, columnar tick).
-        ``rank`` — per-class scoring loop vs ``vector_class_scores``
-        (both on the SoA substrate, where the vector path activates).
         ``kernel`` — score table solved by the exact DAG-sweep kernel
         vs by the iterative kernel at ``epsilon=1e-14`` (both legs on
         the SoA substrate, so any divergence is attributable to the
@@ -498,30 +490,30 @@ def run_twin(
     if twin == "kernel":
         from repro.cluster.ec2 import EC2_VM_TYPES, ec2_pm_shape
         from repro.core.graph import SuccessorStrategy
-        from repro.core.score_table import build_score_table
+        from repro.core.graph_cache import load_or_build_profile_graph
+        from repro.core.pagerank import profile_pagerank
+        from repro.core.score_table import ScoreTable
 
         # The provided/default table is sweep-built; the twin leg
         # re-solves the same graph iteratively to near machine
         # precision so the remaining difference is the kernel's
         # closed-form residual.
-        iterative = build_score_table(
+        strategy = SuccessorStrategy.BALANCED
+        graph = load_or_build_profile_graph(
             ec2_pm_shape("M3"),
             EC2_VM_TYPES,
-            strategy=SuccessorStrategy.BALANCED,
-            epsilon=1e-14,
-            rank_kernel="iterative",
-            graph_cache_dir=table_cache_dir,
+            strategy=strategy,
+            cache_dir=table_cache_dir,
+        )
+        result = profile_pagerank(graph, epsilon=1e-14)
+        iterative = ScoreTable(
+            shape=graph.shape,
+            scores=dict(zip(graph.profiles, result.scores.tolist())),
+            strategy=strategy,
         )
         leg_a = _scenario_leg("sweep-kernel", scenario, table, "soa")
         leg_b = _scenario_leg("iterative-kernel", scenario, iterative, "soa")
-    elif twin == "soa":
+    else:
         leg_a = _scenario_leg("scan", scenario, table, "object")
         leg_b = _scenario_leg("soa", scenario, table, "soa")
-    else:
-        leg_a = _scenario_leg(
-            "rank-loop", scenario, table, "soa", vector_scores=False
-        )
-        leg_b = _scenario_leg(
-            "rank-vector", scenario, table, "soa", vector_scores=True
-        )
     return run_lockstep(twin, leg_a, leg_b, max_ulps=max_ulps)

@@ -52,6 +52,8 @@ __all__ = ["main", "build_parser"]
 
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser (exposed for tests and docs)."""
+    from repro.analysis.sanitize import TWIN_NAMES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="PageRankVM reproduction toolkit (ICDCS 2018)",
@@ -272,11 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a twin pair from one seed and compare decision streams",
     )
     sanitize_run.add_argument(
-        "--twin", choices=("soa", "rank", "kernel"), default="soa",
+        "--twin", choices=TWIN_NAMES, default="soa",
         help="twin pair: soa (seed scan on the object datacenter vs "
-             "struct-of-arrays), rank (class-scoring loop vs vector "
-             "ranking), kernel (DAG-sweep vs iterative rank kernel); "
-             "default: soa")
+             "struct-of-arrays), kernel (DAG-sweep vs iterative rank "
+             "kernel); default: soa")
     sanitize_run.add_argument(
         "--pms", type=int, default=480, metavar="N",
         help="M3 fleet size (default: 480, the paper's scale)")

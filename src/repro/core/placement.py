@@ -58,10 +58,6 @@ class PageRankVMPolicy(ProfileScorePolicy):
     """
 
     name = "PageRankVM"
-    #: Score-table faults raised inside the vector class ranking still
-    #: surface through select()'s degradation net, so the masked-argmax
-    #: path is safe to enable for table-driven scoring.
-    vector_class_scores = True
 
     def __init__(
         self,

@@ -219,22 +219,10 @@ _Candidate = Optional[Tuple[Any, Usage, Placement]]
 #: Sentinel distinguishing "not cached" from a cached infeasible (None).
 _CACHE_MISS = object()
 
-#: Class-table size below which the vector ranking runs as a plain loop
+#: Class-table size below which the class ranking runs as a plain loop
 #: (identical winner): with few distinct classes the per-call numpy
 #: overhead exceeds the whole scan.
 _VECTOR_MIN_CLASSES = 64
-
-
-class _ClassKeyRow(NamedTuple):
-    """A (shape, canonical usage) class key shaped like a UsedClass row.
-
-    The vector selection path feeds these to
-    :meth:`ProfileScorePolicy._warm_class_candidates`, which only reads
-    ``shape`` and ``usage``.
-    """
-
-    shape: MachineShape
-    usage: Usage
 
 #: Default bound of the best-candidate memo; same discipline (and size)
 #: as the ScoreTable snap cache, sized for the distinct profiles a long
@@ -272,12 +260,6 @@ class ProfileScorePolicy(PlacementPolicy):
             cache instead of growing without limit.
     """
 
-    #: Subclasses whose :meth:`profile_score` returns a plain float may
-    #: set this True to rank used classes with one masked argmax over the
-    #: class-id table (columnar substrate only).  Policies with tuple
-    #: scores (CompVM) keep the per-class loop.
-    vector_class_scores: bool = False
-
     def __init__(
         self,
         pool_size: Optional[int] = None,
@@ -299,9 +281,9 @@ class ProfileScorePolicy(PlacementPolicy):
         self._cache_hits = 0
         self._cache_misses = 0
         # (id(index), epoch) of the last indexed view served, plus the
-        # per-VM-type class-id score vectors built against it.
+        # per-VM-type class-id score memos built against it.
         self._index_token: Optional[Tuple[int, int]] = None
-        self._class_score_vecs: dict = {}
+        self._class_score_memo: dict = {}
 
     @abc.abstractmethod
     def profile_score(self, shape: MachineShape, usage: Usage) -> Any:
@@ -331,7 +313,7 @@ class ProfileScorePolicy(PlacementPolicy):
         self._cache.clear()
         self._cache_hits = 0
         self._cache_misses = 0
-        self._class_score_vecs.clear()
+        self._class_score_memo.clear()
 
     def _observe_index(self, view: IndexedMachines) -> None:
         """Track the serving index's identity and bulk-rebuild epoch.
@@ -344,7 +326,7 @@ class ProfileScorePolicy(PlacementPolicy):
         to keying every memo entry on the epoch: no entry written under
         an older epoch can ever be served under a newer one.  A
         *different* index (a fresh run) only resets the id-addressed
-        score vectors; the content-addressed memo stays valid.
+        score memos; the content-addressed memo stays valid.
         """
         index = view.index
         token = (id(index), getattr(index, "epoch", 0))
@@ -354,7 +336,7 @@ class ProfileScorePolicy(PlacementPolicy):
             self._index_token is not None and self._index_token[0] == token[0]
         )
         self._index_token = token
-        self._class_score_vecs.clear()
+        self._class_score_memo.clear()
         if rebuilt_underneath:
             self.invalidate_cache()
 
@@ -520,71 +502,86 @@ class ProfileScorePolicy(PlacementPolicy):
     def _select_among_used_classes(
         self, vm: VMType, view: IndexedMachines
     ) -> Optional[PlacementDecision]:
-        """One evaluation per distinct used class, batched scoring.
+        """Rank the used classes of the view's class table.
 
         Machines in a class share their canonical usage and therefore
-        their best candidate; classes are visited in representative
-        order with a strict ``>`` comparison, which reproduces the
-        linear scan's first-maximum winner (lowest pm_id on ties).
+        their best candidate, so one memoized score row per class id
+        decides the request.  The winner is the class with the highest
+        score (compared lexicographically), ties going to the lowest
+        representative: the linear scan's first maximum (lowest pm_id
+        on ties).  Up to :data:`_VECTOR_MIN_CLASSES` classes a plain
+        loop ranks them; above that one masked argmax does.
         """
         self._observe_index(view)
-        if self._pool_size is not None:
+        table = getattr(view, "class_table", None)
+        if self._pool_size is not None or table is None:
             # Pool sampling draws machine indices from the RNG stream;
             # the class path would consume it differently, so 2-choice
-            # runs keep the legacy scan bit-for-bit.
-            return self._select_among_used(vm, view.used_list())
-        if self.vector_class_scores:
-            table = getattr(view, "class_table", None)
-            if table is not None:
-                return self._select_among_used_vector(vm, view, table)
-        classes = view.used_classes()
-        self._warm_class_candidates(vm, classes)
-        best_cls: Optional[Any] = None
-        best: _Candidate = None
-        for cls in classes:
-            candidate = self._best_for_canonical(cls.shape, cls.usage, vm)
-            if candidate is None:
-                continue
-            if best is None or candidate[0] > best[0]:
-                best, best_cls = candidate, cls
-        if best_cls is None:
-            return None
-        score, target, placement = best
-        return self._realize(
-            best_cls.representative, vm, target, score, placement
-        )
+            # runs keep the legacy scan bit-for-bit.  So does a view
+            # without a class table (the object index).
+            return super()._select_among_used_classes(vm, view)
+        n = table.n_classes
+        scores = self._class_scores(vm, n)
+        if n <= _VECTOR_MIN_CLASSES:
+            return self._select_among_used_small(vm, view, table, scores)
+        return self._select_among_used_vector(vm, view, table, scores)
+
+    def _class_scores(self, vm: VMType, n: int) -> np.ndarray:
+        """The VM type's class-score memo, grown to cover ``n`` class ids.
+
+        One row per class id, one float64 column per score component (1
+        for a float score, 2 for CompVM's tuple).  NaN marks an id never
+        evaluated for this VM type, -inf a cached infeasibility.  Ids
+        are content-addressed, so a row stays valid while its class
+        empties and refills; memos die with the index epoch (see
+        :meth:`_observe_index`).
+        """
+        memo = self._class_score_memo.get(vm.name)
+        if memo is None or len(memo) < n:
+            width = 1 if memo is None else memo.shape[1]
+            grown = np.full((max(64, 2 * n), width), np.nan)
+            if memo is not None:
+                grown[: len(memo)] = memo
+            memo = self._class_score_memo[vm.name] = grown
+        return memo[:n]
+
+    def _score_class(
+        self, vm: VMType, table: Any, class_id: int
+    ) -> List[float]:
+        """Evaluate one class id into the memo and return its score row.
+
+        A score is a float or a tuple of floats; its row is the list of
+        its components (``[-inf]`` when the VM does not fit).
+        """
+        shape, usage = table.keys[class_id]
+        candidate = self._best_for_canonical(shape, usage, vm)
+        memo = self._class_score_memo[vm.name]
+        if candidate is None:
+            memo[class_id] = -np.inf
+            return [-np.inf]
+        score = candidate[0]
+        row = list(score) if isinstance(score, tuple) else [score]
+        if len(row) > memo.shape[1]:
+            # The width is learned from the first feasible score.  Rows
+            # written before it are NaN/-inf sentinels, which stay
+            # sentinels when repeated across the new columns.
+            memo = np.repeat(memo[:, :1], len(row), axis=1)
+            self._class_score_memo[vm.name] = memo
+        memo[class_id] = score
+        return row
 
     def _select_among_used_vector(
-        self, vm: VMType, view: IndexedMachines, table: Any
+        self, vm: VMType, view: IndexedMachines, table: Any, scores: Any
     ) -> Optional[PlacementDecision]:
         """Rank every used class with one masked argmax over the table.
 
-        The per-VM-type score vector is indexed by class id: NaN marks
-        an id never evaluated for this VM type, -inf a cached
-        infeasibility.  Ids are content-addressed, so a score stays
-        valid while its class empties and refills; vectors die with the
-        index epoch (see :meth:`_observe_index`).
-
-        Equivalence with the per-class loop: that loop visits classes in
-        ascending representative order keeping the first strict maximum,
-        i.e. the minimum-representative class among those achieving the
-        exact maximal score — precisely ``argmin(rep)`` over the argmax
-        ties below.
+        Equivalence with the linear scan: it keeps the first strict
+        maximum in pm_id order, i.e. the minimum-representative class
+        among those achieving the maximal score.  The argmax narrows
+        the ties one score column at a time (the lexicographic order of
+        tuple scores), then takes ``argmin(rep)``.
         """
         n = table.n_classes
-        if n == 0:
-            return None
-        vec = self._class_score_vecs.get(vm.name)
-        if vec is None or vec.size < n:
-            grown = np.full(max(64, 2 * n), np.nan, dtype=np.float64)
-            if vec is not None:
-                grown[: vec.size] = vec
-            vec = self._class_score_vecs[vm.name] = grown
-        scores = vec[:n]
-        if n <= _VECTOR_MIN_CLASSES:
-            # Below ~dozens of classes the array ops cost more than they
-            # save; a plain loop computes the identical winner.
-            return self._select_among_used_small(vm, view, table, scores)
         rep = table.rep
         size = table.size
         index = view.index
@@ -599,20 +596,21 @@ class ProfileScorePolicy(PlacementPolicy):
                 if size[excluded_cid] > 0 and members[0] == excluded:
                     rep[excluded_cid] = members[1]
         active = size > 0
-        unknown = np.flatnonzero(active & np.isnan(scores))
+        unknown = np.flatnonzero(active & np.isnan(scores[:, 0]))
         if unknown.size:
-            rows = [_ClassKeyRow(*table.keys[int(c)]) for c in unknown]
-            self._warm_class_candidates(vm, rows)
-            for c, row in zip(unknown, rows):
-                candidate = self._best_for_canonical(row.shape, row.usage, vm)
-                scores[int(c)] = (
-                    float(candidate[0]) if candidate is not None else -np.inf
-                )
-        masked = np.where(active, scores, -np.inf)
-        best = float(masked.max())
+            unknown = unknown.tolist()
+            self._warm_class_candidates(vm, [table.keys[c] for c in unknown])
+            for c in unknown:
+                self._score_class(vm, table, c)
+            scores = self._class_score_memo[vm.name][:n]
+        masked = np.where(active, scores[:, 0], -np.inf)
+        best = masked.max()
         if best == -np.inf:
             return None
         tied = np.flatnonzero(masked == best)
+        for column in range(1, scores.shape[1]):
+            values = scores[tied, column]
+            tied = tied[values == values.max()]
         winner = int(tied[np.argmin(rep[tied])])
         shape, usage = table.keys[winner]
         candidate = self._best_for_canonical(shape, usage, vm)
@@ -628,23 +626,21 @@ class ProfileScorePolicy(PlacementPolicy):
     ) -> Optional[PlacementDecision]:
         """The vector ranking's low-class-count twin (identical winner).
 
-        Same score-vector memo, same max-score / min-representative
-        choice — written as a plain loop because at a handful of classes
-        per-call numpy overhead dominates the serving latency.
+        Same score memo, same max-score / min-representative choice —
+        written as a plain loop because at a handful of classes
+        per-call numpy overhead dominates the serving latency.  Score
+        rows compare as lists, i.e. lexicographically.
         """
         index = view.index
         excluded = view._excluded_pos()
         excluded_cid = -1
         if excluded >= 0:
             excluded_cid = int(index.class_ids[excluded])
-        rep = table.rep
-        size = table.size
-        scores_list = scores.tolist()
-        best_score = None
+        columns = zip(scores.tolist(), table.size.tolist(), table.rep.tolist())
+        infeasible = -float("inf")
+        best_row = None
         best_rep = -1
-        for cid in range(table.n_classes):
-            class_size = int(size[cid])
-            class_rep = int(rep[cid])
+        for cid, (row, class_size, class_rep) in enumerate(columns):
             if cid == excluded_cid:
                 class_size -= 1
                 if class_size > 0:
@@ -653,24 +649,17 @@ class ProfileScorePolicy(PlacementPolicy):
                         class_rep = members[1]
             if class_size <= 0:
                 continue
-            score = scores_list[cid]
-            if score != score:  # prv: disable=PRV002 -- NaN self-test (never-evaluated sentinel), not a capacity comparison
-                shape, usage = table.keys[cid]
-                candidate = self._best_for_canonical(shape, usage, vm)
-                score = (
-                    float(candidate[0]) if candidate is not None
-                    else -float("inf")
-                )
-                scores[cid] = scores_list[cid] = score
-            if score == -float("inf"):  # prv: disable=PRV002 -- -inf sentinel test, not a capacity comparison
+            if row[0] != row[0]:  # NaN: never evaluated
+                row = self._score_class(vm, table, cid)
+            if row[0] == infeasible:
                 continue
             if (
-                best_score is None
-                or score > best_score
-                or (score == best_score and class_rep < best_rep)  # prv: disable=PRV002 -- exact-score tie; floats are identical by construction
+                best_row is None
+                or row > best_row
+                or (row == best_row and class_rep < best_rep)
             ):
-                best_score, best_rep = score, class_rep
-        if best_score is None:
+                best_row, best_rep = row, class_rep
+        if best_row is None:
             return None
         machine = index._machines[best_rep]
         shape = machine.shape
@@ -698,8 +687,10 @@ class ProfileScorePolicy(PlacementPolicy):
             )
         return None
 
-    def _warm_class_candidates(self, vm: VMType, classes: Sequence[Any]) -> None:
-        """Resolve uncached classes with one batched scoring pass per shape.
+    def _warm_class_candidates(
+        self, vm: VMType, keys: Sequence[Tuple[MachineShape, Usage]]
+    ) -> None:
+        """Resolve uncached class keys with one batched scoring pass per shape.
 
         Only the "all" candidate mode benefits: its per-class cost is an
         enumeration plus many score lookups, which
@@ -708,11 +699,10 @@ class ProfileScorePolicy(PlacementPolicy):
         class and stays on the per-class path.
         """
         by_shape: "OrderedDict[MachineShape, List[Usage]]" = OrderedDict()
-        for cls in classes:
-            key = (self._shape_key(cls.shape), cls.usage, vm.name)
-            if key in self._cache:
+        for shape, usage in keys:
+            if (self._shape_key(shape), usage, vm.name) in self._cache:
                 continue
-            by_shape.setdefault(cls.shape, []).append(cls.usage)
+            by_shape.setdefault(shape, []).append(usage)
         for shape, usages in by_shape.items():
             if self.candidate_mode(shape) != "all":
                 continue

@@ -36,7 +36,7 @@ from scipy.spatial import cKDTree
 from repro.core.graph import ProfileGraph, SuccessorStrategy
 from repro.core.graph_cache import load_or_build_profile_graph
 from repro.core.kernel_sweep import sweep_profile_pagerank
-from repro.core.pagerank import expected_final_utilization, profile_pagerank
+from repro.core.pagerank import expected_final_utilization
 from repro.core.profile import MachineShape, Profile, ResourceGroup, Usage, VMType
 from repro.util.floatguard import GUARD, check_finite
 from repro.util.validation import ValidationError, require
@@ -535,20 +535,18 @@ def build_score_table(
     strategy: SuccessorStrategy = SuccessorStrategy.ALL_PLACEMENTS,
     mode: str = "reachable",
     damping: float = 0.85,
-    epsilon: float = 1e-10,
-    max_iterations: int = 10_000,
     node_limit: int = 1_000_000,
     vote_direction: str = "forward",
     scoring: str = "pagerank",
     graph: Optional[ProfileGraph] = None,
     graph_cache_dir: Optional[Union[str, Path]] = None,
-    rank_kernel: str = "sweep",
 ) -> ScoreTable:
     """Build the graph, run the chosen scoring and return the score table.
 
     This is the one-stop constructor most callers want; see
     :func:`repro.core.graph.build_profile_graph` and
-    :func:`repro.core.pagerank.profile_pagerank` for the pieces.
+    :func:`repro.core.kernel_sweep.sweep_profile_pagerank` (the exact
+    DAG-sweep solution of Algorithm 1) for the pieces.
 
     Args:
         scoring: ``"pagerank"`` (Algorithm 1: PageRank x BPRU, the
@@ -563,24 +561,15 @@ def build_score_table(
         graph_cache_dir: optional on-disk graph cache consulted before
             building (see :mod:`repro.core.graph_cache`); ignored when
             ``graph`` is supplied.
-        rank_kernel: ``"sweep"`` (default — the exact DAG-sweep kernel,
-            see :mod:`repro.core.kernel_sweep`) or ``"iterative"`` (the
-            epsilon-bounded power iteration).  The two agree within the
-            documented ulp residual; ``epsilon``/``max_iterations``
-            only apply to the iterative kernel.
 
     Raises:
-        ValidationError: for an unknown ``scoring`` or ``rank_kernel``,
-            or a graph built for a different shape or VM type set.
+        ValidationError: for an unknown ``scoring``, or a graph built
+            for a different shape or VM type set.
     """
     if scoring not in ("pagerank", "pagerank-efu", "expected-utilization"):
         raise ValidationError(
             f"unknown scoring {scoring!r}; use 'pagerank', 'pagerank-efu' "
             "or 'expected-utilization'"
-        )
-    if rank_kernel not in ("sweep", "iterative"):
-        raise ValidationError(
-            f"unknown rank_kernel {rank_kernel!r}; use 'sweep' or 'iterative'"
         )
     if graph is None:
         graph = load_or_build_profile_graph(
@@ -604,18 +593,9 @@ def build_score_table(
     if scoring == "expected-utilization":
         values = expected_final_utilization(graph)
     else:
-        if rank_kernel == "sweep":
-            result = sweep_profile_pagerank(
-                graph, damping=damping, vote_direction=vote_direction
-            )
-        else:
-            result = profile_pagerank(
-                graph,
-                damping=damping,
-                epsilon=epsilon,
-                max_iterations=max_iterations,
-                vote_direction=vote_direction,
-            )
+        result = sweep_profile_pagerank(
+            graph, damping=damping, vote_direction=vote_direction
+        )
         if scoring == "pagerank-efu":
             values = result.raw * expected_final_utilization(graph)
         else:

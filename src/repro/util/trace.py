@@ -2,8 +2,8 @@
 
 The twin implementations in this repository (the seed scan on the
 object ``Datacenter`` vs the struct-of-arrays core with its columnar
-tick, the per-class scoring loop vs ``vector_class_scores``) are
-required to be *the same algorithm*.  The trace layer makes that
+tick, score tables solved by the DAG-sweep vs the iterative rank
+kernel) are required to make *the same decisions*.  The trace layer makes that
 machine-checkable: the ~10 decision sites that define semantic
 equivalence (placement chosen, ranking winner, overload verdict,
 migration victim, RNG draw, fault verdict, energy/SLO accumulation)

@@ -36,7 +36,7 @@ from repro.core.kernel_sweep import (
     ulp_distance,
 )
 from repro.core.pagerank import profile_pagerank
-from repro.core.score_table import build_score_table
+from repro.core.score_table import ScoreTable, build_score_table
 from repro.experiments.tables import table_cache_key
 from repro.util.validation import ValidationError
 
@@ -331,12 +331,14 @@ class TestKernelVersionStamping:
     def test_sweep_tables_agree_with_iterative_build(
         self, toy_shape, toy_vm_types
     ):
-        # The default build path runs the sweep kernel; the iterative
-        # fallback must produce snap-identical decisions (same profiles,
-        # scores within the documented residual).
+        # The build path runs the sweep kernel; a table built from the
+        # iterative kernel must produce snap-identical decisions (same
+        # profiles, scores within the documented residual).
         sweep = build_score_table(toy_shape, toy_vm_types)
-        iterative = build_score_table(
-            toy_shape, toy_vm_types, rank_kernel="iterative"
+        graph = build_profile_graph(toy_shape, toy_vm_types)
+        iterative = ScoreTable(
+            toy_shape,
+            dict(zip(graph.profiles, profile_pagerank(graph).scores.tolist())),
         )
         sweep_map = dict(sweep.items())
         iterative_map = dict(iterative.items())

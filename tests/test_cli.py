@@ -348,6 +348,25 @@ class TestSanitizeCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sanitize", "run", "--twin", "gpu"])
 
+    def test_twin_choices_are_the_sanitizer_twins(self, monkeypatch):
+        from repro.analysis import sanitize
+
+        for name in sanitize.TWIN_NAMES:
+            args = build_parser().parse_args(
+                ["sanitize", "run", "--twin", name]
+            )
+            assert args.twin == name
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sanitize", "run", "--twin", "rank"])
+        # The choices are read from TWIN_NAMES, not a copy of it.
+        monkeypatch.setattr(
+            sanitize, "TWIN_NAMES", sanitize.TWIN_NAMES + ("probe",)
+        )
+        args = build_parser().parse_args(
+            ["sanitize", "run", "--twin", "probe"]
+        )
+        assert args.twin == "probe"
+
     def test_small_soa_run_is_lockstep(self, tmp_path, capsys):
         import json
 
