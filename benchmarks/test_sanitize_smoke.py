@@ -19,9 +19,7 @@ from repro.analysis.sanitize import (
 )
 from repro.analysis.sanitize.executor import _scenario_leg, run_leg
 
-SCENARIO = SanitizeScenario(
-    n_pms=24, duration_s=1_800.0, seed=0, shard_size=8
-)
+SCENARIO = SanitizeScenario(n_pms=24, duration_s=1_800.0, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -45,9 +43,7 @@ def test_twin_is_lockstep(twin, m3_table):
 def test_seeds_produce_distinct_streams(m3_table):
     """The comparison has teeth: different seeds are NOT lockstep-equal,
     so a passing twin run means sameness, not emptiness."""
-    reseeded = SanitizeScenario(
-        n_pms=24, duration_s=1_800.0, seed=1, shard_size=8
-    )
+    reseeded = SanitizeScenario(n_pms=24, duration_s=1_800.0, seed=1)
     a = run_leg(_scenario_leg("soa", SCENARIO, m3_table, "soa"))
     b = run_leg(_scenario_leg("soa", reseeded, m3_table, "soa"))
     assert a.recorder.stream_digest != b.recorder.stream_digest

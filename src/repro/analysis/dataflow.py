@@ -11,7 +11,7 @@ rules per file against it:
 
 PRV011
     mutation of an indexed structure (``UsageClassIndex`` /
-    ``SoAClassTable`` / ``ShardColumns`` and subclasses) outside its
+    ``SoAClassTable`` / ``FleetColumns`` and subclasses) outside its
     sanctioned maintenance path.  Sanctioned means: the structure's
     defining module, a module that constructs the structure (its
     owner), or a function that also calls ``refresh`` / ``rebuild`` /
@@ -66,7 +66,7 @@ __all__ = [
 INDEXED_STRUCTURES: Tuple[str, ...] = (
     "UsageClassIndex",
     "SoAClassTable",
-    "ShardColumns",
+    "FleetColumns",
 )
 
 #: Calls inside a function that sanction its mutations for PRV011: the

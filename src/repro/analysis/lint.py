@@ -37,7 +37,7 @@ PRV010    full-inventory read (``datacenter.machines``) inside a
           / ``healthy_machines`` precisely so the tick path never
           rediscovers fleet state with an O(n_machines) scan
 PRV011    mutation of an indexed structure (``UsageClassIndex`` /
-          ``SoAClassTable`` / ``ShardColumns``) outside its epoch-keyed
+          ``SoAClassTable`` / ``FleetColumns``) outside its epoch-keyed
           maintenance path — memoized consumers keep serving stale
           class ids and score vectors (dataflow rule, see
           :mod:`repro.analysis.dataflow`)

@@ -217,7 +217,6 @@ class SanitizeScenario:
     n_pms: int = 480
     duration_s: float = 86_400.0
     seed: int = 0
-    shard_size: int = 4_096
 
 
 def _window_of(recorder: TraceRecorder, digest_index: int) -> int:
@@ -434,9 +433,7 @@ def _scenario_leg(
             int(scenario.n_pms * VMS_PER_PM), seed=scenario.seed
         )
         if backend == "soa":
-            datacenter = build_ec2_soa_datacenter(
-                {"M3": scenario.n_pms}, shard_size=scenario.shard_size
-            )
+            datacenter = build_ec2_soa_datacenter({"M3": scenario.n_pms})
         else:
             datacenter = build_ec2_datacenter({"M3": scenario.n_pms})
         policy = PageRankVMPolicy({table.shape: table})

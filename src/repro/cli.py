@@ -205,9 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
              "PMs and extrapolate it quadratically to every point (default: "
              "480; 0 disables the scan baseline)")
     bench_sweep.add_argument(
-        "--shard-size", type=int, default=4_096,
-        help="rows per columnar shard (default: 4096)")
-    bench_sweep.add_argument(
         "--out", metavar="FILE", default=None,
         help="append the sweep entry to this BENCH trajectory file")
     bench_sweep.add_argument(
@@ -285,9 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quick", action="store_true",
         help="simulate a 2h horizon instead of the paper's 24h day")
     sanitize_run.add_argument("--seed", type=int, default=0)
-    sanitize_run.add_argument(
-        "--shard-size", type=int, default=4_096,
-        help="rows per columnar shard on the SoA legs (default: 4096)")
     sanitize_run.add_argument(
         "--max-ulps", type=int, default=None, metavar="N",
         help="float-stream tolerance override in units-in-the-last-"
@@ -636,7 +630,6 @@ def _cmd_bench(args) -> int:
     entry.update(run_sweep(
         args.pms,
         quick=args.quick,
-        shard_size=args.shard_size,
         check_identity=args.check_identity,
         scan_anchor_pms=args.scan_anchor_pms,
         table_cache_dir=args.table_cache,
@@ -758,7 +751,6 @@ def _cmd_sanitize(args) -> int:
         n_pms=args.pms,
         duration_s=7_200.0 if args.quick else 86_400.0,
         seed=args.seed,
-        shard_size=args.shard_size,
     )
     report = run_twin(
         args.twin,

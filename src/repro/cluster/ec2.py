@@ -136,7 +136,7 @@ def build_ec2_datacenter(counts: Mapping[str, int]) -> Datacenter:
     return Datacenter(machines)
 
 
-def build_ec2_soa_datacenter(counts: Mapping[str, int], shard_size: int = 4096):
+def build_ec2_soa_datacenter(counts: Mapping[str, int]):
     """A columnar (struct-of-arrays) datacenter of Table II machines.
 
     Same inventory and pm_id assignment as :func:`build_ec2_datacenter`,
@@ -145,7 +145,6 @@ def build_ec2_soa_datacenter(counts: Mapping[str, int], shard_size: int = 4096):
 
     Args:
         counts: PM type name -> how many.
-        shard_size: rows per columnar shard.
     """
     from repro.core.soa import SoADatacenter
 
@@ -158,4 +157,4 @@ def build_ec2_soa_datacenter(counts: Mapping[str, int], shard_size: int = 4096):
         for _ in range(count):
             specs.append((pm_id, shape, name))
             pm_id += 1
-    return SoADatacenter(specs, shard_size=shard_size)
+    return SoADatacenter(specs)

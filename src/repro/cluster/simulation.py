@@ -300,7 +300,7 @@ class CloudSimulation:
     def _tick_columnar(self, time_s: float, dt_s: float) -> None:
         """One monitoring tick straight off the SoA datacenter's columns.
 
-        ``monitor_arrays`` reduces per-PM demand with the shard-level
+        ``monitor_arrays`` reduces per-PM demand with one fleet-wide
         bincount fold — the same left-to-right summation as the
         per-machine walk, so overload detection and every downstream
         migration decision stay bit-identical to the seed scan.  Energy

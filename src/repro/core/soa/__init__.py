@@ -1,4 +1,4 @@
-"""Struct-of-arrays datacenter core (sharded columnar state).
+"""Struct-of-arrays datacenter core (one set of fleet columns).
 
 See DESIGN.md section 3.11.  Public surface:
 
@@ -7,16 +7,11 @@ See DESIGN.md section 3.11.  Public surface:
   API;
 * :class:`SoAUsageClassIndex` / :class:`SoAIndexedMachines` /
   :class:`SoAClassTable` — the class-id-table-backed usage index;
-* :class:`ShardColumns` / :class:`TraceColumns` — the raw column
-  storage (benchmarks and the auditor read these directly).
+* :class:`FleetColumns` / :class:`TraceColumns` — the raw column
+  storage, built only by :class:`SoADatacenter`.
 """
 
-from repro.core.soa.columns import (
-    DEFAULT_SHARD_SIZE,
-    ShapeInfo,
-    ShardColumns,
-    TraceColumns,
-)
+from repro.core.soa.columns import FleetColumns, ShapeInfo, TraceColumns
 from repro.core.soa.datacenter import SoADatacenter, SoAMachineView
 from repro.core.soa.index import (
     SoAClassTable,
@@ -25,9 +20,8 @@ from repro.core.soa.index import (
 )
 
 __all__ = [
-    "DEFAULT_SHARD_SIZE",
+    "FleetColumns",
     "ShapeInfo",
-    "ShardColumns",
     "TraceColumns",
     "SoADatacenter",
     "SoAMachineView",

@@ -1,12 +1,11 @@
-"""Columnar (struct-of-arrays) storage for a sharded PM fleet.
+"""Columnar (struct-of-arrays) storage for the PM fleet.
 
 The object substrate keeps one Python :class:`~repro.cluster.machine.
 PhysicalMachine` per PM; every monitor tick then walks ~n Python objects.
-This module stores the same state as contiguous numpy columns, split into
-fixed-size *shards* (regions/zones) so each shard's arrays stay small
-enough to be cache-resident and can be reduced independently:
+This module stores the same state as one set of contiguous numpy
+columns indexed by inventory position:
 
-* :class:`ShardColumns` — per-shard columns: quantized usage, health
+* :class:`FleetColumns` — the fleet's columns: quantized usage, health
   flag, allocation count, shape/type ids, CPU capacity, the per-row
   allocation records, and an append-only CSR of per-chunk CPU demand
   terms (``pm row, trace slot, burst ceiling``).
@@ -14,10 +13,17 @@ enough to be cache-resident and can be reduced independently:
   kind so one tick evaluates every VM's current fraction with a handful
   of array gathers instead of n_vms Python calls.
 
+The columns used to be split into fixed 4,096-row blocks, each reduced on
+its own.  A/B on a 2-CPU host, split against one column set, results
+bit-identical across layouts: ``run_point`` at 10k PMs x 24 h took a
+median 6.12 s against 5.64 s (6 alternating pairs), and 100k PMs x 2 h
+took 55.5/45.8 s against 50.4/50.6 s.  The split bought nothing
+measurable, so the fleet is one column set.
+
 Bit-identity with the object path rests on two facts, both load-bearing:
 
 1. ``np.bincount(rows, weights=...)`` accumulates float64 weights
-   *sequentially per bin in input order*, so a shard's demand reduction
+   *sequentially per bin in input order*, so the fleet's demand reduction
    reproduces the Python left-fold ``demand += fraction * ceiling``
    bit-for-bit as long as CSR entries keep allocation insertion order.
    (``np.add.reduceat`` does not have this property — pairwise summation
@@ -40,17 +46,12 @@ from repro.traces.base import ArrayTrace, ConstantTrace, UtilizationTrace
 from repro.util.validation import ValidationError
 
 __all__ = [
-    "DEFAULT_SHARD_SIZE",
+    "FleetColumns",
     "ShapeInfo",
-    "ShardColumns",
     "TraceColumns",
     "chunk_ceilings",
     "validate_burst",
 ]
-
-#: Default PMs per shard: 4096 rows keep every per-shard column (plus the
-#: CSR slices touched by a tick) well inside an L2 cache.
-DEFAULT_SHARD_SIZE = 4096
 
 
 def validate_burst(burst: Any) -> bool:
@@ -128,14 +129,14 @@ class ShapeInfo:
 
 
 class _BurstCSR:
-    """Append-only per-shard CSR of CPU demand terms for one burst model.
+    """Append-only fleet-wide CSR of CPU demand terms for one burst model.
 
     Arrays grow by doubling; entries are appended in placement order and
     zeroed (never compacted away) on removal, preserving the exact
     accumulation order of the object path's per-machine fold.
     """
 
-    __slots__ = ("rows", "slots", "ceilings", "n", "spans", "dead")
+    __slots__ = ("rows", "slots", "ceilings", "n", "spans")
 
     def __init__(self) -> None:
         self.rows = np.empty(256, dtype=np.intp)
@@ -144,7 +145,6 @@ class _BurstCSR:
         self.n = 0
         #: (row, vm_id) -> (start, length) of the live entry span.
         self.spans: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        self.dead = 0
 
     def _grow(self, need: int) -> None:
         capacity = self.rows.size
@@ -174,7 +174,6 @@ class _BurstCSR:
         # Zeroing keeps surviving terms in order; 0.0-weight entries are
         # exact no-ops under bincount accumulation.
         self.ceilings[start:start + k] = 0.0
-        self.dead += k
 
     def live(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (rows, slots, ceilings) views covering all entries."""
@@ -185,8 +184,8 @@ class _BurstCSR:
         )
 
 
-class ShardColumns:
-    """One shard's contiguous columns over rows ``base .. base+n``.
+class FleetColumns:
+    """The fleet's contiguous columns, one row per inventory position.
 
     All mutation goes through :class:`~repro.core.soa.datacenter.
     SoADatacenter`; this class only owns the storage and the per-burst
@@ -194,12 +193,11 @@ class ShardColumns:
     """
 
     __slots__ = (
-        "base", "n", "usage", "canon", "failed", "alloc_count", "shape_id",
+        "n", "usage", "canon", "failed", "alloc_count", "shape_id",
         "type_id", "cpu_capacity", "allocs", "csr",
     )
 
-    def __init__(self, base: int, n: int, max_dims: int) -> None:
-        self.base = base
+    def __init__(self, n: int, max_dims: int) -> None:
         self.n = n
         self.usage = np.zeros((n, max_dims), dtype=np.int32)
         self.canon = np.zeros((n, max_dims), dtype=np.int32)

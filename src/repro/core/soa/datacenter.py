@@ -1,4 +1,4 @@
-"""Columnar datacenter: the object-path API served from shard columns.
+"""Columnar datacenter: the object-path API served from fleet columns.
 
 :class:`SoADatacenter` is the substrate the simulation, serving and
 testbed paths run on.  It keeps the API of the object
@@ -7,12 +7,12 @@ the seed-scan baseline the identity tests and twins compare against:
 same constructor invariants, same mutation methods, same error types
 and messages, same rollback semantics on failed migrations.  The
 difference is storage — all machine state lives in
-:class:`~repro.core.soa.columns.ShardColumns` arrays — and two
+:class:`~repro.core.soa.columns.FleetColumns` arrays — and two
 additional capabilities the simulation and auditor discover by duck
 typing:
 
 * :meth:`monitor_arrays` — one monitor tick's utilization/active/type
-  columns for the healthy fleet, reduced shard by shard (the columnar
+  columns for the healthy fleet, reduced in one fold (the columnar
   tick in :class:`~repro.cluster.simulation.CloudSimulation` consumes
   this instead of n per-machine utilization calls);
 * :meth:`check_columns` — the auditor's "I2" check: every column is
@@ -38,9 +38,8 @@ from repro.core.permutations import Placement, can_place
 from repro.core.policy import PlacementDecision
 from repro.core.profile import MachineShape, Usage, VMType
 from repro.core.soa.columns import (
-    DEFAULT_SHARD_SIZE,
+    FleetColumns,
     ShapeInfo,
-    ShardColumns,
     TraceColumns,
     chunk_ceilings,
     validate_burst,
@@ -83,9 +82,8 @@ class SoAMachineView:
         """
         cached = self._dc._usage_cache[self._pos]
         if cached is None:
-            shard, row = self._dc._shard_of(self._pos)
             cached = self._dc._info_of_pos(self._pos).usage_tuple(
-                shard.usage[row]
+                self._dc._cols.usage[self._pos]
             )
             self._dc._usage_cache[self._pos] = cached
         return cached
@@ -93,8 +91,7 @@ class SoAMachineView:
     @property
     def is_used(self) -> bool:
         """True when at least one VM is hosted."""
-        shard, row = self._dc._shard_of(self._pos)
-        return shard.alloc_count[row] > 0
+        return self._dc._cols.alloc_count[self._pos] > 0
 
     # ------------------------------------------------------------------
     # Inventory
@@ -102,30 +99,25 @@ class SoAMachineView:
     @property
     def type_name(self) -> str:
         """PM type label (keys the power model)."""
-        shard, row = self._dc._shard_of(self._pos)
-        return self._dc.type_names[shard.type_id[row]]
+        return self._dc.type_names[self._dc._cols.type_id[self._pos]]
 
     @property
     def allocations(self) -> List[Allocation]:
         """Allocation records of the hosted VMs (insertion order)."""
-        shard, row = self._dc._shard_of(self._pos)
-        return list(shard.allocs[row].values())
+        return list(self._dc._cols.allocs[self._pos].values())
 
     @property
     def n_vms(self) -> int:
         """Number of hosted VMs."""
-        shard, row = self._dc._shard_of(self._pos)
-        return len(shard.allocs[row])
+        return len(self._dc._cols.allocs[self._pos])
 
     def hosts(self, vm_id: int) -> bool:
         """True when the PM hosts the given VM."""
-        shard, row = self._dc._shard_of(self._pos)
-        return vm_id in shard.allocs[row]
+        return vm_id in self._dc._cols.allocs[self._pos]
 
     def allocation_of(self, vm_id: int) -> Allocation:
         """The allocation record of a hosted VM (KeyError otherwise)."""
-        shard, row = self._dc._shard_of(self._pos)
-        allocation = shard.allocs[row].get(vm_id)
+        allocation = self._dc._cols.allocs[self._pos].get(vm_id)
         if allocation is None:
             raise KeyError(f"PM#{self.pm_id} does not host VM#{vm_id}")
         return allocation
@@ -136,8 +128,7 @@ class SoAMachineView:
     @property
     def is_failed(self) -> bool:
         """True while the PM is crashed."""
-        shard, row = self._dc._shard_of(self._pos)
-        return bool(shard.failed[row])
+        return bool(self._dc._cols.failed[self._pos])
 
     # ------------------------------------------------------------------
     # Utilization
@@ -155,10 +146,10 @@ class SoAMachineView:
     def committed_cpu_utilization(self) -> float:
         """Committed CPU utilization (requested CPU / CPU capacity)."""
         info = self._dc._info_of_pos(self._pos)
-        shard, row = self._dc._shard_of(self._pos)
         lo = info.offsets[info.cpu_group]
         hi = info.offsets[info.cpu_group + 1]
-        return int(shard.usage[row, lo:hi].sum()) / info.cpu_capacity
+        usage_row = self._dc._cols.usage[self._pos]
+        return int(usage_row[lo:hi].sum()) / info.cpu_capacity
 
     def actual_cpu_utilization(self, time_s: float, burst: Any = "core") -> float:
         """Trace-driven CPU utilization at a time (object-path fold).
@@ -166,12 +157,11 @@ class SoAMachineView:
         Same left-fold over the same terms in the same order as
         ``PhysicalMachine.actual_cpu_utilization`` — the relief loop
         recomputes mid-tick utilizations through this, so it must agree
-        bitwise with both the object path and the shard reduction.
+        bitwise with both the object path and the fleet reduction.
         """
         info = self._dc._info_of_pos(self._pos)
-        shard, row = self._dc._shard_of(self._pos)
         demand = 0.0
-        for allocation in shard.allocs[row].values():
+        for allocation in self._dc._cols.allocs[self._pos].values():
             fraction = allocation.vm.cpu_utilization_at(time_s)
             if fraction <= 0.0:
                 continue
@@ -191,26 +181,19 @@ class SoAMachineView:
 
 
 class SoADatacenter:
-    """Sharded struct-of-arrays datacenter with the ``Datacenter`` API.
+    """Struct-of-arrays datacenter with the ``Datacenter`` API.
 
     Args:
         specs: per-PM ``(pm_id, shape, type_name)`` rows in inventory
             order.
-        shard_size: PMs per shard (the last shard may be smaller).
     """
 
-    def __init__(
-        self,
-        specs: Sequence[Tuple[int, MachineShape, str]],
-        shard_size: int = DEFAULT_SHARD_SIZE,
-    ) -> None:
+    def __init__(self, specs: Sequence[Tuple[int, MachineShape, str]]) -> None:
         specs = list(specs)
         require(len(specs) > 0, "a datacenter needs at least one PM")
-        require(shard_size >= 1, f"shard_size must be >= 1, got {shard_size}")
         ids = [pm_id for pm_id, _, _ in specs]
         require(len(set(ids)) == len(ids), f"duplicate PM ids: {ids!r}")
 
-        self._shard_size = shard_size
         self._pm_ids: List[int] = ids
         self._pos_of: Dict[int, int] = {pm_id: i for i, pm_id in enumerate(ids)}
 
@@ -219,8 +202,9 @@ class SoADatacenter:
         self._infos: List[ShapeInfo] = []
         self.type_names: List[str] = []
         type_ids: Dict[str, int] = {}
-        shape_col = np.empty(len(specs), dtype=np.int32)
-        type_col = np.empty(len(specs), dtype=np.int32)
+        n = len(specs)
+        shape_col = np.empty(n, dtype=np.int32)
+        type_col = np.empty(n, dtype=np.int32)
         for i, (_, shape, type_name) in enumerate(specs):
             shape_id = self._shape_ids.get(shape)
             if shape_id is None:
@@ -234,19 +218,13 @@ class SoADatacenter:
                 type_ids[type_name] = type_id
                 self.type_names.append(type_name)
             type_col[i] = type_id
-        max_dims = max(info.n_dims for info in self._infos)
-
-        n = len(specs)
-        self._shards: List[ShardColumns] = []
-        for base in range(0, n, shard_size):
-            shard = ShardColumns(base, min(shard_size, n - base), max_dims)
-            shard.shape_id[:] = shape_col[base:base + shard.n]
-            shard.type_id[:] = type_col[base:base + shard.n]
-            shard.cpu_capacity[:] = [
-                float(self._infos[sid].cpu_capacity)
-                for sid in shard.shape_id
-            ]
-            self._shards.append(shard)
+        cols = FleetColumns(n, max(info.n_dims for info in self._infos))
+        cols.shape_id[:] = shape_col
+        cols.type_id[:] = type_col
+        cols.cpu_capacity[:] = [
+            float(self._infos[sid].cpu_capacity) for sid in shape_col
+        ]
+        self._cols = cols
 
         self._traces = TraceColumns()
         self._vm_location: Dict[int, int] = {}
@@ -258,35 +236,17 @@ class SoADatacenter:
         self._view = SoAIndexedMachines(self._index)
 
     @classmethod
-    def from_machines(
-        cls, machines: Sequence[Any], shard_size: int = DEFAULT_SHARD_SIZE
-    ) -> "SoADatacenter":
+    def from_machines(cls, machines: Sequence[Any]) -> "SoADatacenter":
         """Build from empty ``PhysicalMachine``-like specs (tests, twins)."""
-        return cls(
-            [(m.pm_id, m.shape, m.type_name) for m in machines],
-            shard_size=shard_size,
-        )
-
-    # ------------------------------------------------------------------
-    # Internal addressing
-    # ------------------------------------------------------------------
-    def _shard_of(self, pos: int) -> Tuple[ShardColumns, int]:
-        shard = self._shards[pos // self._shard_size]
-        return shard, pos - shard.base
+        return cls([(m.pm_id, m.shape, m.type_name) for m in machines])
 
     def _info_of_pos(self, pos: int) -> ShapeInfo:
-        shard, row = self._shard_of(pos)
-        return self._infos[shard.shape_id[row]]
+        return self._infos[self._cols.shape_id[pos]]
 
     @property
-    def shards(self) -> List[ShardColumns]:
-        """The shard columns (read-only use: benchmarks, the auditor)."""
-        return list(self._shards)
-
-    @property
-    def trace_columns(self) -> TraceColumns:
-        """The VM trace registry feeding the per-tick fraction column."""
-        return self._traces
+    def columns(self) -> FleetColumns:
+        """The fleet columns (read-only use: tests, the auditor)."""
+        return self._cols
 
     # ------------------------------------------------------------------
     # Inventory (Datacenter API)
@@ -350,19 +310,19 @@ class SoADatacenter:
         self, pos: int, vm: VirtualMachine, placement: Placement, time_s: float
     ) -> Allocation:
         """``PhysicalMachine.place`` semantics against the columns."""
-        shard, row = self._shard_of(pos)
+        cols = self._cols
         pm_id = self._pm_ids[pos]
-        if shard.failed[row]:
+        if cols.failed[pos]:
             raise ValidationError(
                 f"PM#{pm_id} is crashed and cannot accept VM#{vm.vm_id}"
             )
-        row_allocs = shard.allocs[row]
+        row_allocs = cols.allocs[pos]
         if vm.vm_id in row_allocs:
             raise ValidationError(
                 f"VM#{vm.vm_id} is already placed on PM#{pm_id}"
             )
-        info = self._infos[shard.shape_id[row]]
-        usage_row = shard.usage[row]
+        info = self._infos[cols.shape_id[pos]]
+        usage_row = cols.usage[pos]
         # Validate before mutating so failures leave the row unchanged.
         for g, (group, group_assign) in enumerate(
             zip(info.shape.groups, placement.assignments)
@@ -392,11 +352,11 @@ class SoADatacenter:
             placed_at=time_s,
         )
         row_allocs[vm.vm_id] = allocation
-        shard.alloc_count[row] += 1
+        cols.alloc_count[pos] += 1
         slot = self._traces.register(vm.vm_id, vm.trace)
-        for burst, csr in shard.csr.items():
+        for burst, csr in cols.csr.items():
             csr.append(
-                row,
+                pos,
                 vm.vm_id,
                 slot,
                 chunk_ceilings(
@@ -409,13 +369,13 @@ class SoADatacenter:
 
     def _machine_remove(self, pos: int, vm_id: int) -> Allocation:
         """``PhysicalMachine.remove`` semantics against the columns."""
-        shard, row = self._shard_of(pos)
+        cols = self._cols
         pm_id = self._pm_ids[pos]
-        allocation = shard.allocs[row].get(vm_id)
+        allocation = cols.allocs[pos].get(vm_id)
         if allocation is None:
             raise KeyError(f"PM#{pm_id} does not host VM#{vm_id}")
-        info = self._infos[shard.shape_id[row]]
-        usage_row = shard.usage[row]
+        info = self._infos[cols.shape_id[pos]]
+        usage_row = cols.usage[pos]
         for g, group_assign in enumerate(allocation.assignments):
             offset = info.offsets[g]
             for idx, chunk in group_assign:
@@ -426,24 +386,26 @@ class SoADatacenter:
                         f"VM#{vm_id}; allocation records are corrupt"
                     )
         self._usage_cache[pos] = None
-        del shard.allocs[row][vm_id]
-        shard.alloc_count[row] -= 1
-        for csr in shard.csr.values():
-            csr.remove(row, vm_id)
+        del cols.allocs[pos][vm_id]
+        cols.alloc_count[pos] -= 1
+        for csr in cols.csr.values():
+            csr.remove(pos, vm_id)
         return allocation
 
     def _refresh(self, pm_id: int) -> None:
         """Index refresh plus the canonical-usage column sync."""
         self._index.refresh(pm_id)
+        self._sync_canon(pm_id)
+
+    def _sync_canon(self, pm_id: int) -> None:
+        """Copy the index's canonical usage of a PM into its canon row."""
         pos = self._pos_of[pm_id]
-        shard, row = self._shard_of(pos)
         canonical = self._index.canonical_usage(pm_id)
         if canonical is None:
-            shard.canon[row, :] = 0
+            self._cols.canon[pos, :] = 0
         else:
-            info = self._infos[shard.shape_id[row]]
             flat = [u for group in canonical for u in group]
-            shard.canon[row, : len(flat)] = flat
+            self._cols.canon[pos, : len(flat)] = flat
 
     # ------------------------------------------------------------------
     # Mutation (Datacenter API)
@@ -480,8 +442,7 @@ class SoADatacenter:
         view = self.machine(pm_id)
         if view.is_failed:
             raise ValidationError(f"PM#{pm_id} is already crashed")
-        shard, row = self._shard_of(self._pos_of[pm_id])
-        shard.failed[row] = True
+        self._cols.failed[self._pos_of[pm_id]] = True
         self._refresh(pm_id)
         return [self.evict(a.vm_id) for a in view.allocations]
 
@@ -490,8 +451,7 @@ class SoADatacenter:
         view = self.machine(pm_id)
         if not view.is_failed:
             raise ValidationError(f"PM#{pm_id} is not crashed")
-        shard, row = self._shard_of(self._pos_of[pm_id])
-        shard.failed[row] = False
+        self._cols.failed[self._pos_of[pm_id]] = False
         self._refresh(pm_id)
 
     def migrate(
@@ -517,14 +477,13 @@ class SoADatacenter:
     # Columnar tick
     # ------------------------------------------------------------------
     def ensure_csr(self, burst: Any) -> None:
-        """Build any missing per-shard CSR for ``burst`` (lazily, per tick)."""
-        for shard in self._shards:
-            if burst not in shard.csr:
-                shard.build_csr(
-                    burst, self._infos,
-                    {vm_id: self._traces.slot(vm_id)
-                     for row_allocs in shard.allocs for vm_id in row_allocs},
-                )
+        """Build the CSR for ``burst`` if it is missing (lazily, per tick)."""
+        if burst not in self._cols.csr:
+            self._cols.build_csr(
+                burst, self._infos,
+                {vm_id: self._traces.slot(vm_id)
+                 for row_allocs in self._cols.allocs for vm_id in row_allocs},
+            )
 
     def monitor_arrays(
         self, time_s: float, burst: Any = "core"
@@ -533,29 +492,19 @@ class SoADatacenter:
 
         Rows cover the healthy fleet in inventory order — the same
         machines, in the same order, as the seed scan's
-        ``monitor.snapshot`` — with utilization reduced per shard via
-        the bincount fold (bit-identical to the per-machine walk).
+        ``monitor.snapshot`` — with utilization reduced by one bincount
+        fold (bit-identical to the per-machine walk).
         """
         validate_burst(burst)
         self.ensure_csr(burst)
-        fractions = self._traces.fractions(time_s)
-        positions: List[np.ndarray] = []
-        utilization: List[np.ndarray] = []
-        active: List[np.ndarray] = []
-        type_ids: List[np.ndarray] = []
-        for shard in self._shards:
-            demand = shard.demand(burst, fractions)
-            util = demand / shard.cpu_capacity
-            healthy = np.flatnonzero(~shard.failed)
-            positions.append(shard.base + healthy)
-            utilization.append(util[healthy])
-            active.append(shard.alloc_count[healthy] > 0)
-            type_ids.append(shard.type_id[healthy])
+        cols = self._cols
+        demand = cols.demand(burst, self._traces.fractions(time_s))
+        healthy = np.flatnonzero(~cols.failed)
         return (
-            np.concatenate(positions),
-            np.concatenate(utilization),
-            np.concatenate(active),
-            np.concatenate(type_ids),
+            healthy,
+            (demand / cols.cpu_capacity)[healthy],
+            cols.alloc_count[healthy] > 0,
+            cols.type_id[healthy],
         )
 
     # ------------------------------------------------------------------
@@ -571,28 +520,21 @@ class SoADatacenter:
         so memoized per-id consumers invalidate.
         """
         self._usage_cache = [None] * len(self._views)
-        for shard in self._shards:
-            shard.usage[:] = 0
-            shard.csr.clear()
-            for row in range(shard.n):
-                shard.alloc_count[row] = len(shard.allocs[row])
-                info = self._infos[shard.shape_id[row]]
-                usage_row = shard.usage[row]
-                for allocation in shard.allocs[row].values():
-                    for g, group_assign in enumerate(allocation.assignments):
-                        offset = info.offsets[g]
-                        for idx, chunk in group_assign:
-                            usage_row[offset + idx] += chunk
+        cols = self._cols
+        cols.usage[:] = 0
+        cols.csr.clear()
+        for pos in range(cols.n):
+            cols.alloc_count[pos] = len(cols.allocs[pos])
+            info = self._infos[cols.shape_id[pos]]
+            usage_row = cols.usage[pos]
+            for allocation in cols.allocs[pos].values():
+                for g, group_assign in enumerate(allocation.assignments):
+                    offset = info.offsets[g]
+                    for idx, chunk in group_assign:
+                        usage_row[offset + idx] += chunk
         self._index.rebuild()
         for pm_id in self._pm_ids:
-            pos = self._pos_of[pm_id]
-            shard, row = self._shard_of(pos)
-            canonical = self._index.canonical_usage(pm_id)
-            if canonical is None:
-                shard.canon[row, :] = 0
-            else:
-                flat = [u for group in canonical for u in group]
-                shard.canon[row, : len(flat)] = flat
+            self._sync_canon(pm_id)
 
     def check_columns(self) -> List[str]:
         """Re-derive expected column state from the allocation records.
@@ -602,73 +544,72 @@ class SoADatacenter:
         """
         problems: List[str] = []
         seen_vms: Dict[int, int] = {}
-        for shard in self._shards:
-            for row in range(shard.n):
-                pos = shard.base + row
-                pm_id = self._pm_ids[pos]
-                info = self._infos[shard.shape_id[row]]
-                row_allocs = shard.allocs[row]
-                if shard.failed[row] and row_allocs:
-                    problems.append(
-                        f"crashed PM#{pm_id} still carries "
-                        f"{len(row_allocs)} allocation records"
-                    )
-                if int(shard.alloc_count[row]) != len(row_allocs):
-                    problems.append(
-                        f"alloc_count[{pm_id}] = "
-                        f"{int(shard.alloc_count[row])} != "
-                        f"{len(row_allocs)} records"
-                    )
-                expected = np.zeros(shard.usage.shape[1], dtype=np.int64)
+        cols = self._cols
+        for pos in range(cols.n):
+            pm_id = self._pm_ids[pos]
+            info = self._infos[cols.shape_id[pos]]
+            row_allocs = cols.allocs[pos]
+            if cols.failed[pos] and row_allocs:
+                problems.append(
+                    f"crashed PM#{pm_id} still carries "
+                    f"{len(row_allocs)} allocation records"
+                )
+            if int(cols.alloc_count[pos]) != len(row_allocs):
+                problems.append(
+                    f"alloc_count[{pm_id}] = "
+                    f"{int(cols.alloc_count[pos])} != "
+                    f"{len(row_allocs)} records"
+                )
+            expected = np.zeros(cols.usage.shape[1], dtype=np.int64)
+            for vm_id, allocation in row_allocs.items():
+                seen_vms[vm_id] = pm_id
+                for g, group_assign in enumerate(allocation.assignments):
+                    offset = info.offsets[g]
+                    for idx, chunk in group_assign:
+                        expected[offset + idx] += chunk
+            if not np.array_equal(expected, cols.usage[pos]):
+                problems.append(
+                    f"usage column of PM#{pm_id} diverged from its "
+                    f"allocation records: {cols.usage[pos].tolist()} "
+                    f"!= {expected.tolist()}"
+                )
+            view = self._views[pos]
+            if cols.failed[pos]:
+                expected_canon = np.zeros_like(expected)
+            else:
+                canonical = info.shape.canonicalize(view.usage)
+                flat = [u for group in canonical for u in group]
+                expected_canon = np.zeros_like(expected)
+                expected_canon[: len(flat)] = flat
+            if not np.array_equal(expected_canon, cols.canon[pos]):
+                problems.append(
+                    f"canonical column of PM#{pm_id} stale: "
+                    f"{cols.canon[pos].tolist()} != "
+                    f"{expected_canon.tolist()}"
+                )
+            for burst, csr in cols.csr.items():
                 for vm_id, allocation in row_allocs.items():
-                    seen_vms[vm_id] = pm_id
-                    for g, group_assign in enumerate(allocation.assignments):
-                        offset = info.offsets[g]
-                        for idx, chunk in group_assign:
-                            expected[offset + idx] += chunk
-                if not np.array_equal(expected, shard.usage[row]):
-                    problems.append(
-                        f"usage column of PM#{pm_id} diverged from its "
-                        f"allocation records: {shard.usage[row].tolist()} "
-                        f"!= {expected.tolist()}"
-                    )
-                view = self._views[pos]
-                if shard.failed[row]:
-                    expected_canon = np.zeros_like(expected)
-                else:
-                    canonical = info.shape.canonicalize(view.usage)
-                    flat = [u for group in canonical for u in group]
-                    expected_canon = np.zeros_like(expected)
-                    expected_canon[: len(flat)] = flat
-                if not np.array_equal(expected_canon, shard.canon[row]):
-                    problems.append(
-                        f"canonical column of PM#{pm_id} stale: "
-                        f"{shard.canon[row].tolist()} != "
-                        f"{expected_canon.tolist()}"
-                    )
-                for burst, csr in shard.csr.items():
-                    for vm_id, allocation in row_allocs.items():
-                        span = csr.spans.get((row, vm_id))
-                        if span is None:
-                            problems.append(
-                                f"CSR[{burst!r}] misses VM#{vm_id} on "
-                                f"PM#{pm_id}"
-                            )
-                            continue
-                        start, k = span
-                        want = chunk_ceilings(
-                            allocation.assignments[info.cpu_group],
-                            info.cpu_capacities,
-                            burst,
+                    span = csr.spans.get((pos, vm_id))
+                    if span is None:
+                        problems.append(
+                            f"CSR[{burst!r}] misses VM#{vm_id} on "
+                            f"PM#{pm_id}"
                         )
-                        got = tuple(csr.ceilings[start:start + k])
-                        if got != want or not np.all(
-                            csr.rows[start:start + k] == row
-                        ):
-                            problems.append(
-                                f"CSR[{burst!r}] terms of VM#{vm_id} on "
-                                f"PM#{pm_id} diverged: {got} != {want}"
-                            )
+                        continue
+                    start, k = span
+                    want = chunk_ceilings(
+                        allocation.assignments[info.cpu_group],
+                        info.cpu_capacities,
+                        burst,
+                    )
+                    got = tuple(csr.ceilings[start:start + k])
+                    if got != want or not np.all(
+                        csr.rows[start:start + k] == pos
+                    ):
+                        problems.append(
+                            f"CSR[{burst!r}] terms of VM#{vm_id} on "
+                            f"PM#{pm_id} diverged: {got} != {want}"
+                        )
         for vm_id, pm_id in seen_vms.items():
             if self._vm_location.get(vm_id) != pm_id:
                 problems.append(

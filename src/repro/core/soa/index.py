@@ -9,9 +9,8 @@
   placement path ranks with one masked ``argmax`` instead of a Python
   loop over classes;
 * a ``class_ids`` column mapping every inventory position to the class
-  id of its current used class (-1 while unused or failed).  Shards are
-  contiguous position ranges, so a shard's slice of this column is a
-  zero-copy view;
+  id of its current used class (-1 while unused or failed), indexed
+  like the fleet columns;
 * an ``epoch``-aware :meth:`rebuild` (inherited seam) so bulk array
   rebuilds invalidate memoized consumers (see
   ``ProfileScorePolicy._observe_index``);

@@ -117,7 +117,6 @@ def _measure_point(
     table: ScoreTable,
     n_pms: int,
     duration_s: float,
-    shard_size: int,
     workload_seed: int,
 ) -> Tuple[Dict[str, object], SimulationResult]:
     require(n_pms > 0, f"n_pms must be positive, got {n_pms}")
@@ -127,7 +126,7 @@ def _measure_point(
     vms = sweep_workload(n_vms, seed=workload_seed)
 
     start = time.perf_counter()
-    datacenter = build_ec2_soa_datacenter({"M3": n_pms}, shard_size=shard_size)
+    datacenter = build_ec2_soa_datacenter({"M3": n_pms})
     result = _simulate(datacenter, table, vms, duration_s)
     wall = time.perf_counter() - start
 
@@ -135,7 +134,6 @@ def _measure_point(
         "n_pms": n_pms,
         "n_vms": n_vms,
         "duration_s": duration_s,
-        "shard_size": shard_size,
         "soa_wall_s": wall,
         "pms_used": result.pms_used_final,
         "unplaced_vms": result.unplaced_vms,
@@ -150,16 +148,13 @@ def run_point(
     table: ScoreTable,
     n_pms: int,
     duration_s: float = 86_400.0,
-    shard_size: int = 4_096,
     workload_seed: int = 0,
 ) -> Dict[str, object]:
     """Measure one sweep point on the SoA substrate.
 
     Returns a dict with the SoA wall time and decision counters.
     """
-    return _measure_point(
-        table, n_pms, duration_s, shard_size, workload_seed
-    )[0]
+    return _measure_point(table, n_pms, duration_s, workload_seed)[0]
 
 
 def _assert_identical(
@@ -192,7 +187,6 @@ def run_sweep(
     points: Sequence[int] = SWEEP_POINTS,
     table: Optional[ScoreTable] = None,
     quick: bool = False,
-    shard_size: int = 4_096,
     check_identity: bool = False,
     scan_anchor_pms: int = 480,
     table_cache_dir: Optional[str] = None,
@@ -203,7 +197,6 @@ def run_sweep(
         points: datacenter sizes (n_pms) to measure, ascending.
         table: prebuilt M3 score table; built once here when omitted.
         quick: 2h simulated horizon instead of the paper's 24h day.
-        shard_size: rows per columnar shard.
         check_identity: every sweep point at a scan anchor size gains
             an ``identical`` verdict against that anchor's seed-scan run
             (asserted); at least one point must sit at an anchor size.
@@ -228,13 +221,12 @@ def run_sweep(
     results: Dict[int, SimulationResult] = {}
     for n_pms in sorted(points):
         point, results[n_pms] = _measure_point(
-            table, n_pms, duration_s, shard_size, workload_seed=0
+            table, n_pms, duration_s, workload_seed=0
         )
         sweep.append(point)
     summary: Dict[str, object] = {
         "scale_sweep_points": sweep,
         "scale_sweep_duration_s": duration_s,
-        "scale_sweep_shard_size": shard_size,
     }
     if anchors:
         scans = [measure_scan_anchor(table, n, duration_s) for n in anchors]

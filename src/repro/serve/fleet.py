@@ -249,7 +249,6 @@ def build_ec2_service(
     clock: Optional[Clock] = None,
     pool_size: Optional[int] = None,
     table_cache_dir: Optional[str] = None,
-    shard_size: int = 4_096,
     **service_kwargs,
 ) -> PlacementService:
     """The paper's M3 fleet as a service (loadgen's default world)."""
@@ -260,7 +259,7 @@ def build_ec2_service(
         pool_size=pool_size,
         rng=RngFactory(seed).generator("serve-policy"),
     )
-    datacenter = build_ec2_soa_datacenter(counts, shard_size=shard_size)
+    datacenter = build_ec2_soa_datacenter(counts)
     return PlacementService(
         datacenter,
         policy,

@@ -138,6 +138,56 @@ class TestPRV011:
         ) == []
 
 
+#: Stand-in for repro/core/soa/columns.py: the fleet's column storage.
+COLUMNS_MODULE = textwrap.dedent(
+    '''
+    __all__ = []
+
+    class FleetColumns:
+        def __init__(self, n: int, max_dims: int) -> None:
+            self.n = n
+            self.usage = []
+    '''
+)
+
+#: Stand-in for repro/core/soa/datacenter.py: the owner of the columns.
+SOA_DC_SOURCE = """
+class SoADatacenter:
+    def __init__(self, n: int) -> None:
+        self._cols = FleetColumns(n, 4)
+
+    @property
+    def columns(self) -> FleetColumns:
+        return self._cols
+
+    def place(self, pos: int) -> None:
+        self._cols.usage[pos, 0] += 1
+"""
+
+
+class TestPRV011FleetColumns:
+    def codes(self, source, path, extra=()):
+        return flow_codes(
+            source, path=path,
+            extra=[("repro/core/soa/columns.py", COLUMNS_MODULE), *extra],
+        )
+
+    def test_mutation_through_the_columns_property_flagged(self):
+        assert self.codes(
+            """
+            def corrupt(dc: SoADatacenter) -> None:
+                dc.columns.usage[0, 0] = 7
+            """,
+            path="repro/cluster/consumer.py",
+            extra=[("repro/core/soa/datacenter.py", SOA_DC_SOURCE)],
+        ) == ["PRV011"]
+
+    def test_owning_datacenter_module_is_sanctioned(self):
+        assert self.codes(
+            SOA_DC_SOURCE, path="repro/core/soa/datacenter.py"
+        ) == []
+
+
 RNG_MODULE = textwrap.dedent(
     '''
     __all__ = []

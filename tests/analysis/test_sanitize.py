@@ -201,9 +201,7 @@ class TestMutationSelfTest:
         def make_runner(mutated):
             def runner():
                 vms = sweep_workload(80, seed=3)
-                datacenter = build_ec2_soa_datacenter(
-                    {"M3": 32}, shard_size=8
-                )
+                datacenter = build_ec2_soa_datacenter({"M3": 32})
                 policy = PageRankVMPolicy({m3_table.shape: m3_table})
                 if mutated:
                     policy = mutate_policy(policy)
@@ -282,9 +280,7 @@ class TestMutationSelfTest:
 
         def make_runner(mutated):
             def runner():
-                datacenter = build_ec2_soa_datacenter(
-                    {"M3": 8}, shard_size=4
-                )
+                datacenter = build_ec2_soa_datacenter({"M3": 8})
                 policy = PageRankVMPolicy({m3_table.shape: m3_table})
                 vms = sweep_workload(8, seed=3)
                 # Three identically-typed VMs: two to build a shared
@@ -425,7 +421,7 @@ class TestRunTwin:
     ):
         report = run_twin(
             twin,
-            SanitizeScenario(n_pms=16, duration_s=duration_s, shard_size=8),
+            SanitizeScenario(n_pms=16, duration_s=duration_s),
             table=m3_table,
         )
         assert report.ok, report.render()

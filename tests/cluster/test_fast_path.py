@@ -8,12 +8,11 @@ Two guarantees are asserted here, at toy scale (EC2 scale lives in
   :class:`~repro.core.policy.PlacementDecision` as the legacy linear
   scan over a plain machine list — through placements, evictions,
   migrations and PM crash/repair cycles.
-* **monitoring**: a simulation on the struct-of-arrays datacenter, in
-  its production single-shard layout (vectorized columnar tick), reports
-  the same decisions-and-counters as the verbatim sequential tick on the
-  object datacenter, with float accumulators equal up to summation
-  order.  ``test_soa_identity.py`` repeats the check on a ragged
-  multi-shard layout and compares the final per-PM state.
+* **monitoring**: a simulation on the struct-of-arrays datacenter
+  (vectorized columnar tick) reports the same decisions-and-counters as
+  the verbatim sequential tick on the object datacenter, with float
+  accumulators equal up to summation order.  ``test_soa_identity.py``
+  repeats the check and compares the final per-PM state.
 """
 
 import numpy as np
@@ -267,7 +266,6 @@ class TestTickEquivalence:
         dc_scan, scan = run_once(
             toy_shape, toy_table, bursty_vms(14, vm2), vectorized=False
         )
-        assert len(dc_fast.shards) == 1  # the production layout at this size
         assert fast.overload_events > 0  # the workload must exercise ticks
         for field in (
             "n_vms", "unplaced_vms", "pms_used_initial", "pms_used_peak",

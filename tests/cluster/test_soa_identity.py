@@ -9,10 +9,10 @@ this suite exercises:
   class ranking over the SoA class table agrees with the object path's
   per-class walk.
 * **simulation**: a full run with the columnar tick
-  (``monitor_arrays`` + bincount demand fold) over a ragged multi-shard
-  layout reports the same counters and final per-PM state as the seed
-  scan on the object datacenter, with float accumulators equal up to
-  summation order — including under PM crash/recover faults.
+  (``monitor_arrays`` + bincount demand fold) reports the same counters
+  and final per-PM state as the seed scan on the object datacenter,
+  with float accumulators equal up to summation order — including
+  under PM crash/recover faults.
 * **auditing**: the final SoA state passes the MIP constraint replay
   plus the I1 (index) and I2 (column re-derivation) checks.
 """
@@ -41,11 +41,8 @@ def object_datacenter(toy_shape, count=8):
     ])
 
 
-def soa_datacenter(toy_shape, count=8, shard_size=3):
-    # shard_size=3 forces multiple (and one ragged) shard at toy scale.
-    return SoADatacenter(
-        [(i, toy_shape, "M3") for i in range(count)], shard_size=shard_size
-    )
+def soa_datacenter(toy_shape, count=8):
+    return SoADatacenter([(i, toy_shape, "M3") for i in range(count)])
 
 
 # The fast-path fault script: exercises class splits, merges, and
@@ -172,7 +169,7 @@ class TestSoASelectionIdentity:
     def test_failed_migration_rolls_back_columns(
         self, toy_shape, toy_table, vm2
     ):
-        soa = soa_datacenter(toy_shape, count=2, shard_size=2)
+        soa = soa_datacenter(toy_shape, count=2)
         policy = PageRankVMPolicy({toy_shape: toy_table})
         vm = VirtualMachine(0, vm2, ConstantTrace(0.3))
         soa.apply(vm, policy.select(vm2, soa.indexed_machines()))
@@ -226,10 +223,9 @@ class TestSoATickEquivalence:
     def test_columnar_tick_matches_object_fast_path(
         self, toy_shape, toy_table, vm2, constraint_audit
     ):
-        # The object datacenter's one simulation path is the seed scan;
-        # shard_size=4 splits the six PMs into a full and a ragged shard.
+        # The object datacenter's one simulation path is the seed scan.
         dc_obj = object_datacenter(toy_shape, count=6)
-        dc_soa = soa_datacenter(toy_shape, count=6, shard_size=4)
+        dc_soa = soa_datacenter(toy_shape, count=6)
         obj = run_once(dc_obj, toy_table, bursty_vms(14, vm2))
         soa = run_once(dc_soa, toy_table, bursty_vms(14, vm2))
         assert soa.overload_events > 0  # the workload must exercise ticks
@@ -250,7 +246,7 @@ class TestSoATickEquivalence:
         self, toy_shape, toy_table, vm2, constraint_audit
     ):
         dc_obj = object_datacenter(toy_shape, count=6)
-        dc_soa = soa_datacenter(toy_shape, count=6, shard_size=4)
+        dc_soa = soa_datacenter(toy_shape, count=6)
         obj = run_once(
             dc_obj, toy_table, bursty_vms(10, vm2), faults=crash_injector()
         )

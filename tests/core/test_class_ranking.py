@@ -87,9 +87,7 @@ def test_class_ranking_matches_linear_scan(make_policy, m3_table):
     scan_dc = Datacenter(
         [PhysicalMachine(i, shape, type_name="M3") for i in range(N_PMS)]
     )
-    soa_dc = SoADatacenter(
-        [(i, shape, "M3") for i in range(N_PMS)], shard_size=16
-    )
+    soa_dc = SoADatacenter([(i, shape, "M3") for i in range(N_PMS)])
     scan_policy, soa_policy = make_policy(m3_table), make_policy(m3_table)
     rng = np.random.default_rng(0)
     placed = {}  # vm_id -> VMType

@@ -17,10 +17,8 @@ from repro.core.soa.index import SoAClassTable
 from repro.traces.base import ConstantTrace
 
 
-def soa_datacenter(toy_shape, count=8, shard_size=3):
-    return SoADatacenter(
-        [(i, toy_shape, "M3") for i in range(count)], shard_size=shard_size
-    )
+def soa_datacenter(toy_shape, count=8):
+    return SoADatacenter([(i, toy_shape, "M3") for i in range(count)])
 
 
 def place(dc, policy, vm_id, vm_type):
@@ -162,8 +160,7 @@ class TestColumnAudit:
         place(dc, policy, 0, vm2)
         report = audit_datacenter(dc, expected_vm_ids=[0])
         assert report.ok
-        shard = dc.shards[0]
-        shard.usage[0, 0] += 1  # simulate column corruption
+        dc.columns.usage[0, 0] += 1  # simulate column corruption
         problems = dc.check_columns()
         assert problems and "usage column" in problems[0]
         report = audit_datacenter(dc, expected_vm_ids=[0])

@@ -146,7 +146,7 @@ class TestAuditHook:
         def corrupting_run(self, vms):
             result = original(self, vms)
             # Break conservation: a phantom unit in PM 0's usage column.
-            self._dc.shards[0].usage[0, 0] += 1
+            self._dc.columns.usage[0, 0] += 1
             self._dc._usage_cache[0] = None
             return result
 

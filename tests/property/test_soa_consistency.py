@@ -5,9 +5,8 @@ the columnar datacenter's usage-class index must stay internally
 consistent (``check_consistency``), its columns must re-derive exactly
 from the allocation records (``check_columns``, the auditor's I2), and
 at toy scale the full MIP constraint replay must pass.  A small number
-of examples also runs at 5k PMs — the scale where the sharded columns
-actually span many shards — to catch base/row addressing bugs the toy
-world cannot.
+of examples also runs at 5k PMs, past the toy world's row range, to
+catch position addressing bugs the toy world cannot.
 """
 
 from hypothesis import given, settings
@@ -35,11 +34,8 @@ def op_sequences(draw, max_ops=24):
 class _Driver:
     """One SoA datacenter driven through the op vocabulary."""
 
-    def __init__(self, toy_shape, toy_table, n_pms, shard_size):
-        self.dc = SoADatacenter(
-            [(i, toy_shape, "M3") for i in range(n_pms)],
-            shard_size=shard_size,
-        )
+    def __init__(self, toy_shape, toy_table, n_pms):
+        self.dc = SoADatacenter([(i, toy_shape, "M3") for i in range(n_pms)])
         self.policy = PageRankVMPolicy({toy_shape: toy_table})
         self.placed = {}  # vm_id -> VMType
         self.next_id = 0
@@ -100,8 +96,7 @@ class TestSoAConsistency:
     def test_any_op_sequence_keeps_columns_consistent(
         self, ops, toy_shape, toy_table, vm1, vm2, vm4
     ):
-        # shard_size=3 at 8 PMs: three shards, the last one ragged.
-        driver = _Driver(toy_shape, toy_table, n_pms=8, shard_size=3)
+        driver = _Driver(toy_shape, toy_table, n_pms=8)
         for op in ops:
             driver.step(op, (vm1, vm2, vm4))
         driver.check()
@@ -114,9 +109,9 @@ class TestSoAConsistency:
     def test_op_sequences_at_5k_pms(
         self, ops, toy_shape, toy_table, vm1, vm2, vm4
     ):
-        # Many shards (5000 / 1024 -> 5, the last ragged): crash/repair
-        # and migrations must address rows across shard boundaries.
-        driver = _Driver(toy_shape, toy_table, n_pms=5_000, shard_size=1_024)
+        # Crash/repair and migrations must address rows anywhere in a
+        # 5k-row column set.
+        driver = _Driver(toy_shape, toy_table, n_pms=5_000)
         for op in ops:
             driver.step(op, (vm1, vm2, vm4))
         driver.check()

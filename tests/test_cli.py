@@ -336,7 +336,6 @@ class TestSanitizeCommand:
         assert args.pms == 480
         assert args.quick is False
         assert args.seed == 0
-        assert args.shard_size == 4096
         assert args.max_ulps is None
         assert args.dump is None
 
@@ -373,7 +372,7 @@ class TestSanitizeCommand:
         dump = tmp_path / "report.json"
         code = main([
             "sanitize", "run", "--twin", "soa", "--pms", "16",
-            "--quick", "--shard-size", "8", "--dump", str(dump),
+            "--quick", "--dump", str(dump),
         ])
         assert code == 0
         out = capsys.readouterr().out
