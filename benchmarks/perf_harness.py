@@ -449,54 +449,25 @@ def seed_actual_cpu_utilization(self, time_s: float, burst="core") -> float:
     return demand / self._cpu_capacity
 
 
-def _seed_used_machines(self):
-    """Seed ``Datacenter.used_machines``: a full O(n) inventory scan."""
-    return [m for m in self._machines if m.is_used]
-
-
-def _seed_healthy_machines(self):
-    """Seed ``Datacenter.healthy_machines``: a full O(n) inventory scan."""
-    return [m for m in self._machines if not m.is_failed]
-
-
-def _seed_pms_used(self):
-    """Seed ``Datacenter.pms_used``: counts by scanning the inventory."""
-    return sum(1 for m in self._machines if m.is_used)
-
-
 @contextmanager
 def seed_serving_path():
-    """Swap the seed per-tick / per-scan implementations back in.
+    """Swap the seed per-tick utilization back in.
 
     Inside the context, ``PhysicalMachine.actual_cpu_utilization`` walks
-    chunks per call and the datacenter inventory queries are O(n) scans —
-    the pre-index serving path.  Combined with the object datacenter
-    (whose simulation runs the verbatim sequential tick and list-based
+    chunks per call — the pre-memoization tick.  Combined with the object
+    datacenter (whose inventory queries are the seed's O(n) scans and
+    whose simulation runs the verbatim sequential tick and list-based
     policy scan) this reproduces the seed's end-to-end behavior for
     honest baseline timing.
     """
-    from repro.cluster.datacenter import Datacenter
     from repro.cluster.machine import PhysicalMachine
 
-    saved = (
-        PhysicalMachine.actual_cpu_utilization,
-        Datacenter.used_machines,
-        Datacenter.healthy_machines,
-        Datacenter.pms_used,
-    )
+    saved = PhysicalMachine.actual_cpu_utilization
     PhysicalMachine.actual_cpu_utilization = seed_actual_cpu_utilization
-    Datacenter.used_machines = _seed_used_machines
-    Datacenter.healthy_machines = _seed_healthy_machines
-    Datacenter.pms_used = property(_seed_pms_used)
     try:
         yield
     finally:
-        (
-            PhysicalMachine.actual_cpu_utilization,
-            Datacenter.used_machines,
-            Datacenter.healthy_machines,
-            Datacenter.pms_used,
-        ) = saved
+        PhysicalMachine.actual_cpu_utilization = saved
 
 
 def online_serving_workload(n_vms: int, seed: int = 0):

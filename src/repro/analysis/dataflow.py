@@ -11,7 +11,8 @@ rules per file against it:
 
 PRV011
     mutation of an indexed structure (``UsageClassIndex`` /
-    ``SoAClassTable`` / ``FleetColumns`` and subclasses) outside its
+    ``SoAClassTable`` of :mod:`repro.core.usage_index`, ``FleetColumns``
+    of :mod:`repro.core.soa.columns`, and subclasses) outside its
     sanctioned maintenance path.  Sanctioned means: the structure's
     defining module, a module that constructs the structure (its
     owner), or a function that also calls ``refresh`` / ``rebuild`` /

@@ -35,6 +35,12 @@ Score-table consistency findings use ``T``-codes (``T1`` non-canonical
 profile, ``T2`` invalid usage, ``T3`` non-finite or negative score,
 ``T4`` score mismatch against a recomputation), since the table is an
 implementation artifact rather than a paper constraint.
+
+Two implementation checks audit the columnar
+:class:`~repro.core.soa.SoADatacenter`: ``I1`` compares its usage-class
+index against a fresh scan and ``I2`` its fleet columns against the
+allocation records.  The object ``Datacenter`` is the seed scan and
+maintains neither, so it is audited on ``C``-constraints alone.
 """
 
 from __future__ import annotations
@@ -370,9 +376,10 @@ def audit_datacenter(
     allocation records (capacity conservation per resource dimension)
     and the datacenter's VM-location index against the machines that
     actually host each VM (the x/y/z linkage (2)/(7)).  When the
-    datacenter maintains a usage-class index (the online serving path),
-    the index is additionally compared against a fresh scan of the
-    fleet (I1): a stale class, state or ordering entry is reported.
+    datacenter maintains a usage-class index (the columnar serving
+    path), the index is additionally compared against a fresh scan of
+    the fleet (I1): a stale class, state, ordering, class-table or
+    class-id entry is reported.
     Columnar (SoA) datacenters expose ``check_columns``, audited here as
     I2: usage/count/canonical columns and the CSR demand terms must
     match the allocation records exactly.

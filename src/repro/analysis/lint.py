@@ -33,11 +33,12 @@ PRV009    wall-clock read (``time.time``/``monotonic``/``datetime.now``
           checkpoint resume
 PRV010    full-inventory read (``datacenter.machines``) inside a
           ``repro/cluster`` monitor-tick / serving-path function — the
-          usage-class index maintains ``pms_used`` / ``used_machines``
-          / ``healthy_machines`` precisely so the tick path never
+          ``SoADatacenter``'s usage-class index maintains ``pms_used``
+          / ``used_machines`` / ``healthy_machines`` so the tick path never
           rediscovers fleet state with an O(n_machines) scan
 PRV011    mutation of an indexed structure (``UsageClassIndex`` /
-          ``SoAClassTable`` / ``FleetColumns``) outside its epoch-keyed
+          ``SoAClassTable`` of :mod:`repro.core.usage_index`,
+          ``FleetColumns``) outside its epoch-keyed
           maintenance path — memoized consumers keep serving stale
           class ids and score vectors (dataflow rule, see
           :mod:`repro.analysis.dataflow`)
@@ -171,8 +172,9 @@ RULES: Tuple[Rule, ...] = (
         name="machine-scan-in-tick-path",
         summary="O(n_machines) inventory scan inside a cluster tick-path "
                 "function",
-        hint="serve from the maintained usage-class index instead "
-             "(indexed_machines() / used_machines() / healthy_machines())",
+        hint="serve from the SoADatacenter's maintained usage-class "
+             "index instead (indexed_machines() / used_machines() / "
+             "healthy_machines())",
     ),
     Rule(
         code="PRV011",

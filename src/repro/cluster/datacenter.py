@@ -5,10 +5,10 @@ decisions produced by policies.  It answers the inventory questions the
 experiment harness asks (PMs used, where a VM lives) and implements the
 mechanics of migration (atomic remove + place).
 
-Every mutation also updates a :class:`~repro.core.usage_index.
-UsageClassIndex`, so ``pms_used``/``used_machines``/``healthy_machines``
-are maintained lookups rather than full scans and policies can serve
-placement requests from the class structure (``indexed_machines``).
+This is the seed code, kept as the oracle the columnar
+:class:`~repro.core.soa.SoADatacenter` is checked against: every
+inventory query is a plain scan over the machines, and no usage-class
+index is maintained.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.cluster.allocation import Allocation
 from repro.cluster.machine import PhysicalMachine
 from repro.cluster.vm import VirtualMachine
 from repro.core.policy import PlacementDecision
-from repro.core.usage_index import IndexedMachines, UsageClassIndex
 from repro.util.validation import ValidationError, require
 
 __all__ = ["Datacenter", "restore_placement"]
@@ -36,8 +35,6 @@ class Datacenter:
         self._machines = machines
         self._by_id: Dict[int, PhysicalMachine] = {m.pm_id: m for m in machines}
         self._vm_location: Dict[int, int] = {}
-        self._index = UsageClassIndex(machines)
-        self._view = IndexedMachines(self._index)
 
     # ------------------------------------------------------------------
     # Inventory
@@ -64,31 +61,17 @@ class Datacenter:
         return len(self._machines)
 
     def used_machines(self) -> List[PhysicalMachine]:
-        """PMs currently hosting at least one VM (maintained, O(used))."""
-        return self._index.used_machines()
+        """PMs currently hosting at least one VM."""
+        return [m for m in self._machines if m.is_used]
 
     def healthy_machines(self) -> List[PhysicalMachine]:
         """PMs not currently crashed — the candidate pool under faults."""
-        return self._index.healthy_machines()
-
-    @property
-    def usage_index(self) -> UsageClassIndex:
-        """The maintained usage-class index (audited by check I1)."""
-        return self._index
-
-    def indexed_machines(self) -> IndexedMachines:
-        """Live class-structured view of the healthy machines.
-
-        Policies route requests through this view to score each distinct
-        ``(shape, canonical usage)`` class once instead of once per PM;
-        list-based callers can still iterate it machine by machine.
-        """
-        return self._view
+        return [m for m in self._machines if not m.is_failed]
 
     @property
     def pms_used(self) -> int:
-        """Number of PMs currently hosting VMs (maintained, O(1))."""
-        return self._index.n_used
+        """Number of PMs currently hosting VMs."""
+        return sum(1 for m in self._machines if m.is_used)
 
     @property
     def n_vms(self) -> int:
@@ -119,7 +102,6 @@ class Datacenter:
         machine = self.machine(decision.pm_id)
         allocation = machine.place(vm, decision.placement, time_s)
         self._vm_location[vm.vm_id] = machine.pm_id
-        self._index.refresh(machine.pm_id)
         return allocation
 
     def evict(self, vm_id: int) -> Allocation:
@@ -133,7 +115,6 @@ class Datacenter:
             raise KeyError(f"VM#{vm_id} is not placed")
         allocation = self._by_id[pm_id].remove(vm_id)
         del self._vm_location[vm_id]
-        self._index.refresh(pm_id)
         return allocation
 
     def crash_machine(self, pm_id: int) -> List[Allocation]:
@@ -153,7 +134,6 @@ class Datacenter:
         if machine.is_failed:
             raise ValidationError(f"PM#{pm_id} is already crashed")
         machine.mark_failed()
-        self._index.refresh(pm_id)
         return [self.evict(a.vm_id) for a in machine.allocations]
 
     def repair_machine(self, pm_id: int) -> None:
@@ -167,7 +147,6 @@ class Datacenter:
         if not machine.is_failed:
             raise ValidationError(f"PM#{pm_id} is not crashed")
         machine.mark_repaired()
-        self._index.refresh(pm_id)
 
     def migrate(
         self,
@@ -193,7 +172,6 @@ class Datacenter:
                 old.placed_at,
             )
             self._vm_location[vm_id] = old.pm_id
-            self._index.refresh(old.pm_id)
             raise
 
 

@@ -160,10 +160,11 @@ class CloudSimulation:
     exposing ``monitor_arrays``, i.e.
     :class:`~repro.core.soa.SoADatacenter`) serves placement requests
     through its usage-class index and runs the columnar monitor tick.
-    The object :class:`~repro.cluster.datacenter.Datacenter` runs the
-    verbatim seed code instead — plain machine lists and the
-    machine-by-machine tick — which is the baseline the perf harness
-    times against and the oracle the identity tests compare with.
+    The object :class:`~repro.cluster.datacenter.Datacenter` keeps no
+    index and runs the verbatim seed code instead — plain machine lists
+    scanned per decision and the machine-by-machine tick — which is the
+    baseline the perf harness times against and the oracle the identity
+    tests compare with.
     Placement decisions, migrations and overload counts are identical
     on both; energy/SLO totals agree up to float summation order.
     """
@@ -486,8 +487,8 @@ class CloudSimulation:
         """The candidate pool policies see: every non-crashed PM.
 
         The columnar datacenter hands out its live class-structured
-        view; the object datacenter returns the same machines as plain
-        lists (the seed scan).
+        view; the object datacenter, which has no index, returns the
+        same machines as plain lists (the seed scan).
         """
         if self._columnar:
             return self._dc.indexed_machines()

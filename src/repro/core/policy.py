@@ -329,7 +329,7 @@ class ProfileScorePolicy(PlacementPolicy):
         score memos; the content-addressed memo stays valid.
         """
         index = view.index
-        token = (id(index), getattr(index, "epoch", 0))
+        token = (id(index), index.epoch)
         if self._index_token == token:
             return
         rebuilt_underneath = (
@@ -513,13 +513,12 @@ class ProfileScorePolicy(PlacementPolicy):
         loop ranks them; above that one masked argmax does.
         """
         self._observe_index(view)
-        table = getattr(view, "class_table", None)
-        if self._pool_size is not None or table is None:
+        if self._pool_size is not None:
             # Pool sampling draws machine indices from the RNG stream;
             # the class path would consume it differently, so 2-choice
-            # runs keep the legacy scan bit-for-bit.  So does a view
-            # without a class table (the object index).
+            # runs keep the legacy scan bit-for-bit.
             return super()._select_among_used_classes(vm, view)
+        table = view.class_table
         n = table.n_classes
         scores = self._class_scores(vm, n)
         if n <= _VECTOR_MIN_CLASSES:

@@ -4,20 +4,16 @@ See DESIGN.md section 3.11.  Public surface:
 
 * :class:`SoADatacenter` / :class:`SoAMachineView` — the columnar
   substrate behind the object-path ``Datacenter``/``PhysicalMachine``
-  API;
-* :class:`SoAUsageClassIndex` / :class:`SoAIndexedMachines` /
-  :class:`SoAClassTable` — the class-id-table-backed usage index;
+  API, and the only datacenter that maintains a usage-class index
+  (:mod:`repro.core.usage_index`, which lives outside this package to
+  avoid an import cycle through :mod:`repro.core.policy`); the object
+  ``Datacenter`` is the seed scan;
 * :class:`FleetColumns` / :class:`TraceColumns` — the raw column
   storage, built only by :class:`SoADatacenter`.
 """
 
 from repro.core.soa.columns import FleetColumns, ShapeInfo, TraceColumns
 from repro.core.soa.datacenter import SoADatacenter, SoAMachineView
-from repro.core.soa.index import (
-    SoAClassTable,
-    SoAIndexedMachines,
-    SoAUsageClassIndex,
-)
 
 __all__ = [
     "FleetColumns",
@@ -25,7 +21,4 @@ __all__ = [
     "TraceColumns",
     "SoADatacenter",
     "SoAMachineView",
-    "SoAClassTable",
-    "SoAIndexedMachines",
-    "SoAUsageClassIndex",
 ]

@@ -44,7 +44,7 @@ from repro.core.soa.columns import (
     chunk_ceilings,
     validate_burst,
 )
-from repro.core.soa.index import SoAIndexedMachines, SoAUsageClassIndex
+from repro.core.usage_index import IndexedMachines, UsageClassIndex
 from repro.util.validation import ValidationError, require
 
 __all__ = ["SoAMachineView", "SoADatacenter"]
@@ -232,8 +232,8 @@ class SoADatacenter:
             SoAMachineView(self, pos) for pos in range(n)
         ]
         self._usage_cache: List[Optional[Usage]] = [None] * n
-        self._index = SoAUsageClassIndex(self._views)
-        self._view = SoAIndexedMachines(self._index)
+        self._index = UsageClassIndex(self._views)
+        self._view = IndexedMachines(self._index)
 
     @classmethod
     def from_machines(cls, machines: Sequence[Any]) -> "SoADatacenter":
@@ -281,11 +281,11 @@ class SoADatacenter:
         return self._index.healthy_machines()
 
     @property
-    def usage_index(self) -> SoAUsageClassIndex:
+    def usage_index(self) -> UsageClassIndex:
         """The maintained usage-class index (audited by check I1)."""
         return self._index
 
-    def indexed_machines(self) -> SoAIndexedMachines:
+    def indexed_machines(self) -> IndexedMachines:
         """Live class-structured view of the healthy machines."""
         return self._view
 

@@ -210,8 +210,9 @@ class PlacementService:
     """Places and migrates VMs over one datacenter behind a breaker.
 
     Args:
-        datacenter: the substrate (``SoADatacenter`` in production; any
-            object with the ``Datacenter`` mutation API works).
+        datacenter: the substrate.  It must maintain a usage-class
+            index (``indexed_machines()``), i.e. be a ``SoADatacenter``;
+            the object ``Datacenter`` is the seed scan and has none.
         policy: the placement policy.  PageRankVM's degradation surface
             (``degraded`` / ``degraded_reason`` / ``probe_tables``) is
             discovered by duck typing, so baselines serve too — they

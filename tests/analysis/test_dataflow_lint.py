@@ -1,8 +1,9 @@
 """Tests for the dataflow lint rules (PRV011–PRV013) and renderers.
 
-Fixtures model the shapes in :mod:`repro.core.soa`: an index module
-defining ``SoAClassTable`` / ``SoAUsageClassIndex``, an owner module
-constructing them, and consumer modules reaching in from outside.  The
+Fixtures model the shapes in :mod:`repro.core.usage_index`: an index
+module defining ``SoAClassTable`` / ``UsageClassIndex`` (and a subclass,
+so the rules must see through inheritance), an owner module constructing
+them, and consumer modules reaching in from outside.  The
 real ``src/repro`` tree is the documented negative: it must lint clean
 with the cross-module table active.
 """
@@ -19,7 +20,7 @@ from repro.analysis.sarif import render_json, render_sarif
 
 SRC_ROOT = Path(__file__).resolve().parent.parent.parent / "src" / "repro"
 
-#: A minimal stand-in for repro/core/soa/index.py: defines the indexed
+#: A minimal stand-in for repro/core/usage_index.py: defines the indexed
 #: structures the rules protect.
 INDEX_MODULE = textwrap.dedent(
     '''
@@ -35,10 +36,6 @@ INDEX_MODULE = textwrap.dedent(
 
     class UsageClassIndex:
         def __init__(self, machines) -> None:
-            self.epoch = 0
-
-    class SoAUsageClassIndex(UsageClassIndex):
-        def __init__(self, machines) -> None:
             self.table = SoAClassTable()
             self.class_ids = []
             self.epoch = 0
@@ -48,6 +45,9 @@ INDEX_MODULE = textwrap.dedent(
 
         def rebuild(self) -> None:
             self.epoch += 1
+
+    class TunedIndex(UsageClassIndex):
+        pass
     '''
 )
 
@@ -55,7 +55,7 @@ INDEX_MODULE = textwrap.dedent(
 def flow_codes(source, path="repro/cluster/consumer.py", extra=()):
     """Dataflow findings for a snippet, with the index module (and any
     extra modules) contributing to the symbol table."""
-    modules = [("repro/core/soa/index.py", INDEX_MODULE)]
+    modules = [("repro/core/usage_index.py", INDEX_MODULE)]
     modules.extend(extra)
     source = textwrap.dedent(source)
     modules.append((path, source))
@@ -67,7 +67,7 @@ class TestPRV011:
     def test_store_into_index_state_flagged(self):
         assert flow_codes(
             """
-            def poke(index: SoAUsageClassIndex) -> None:
+            def poke(index: TunedIndex) -> None:
                 index.class_ids[3] = -1
             """
         ) == ["PRV011"]
@@ -75,7 +75,7 @@ class TestPRV011:
     def test_mutator_call_through_the_table_flagged(self):
         assert flow_codes(
             """
-            def poke(index: SoAUsageClassIndex, key, members) -> None:
+            def poke(index: TunedIndex, key, members) -> None:
                 index.table.update(key, members)
             """
         ) == ["PRV011"]
@@ -93,7 +93,7 @@ class TestPRV011:
         # in the mutating function re-derives the canonical state.
         assert flow_codes(
             """
-            def repack(index: SoAUsageClassIndex, key, members) -> None:
+            def repack(index: UsageClassIndex, key, members) -> None:
                 index.table.update(key, members)
                 index.rebuild()
             """
@@ -104,7 +104,7 @@ class TestPRV011:
             """
             class Datacenter:
                 def __init__(self, machines) -> None:
-                    self._index = SoAUsageClassIndex(machines)
+                    self._index = UsageClassIndex(machines)
 
                 def place(self, pos: int) -> None:
                     self._index.class_ids[pos] = 7
@@ -114,7 +114,7 @@ class TestPRV011:
     def test_methods_of_the_structure_itself_are_sanctioned(self):
         assert flow_codes(
             """
-            class FastIndex(SoAUsageClassIndex):
+            class FastIndex(UsageClassIndex):
                 def tweak(self, pos: int) -> None:
                     self.class_ids[pos] = -1
             """
@@ -123,7 +123,7 @@ class TestPRV011:
     def test_reads_are_not_mutations(self):
         assert flow_codes(
             """
-            def peek(index: SoAUsageClassIndex) -> int:
+            def peek(index: UsageClassIndex) -> int:
                 return index.class_ids[0]
             """
         ) == []

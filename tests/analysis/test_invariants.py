@@ -25,6 +25,7 @@ from repro.core.permutations import Placement, balanced_placement
 from repro.core.policy import PlacementDecision
 from repro.core.profile import MachineShape, ResourceGroup, VMType
 from repro.core.score_table import ScoreTable
+from repro.core.soa import SoADatacenter
 from repro.model.analytic import PlacementInstance, PlacementSolution
 from repro.traces.base import ConstantTrace
 from repro.util.validation import ValidationError
@@ -256,9 +257,18 @@ class TestAuditDatacenter:
         assert report.checked_pms == 3
 
     def test_usage_corruption_is_c2(self, toy_shape, vm2):
-        datacenter = toy_datacenter(toy_shape)
+        datacenter = SoADatacenter.from_machines(
+            toy_datacenter(toy_shape).machines
+        )
         place(datacenter, 0, vm2)
-        datacenter.machine(0)._usage[0][0] += 1  # bit-flip the bookkeeping
+        # Bit-flip the committed usage PM 0 reports, mirrored into its
+        # canonical column so the columns (I2) stay self-consistent.
+        usage = datacenter.machine(0).usage
+        corrupted = ((usage[0][0] + 1,) + usage[0][1:],) + usage[1:]
+        datacenter._usage_cache[0] = corrupted
+        canonical = toy_shape.canonicalize(corrupted)
+        flat = [u for group in canonical for u in group]
+        datacenter.columns.canon[0, : len(flat)] = flat
         report = audit_datacenter(datacenter)
         # The corrupted usage breaks conservation (C2) and makes the
         # usage-class index stale relative to a fresh scan (I1).

@@ -4,10 +4,11 @@ Two guarantees are asserted here, at toy scale (EC2 scale lives in
 ``benchmarks/test_perf_core.py``):
 
 * **selection**: for every policy, selecting against the
-  :class:`~repro.core.usage_index.IndexedMachines` view returns the same
+  :class:`~repro.core.usage_index.IndexedMachines` view of a
+  struct-of-arrays datacenter returns the same
   :class:`~repro.core.policy.PlacementDecision` as the legacy linear
-  scan over a plain machine list — through placements, evictions,
-  migrations and PM crash/repair cycles.
+  scan over the object datacenter's plain machine list — through
+  placements, evictions, migrations and PM crash/repair cycles.
 * **monitoring**: a simulation on the struct-of-arrays datacenter
   (vectorized columnar tick) reports the same decisions-and-counters as
   the verbatim sequential tick on the object datacenter, with float
@@ -41,6 +42,10 @@ def toy_datacenter(toy_shape, count=8):
     return Datacenter([
         PhysicalMachine(i, toy_shape, type_name="M3") for i in range(count)
     ])
+
+
+def soa_datacenter(toy_shape, count=8):
+    return SoADatacenter([(i, toy_shape, "M3") for i in range(count)])
 
 
 POLICIES = ["pagerank", "first_fit", "ffd_sum", "best_fit", "compvm"]
@@ -172,7 +177,7 @@ class TestSelectionIdentity:
     ):
         vm_types = {"vm2": vm2, "vm4": vm4}
         fast = _FastTwin(
-            make_policy(name, toy_shape, toy_table), toy_datacenter(toy_shape)
+            make_policy(name, toy_shape, toy_table), soa_datacenter(toy_shape)
         )
         scan = _ScanTwin(
             make_policy(name, toy_shape, toy_table), toy_datacenter(toy_shape)
@@ -194,7 +199,7 @@ class TestSelectionIdentity:
                 {toy_shape: toy_table}, pool_size=2,
                 rng=np.random.default_rng(7),
             ),
-            toy_datacenter(toy_shape),
+            soa_datacenter(toy_shape),
         )
         scan = _ScanTwin(
             PageRankVMPolicy(
@@ -213,7 +218,7 @@ class TestSelectionIdentity:
     def test_view_is_accepted_by_base_select(self, toy_shape, vm2):
         # A policy that only overrides the legacy hooks still works when
         # handed the indexed view (base class bridges to used_list()).
-        dc = toy_datacenter(toy_shape)
+        dc = soa_datacenter(toy_shape)
         decision = FirstFitPolicy().select(vm2, dc.indexed_machines())
         assert isinstance(decision, PlacementDecision)
         assert decision.pm_id == 0
@@ -231,7 +236,7 @@ def bursty_vms(n, vm_type, seed=3):
 def run_once(toy_shape, toy_table, vms, vectorized, faults=None):
     """One hour on six PMs: SoA (columnar tick) or object (seed scan)."""
     if vectorized:
-        dc = SoADatacenter([(i, toy_shape, "M3") for i in range(6)])
+        dc = soa_datacenter(toy_shape, count=6)
     else:
         dc = toy_datacenter(toy_shape, count=6)
     sim = CloudSimulation(

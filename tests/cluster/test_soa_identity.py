@@ -6,8 +6,8 @@ this suite exercises:
 * **selection**: driving the same scripted mix of place / evict / crash
   / repair / migrate against both datacenters yields identical
   :class:`~repro.core.policy.PlacementDecision` streams — the vectorized
-  class ranking over the SoA class table agrees with the object path's
-  per-class walk.
+  class ranking over the SoA class table agrees with the seed's linear
+  scan over the object datacenter's healthy machines.
 * **simulation**: a full run with the columnar tick
   (``monitor_arrays`` + bincount demand fold) reports the same counters
   and final per-PM state as the seed scan on the object datacenter,
@@ -77,7 +77,7 @@ def run_script(obj, soa, vm_types, script=SCRIPT):
         kind = op[0]
         if kind == "place":
             vm_type = vm_types[op[1]]
-            d_obj = obj.policy.select(vm_type, obj.dc.indexed_machines())
+            d_obj = obj.policy.select(vm_type, obj.dc.healthy_machines())
             d_soa = soa.policy.select(vm_type, soa.dc.indexed_machines())
             assert (d_obj is None) == (d_soa is None), op
             if d_obj is None:
@@ -114,7 +114,7 @@ def run_script(obj, soa, vm_types, script=SCRIPT):
             vm_type = obj.placed[vm_id]
             source = obj.dc.locate(vm_id)
             d_obj = obj.policy.select_excluding(
-                vm_type, obj.dc.indexed_machines(), excluded_pm=source
+                vm_type, obj.dc.healthy_machines(), excluded_pm=source
             )
             d_soa = soa.policy.select_excluding(
                 vm_type, soa.dc.indexed_machines(), excluded_pm=source

@@ -13,7 +13,7 @@ from repro.analysis.invariants import audit_datacenter
 from repro.cluster.vm import VirtualMachine
 from repro.core.placement import PageRankVMPolicy
 from repro.core.soa import SoADatacenter
-from repro.core.soa.index import SoAClassTable
+from repro.core.usage_index import SoAClassTable
 from repro.traces.base import ConstantTrace
 
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cluster.datacenter import Datacenter
 from repro.cluster.machine import PhysicalMachine
 from repro.cluster.vm import VirtualMachine
 from repro.core.permutations import balanced_placement
@@ -11,13 +10,14 @@ from repro.core.policy import (
     PlacementDecision,
     ProfileScorePolicy,
 )
+from repro.core.soa import SoADatacenter
 from repro.core.usage_index import IndexedMachines, UsageClassIndex
 from repro.traces.base import ConstantTrace
 from repro.util.validation import ValidationError
 
 
 def toy_datacenter(toy_shape, count=4):
-    return Datacenter([
+    return SoADatacenter.from_machines([
         PhysicalMachine(i, toy_shape, type_name="M3") for i in range(count)
     ])
 
@@ -57,15 +57,21 @@ class TestIndexMaintenance:
         index = dc.usage_index
         assert index.n_used == 3
         assert index.n_classes == 1
-        (cls,) = dc.indexed_machines().used_classes()
-        assert cls.representative.pm_id == 0
-        assert cls.size == 3
+        (class_id,) = {int(index.class_ids[pos]) for pos in (0, 2, 3)}
+        assert index.class_ids[1] == -1
+        table = dc.indexed_machines().class_table
+        assert table.n_classes == 1
+        assert int(table.rep[class_id]) == 0
+        assert int(table.size[class_id]) == 3
 
     def test_distinct_usages_split_classes(self, toy_shape, vm2, vm4):
         dc = toy_datacenter(toy_shape)
         place(dc, 0, vm2, pm_id=0)
         place(dc, 1, vm4, pm_id=1)
-        assert dc.usage_index.n_classes == 2
+        index = dc.usage_index
+        assert index.n_classes == 2
+        assert index.class_ids[0] != index.class_ids[1]
+        assert index.table.size.tolist() == [1, 1]
 
     def test_evict_returns_machine_to_unused(self, toy_shape, vm2):
         dc = toy_datacenter(toy_shape)
@@ -75,6 +81,9 @@ class TestIndexMaintenance:
         assert index.n_used == 0
         assert index.n_classes == 0
         assert [m.pm_id for m in index.healthy_machines()] == [0, 1, 2, 3]
+        # The emptied class keeps its id with size 0; PM 0 has none.
+        assert index.class_ids[0] == -1
+        assert index.table.size.tolist() == [0]
 
     def test_crash_hides_machine_repair_restores_it(self, toy_shape, vm2):
         dc = toy_datacenter(toy_shape)
@@ -122,7 +131,9 @@ class TestConsistencyCheck:
     def test_out_of_band_mutation_detected(self, toy_shape, vm2):
         dc = toy_datacenter(toy_shape)
         place(dc, 0, vm2, pm_id=0)
-        dc.machine(0)._usage[0][0] += 1  # corrupt behind the index's back
+        usage = dc.machine(0).usage
+        # Corrupt the usage PM 0 serves behind the index's back.
+        dc._usage_cache[0] = ((usage[0][0] + 1,) + usage[0][1:],) + usage[1:]
         problems = dc.usage_index.check_consistency()
         assert problems
         assert any("canonical usage" in p for p in problems)
@@ -147,9 +158,13 @@ class TestIndexedView:
         view = dc.indexed_machines().excluding(0)
         assert [m.pm_id for m in view] == [1, 2, 3]
         assert [m.pm_id for m in view.used_list()] == [1]
-        (cls,) = view.used_classes()
-        assert cls.representative.pm_id == 1  # representative shifts past 0
-        assert cls.size == 1
+        # The table row is view-independent; the ranking skips PM 0 and
+        # lands on the class's next member.
+        (class_id,) = set(view.index.class_ids[:2].tolist())
+        assert int(view.class_table.rep[class_id]) == 0
+        assert int(view.class_table.size[class_id]) == 2
+        assert UtilizationPolicy().select(vm2, dc.indexed_machines()).pm_id == 0
+        assert UtilizationPolicy().select(vm2, view).pm_id == 1
 
     def test_excluding_again_replaces_previous(self, toy_shape):
         dc = toy_datacenter(toy_shape)
@@ -157,11 +172,13 @@ class TestIndexedView:
         assert view.excluded_pm == 2
         assert [m.pm_id for m in view] == [0, 1, 3]
 
-    def test_class_fully_excluded_disappears(self, toy_shape, vm4):
+    def test_class_fully_excluded_disappears(self, toy_shape, vm2, vm4):
         dc = toy_datacenter(toy_shape)
         place(dc, 0, vm4, pm_id=2)
         view = dc.indexed_machines().excluding(2)
-        assert view.used_classes() == []
+        assert view.used_list() == []
+        assert UtilizationPolicy().select(vm2, dc.indexed_machines()).pm_id == 2
+        assert UtilizationPolicy().select(vm2, view).pm_id == 0
 
     def test_used_items_pairs_machine_with_canonical(self, toy_shape, vm2):
         dc = toy_datacenter(toy_shape)
@@ -178,7 +195,7 @@ class TestIndexedView:
             PhysicalMachine(1, mixed_shape, type_name="C3"),
             PhysicalMachine(2, toy_shape, type_name="M3"),
         ]
-        dc = Datacenter(machines)
+        dc = SoADatacenter.from_machines(machines)
         classes = dc.indexed_machines().unused_classes()
         assert [(c.representative.pm_id, c.size) for c in classes] == [
             (0, 2), (1, 1),

@@ -2,10 +2,12 @@
 
 For arbitrary interleavings of place / evict / migrate / crash / repair,
 every placement policy must pick the same PM and the same concrete
-placement whether it scans a plain machine list (the pre-index linear
-scan) or serves from the maintained usage-class index — and the indexed
-datacenter must audit clean against the MIP constraints plus the I1
-index-consistency check afterwards.
+placement whether it scans a plain machine list on the object
+``Datacenter`` (the seed's linear scan) or serves from the usage-class
+index an ``SoADatacenter`` maintains.  After every op the two substrates
+agree on the inventory queries, and the indexed datacenter must audit
+clean against the MIP constraints plus the I1 index-consistency check
+afterwards.
 """
 
 import pytest
@@ -23,6 +25,7 @@ from repro.cluster.datacenter import Datacenter
 from repro.cluster.machine import PhysicalMachine
 from repro.cluster.vm import VirtualMachine
 from repro.core.placement import PageRankVMPolicy
+from repro.core.soa import SoADatacenter
 from repro.traces.base import ConstantTrace
 
 N_PMS = 6
@@ -57,14 +60,11 @@ class _Pair:
     """Twin datacenters: one served by the index, one by the scan."""
 
     def __init__(self, name, toy_shape, toy_table):
-        self.dc_fast = Datacenter([
-            PhysicalMachine(i, toy_shape, type_name="M3")
-            for i in range(N_PMS)
-        ])
         self.dc_scan = Datacenter([
             PhysicalMachine(i, toy_shape, type_name="M3")
             for i in range(N_PMS)
         ])
+        self.dc_fast = SoADatacenter.from_machines(self.dc_scan.machines)
         self.policy_fast = make_policy(name, toy_shape, toy_table)
         self.policy_scan = make_policy(name, toy_shape, toy_table)
         self.placed = {}  # vm_id -> VMType
@@ -147,6 +147,17 @@ class _Pair:
             for dc in (self.dc_fast, self.dc_scan):
                 dc.repair_machine(pm_id)
 
+    def assert_inventories_agree(self):
+        """The maintained index and the seed scans report one fleet."""
+        fast, scan = self.dc_fast, self.dc_scan
+        assert fast.pms_used == scan.pms_used
+        assert [m.pm_id for m in fast.used_machines()] == [
+            m.pm_id for m in scan.used_machines()
+        ]
+        assert [m.pm_id for m in fast.healthy_machines()] == [
+            m.pm_id for m in scan.healthy_machines()
+        ]
+
 
 class TestIndexedDecisionsInvariant:
     @pytest.mark.parametrize("name", POLICIES)
@@ -159,7 +170,7 @@ class TestIndexedDecisionsInvariant:
         vm_types = (vm1, vm2, vm4)
         for op in ops:
             pair.step(op, vm_types)
-        assert pair.dc_fast.pms_used == pair.dc_scan.pms_used
+            pair.assert_inventories_agree()
         for vm_id in pair.placed:
             assert pair.dc_fast.locate(vm_id) == pair.dc_scan.locate(vm_id)
         audit_datacenter(
