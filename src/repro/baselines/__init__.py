@@ -1,8 +1,8 @@
 """Comparison algorithms from the paper's evaluation (Section VI.A).
 
 * :class:`FirstFitPolicy` (FF) — first PM with sufficient resources.
-* :class:`FFDSumPolicy` (FFDSum) — first-fit over PMs sorted by weighted
-  capacity, with VM batches sorted by decreasing demand.
+* :class:`FFDSumPolicy` (FFDSum) — first-fit over PMs sorted by
+  decreasing capacity sum, with VM batches sorted by decreasing demand.
 * :class:`BestFitPolicy` — minimum remaining resources after placement
   (the CompVM paper's greedy strawman, ref [10] in the paper).
 * :class:`CompVMPolicy` (CompVM) — consolidates complementary VMs by

@@ -1,26 +1,25 @@
 """First Fit Decreasing Sum (FFDSum) — vector bin-packing baseline.
 
 Following Panigrahy et al. (ref [30]) as described in the paper: the
-"size" of a machine is the weighted sum of its d-dimensional capacity
-vector, and VMs are placed greedily onto PMs in decreasing size order.
-The FFD aspect additionally sorts a batch of VM requests by decreasing
-(normalized) demand before placement, which is where most of FFD's
-packing benefit comes from.
+"size" of a machine is the sum of its d-dimensional capacity vector,
+and VMs are placed greedily onto PMs in decreasing size order.  The FFD
+aspect additionally sorts a batch of VM requests by decreasing demand
+before placement, which is where most of FFD's packing benefit comes
+from.
 
-Demands and capacities live in heterogeneous physical units (GHz, GiB,
-GB), so both sizes are computed on *normalized* dimensions: each
-dimension contributes ``value / dimension_capacity`` — for a PM this sums
-to the number of dimensions, hence ties are broken by raw unit totals.
+Both sizes are raw unit totals with unit weights: a PM's size is the
+sum of every unit capacity over all its resource groups, a VM's the sum
+of all its demand chunks.  Dimensions are not normalized, so a group
+with large fixed-point capacities (memory) weighs more than one with
+small ones.  PMs of equal size keep inventory order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
-from repro.core.permutations import can_place, first_fit_placement
-from repro.core.policy import MachineView, PlacementDecision, PlacementPolicy
-from repro.core.profile import MachineShape, Usage, VMType
-from repro.core.usage_index import IndexedMachines
+from repro.baselines.first_fit import FirstFitPolicy
+from repro.core.profile import MachineShape, VMType
 
 __all__ = ["FFDSumPolicy"]
 
@@ -37,12 +36,12 @@ def _vm_size(vm) -> float:
 
 
 def _pm_size(shape: MachineShape) -> float:
-    """Weighted-sum size of a PM's capacity vector (unit weights)."""
+    """Unit-weight sum of a PM's capacity vector."""
     return float(sum(group.total_capacity for group in shape.groups))
 
 
-class FFDSumPolicy(PlacementPolicy):
-    """Greedy first-fit over PMs in decreasing weighted-capacity order."""
+class FFDSumPolicy(FirstFitPolicy):
+    """Greedy first-fit over PMs in decreasing capacity-sum order."""
 
     name = "FFDSum"
 
@@ -50,58 +49,5 @@ class FFDSumPolicy(PlacementPolicy):
         """Sort a request batch by decreasing demand (the FFD step)."""
         return sorted(vms, key=_vm_size, reverse=True)
 
-    def _select_among_used(
-        self, vm: VMType, used: Sequence[MachineView]
-    ) -> Optional[PlacementDecision]:
-        for machine in sorted(used, key=lambda m: -_pm_size(m.shape)):
-            placement = first_fit_placement(machine.shape, machine.usage, vm)
-            if placement is not None:
-                return PlacementDecision(pm_id=machine.pm_id, placement=placement)
-        return None
-
-    def _select_among_unused(
-        self, vm: VMType, unused: Sequence[MachineView]
-    ) -> Optional[PlacementDecision]:
-        for machine in sorted(unused, key=lambda m: -_pm_size(m.shape)):
-            placement = first_fit_placement(machine.shape, machine.usage, vm)
-            if placement is not None:
-                return PlacementDecision(pm_id=machine.pm_id, placement=placement)
-        return None
-
-    def _select_among_used_classes(
-        self, vm: VMType, view: IndexedMachines
-    ) -> Optional[PlacementDecision]:
-        # Stable sort on -size keeps inventory order within equal sizes,
-        # matching the legacy scan's ordering; the per-class Hall check
-        # then skips infeasible classes wholesale (first-fit itself is
-        # not class-invariant — see FirstFitPolicy).
-        ordered = sorted(view.used_items(), key=lambda it: -_pm_size(it[0].shape))
-        feasible: Dict[Tuple[MachineShape, Usage], bool] = {}
-        for machine, canonical in ordered:
-            shape = machine.shape
-            key = (shape, canonical)
-            ok = feasible.get(key)
-            if ok is None:
-                ok = feasible[key] = can_place(shape, canonical, vm)
-            if not ok:
-                continue
-            placement = first_fit_placement(shape, machine.usage, vm)
-            if placement is not None:
-                return PlacementDecision(pm_id=machine.pm_id, placement=placement)
-        return None
-
-    def _select_among_unused_classes(
-        self, vm: VMType, view: IndexedMachines
-    ) -> Optional[PlacementDecision]:
-        # Shape classes arrive in representative order; the stable sort
-        # on -size reproduces the legacy (-size, position) preference,
-        # and zero usage lets the representative decide per class.
-        classes = sorted(
-            view.unused_classes(), key=lambda cls: -_pm_size(cls.shape)
-        )
-        for cls in classes:
-            machine = cls.representative
-            placement = first_fit_placement(machine.shape, machine.usage, vm)
-            if placement is not None:
-                return PlacementDecision(pm_id=machine.pm_id, placement=placement)
-        return None
+    def _tier(self, shape: MachineShape) -> float:
+        return -_pm_size(shape)

@@ -19,10 +19,12 @@ winning machine.
 from __future__ import annotations
 
 import abc
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
     Any,
+    Dict,
     List,
     NamedTuple,
     Optional,
@@ -202,6 +204,59 @@ class PlacementPolicy(abc.ABC):
             return self.select(vm, machines.excluding(excluded_pm))
         return self.select(vm, [m for m in machines if m.pm_id != excluded_pm])
 
+    # ------------------------------------------------------------------
+    # Id-addressed memos (rows indexed by the serving index's class ids)
+    # ------------------------------------------------------------------
+    #: Weak reference to the index the memos were built against, and its
+    #: epoch.  A weak reference, not ``id()``: a freed index's address
+    #: can be reused by a new one whose ids mean different classes.
+    _index_ref: Optional["weakref.ReferenceType[Any]"] = None
+    _index_epoch = -1
+    _class_memo: Dict[Any, np.ndarray]
+
+    def invalidate_cache(self) -> None:
+        """Drop memoized per-class state (call if definitions change)."""
+        self._class_memo = {}
+
+    def _observe_index(self, view: IndexedMachines) -> None:
+        """Keep the id-addressed memos only if built for the view's index.
+
+        Class ids are content-addressed within one index epoch, so a
+        memo row stays valid through any incremental churn.  A bulk
+        rebuild (``UsageClassIndex.rebuild``) re-interns the ids and
+        bumps the epoch: the same index at a new epoch drops every memo
+        (:meth:`invalidate_cache`), which is equivalent to keying each
+        entry on the epoch.  A *different* index (a fresh run) only
+        resets the id-addressed memos; content-addressed ones stay valid.
+        """
+        index = view.index
+        if self._index_ref is not None and self._index_ref() is index:
+            if self._index_epoch == index.epoch:
+                return
+            self.invalidate_cache()
+        self._index_ref = weakref.ref(index)
+        self._index_epoch = index.epoch
+        self._class_memo = {}
+
+    def _memo_column(
+        self, key: Any, n: int, fill: Any, dtype: Any = np.float64,
+        width: Tuple[int, ...] = (),
+    ) -> np.ndarray:
+        """The id-addressed memo ``key``, grown to cover ``n`` class ids.
+
+        New rows hold ``fill`` (the "not yet evaluated" sentinel); a
+        memo keeps the row width it was created or last widened with.
+        """
+        memo = self._class_memo.get(key)
+        if memo is None or len(memo) < n:
+            if memo is not None:
+                width = memo.shape[1:]
+            grown = np.full((max(64, 2 * n),) + width, fill, dtype=dtype)
+            if memo is not None:
+                grown[: len(memo)] = memo
+            memo = self._class_memo[key] = grown
+        return memo
+
     @staticmethod
     def _fits(machine: MachineView, vm: VMType) -> bool:
         """Sufficient-resource check (Algorithm 2 line 3/18)."""
@@ -280,10 +335,6 @@ class ProfileScorePolicy(PlacementPolicy):
         self._cache_size = candidate_cache_size
         self._cache_hits = 0
         self._cache_misses = 0
-        # (id(index), epoch) of the last indexed view served, plus the
-        # per-VM-type class-id score memos built against it.
-        self._index_token: Optional[Tuple[int, int]] = None
-        self._class_score_memo: dict = {}
 
     @abc.abstractmethod
     def profile_score(self, shape: MachineShape, usage: Usage) -> Any:
@@ -313,32 +364,7 @@ class ProfileScorePolicy(PlacementPolicy):
         self._cache.clear()
         self._cache_hits = 0
         self._cache_misses = 0
-        self._class_score_memo.clear()
-
-    def _observe_index(self, view: IndexedMachines) -> None:
-        """Track the serving index's identity and bulk-rebuild epoch.
-
-        The best-candidate memo keys on class *content*, so it survives
-        any incremental index churn — but a bulk rebuild
-        (``UsageClassIndex.rebuild``) re-derives index state out from
-        under every memoized structure and re-interns class ids.
-        Invalidating here, exactly when the epoch moves, is equivalent
-        to keying every memo entry on the epoch: no entry written under
-        an older epoch can ever be served under a newer one.  A
-        *different* index (a fresh run) only resets the id-addressed
-        score memos; the content-addressed memo stays valid.
-        """
-        index = view.index
-        token = (id(index), index.epoch)
-        if self._index_token == token:
-            return
-        rebuilt_underneath = (
-            self._index_token is not None and self._index_token[0] == token[0]
-        )
-        self._index_token = token
-        self._class_score_memo.clear()
-        if rebuilt_underneath:
-            self.invalidate_cache()
+        super().invalidate_cache()
 
     def cache_info(self) -> CandidateCacheInfo:
         """Hit/miss/occupancy statistics of the best-candidate memo."""
@@ -520,29 +546,13 @@ class ProfileScorePolicy(PlacementPolicy):
             return super()._select_among_used_classes(vm, view)
         table = view.class_table
         n = table.n_classes
-        scores = self._class_scores(vm, n)
+        # One row per class id, one float64 column per score component
+        # (1 for a float score, 2 for CompVM's tuple).  NaN marks an id
+        # never evaluated for this VM type, -inf a cached infeasibility.
+        scores = self._memo_column(vm.name, n, np.nan, width=(1,))[:n]
         if n <= _VECTOR_MIN_CLASSES:
             return self._select_among_used_small(vm, view, table, scores)
         return self._select_among_used_vector(vm, view, table, scores)
-
-    def _class_scores(self, vm: VMType, n: int) -> np.ndarray:
-        """The VM type's class-score memo, grown to cover ``n`` class ids.
-
-        One row per class id, one float64 column per score component (1
-        for a float score, 2 for CompVM's tuple).  NaN marks an id never
-        evaluated for this VM type, -inf a cached infeasibility.  Ids
-        are content-addressed, so a row stays valid while its class
-        empties and refills; memos die with the index epoch (see
-        :meth:`_observe_index`).
-        """
-        memo = self._class_score_memo.get(vm.name)
-        if memo is None or len(memo) < n:
-            width = 1 if memo is None else memo.shape[1]
-            grown = np.full((max(64, 2 * n), width), np.nan)
-            if memo is not None:
-                grown[: len(memo)] = memo
-            memo = self._class_score_memo[vm.name] = grown
-        return memo[:n]
 
     def _score_class(
         self, vm: VMType, table: Any, class_id: int
@@ -554,7 +564,7 @@ class ProfileScorePolicy(PlacementPolicy):
         """
         shape, usage = table.keys[class_id]
         candidate = self._best_for_canonical(shape, usage, vm)
-        memo = self._class_score_memo[vm.name]
+        memo = self._class_memo[vm.name]
         if candidate is None:
             memo[class_id] = -np.inf
             return [-np.inf]
@@ -565,7 +575,7 @@ class ProfileScorePolicy(PlacementPolicy):
             # written before it are NaN/-inf sentinels, which stay
             # sentinels when repeated across the new columns.
             memo = np.repeat(memo[:, :1], len(row), axis=1)
-            self._class_score_memo[vm.name] = memo
+            self._class_memo[vm.name] = memo
         memo[class_id] = score
         return row
 
@@ -581,19 +591,7 @@ class ProfileScorePolicy(PlacementPolicy):
         tuple scores), then takes ``argmin(rep)``.
         """
         n = table.n_classes
-        rep = table.rep
-        size = table.size
-        index = view.index
-        excluded = view._excluded_pos()
-        if excluded >= 0:
-            excluded_cid = int(index.class_ids[excluded])
-            if excluded_cid >= 0:
-                rep = rep.copy()
-                size = size.copy()
-                size[excluded_cid] -= 1
-                members = index._classes[table.keys[excluded_cid]]
-                if size[excluded_cid] > 0 and members[0] == excluded:
-                    rep[excluded_cid] = members[1]
+        rep, size = view.class_columns()
         active = size > 0
         unknown = np.flatnonzero(active & np.isnan(scores[:, 0]))
         if unknown.size:
@@ -601,7 +599,7 @@ class ProfileScorePolicy(PlacementPolicy):
             self._warm_class_candidates(vm, [table.keys[c] for c in unknown])
             for c in unknown:
                 self._score_class(vm, table, c)
-            scores = self._class_score_memo[vm.name][:n]
+            scores = self._class_memo[vm.name][:n]
         masked = np.where(active, scores[:, 0], -np.inf)
         best = masked.max()
         if best == -np.inf:
@@ -617,7 +615,7 @@ class ProfileScorePolicy(PlacementPolicy):
             return None
         score, target, placement = candidate
         return self._realize(
-            index._machines[int(rep[winner])], vm, target, score, placement
+            view.machine_at(int(rep[winner])), vm, target, score, placement
         )
 
     def _select_among_used_small(
@@ -630,22 +628,12 @@ class ProfileScorePolicy(PlacementPolicy):
         per-call numpy overhead dominates the serving latency.  Score
         rows compare as lists, i.e. lexicographically.
         """
-        index = view.index
-        excluded = view._excluded_pos()
-        excluded_cid = -1
-        if excluded >= 0:
-            excluded_cid = int(index.class_ids[excluded])
-        columns = zip(scores.tolist(), table.size.tolist(), table.rep.tolist())
+        rep, size = view.class_columns()
+        columns = zip(scores.tolist(), size.tolist(), rep.tolist())
         infeasible = -float("inf")
         best_row = None
         best_rep = -1
         for cid, (row, class_size, class_rep) in enumerate(columns):
-            if cid == excluded_cid:
-                class_size -= 1
-                if class_size > 0:
-                    members = index._classes[table.keys[cid]]
-                    if members[0] == excluded:
-                        class_rep = members[1]
             if class_size <= 0:
                 continue
             if row[0] != row[0]:  # NaN: never evaluated
@@ -660,10 +648,9 @@ class ProfileScorePolicy(PlacementPolicy):
                 best_row, best_rep = row, class_rep
         if best_row is None:
             return None
-        machine = index._machines[best_rep]
-        shape = machine.shape
+        machine = view.machine_at(best_rep)
         candidate = self._best_for_canonical(
-            shape, index._canon[best_rep], vm
+            machine.shape, view.index._canon[best_rep], vm
         )
         if candidate is None:  # pragma: no cover - winner came from a feasible score
             return None

@@ -485,6 +485,38 @@ class IndexedMachines(Sequence[Any]):
             return -1
         return self._index._pos.get(self._excluded, -1)
 
+    def class_columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-id ``(representative, size)`` columns as this view sees them.
+
+        Hiding the migration source shrinks its class by one and, when it
+        was the representative, hands that role to the next member.
+        Without an exclusion these are the live table columns themselves
+        (read-only by contract).
+        """
+        index = self._index
+        table = index.table
+        rep, size = table.rep, table.size
+        ex = self._excluded_pos()
+        class_id = int(index.class_ids[ex]) if ex >= 0 else -1
+        if class_id >= 0:
+            rep, size = rep.copy(), size.copy()
+            size[class_id] -= 1
+            members = index._classes[table.keys[class_id]]
+            if size[class_id] > 0 and members[0] == ex:
+                rep[class_id] = members[1]
+        return rep, size
+
+    def class_members(self, class_id: int) -> List[int]:
+        """Member positions of a used class id, ascending, exclusion applied."""
+        index = self._index
+        ex = self._excluded_pos()
+        members = index._classes.get(index.table.keys[class_id], [])
+        return [p for p in members if p != ex]
+
+    def machine_at(self, pos: int) -> Any:
+        """The machine at inventory position ``pos``."""
+        return self._index._machines[pos]
+
     # ------------------------------------------------------------------
     # Sequence protocol (healthy machines, inventory order)
     # ------------------------------------------------------------------
@@ -530,21 +562,6 @@ class IndexedMachines(Sequence[Any]):
         machines = self._index._machines
         ex = self._excluded_pos()
         return [machines[p] for p in self._index._unused if p != ex]
-
-    def used_items(self) -> Iterator[Tuple[Any, Usage]]:
-        """Used ``(machine, canonical usage)`` pairs in inventory order.
-
-        The maintained canonical form saves the per-machine
-        canonicalization the legacy scan pays on every decision.
-        """
-        index = self._index
-        machines = index._machines
-        # Used positions always carry a canonical usage.
-        canon = cast(List[Usage], index._canon)
-        ex = self._excluded_pos()
-        for p in index._used:
-            if p != ex:
-                yield machines[p], canon[p]
 
     def unused_classes(self) -> List[UsageClass]:
         """Distinct unused shape classes ordered by representative position.

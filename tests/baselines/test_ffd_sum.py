@@ -3,6 +3,7 @@
 from repro.baselines import FFDSumPolicy
 from repro.cluster.vm import VirtualMachine
 from repro.core.profile import MachineShape, ResourceGroup
+from repro.core.soa import SoADatacenter
 
 
 class TestOrdering:
@@ -47,3 +48,32 @@ class TestSelection:
 
     def test_name(self):
         assert FFDSumPolicy().name == "FFDSum"
+
+
+class TestClassTable:
+    def test_excluded_representative_hands_over_within_the_tier(
+        self, vm2, place_units
+    ):
+        # PMs 1 and 3 are one usage class of the larger shape, PM 1 its
+        # representative.  Excluding PM 1 (a migration source) must make
+        # PM 3 the first try, ahead of the smaller PM 0 that comes first
+        # in inventory order.
+        small = MachineShape(
+            groups=(ResourceGroup(name="cpu", capacities=(4, 4)),)
+        )
+        big = MachineShape(
+            groups=(ResourceGroup(name="cpu", capacities=(4, 4, 4, 4)),)
+        )
+        dc = SoADatacenter([
+            (0, small, "M3"), (1, big, "M3"), (2, small, "M3"),
+            (3, big, "M3"), (4, big, "M3"),
+        ])
+        place_units(dc, 0, 0, (1, 1))
+        place_units(dc, 1, 1, (1, 1, 1, 1))
+        place_units(dc, 3, 3, (1, 1, 1, 1))
+        view = dc.indexed_machines()
+        assert FFDSumPolicy().select(vm2, view).pm_id == 1
+        ranked = FFDSumPolicy().select_excluding(vm2, view, 1)
+        scan = FFDSumPolicy().select_excluding(vm2, list(view), 1)
+        assert ranked.pm_id == scan.pm_id == 3
+        assert ranked.placement == scan.placement

@@ -1,6 +1,8 @@
 """Tests for the First Fit baseline."""
 
 from repro.baselines import FirstFitPolicy
+from repro.core.profile import MachineShape, ResourceGroup, VMType
+from repro.core.soa import SoADatacenter
 
 
 class TestFirstFit:
@@ -41,3 +43,28 @@ class TestFirstFit:
 
     def test_name(self):
         assert FirstFitPolicy().name == "FF"
+
+
+class TestClassTable:
+    def test_first_fit_failure_on_the_representative_falls_through(
+        self, place_units
+    ):
+        # PMs 0 and 2 share a usage class: usages (2, 3) and (3, 2) are
+        # one canonical usage, and the Hall condition holds for chunks
+        # (1, 2) on both.  First-fit puts the 1 on unit 0 and then finds
+        # no room for the 2 on PM 0 (free units (2, 1)), but fits on
+        # PM 2 (free units (1, 2)).  PM 1 sits in an infeasible class.
+        shape = MachineShape(
+            groups=(ResourceGroup(name="cpu", capacities=(4, 4)),)
+        )
+        dc = SoADatacenter([(i, shape, "M3") for i in range(4)])
+        place_units(dc, 0, 0, (2, 3))
+        place_units(dc, 1, 1, (3, 3))
+        place_units(dc, 2, 2, (3, 2))
+        view = dc.indexed_machines()
+        assert view.class_table.n_classes == 2
+        vm = VMType(name="vm12", demands=((1, 2),))
+        ranked = FirstFitPolicy().select(vm, view)
+        scan = FirstFitPolicy().select(vm, list(view))
+        assert ranked.pm_id == scan.pm_id == 2
+        assert ranked.placement == scan.placement

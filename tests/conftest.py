@@ -101,6 +101,35 @@ def fake_machine():
     return FakeMachine
 
 
+def _place_units(datacenter, pm_id, vm_id, units):
+    """Place a VM putting ``units[i]`` on unit ``i`` of the PM's only group.
+
+    Policies canonicalize what they place; this sets a machine's *real*
+    unit order, which order-sensitive first-fit placement depends on.
+    """
+    from repro.cluster.vm import VirtualMachine
+    from repro.core.permutations import Placement
+    from repro.core.policy import PlacementDecision
+    from repro.traces.base import ConstantTrace
+
+    shape = datacenter.machine(pm_id).shape
+    placement = Placement(
+        new_usage=shape.canonicalize((units,)),
+        assignments=(tuple(enumerate(units)),),
+    )
+    datacenter.apply(
+        VirtualMachine(vm_id, VMType(name=f"fill{units}", demands=(units,)),
+                       ConstantTrace(0.3)),
+        PlacementDecision(pm_id=pm_id, placement=placement),
+    )
+
+
+@pytest.fixture
+def place_units():
+    """Place a VM with an explicit per-unit assignment (see above)."""
+    return _place_units
+
+
 @pytest.fixture
 def constraint_audit():
     """Audit helper: replay state against the MIP constraints (1)-(11).

@@ -3,16 +3,24 @@
 Every :class:`~repro.core.policy.ProfileScorePolicy` ranks the used
 classes of an ``SoADatacenter`` through its class table: a plain loop up
 to ``_VECTOR_MIN_CLASSES`` interned classes, one masked argmax above.
-This suite drives a random place / evict / migrate script on an M3
-fleet until the table passes that threshold, and checks every
-``select`` and ``select_excluding`` decision against the linear scan
-over the object ``Datacenter``'s machine list.
+FF and FFDSum rank the same table by ``(tier, representative)`` with a
+first-fit walk behind it.  This suite drives a random place / evict /
+migrate script on an M3 fleet and on a mixed M3 + C3 fleet (where
+FFDSum's size tiers interleave with inventory order) until the table
+passes that threshold, and checks every ``select`` and
+``select_excluding`` decision against the linear scan over the object
+``Datacenter``'s machine list.
 """
 
 import numpy as np
 import pytest
 
-from repro.baselines import BestFitPolicy, CompVMPolicy
+from repro.baselines import (
+    BestFitPolicy,
+    CompVMPolicy,
+    FFDSumPolicy,
+    FirstFitPolicy,
+)
 from repro.cluster.datacenter import Datacenter
 from repro.cluster.ec2 import EC2_VM_TYPES, ec2_pm_shape
 from repro.cluster.machine import PhysicalMachine
@@ -44,10 +52,22 @@ class CoarseTuplePolicy(ProfileScorePolicy):
 
 
 @pytest.fixture(scope="module")
-def m3_table():
-    from repro.experiments.sweep import sweep_table
+def tables():
+    from repro.core.graph import SuccessorStrategy
+    from repro.core.score_table import build_score_table
 
-    return sweep_table(None)
+    return {
+        shape: build_score_table(
+            shape, EC2_VM_TYPES, strategy=SuccessorStrategy.BALANCED
+        )
+        for shape in (ec2_pm_shape("M3"), ec2_pm_shape("C3"))
+    }
+
+
+#: PM type per inventory position of the mixed fleet: every third PM is
+#: an M3.  FFDSum tries the larger M3s first, out of inventory order, and
+#: fills them early enough that the C3s between them get used too.
+MIXED_FLEET = ["M3" if i % 3 == 0 else "C3" for i in range(N_PMS)]
 
 
 def _excludes_representative(view, pm_id):
@@ -70,25 +90,35 @@ def _assert_same(scan, ranked, step):
         assert scan.placement == ranked.placement, step
 
 
-@pytest.mark.parametrize(
+POLICIES = pytest.mark.parametrize(
     "make_policy",
     [
-        pytest.param(
-            lambda table: PageRankVMPolicy({table.shape: table}),
-            id="PageRankVM",
-        ),
-        pytest.param(lambda table: CompVMPolicy(), id="CompVM"),
-        pytest.param(lambda table: BestFitPolicy(), id="BestFit"),
-        pytest.param(lambda table: CoarseTuplePolicy(), id="CoarseTuple"),
+        pytest.param(lambda tables: PageRankVMPolicy(tables), id="PageRankVM"),
+        pytest.param(lambda tables: CompVMPolicy(), id="CompVM"),
+        pytest.param(lambda tables: BestFitPolicy(), id="BestFit"),
+        pytest.param(lambda tables: CoarseTuplePolicy(), id="CoarseTuple"),
+        pytest.param(lambda tables: FirstFitPolicy(), id="FF"),
+        pytest.param(lambda tables: FFDSumPolicy(), id="FFDSum"),
     ],
 )
-def test_class_ranking_matches_linear_scan(make_policy, m3_table):
-    shape = ec2_pm_shape("M3")
-    scan_dc = Datacenter(
-        [PhysicalMachine(i, shape, type_name="M3") for i in range(N_PMS)]
-    )
-    soa_dc = SoADatacenter([(i, shape, "M3") for i in range(N_PMS)])
-    scan_policy, soa_policy = make_policy(m3_table), make_policy(m3_table)
+
+
+@POLICIES
+def test_class_ranking_matches_linear_scan(make_policy, tables):
+    _check_against_scan(make_policy(tables), make_policy(tables), ["M3"] * N_PMS)
+
+
+@POLICIES
+def test_class_ranking_matches_linear_scan_on_mixed_fleet(make_policy, tables):
+    _check_against_scan(make_policy(tables), make_policy(tables), MIXED_FLEET)
+
+
+def _check_against_scan(scan_policy, soa_policy, types):
+    scan_dc = Datacenter([
+        PhysicalMachine(i, ec2_pm_shape(t), type_name=t)
+        for i, t in enumerate(types)
+    ])
+    soa_dc = SoADatacenter([(i, ec2_pm_shape(t), t) for i, t in enumerate(types)])
     rng = np.random.default_rng(0)
     placed = {}  # vm_id -> VMType
     compared = {"loop": 0, "argmax": 0}

@@ -10,10 +10,12 @@ contract), and the I2 column audit.
 import pytest
 
 from repro.analysis.invariants import audit_datacenter
+from repro.baselines import BestFitPolicy, FFDSumPolicy, FirstFitPolicy
+from repro.cluster.ec2 import ec2_pm_shape, ec2_vm_type
 from repro.cluster.vm import VirtualMachine
 from repro.core.placement import PageRankVMPolicy
 from repro.core.soa import SoADatacenter
-from repro.core.usage_index import SoAClassTable
+from repro.core.usage_index import IndexedMachines, SoAClassTable, UsageClassIndex
 from repro.traces.base import ConstantTrace
 
 
@@ -151,6 +153,37 @@ class TestRebuildEpoch:
         dc2 = soa_datacenter(toy_shape)
         policy.select(vm2, dc2.indexed_machines())
         assert policy.cache_info().currsize >= occupancy
+
+
+class TestPolicyOutlivesIndex:
+    @pytest.mark.parametrize(
+        "make_policy", [BestFitPolicy, FFDSumPolicy], ids=["BestFit", "FFDSum"]
+    )
+    def test_reused_policy_matches_fresh_across_short_lived_indexes(
+        self, make_policy
+    ):
+        # One policy serves 400 short-lived indexes, alternately over a
+        # fleet whose PM 0 holds two m3.2xlarge and one whose PM 0 holds
+        # two m3.medium.  Class id 0 is PM 0's class in both, but only
+        # the second fits a third m3.2xlarge.  A freed index's address
+        # is often handed to the next one, so a memo guard keyed on
+        # ``id(index)`` serves the other fleet's rows for id 0.
+        shape = ec2_pm_shape("M3")
+        q = ec2_vm_type("m3.2xlarge")
+        fleets = []
+        for filler in (q, ec2_vm_type("m3.medium")):
+            dc = SoADatacenter([(i, shape, "M3") for i in range(8)])
+            place(dc, FirstFitPolicy(), 0, filler)
+            place(dc, FirstFitPolicy(), 1, filler)
+            fleets.append(dc)
+        reused = make_policy()
+        for k in range(400):
+            index = UsageClassIndex(fleets[k % 2].machines)
+            view = IndexedMachines(index)
+            got = reused.select(q, view)
+            want = make_policy().select(q, view)
+            assert (got.pm_id, got.placement) == (want.pm_id, want.placement)
+            del index, view
 
 
 class TestColumnAudit:

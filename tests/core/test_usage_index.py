@@ -180,15 +180,6 @@ class TestIndexedView:
         assert UtilizationPolicy().select(vm2, dc.indexed_machines()).pm_id == 2
         assert UtilizationPolicy().select(vm2, view).pm_id == 0
 
-    def test_used_items_pairs_machine_with_canonical(self, toy_shape, vm2):
-        dc = toy_datacenter(toy_shape)
-        place(dc, 0, vm2, pm_id=0)
-        ((machine, canonical),) = list(
-            dc.indexed_machines().used_items()
-        )
-        assert machine.pm_id == 0
-        assert canonical == toy_shape.canonicalize(machine.usage)
-
     def test_unused_classes_group_by_shape(self, toy_shape, mixed_shape):
         machines = [
             PhysicalMachine(0, toy_shape, type_name="M3"),
