@@ -90,9 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
              "--workers 1 (default)")
     simulate.add_argument(
         "--table-cache", metavar="DIR", default=None,
-        help="directory for the on-disk score-table cache, shared across "
-             "runs and worker processes (default: $REPRO_TABLE_CACHE); "
-             "cached profile graphs live in its graphs/ subdirectory")
+        help="on-disk profile-graph cache for the score-table builds, "
+             "shared across runs and worker processes "
+             "(default: $REPRO_TABLE_CACHE)")
     simulate.add_argument(
         "--audit", action="store_true",
         help="validate every run's final placements against the MIP "
@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
              "CPU (simulation figures only)")
     figures.add_argument(
         "--table-cache", metavar="DIR", default=None,
-        help="directory for the on-disk score-table cache "
+        help="on-disk profile-graph cache for the score-table builds "
              "(default: $REPRO_TABLE_CACHE)")
 
     exact = sub.add_parser(

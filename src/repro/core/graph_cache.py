@@ -11,9 +11,8 @@ sweeps, policies and the CLI can reload one in milliseconds.
 
 Cache-key notes:
 
-* VM types are hashed **in declaration order** — unlike the score-table
-  key, order matters here because it fixes BFS discovery order and
-  therefore node ids.
+* VM types are hashed **in declaration order**: order fixes BFS
+  discovery order and therefore node ids.
 * ``node_limit`` is *not* part of the key: the cached graph is complete
   regardless of the caller's bound, so a load under a tighter bound
   raises :class:`~repro.core.graph.GraphLimitExceeded` exactly like a
@@ -116,68 +115,6 @@ def graph_cache_path(cache_dir: Union[str, Path], key: str) -> Path:
     return Path(cache_dir) / f"profile_graph_{key}.npz"
 
 
-def _mmap_sidecar_dir(path: Path) -> Path:
-    """The uncompressed sidecar directory backing ``mmap_mode`` loads."""
-    return path.with_name(path.name + ".mmap")
-
-
-def _ensure_mmap_sidecar(
-    path: Path,
-    profiles: np.ndarray,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-) -> Path:
-    """Extract the archive's arrays into a memory-mappable sidecar.
-
-    ``np.load(.., mmap_mode=..)`` cannot map zipped archives, so the
-    read-only path extracts each array once into ``<archive>.mmap/`` as
-    plain ``.npy`` files stamped with the archive's identity
-    (size + mtime); later loads map those pages directly.  Extraction
-    is atomic — a temp directory renamed into place — and a lost race
-    with a concurrent extractor just reuses the winner's directory.
-    """
-    import shutil
-
-    sidecar = _mmap_sidecar_dir(path)
-    stat = path.stat()
-    stamp = {"size": stat.st_size, "mtime_ns": stat.st_mtime_ns}
-    stamp_path = sidecar / "stamp.json"
-
-    def _stamp_matches() -> bool:
-        try:
-            return bool(json.loads(stamp_path.read_text()) == stamp)
-        except (OSError, ValueError):
-            return False
-
-    if _stamp_matches():
-        return sidecar
-    tmp = Path(
-        tempfile.mkdtemp(dir=path.parent, prefix=sidecar.name + ".")
-    )
-    try:
-        np.save(tmp / "profiles.npy", profiles)
-        np.save(tmp / "indptr.npy", indptr)
-        np.save(tmp / "indices.npy", indices)
-        (tmp / "stamp.json").write_text(json.dumps(stamp))
-        os.chmod(tmp, 0o777 & ~_current_umask())
-        for _ in range(2):
-            try:
-                os.replace(tmp, sidecar)
-                return sidecar
-            except OSError:
-                if _stamp_matches():
-                    # Lost the race to a concurrent extractor of the
-                    # same archive — its directory is just as good.
-                    break
-                # A stale sidecar blocks the rename; clear and retry.
-                shutil.rmtree(sidecar, ignore_errors=True)
-        shutil.rmtree(tmp, ignore_errors=True)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    return sidecar
-
-
 def save_graph(graph: ProfileGraph, path: Union[str, Path], mode: str) -> Path:
     """Atomically persist a built graph to ``path``.
 
@@ -251,7 +188,6 @@ def load_graph(
     strategy: SuccessorStrategy,
     mode: str = "reachable",
     node_limit: int = 1_000_000,
-    mmap_mode: Optional[str] = None,
 ) -> Optional[ProfileGraph]:
     """Load a cached graph, or None on a miss.
 
@@ -261,17 +197,7 @@ def load_graph(
     cases also as ``corrupt``).  A *valid* cached graph larger than
     ``node_limit`` raises :class:`GraphLimitExceeded`, mirroring what the
     equivalent fresh build would do.
-
-    With ``mmap_mode="r"`` the packed-profile matrix and CSR arrays are
-    memory-mapped read-only from the ``.mmap`` sidecar (extracted from
-    the archive on first use; zipped archives themselves cannot be
-    mapped), so N processes loading one cached graph share one page
-    cache copy and any in-place mutation of the returned arrays raises.
     """
-    if mmap_mode not in (None, "r"):
-        raise ValueError(
-            f"unsupported mmap_mode {mmap_mode!r}; use None or 'r'"
-        )
     path = Path(path)
     vm_types = tuple(vm_types)
     if not path.exists():
@@ -328,28 +254,8 @@ def load_graph(
         profiles=_unpack_profiles(shape, profiles_matrix),
         successors=successors,
     )
-    if mmap_mode == "r":
-        try:
-            sidecar = _ensure_mmap_sidecar(
-                path, profiles_matrix, indptr, indices
-            )
-            packed = np.load(sidecar / "profiles.npy", mmap_mode="r")
-            csr = (
-                np.load(sidecar / "indptr.npy", mmap_mode="r"),
-                np.load(sidecar / "indices.npy", mmap_mode="r"),
-            )
-        except OSError:
-            # Sidecar unavailable (read-only cache dir, lost race with a
-            # stale extractor): fall back to the in-memory arrays, still
-            # honoring the read-only contract.
-            packed = np.ascontiguousarray(profiles_matrix)
-            packed.flags.writeable = False
-            csr = (indptr.astype(np.int64), indices.astype(np.int64))
-            csr[0].flags.writeable = False
-            csr[1].flags.writeable = False
-    else:
-        packed = np.ascontiguousarray(profiles_matrix)
-        csr = (indptr.astype(np.int64), indices.astype(np.int64))
+    packed = np.ascontiguousarray(profiles_matrix)
+    csr = (indptr.astype(np.int64), indices.astype(np.int64))
     graph.memo("packed_profiles", lambda: packed)
     graph.memo("successor_csr", lambda: csr)
     _CACHE_EVENTS["hits"] += 1
@@ -363,17 +269,13 @@ def load_or_build_profile_graph(
     mode: str = "reachable",
     node_limit: int = 1_000_000,
     cache_dir: Optional[Union[str, Path]] = None,
-    mmap_mode: Optional[str] = None,
 ) -> ProfileGraph:
     """The cached graph when available, otherwise build (and cache) it.
 
     With ``cache_dir=None`` this is exactly :func:`build_profile_graph`.
     Otherwise the content-keyed entry under ``cache_dir`` is tried first;
     a miss builds the graph and persists the result
-    atomically for the next caller.  ``mmap_mode="r"`` maps the cached
-    arrays read-only instead of copying them into the process (see
-    :func:`load_graph`); after a miss, the freshly saved entry is
-    reloaded through the same mapped path.
+    atomically for the next caller.
     """
     vm_types = tuple(vm_types)
     if cache_dir is None:
@@ -385,7 +287,6 @@ def load_or_build_profile_graph(
     path = graph_cache_path(cache_dir, key)
     graph = load_graph(
         path, shape, vm_types, strategy, mode=mode, node_limit=node_limit,
-        mmap_mode=mmap_mode,
     )
     if graph is not None:
         return graph
@@ -394,11 +295,4 @@ def load_or_build_profile_graph(
         node_limit=node_limit,
     )
     save_graph(graph, path, mode)
-    if mmap_mode is not None:
-        mapped = load_graph(
-            path, shape, vm_types, strategy, mode=mode,
-            node_limit=node_limit, mmap_mode=mmap_mode,
-        )
-        if mapped is not None:
-            return mapped
     return graph

@@ -39,14 +39,10 @@ random placement walk — as an alternative scoring for ablations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
-
-try:  # pragma: no cover - exercised indirectly on both paths
-    from scipy import sparse as _scipy_sparse
-except ImportError:  # pragma: no cover
-    _scipy_sparse = None
+from scipy import sparse
 
 from repro.core.graph import ProfileGraph
 from repro.util.validation import require
@@ -67,42 +63,21 @@ class TransitionKernel:
     One power iteration computes ``aux[dst] = sum_{src -> dst}
     pr[src] / out_degree[src]``.  The seed implementation re-ran a
     ``np.add.at`` scatter over the raw edge list every iteration; this
-    kernel builds the transition structure once — a ``scipy.sparse`` CSR
-    matrix when SciPy is importable, otherwise destination-sorted edge
-    arrays with precomputed ``1/out_degree`` weights folded through
-    ``np.bincount`` — and reuses it for every iteration.  Kernels are
-    memoized on the graph per vote direction.
+    kernel builds the transition structure once as a ``scipy.sparse``
+    CSR matrix and reuses it for every iteration (an edgeless graph gets
+    an empty n x n matrix).  Kernels are memoized on the graph per vote
+    direction.
     """
 
     def __init__(self, n: int, src: np.ndarray, dst: np.ndarray):
-        self.n = n
-        self.n_edges = int(src.size)
-        counts = np.bincount(src, minlength=n).astype(float) if src.size else (
-            np.zeros(n, dtype=float)
+        out_deg = np.maximum(np.bincount(src, minlength=n), 1).astype(float)
+        self._matrix = sparse.csr_matrix(
+            (1.0 / out_deg[src], (dst, src)), shape=(n, n)
         )
-        out_deg = np.maximum(counts, 1.0)
-        self._matrix = None
-        if src.size and _scipy_sparse is not None:
-            data = 1.0 / out_deg[src]
-            self._matrix = _scipy_sparse.csr_matrix(
-                (data, (dst, src)), shape=(n, n)
-            )
-            self._src = self._dst = self._weights = None
-        else:
-            order = np.argsort(dst, kind="stable")
-            self._src = src[order]
-            self._dst = dst[order]
-            self._weights = 1.0 / out_deg[self._src]
 
     def matvec(self, pr: np.ndarray) -> np.ndarray:
         """One vote-propagation step: the auxiliary vector for ``pr``."""
-        if self._matrix is not None:
-            return self._matrix @ pr
-        if self.n_edges == 0:
-            return np.zeros(self.n, dtype=float)
-        return np.bincount(
-            self._dst, weights=pr[self._src] * self._weights, minlength=self.n
-        )
+        return self._matrix @ pr
 
 
 def transition_kernel(

@@ -153,8 +153,8 @@ class ScoreTable:
 
         The snap matrix is never copied wholesale: rows convert through
         bounded chunks (:data:`_MATERIALIZE_CHUNK`), the array object
-        itself stays in place, and a frozen table's ``writeable=False``
-        protection is untouched.
+        itself stays in place, and a read-only matrix's
+        ``writeable=False`` protection is untouched.
         """
         if self._scores is None:
             assert self._flat_scores is not None
@@ -184,18 +184,6 @@ class ScoreTable:
             )
         return usages
 
-    def freeze(self) -> "ScoreTable":
-        """Build the snap structures and mark them read-only.
-
-        Returns ``self``.  A frozen table's matrix/score vector reject
-        in-place mutation (``writeable=False``), so a stray write fails
-        loudly instead of silently changing scores a policy serves.
-        """
-        matrix, _, flat_scores = self._snap_structures()
-        matrix.flags.writeable = False
-        flat_scores.flags.writeable = False
-        return self
-
     def apply_delta(
         self, new_rows: np.ndarray, scores: np.ndarray
     ) -> None:
@@ -211,19 +199,18 @@ class ScoreTable:
         of the kept rows survive, so the dict rebuild converts only the
         appended rows.
 
-        Tables over read-only arrays (frozen, or loaded with
-        ``mmap_mode="r"``) refuse the mutation; grow a private master
-        table and swap a fresh view in instead (see
+        A table over read-only arrays refuses the mutation; grow a
+        private master table and swap a fresh view in instead (see
         ``repro.serve.fleet.FleetDeltaPlane``).
 
         Raises:
-            ValidationError: on a frozen table or mismatched shapes.
+            ValidationError: on read-only arrays or mismatched shapes.
         """
         matrix, _, _ = self._snap_structures()
         if not matrix.flags.writeable:
             raise ValidationError(
-                "cannot apply a delta to a frozen/shared score table; "
-                "grow a private master table and republish it"
+                "cannot apply a delta to a score table over read-only "
+                "arrays; grow a private master table and republish it"
             )
         appended = np.ascontiguousarray(np.asarray(new_rows, dtype=float))
         require(
@@ -429,9 +416,9 @@ class ScoreTable:
         """Write the table to a JSON file, atomically.
 
         The payload is written to a temporary file in the destination
-        directory and moved into place with :func:`os.replace`, so
-        concurrent readers (parallel experiment workers sharing a disk
-        cache) never observe a half-written table.
+        directory and moved into place with :func:`os.replace`, so a
+        concurrent reader (``repro audit``) never observes a half-written
+        table.
         """
         payload = {
             "format": "repro.score_table.v1",
@@ -474,29 +461,12 @@ class ScoreTable:
             raise
 
     @staticmethod
-    def load(
-        path: Union[str, Path], mmap_mode: Optional[str] = None
-    ) -> "ScoreTable":
+    def load(path: Union[str, Path]) -> "ScoreTable":
         """Read a table previously written by :meth:`save`.
 
-        Args:
-            mmap_mode: ``None`` (default) loads a private writable
-                table.  ``"r"`` requests the shared-artifact contract:
-                the snap structures are built eagerly and frozen
-                read-only (:meth:`freeze`), so any in-place mutation of
-                the matrix or score vector raises instead of silently
-                diverging a shared copy.  (The JSON payload itself has
-                no memory-mappable form; the parameter mirrors the
-                ``np.load`` convention used by the graph cache.)
-
         Raises:
-            ValidationError: for an unrecognized format or an
-                unsupported ``mmap_mode``.
+            ValidationError: for an unrecognized format.
         """
-        if mmap_mode not in (None, "r"):
-            raise ValidationError(
-                f"unsupported mmap_mode {mmap_mode!r}; use None or 'r'"
-            )
         payload = json.loads(Path(path).read_text())
         if payload.get("format") != "repro.score_table.v1":
             raise ValidationError(
@@ -517,16 +487,13 @@ class ScoreTable:
             tuple(tuple(g) for g in entry["usage"]): float(entry["score"])
             for entry in payload["scores"]
         }
-        table = ScoreTable(
+        return ScoreTable(
             shape=shape,
             scores=scores,
             damping=float(payload["damping"]),
             strategy=SuccessorStrategy(payload["strategy"]),
             vote_direction=payload.get("vote_direction", "forward"),
         )
-        if mmap_mode == "r":
-            table.freeze()
-        return table
 
 
 def build_score_table(

@@ -98,7 +98,7 @@ def make_policy_and_selector(
     minimum-migration-time selector, exactly as in the paper.
 
     Args:
-        table_cache_dir: optional on-disk score-table cache directory
+        table_cache_dir: optional on-disk profile-graph cache directory
             (defaults to the ``REPRO_TABLE_CACHE`` environment variable).
 
     Raises:
@@ -129,9 +129,10 @@ def _score_tables(
 ):
     """The (cached) score tables every PageRankVM variant of a config shares.
 
-    A table miss first consults the on-disk *graph* cache under the table
-    cache directory (``<table_cache_dir>/graphs``) and builds any missing
-    profile graph — see :func:`repro.experiments.tables.score_tables_for`.
+    A table miss loads its profile graph from the on-disk graph cache in
+    ``table_cache_dir`` (default ``$REPRO_TABLE_CACHE``), building and
+    storing any missing one, and re-solves the table from it — see
+    :func:`repro.experiments.tables.score_tables_for`.
     """
     shapes = [ec2_pm_shape(pm_name) for pm_name, _ in config.datacenter]
     return score_tables_for(
@@ -542,11 +543,10 @@ def run_experiment(
             policy, repetition)`` label paths, so the parallel results
             are bit-identical to the serial ones regardless of worker
             count or scheduling.
-        table_cache_dir: optional on-disk score-table cache shared by the
-            workers, so each distinct table is built once rather than
-            once per process (see :mod:`repro.experiments.tables`).
-            Missing tables also reuse cached profile *graphs* from its
-            ``graphs/`` subdirectory (see :mod:`repro.core.graph_cache`).
+        table_cache_dir: optional on-disk profile-graph cache shared by
+            the workers, so each distinct graph is built once rather
+            than once per process; a worker missing a table re-solves it
+            from the cached graph (see :mod:`repro.experiments.tables`).
         audit: when True, every cell's final allocation state is checked
             against the MIP constraints (1)-(11) inside the worker that
             produced it, so an invariant break fails the run before any
@@ -599,8 +599,8 @@ def run_experiment(
     if pending:
         # Build the score tables once in the parent before any cell runs:
         # pool children inherit the in-memory cache (and with a disk
-        # cache directory even spawn-started workers load instead of
-        # rebuilding).
+        # cache directory even spawn-started workers load the graphs
+        # instead of rebuilding them).
         needs_tables = any(
             name.startswith("PageRankVM") for name in config.policies
         )

@@ -1,19 +1,21 @@
 """Score-table construction with caching.
 
-The Profile-PageRank table for an EC2-scale PM shape takes tens of
-seconds to build but depends only on (shape, VM type set, strategy,
-damping, vote direction) — the paper notes it is stable until the
-provider changes its VM catalog.  Tables are therefore cached in memory
-per process and optionally on disk (``REPRO_TABLE_CACHE`` or an explicit
-``cache_dir``) across processes.
+The Profile-PageRank table for a PM shape depends only on (shape, VM
+types in declaration order, strategy, damping, vote direction, scoring)
+— the paper notes it is stable until the provider changes its VM
+catalog.  Tables are therefore cached in memory per process.  Across
+processes the expensive part, the profile graph, is cached on disk
+(``REPRO_TABLE_CACHE`` or an explicit ``cache_dir``) by
+:mod:`repro.core.graph_cache`, and a table is re-solved from its cached
+graph, which is faster than reloading a serialized table (DESIGN.md
+section 3.6).
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.core.graph import SuccessorStrategy
 from repro.core.profile import MachineShape, VMType
@@ -28,14 +30,14 @@ __all__ = [
 
 _MEMORY_CACHE: Dict[str, ScoreTable] = {}
 
-#: Cache key -> number of from-scratch builds in this process.  Disk-cache
-#: loads do not count; tests use this to assert each distinct table is
-#: built exactly once per process.
+#: Cache key -> number of table builds (graph load or build, then the
+#: rank solve) in this process; tests use this to assert each distinct
+#: table is built exactly once per process.
 _BUILD_COUNTS: Dict[str, int] = {}
 
 
 def build_counts() -> Dict[str, int]:
-    """Per-cache-key count of from-scratch table builds in this process."""
+    """Per-cache-key count of table builds in this process."""
     return dict(_BUILD_COUNTS)
 
 
@@ -49,7 +51,11 @@ def table_cache_key(
 ) -> str:
     """Stable content hash identifying one score table.
 
-    The rank-kernel generation
+    VM types are hashed in declaration order, as in
+    :func:`repro.core.graph_cache.graph_cache_key`: the order fixes node
+    ids and therefore the sweep's summation order, so two orders of one
+    catalog can differ in the last bits of their scores.  The rank-kernel
+    generation
     (:data:`repro.core.kernel_sweep.KERNEL_CODE_VERSION`, read at call
     time) is baked in so a kernel change misses every cached table
     instead of serving scores computed by older code.
@@ -62,7 +68,7 @@ def table_cache_key(
         digest.update(
             f"{group.name}:{group.capacities}:{group.anti_collocation};".encode()
         )
-    for vm in sorted(vm_types, key=lambda v: v.name):
+    for vm in vm_types:
         digest.update(f"{vm.name}:{vm.demands};".encode())
     digest.update(f"{strategy.value}:{damping}:{vote_direction}:{scoring}".encode())
     return digest.hexdigest()[:24]
@@ -74,13 +80,6 @@ def clear_memory_cache() -> None:
     _BUILD_COUNTS.clear()
 
 
-def _disk_cache_dir(cache_dir: Optional[str]) -> Optional[Path]:
-    if cache_dir is not None:
-        return Path(cache_dir)
-    env = os.environ.get("REPRO_TABLE_CACHE")
-    return Path(env) if env else None
-
-
 def score_tables_for(
     shapes: Sequence[MachineShape],
     vm_types: Sequence[VMType],
@@ -90,33 +89,24 @@ def score_tables_for(
     scoring: str = "pagerank",
     cache_dir: Optional[str] = None,
     node_limit: int = 1_000_000,
-    graph_cache_dir: Optional[str] = None,
 ) -> Dict[MachineShape, ScoreTable]:
     """Tables for every distinct shape, built at most once each.
 
-    Resolution order: in-memory cache, then the disk cache (when a
-    directory is configured), then a fresh build (which populates both).
-    A fresh build consults the on-disk *graph* cache first: ``graph_cache_dir`` when
-    given, else a ``graphs/`` subdirectory of the table cache — a table
-    miss that shares a graph with an earlier variant (other damping,
-    other scoring) then skips construction entirely.
+    A table missing from the in-memory cache is built by
+    :func:`~repro.core.score_table.build_score_table`, which loads the
+    shape's profile graph from the on-disk graph cache in ``cache_dir``
+    (default: ``$REPRO_TABLE_CACHE``; none when neither is set) or builds
+    and stores it there.  Only ``profile_graph_*.npz`` archives are
+    written, directly under that directory.
     """
+    if cache_dir is None:
+        cache_dir = os.environ.get("REPRO_TABLE_CACHE") or None
     tables: Dict[MachineShape, ScoreTable] = {}
-    disk = _disk_cache_dir(cache_dir)
-    graph_cache: Optional[Path] = (
-        Path(graph_cache_dir)
-        if graph_cache_dir is not None
-        else (disk / "graphs" if disk is not None else None)
-    )
     for shape in dict.fromkeys(shapes):
         key = table_cache_key(
             shape, vm_types, strategy, damping, vote_direction, scoring
         )
         table = _MEMORY_CACHE.get(key)
-        if table is None and disk is not None:
-            path = disk / f"score_table_{key}.json"
-            if path.exists():
-                table = ScoreTable.load(path)
         if table is None:
             table = build_score_table(
                 shape,
@@ -126,12 +116,9 @@ def score_tables_for(
                 vote_direction=vote_direction,
                 scoring=scoring,
                 node_limit=node_limit,
-                graph_cache_dir=graph_cache,
+                graph_cache_dir=cache_dir,
             )
             _BUILD_COUNTS[key] = _BUILD_COUNTS.get(key, 0) + 1
-            if disk is not None:
-                disk.mkdir(parents=True, exist_ok=True)
-                table.save(disk / f"score_table_{key}.json")
-        _MEMORY_CACHE[key] = table
+            _MEMORY_CACHE[key] = table
         tables[shape] = table
     return tables

@@ -182,26 +182,6 @@ class TestTransitionKernel:
         with pytest.raises(ValidationError):
             transition_kernel(toy_graph, "sideways")
 
-    @pytest.mark.parametrize("direction", ["forward", "reverse"])
-    def test_numpy_fallback_matches_scipy_path(
-        self, toy_shape, toy_vm_types, direction, monkeypatch
-    ):
-        # The bincount fallback must produce the same scores as the
-        # scipy CSR path (fresh graphs: kernels are memoized per graph).
-        import repro.core.pagerank as pagerank_module
-
-        reference = profile_pagerank(
-            build_profile_graph(toy_shape, toy_vm_types, mode="full"),
-            vote_direction=direction,
-        )
-        monkeypatch.setattr(pagerank_module, "_scipy_sparse", None)
-        fallback = profile_pagerank(
-            build_profile_graph(toy_shape, toy_vm_types, mode="full"),
-            vote_direction=direction,
-        )
-        assert fallback.iterations == reference.iterations
-        assert np.allclose(fallback.scores, reference.scores, atol=1e-13)
-
     def test_edgeless_graph_kernel(self):
         # When no VM fits, the graph is a single empty node with no
         # edges; the kernel must still run (rank mass comes solely from

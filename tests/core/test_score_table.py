@@ -355,7 +355,7 @@ class TestPrebuiltGraph:
 
 
 class TestFreezeAndSharedContract:
-    """The frozen-table contract: read-only arrays, in-place laziness."""
+    """Read-only arrays refuse deltas; lazy materialization is in place."""
 
     def _flat_table(self, toy_table):
         import numpy as np
@@ -370,20 +370,15 @@ class TestFreezeAndSharedContract:
             vote_direction=toy_table.vote_direction,
         )
 
-    def test_freeze_marks_arrays_read_only(self, toy_shape, toy_vm_types):
-        table = build_score_table(toy_shape, toy_vm_types)
-        assert table.freeze() is table
-        matrix, _, scores = table._snap_structures()
-        assert not matrix.flags.writeable
-        assert not scores.flags.writeable
-
     def test_frozen_table_refuses_deltas(self, toy_shape, toy_vm_types):
         import numpy as np
 
-        table = build_score_table(toy_shape, toy_vm_types).freeze()
+        table = build_score_table(toy_shape, toy_vm_types)
+        matrix, _, _ = table._snap_structures()
+        matrix.flags.writeable = False
         rows = np.zeros((1, 4))
         scores = np.zeros(len(table) + 1)
-        with pytest.raises(ValidationError, match="frozen/shared"):
+        with pytest.raises(ValidationError, match="read-only"):
             table.apply_delta(rows, scores)
 
     def test_lazy_materialization_never_copies_the_matrix(self, toy_table):
@@ -406,22 +401,3 @@ class TestFreezeAndSharedContract:
         # Force several partial chunks through the bounded materializer.
         monkeypatch.setattr(ScoreTable, "_MATERIALIZE_CHUNK", 7)
         assert dict(table.items()) == dict(toy_table.items())
-
-    def test_mmap_load_is_frozen(self, toy_table, tmp_path):
-        import numpy as np
-
-        path = tmp_path / "table.json"
-        toy_table.save(path)
-        loaded = ScoreTable.load(path, mmap_mode="r")
-        matrix, _, scores = loaded._snap_structures()
-        assert not matrix.flags.writeable
-        assert not scores.flags.writeable
-        with pytest.raises(ValidationError):
-            loaded.apply_delta(np.zeros((1, 4)), np.zeros(len(loaded) + 1))
-        assert dict(loaded.items()) == dict(toy_table.items())
-
-    def test_unknown_mmap_mode_rejected(self, toy_table, tmp_path):
-        path = tmp_path / "table.json"
-        toy_table.save(path)
-        with pytest.raises(ValidationError):
-            ScoreTable.load(path, mmap_mode="c")

@@ -1,8 +1,12 @@
 """Tests for score-table caching."""
 
+from unittest.mock import patch
+
 import pytest
 
+from repro.core import graph_cache
 from repro.core.graph import SuccessorStrategy
+from repro.core.graph_cache import cache_events, clear_cache_events
 from repro.experiments.tables import (
     build_counts,
     clear_memory_cache,
@@ -16,6 +20,14 @@ def fresh_cache():
     clear_memory_cache()
     yield
     clear_memory_cache()
+
+
+def _cache_files(directory):
+    return sorted(path.name for path in directory.iterdir())
+
+
+def _graph_files(directory):
+    return sorted(path.name for path in directory.glob("profile_graph_*.npz"))
 
 
 class TestCacheKey:
@@ -49,14 +61,17 @@ class TestCacheKey:
             toy_shape, toy_vm_types, **changed
         )
 
-    def test_vm_order_does_not_change_key(self, toy_shape, vm2, vm4):
+    def test_vm_order_changes_key(self, toy_shape, vm2, vm4):
+        # Declaration order fixes node ids and the sweep's summation
+        # order, so the two orders may differ bitwise and must not share
+        # a cache entry.
         a = table_cache_key(
             toy_shape, (vm2, vm4), SuccessorStrategy.BALANCED, 0.85, "forward"
         )
         b = table_cache_key(
             toy_shape, (vm4, vm2), SuccessorStrategy.BALANCED, 0.85, "forward"
         )
-        assert a == b
+        assert a != b
 
 
 class TestScoreTablesFor:
@@ -70,23 +85,30 @@ class TestScoreTablesFor:
         second = score_tables_for([toy_shape], toy_vm_types)[toy_shape]
         assert first is second
 
+    def test_vm_order_gets_its_own_table(self, toy_shape, vm2, vm4):
+        first = score_tables_for([toy_shape], (vm2, vm4))[toy_shape]
+        second = score_tables_for([toy_shape], (vm4, vm2))[toy_shape]
+        assert second is not first
+        assert sorted(build_counts().values()) == [1, 1]
+
     def test_disk_cache_roundtrip(self, toy_shape, toy_vm_types, tmp_path):
         first = score_tables_for(
             [toy_shape], toy_vm_types, cache_dir=str(tmp_path)
         )[toy_shape]
-        assert list(tmp_path.glob("score_table_*.json"))
+        assert _cache_files(tmp_path) == _graph_files(tmp_path)
+        assert len(_graph_files(tmp_path)) == 1
         clear_memory_cache()
         second = score_tables_for(
             [toy_shape], toy_vm_types, cache_dir=str(tmp_path)
         )[toy_shape]
         assert second is not first
-        for usage, score in first.items():
-            assert second.score(usage) == pytest.approx(score)
+        assert list(second.items()) == list(first.items())
 
     def test_env_var_cache_dir(self, toy_shape, toy_vm_types, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_TABLE_CACHE", str(tmp_path))
         score_tables_for([toy_shape], toy_vm_types)
-        assert list(tmp_path.glob("score_table_*.json"))
+        assert _cache_files(tmp_path) == _graph_files(tmp_path)
+        assert len(_graph_files(tmp_path)) == 1
 
 
 class TestBuildCounts:
@@ -103,8 +125,17 @@ class TestBuildCounts:
         assert sorted(build_counts().values()) == [1, 1]
 
     def test_disk_load_is_not_a_build(self, toy_shape, toy_vm_types, tmp_path):
+        # A warm disk cache re-solves the table but never rebuilds the
+        # expensive part, the profile graph.
         score_tables_for([toy_shape], toy_vm_types, cache_dir=str(tmp_path))
-        assert sum(build_counts().values()) == 1
         clear_memory_cache()
-        score_tables_for([toy_shape], toy_vm_types, cache_dir=str(tmp_path))
-        assert sum(build_counts().values()) == 0
+        clear_cache_events()
+        with patch.object(
+            graph_cache, "build_profile_graph",
+            side_effect=AssertionError("warm cache rebuilt a graph"),
+        ):
+            score_tables_for(
+                [toy_shape], toy_vm_types, cache_dir=str(tmp_path)
+            )
+        assert cache_events()["hits"] == 1
+        assert cache_events()["misses"] == 0
