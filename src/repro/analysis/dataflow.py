@@ -75,12 +75,13 @@ INDEXED_STRUCTURES: Tuple[str, ...] = (
 EPOCH_SAFE_CALLS: Set[str] = {"refresh", "rebuild", "_refresh", "_reset"}
 
 #: Method calls that mutate the receiver (superset of plain container
-#: mutators: ``update`` covers :meth:`SoAClassTable.update`, and the
-#: private ``_intern`` / ``build_csr`` reach directly into columns).
+#: mutators: ``add`` / ``remove`` also cover :class:`SoAClassTable`'s
+#: member updates, and ``intern`` / ``build_csr`` grow its ids and the
+#: fleet's CSR columns).
 INDEX_MUTATORS: Set[str] = {
     "append", "extend", "insert", "remove", "pop", "popitem", "clear",
     "update", "setdefault", "add", "discard", "sort", "reverse",
-    "_intern", "build_csr",
+    "intern", "build_csr",
 }
 
 #: Types whose ``.generator(...)`` result is a keyed RNG stream.

@@ -381,8 +381,9 @@ def audit_datacenter(
     the fleet (I1): a stale class, state, ordering, class-table or
     class-id entry is reported.
     Columnar (SoA) datacenters expose ``check_columns``, audited here as
-    I2: usage/count/canonical columns and the CSR demand terms must
-    match the allocation records exactly.
+    I2: the usage/count columns and the CSR demand terms must match the
+    allocation records exactly, and every filled usage-cache entry must
+    match its usage row.
 
     Args:
         expected_vm_ids: when given, assignment totality (1) requires
@@ -714,15 +715,15 @@ def load_placements(
         )
         pm_index = int(entry["pm"])
         shape = shapes[pm_index] if 0 <= pm_index < len(shapes) else shapes[0]
-        # Reconstruct a usage snapshot from the chunks alone; the auditor
-        # only reads .assignments, but keep new_usage well formed.
+        # Reconstruct the canonical usage from the chunks alone; the
+        # auditor only reads .assignments, but keep new_usage well formed.
         usage = [[0] * g.n_units for g in shape.groups]
         for group_usage, group_assign in zip(usage, groups):
             for idx, chunk in group_assign:
                 if 0 <= idx < len(group_usage):
                     group_usage[idx] += chunk
         placement = Placement(
-            new_usage=tuple(tuple(g) for g in usage), assignments=groups
+            new_usage=shape.canonicalize(usage), assignments=groups
         )
         assignments.append((pm_index, placement))
     return instance, PlacementSolution(assignments=tuple(assignments))

@@ -178,8 +178,10 @@ class Datacenter:
 def restore_placement(machine, allocation: Allocation):
     """Rebuild a Placement applying an allocation's recorded assignments.
 
-    ``machine`` is anything exposing ``usage`` (a ``PhysicalMachine`` or
-    a columnar view); used by both substrates' migration rollback.
+    ``machine`` is anything exposing ``shape`` and ``usage`` (a
+    ``PhysicalMachine`` or a columnar view); used by both substrates'
+    migration rollback.  ``new_usage`` is canonical, like every other
+    ``Placement``'s.
     """
     from repro.core.permutations import Placement
 
@@ -188,6 +190,6 @@ def restore_placement(machine, allocation: Allocation):
         for idx, chunk in group_assign:
             group_usage[idx] += chunk
     return Placement(
-        new_usage=tuple(tuple(group) for group in usage),
+        new_usage=machine.shape.canonicalize(usage),
         assignments=allocation.assignments,
     )

@@ -238,9 +238,10 @@ def remap_placement(
     concrete machine only requires renaming units, because within every
     run of equal-capacity units the canonical form is the usage sorted
     non-decreasingly.  The k-th canonical position of a run therefore maps
-    to the run's k-th least-used real unit (ties broken by index, matching
-    the stable canonical sort), a bijection that preserves per-unit usage
-    values — and with them feasibility and anti-collocation.
+    to the run's k-th least-used real unit (ties broken by index, because
+    the sort is stable, matching the stable canonical sort), a bijection
+    that preserves per-unit usage values — and with them feasibility and
+    anti-collocation.
 
     This replaces re-running :func:`enumerate_placements` on the selected
     machine, which made every realized decision pay the enumeration cost
@@ -253,16 +254,15 @@ def remap_placement(
         if not group_assign or not group.anti_collocation:
             assignments.append(group_assign)
             continue
+        # Capacities are sorted, so one stable sort on (capacity, usage)
+        # orders every equal-capacity run by usage, ties by index.
         caps = group.capacities
-        mapping = list(range(len(caps)))
-        start = 0
-        while start < len(caps):
-            end = start
-            while end < len(caps) and caps[end] == caps[start]:
-                end += 1
-            order = sorted(range(start, end), key=lambda i: (group_usage[i], i))
-            mapping[start:end] = order
-            start = end
+        if group.uniform():
+            mapping = sorted(range(len(caps)), key=group_usage.__getitem__)
+        else:
+            mapping = sorted(
+                range(len(caps)), key=lambda i: (caps[i], group_usage[i])
+            )
         assignments.append(
             tuple((mapping[idx], chunk) for idx, chunk in group_assign)
         )

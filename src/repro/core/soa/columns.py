@@ -5,10 +5,10 @@ PhysicalMachine` per PM; every monitor tick then walks ~n Python objects.
 This module stores the same state as one set of contiguous numpy
 columns indexed by inventory position:
 
-* :class:`FleetColumns` — the fleet's columns: quantized usage, health
-  flag, allocation count, shape/type ids, CPU capacity, the per-row
-  allocation records, and an append-only CSR of per-chunk CPU demand
-  terms (``pm row, trace slot, burst ceiling``).
+* :class:`FleetColumns` — the fleet's columns: quantized usage (real
+  unit order), health flag, allocation count, shape/type ids, CPU
+  capacity, the per-row allocation records, and an append-only CSR of
+  per-chunk CPU demand terms (``pm row, trace slot, burst ceiling``).
 * :class:`TraceColumns` — the VM side: utilization traces grouped by
   kind so one tick evaluates every VM's current fraction with a handful
   of array gathers instead of n_vms Python calls.
@@ -98,11 +98,11 @@ class ShapeInfo:
 
     Maps the shape's per-group unit structure onto one flat row of the
     usage column: group ``g`` occupies columns ``offsets[g] ..
-    offsets[g+1]``.
+    offsets[g+1]`` (``spans[g]``).
     """
 
     __slots__ = (
-        "shape", "shape_id", "n_dims", "offsets", "cpu_group",
+        "shape", "shape_id", "n_dims", "offsets", "spans", "cpu_group",
         "cpu_capacities", "cpu_capacity",
     )
 
@@ -115,17 +115,20 @@ class ShapeInfo:
             )
         )
         self.n_dims = self.offsets[-1]
+        self.spans: Tuple[Tuple[int, int], ...] = tuple(
+            zip(self.offsets, self.offsets[1:])
+        )
         self.cpu_group = cpu_group_index(shape)
         self.cpu_capacities = shape.groups[self.cpu_group].capacities
         self.cpu_capacity = shape.groups[self.cpu_group].total_capacity
 
+    def split_usage(self, values: List[int]) -> Usage:
+        """Split one flat usage row (a list) into the nested ``Usage`` form."""
+        return tuple(tuple(values[lo:hi]) for lo, hi in self.spans)
+
     def usage_tuple(self, row: np.ndarray) -> Usage:
         """Materialize one usage row as the nested-tuple ``Usage`` form."""
-        offsets = self.offsets
-        return tuple(
-            tuple(int(v) for v in row[offsets[g]:offsets[g + 1]])
-            for g in range(len(offsets) - 1)
-        )
+        return self.split_usage(row.tolist())
 
 
 class _BurstCSR:
@@ -189,18 +192,19 @@ class FleetColumns:
 
     All mutation goes through :class:`~repro.core.soa.datacenter.
     SoADatacenter`; this class only owns the storage and the per-burst
-    CSR bookkeeping.
+    CSR bookkeeping.  A write reads its usage row once as a list and
+    stores it back once.  There is no canonical-usage column: the
+    usage-class index keeps the one copy of each PM's canonical usage.
     """
 
     __slots__ = (
-        "n", "usage", "canon", "failed", "alloc_count", "shape_id",
+        "n", "usage", "failed", "alloc_count", "shape_id",
         "type_id", "cpu_capacity", "allocs", "csr",
     )
 
     def __init__(self, n: int, max_dims: int) -> None:
         self.n = n
         self.usage = np.zeros((n, max_dims), dtype=np.int32)
-        self.canon = np.zeros((n, max_dims), dtype=np.int32)
         self.failed = np.zeros(n, dtype=bool)
         self.alloc_count = np.zeros(n, dtype=np.int32)
         self.shape_id = np.zeros(n, dtype=np.int32)

@@ -16,7 +16,8 @@ typing:
   tick in :class:`~repro.cluster.simulation.CloudSimulation` consumes
   this instead of n per-machine utilization calls);
 * :meth:`check_columns` — the auditor's "I2" check: every column is
-  re-derived from the allocation records and compared.
+  re-derived from the allocation records and compared, and every
+  filled usage-cache entry is compared with its usage row.
 
 :class:`SoAMachineView` is the ``__slots__``-backed proxy satisfying the
 ``PhysicalMachine`` API (the policy ``MachineView`` protocol plus the
@@ -76,9 +77,9 @@ class SoAMachineView:
     def usage(self) -> Usage:
         """Committed usage, real unit order (snapshot tuple, cached).
 
-        Materializing the tuple from the row costs ~7us and the policy
-        reads it several times per decision; the cache entry lives until
-        the row's usage column next mutates.
+        Every write fills the cache with the tuple it built from the row
+        it just updated; rows never written since construction or a
+        rebuild materialize lazily here.
         """
         cached = self._dc._usage_cache[self._pos]
         if cached is None:
@@ -322,12 +323,12 @@ class SoADatacenter:
                 f"VM#{vm.vm_id} is already placed on PM#{pm_id}"
             )
         info = self._infos[cols.shape_id[pos]]
-        usage_row = cols.usage[pos]
-        # Validate before mutating so failures leave the row unchanged.
-        for g, (group, group_assign) in enumerate(
-            zip(info.shape.groups, placement.assignments)
+        # One row read, one write back; validate before mutating so
+        # failures leave the row unchanged.
+        values = cols.usage[pos].tolist()
+        for offset, group, group_assign in zip(
+            info.offsets, info.shape.groups, placement.assignments
         ):
-            offset = info.offsets[g]
             taken = set()
             for idx, chunk in group_assign:
                 if idx in taken and group.anti_collocation:
@@ -336,17 +337,17 @@ class SoADatacenter:
                         f"{idx} of group {group.name!r}"
                     )
                 taken.add(idx)
-                if usage_row[offset + idx] + chunk > group.capacities[idx]:
+                if values[offset + idx] + chunk > group.capacities[idx]:
                     raise ValidationError(
                         f"capacity exceeded on unit {idx} of group "
-                        f"{group.name!r}: {int(usage_row[offset + idx])}+"
+                        f"{group.name!r}: {values[offset + idx]}+"
                         f"{chunk} > {group.capacities[idx]}"
                     )
-        for g, group_assign in enumerate(placement.assignments):
-            offset = info.offsets[g]
+        for offset, group_assign in zip(info.offsets, placement.assignments):
             for idx, chunk in group_assign:
-                usage_row[offset + idx] += chunk
-        self._usage_cache[pos] = None
+                values[offset + idx] += chunk
+        cols.usage[pos] = values
+        self._usage_cache[pos] = info.split_usage(values)
         allocation = Allocation(
             vm=vm, pm_id=pm_id, assignments=placement.assignments,
             placed_at=time_s,
@@ -375,37 +376,22 @@ class SoADatacenter:
         if allocation is None:
             raise KeyError(f"PM#{pm_id} does not host VM#{vm_id}")
         info = self._infos[cols.shape_id[pos]]
-        usage_row = cols.usage[pos]
-        for g, group_assign in enumerate(allocation.assignments):
-            offset = info.offsets[g]
+        values = cols.usage[pos].tolist()
+        for offset, group_assign in zip(info.offsets, allocation.assignments):
             for idx, chunk in group_assign:
-                usage_row[offset + idx] -= chunk
-                if usage_row[offset + idx] < 0:
+                values[offset + idx] -= chunk
+                if values[offset + idx] < 0:
                     raise ValidationError(
                         f"negative usage on PM#{pm_id} after removing "
                         f"VM#{vm_id}; allocation records are corrupt"
                     )
-        self._usage_cache[pos] = None
+        cols.usage[pos] = values
+        self._usage_cache[pos] = info.split_usage(values)
         del cols.allocs[pos][vm_id]
         cols.alloc_count[pos] -= 1
         for csr in cols.csr.values():
             csr.remove(pos, vm_id)
         return allocation
-
-    def _refresh(self, pm_id: int) -> None:
-        """Index refresh plus the canonical-usage column sync."""
-        self._index.refresh(pm_id)
-        self._sync_canon(pm_id)
-
-    def _sync_canon(self, pm_id: int) -> None:
-        """Copy the index's canonical usage of a PM into its canon row."""
-        pos = self._pos_of[pm_id]
-        canonical = self._index.canonical_usage(pm_id)
-        if canonical is None:
-            self._cols.canon[pos, :] = 0
-        else:
-            flat = [u for group in canonical for u in group]
-            self._cols.canon[pos, : len(flat)] = flat
 
     # ------------------------------------------------------------------
     # Mutation (Datacenter API)
@@ -424,7 +410,7 @@ class SoADatacenter:
             raise KeyError(f"no PM with id {decision.pm_id}")
         allocation = self._machine_place(pos, vm, decision.placement, time_s)
         self._vm_location[vm.vm_id] = decision.pm_id
-        self._refresh(decision.pm_id)
+        self._index.refresh(decision.pm_id)
         return allocation
 
     def evict(self, vm_id: int) -> Allocation:
@@ -434,7 +420,7 @@ class SoADatacenter:
             raise KeyError(f"VM#{vm_id} is not placed")
         allocation = self._machine_remove(self._pos_of[pm_id], vm_id)
         del self._vm_location[vm_id]
-        self._refresh(pm_id)
+        self._index.refresh(pm_id)
         return allocation
 
     def crash_machine(self, pm_id: int) -> List[Allocation]:
@@ -443,7 +429,7 @@ class SoADatacenter:
         if view.is_failed:
             raise ValidationError(f"PM#{pm_id} is already crashed")
         self._cols.failed[self._pos_of[pm_id]] = True
-        self._refresh(pm_id)
+        self._index.refresh(pm_id)
         return [self.evict(a.vm_id) for a in view.allocations]
 
     def repair_machine(self, pm_id: int) -> None:
@@ -452,7 +438,7 @@ class SoADatacenter:
         if not view.is_failed:
             raise ValidationError(f"PM#{pm_id} is not crashed")
         self._cols.failed[self._pos_of[pm_id]] = False
-        self._refresh(pm_id)
+        self._index.refresh(pm_id)
 
     def migrate(
         self, vm_id: int, decision: PlacementDecision, time_s: float = 0.0
@@ -470,7 +456,7 @@ class SoADatacenter:
                 old.placed_at,
             )
             self._vm_location[vm_id] = old.pm_id
-            self._refresh(old.pm_id)
+            self._index.refresh(old.pm_id)
             raise
 
     # ------------------------------------------------------------------
@@ -514,10 +500,11 @@ class SoADatacenter:
         """Re-derive every column from the allocation records.
 
         The bulk-reload seam (checkpoint restore, defragmentation):
-        usage/canonical/count columns are recomputed, CSRs dropped (they
-        rebuild lazily on the next tick), and the usage-class index is
-        rebuilt — which re-interns class ids and bumps the index epoch
-        so memoized per-id consumers invalidate.
+        usage/count columns are recomputed, the usage cache emptied (it
+        refills on read), CSRs dropped (they rebuild lazily on the next
+        tick), and the usage-class index is rebuilt — which re-interns
+        class ids and bumps the index epoch so memoized per-id consumers
+        invalidate.
         """
         self._usage_cache = [None] * len(self._views)
         cols = self._cols
@@ -533,8 +520,6 @@ class SoADatacenter:
                     for idx, chunk in group_assign:
                         usage_row[offset + idx] += chunk
         self._index.rebuild()
-        for pm_id in self._pm_ids:
-            self._sync_canon(pm_id)
 
     def check_columns(self) -> List[str]:
         """Re-derive expected column state from the allocation records.
@@ -573,20 +558,14 @@ class SoADatacenter:
                     f"allocation records: {cols.usage[pos].tolist()} "
                     f"!= {expected.tolist()}"
                 )
-            view = self._views[pos]
-            if cols.failed[pos]:
-                expected_canon = np.zeros_like(expected)
-            else:
-                canonical = info.shape.canonicalize(view.usage)
-                flat = [u for group in canonical for u in group]
-                expected_canon = np.zeros_like(expected)
-                expected_canon[: len(flat)] = flat
-            if not np.array_equal(expected_canon, cols.canon[pos]):
-                problems.append(
-                    f"canonical column of PM#{pm_id} stale: "
-                    f"{cols.canon[pos].tolist()} != "
-                    f"{expected_canon.tolist()}"
-                )
+            cached = self._usage_cache[pos]
+            if cached is not None:
+                actual = info.usage_tuple(cols.usage[pos])
+                if cached != actual:
+                    problems.append(
+                        f"usage cache of PM#{pm_id} stale: {cached!r} "
+                        f"!= {actual!r}"
+                    )
             for burst, csr in cols.csr.items():
                 for vm_id, allocation in row_allocs.items():
                     span = csr.spans.get((pos, vm_id))

@@ -22,16 +22,17 @@ maximum, choosing among class representatives in position order
 reproduces the scan's winner exactly — the determinism argument in
 DESIGN.md section 3.10.
 
-The used classes are mirrored into columns for the vectorized placement
-path:
+The used classes live in two structures addressed by class id:
 
 * a :class:`SoAClassTable` interns every ``(shape, canonical usage)``
-  key ever seen to a dense integer id, with per-id representative and
-  size columns (numpy arrays) that policies rank with one masked
-  ``argmax`` instead of a Python loop over classes;
+  key ever seen to a dense integer id and holds, per id, the sorted
+  member positions plus representative and size columns (numpy arrays)
+  that policies rank with one masked ``argmax`` instead of a Python
+  loop over classes;
 * a ``class_ids`` column maps every inventory position to the class id
   of its current used class (-1 while unused or failed), indexed like
-  the fleet columns.
+  the fleet columns.  A refresh reads the old class from it, so only
+  the new key is ever hashed.
 
 Class ids are *content-addressed* (the key is the class content, not its
 membership), so a score memoized against an id stays valid while the
@@ -60,7 +61,6 @@ from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
-    Hashable,
     Iterator,
     List,
     Optional,
@@ -115,38 +115,22 @@ def _discard_sorted(values: List[int], pos: int) -> None:
     del values[i]
 
 
-def _add_member(groups: Dict[Any, List[int]], key: Hashable, pos: int) -> None:
-    """Insert ``pos`` into the sorted member list of ``groups[key]``."""
-    members = groups.get(key)
-    if members is None:
-        groups[key] = [pos]
-    else:
-        insort(members, pos)
-
-
-def _remove_member(
-    groups: Dict[Any, List[int]], key: Hashable, pos: int
-) -> None:
-    """Remove ``pos`` from ``groups[key]``, dropping the key once empty."""
-    members = groups[key]
-    _discard_sorted(members, pos)
-    if not members:
-        del groups[key]
-
-
 class SoAClassTable:
-    """Dense id interning of used-class keys with rep/size columns.
+    """Dense id interning of used-class keys with members and rep/size columns.
 
     Ids are handed out monotonically and never reused within an epoch;
     an id whose class emptied keeps its key (size 0, sentinel rep) so
-    memoized per-id scores stay addressable.
+    memoized per-id scores stay addressable.  ``members[id]`` is the
+    class's sorted member positions; ``rep``/``size`` mirror it as numpy
+    columns for the vectorized ranking.
     """
 
-    __slots__ = ("_id_of", "keys", "_rep", "_size", "n_classes")
+    __slots__ = ("_id_of", "keys", "members", "_rep", "_size", "n_classes")
 
     def __init__(self) -> None:
         self._id_of: Dict[ClassKey, int] = {}
         self.keys: List[ClassKey] = []
+        self.members: List[List[int]] = []
         self._rep = np.full(64, _NO_REP, dtype=np.int64)
         self._size = np.zeros(64, dtype=np.int64)
         self.n_classes = 0
@@ -155,7 +139,8 @@ class SoAClassTable:
         """Id of a key, or -1 when never interned."""
         return self._id_of.get(key, -1)
 
-    def _intern(self, key: ClassKey) -> int:
+    def intern(self, key: ClassKey) -> int:
+        """Id of a key, handing out the next id (empty class) on first sight."""
         class_id = self._id_of.get(key)
         if class_id is not None:
             return class_id
@@ -168,19 +153,23 @@ class SoAClassTable:
                 setattr(self, name, grown)
         self._id_of[key] = class_id
         self.keys.append(key)
+        self.members.append([])
         self.n_classes += 1
         return class_id
 
-    def update(self, key: ClassKey, members: Optional[Sequence[int]]) -> int:
-        """Sync one key's rep/size from its (sorted) member positions."""
-        class_id = self._intern(key)
-        if members:
-            self._rep[class_id] = members[0]
-            self._size[class_id] = len(members)
-        else:
-            self._rep[class_id] = _NO_REP
-            self._size[class_id] = 0
-        return class_id
+    def add(self, class_id: int, pos: int) -> None:
+        """Insert member position ``pos`` into class ``class_id``."""
+        members = self.members[class_id]
+        insort(members, pos)
+        self._rep[class_id] = members[0]
+        self._size[class_id] = len(members)
+
+    def remove(self, class_id: int, pos: int) -> None:
+        """Remove member position ``pos`` (it must be present)."""
+        members = self.members[class_id]
+        _discard_sorted(members, pos)
+        self._rep[class_id] = members[0] if members else _NO_REP
+        self._size[class_id] = len(members)
 
     @property
     def rep(self) -> np.ndarray:
@@ -191,6 +180,14 @@ class SoAClassTable:
     def size(self) -> np.ndarray:
         """Member count per id (0 when currently empty)."""
         return self._size[: self.n_classes]
+
+    def live_classes(self) -> Dict[ClassKey, List[int]]:
+        """``{key: members}`` of every currently non-empty class."""
+        return {
+            key: members
+            for key, members in zip(self.keys, self.members)
+            if members
+        }
 
 
 class UsageClassIndex:
@@ -232,7 +229,6 @@ class UsageClassIndex:
         self._healthy: List[int] = []
         self._used: List[int] = []
         self._unused: List[int] = []
-        self._classes: Dict[ClassKey, List[int]] = {}
         self._unused_by_shape: Dict[MachineShape, List[int]] = {}
         self.table = SoAClassTable()
         self.class_ids = np.full(n, -1, dtype=np.int64)
@@ -260,12 +256,13 @@ class UsageClassIndex:
         """Re-derive one machine's class membership from its live state.
 
         Called by the datacenter after every mutation touching the PM
-        (place, evict, crash, repair).  Cost is O(log n) bisects plus
-        one canonicalization.  A mutation that keeps the machine's broad
-        state (used→used, unused→unused) leaves the healthy/used
-        position lists untouched: at 100k PMs those lists are ~800 KB
-        each, and re-inserting into them would memmove both on every
-        placement.
+        (place, evict, crash, repair).  Cost is one canonicalization and
+        one class-table lookup: the old class is read from ``class_ids``
+        by id, so its key is never rebuilt or hashed again.  A mutation
+        that keeps the machine's broad state (used→used, unused→unused)
+        leaves the healthy/used position lists untouched: at 100k PMs
+        those lists are ~800 KB each, and re-inserting into them would
+        memmove both on every placement.
 
         Raises:
             KeyError: for ids outside the indexed inventory.
@@ -274,14 +271,7 @@ class UsageClassIndex:
         if pos is None:
             raise KeyError(f"no PM with id {pm_id} in the usage index")
         machine = self._machines[pos]
-        shape = machine.shape
         old_state = self._state[pos]
-        old_key: Optional[ClassKey] = None
-        if old_state == _USED:
-            old_canon = self._canon[pos]
-            assert old_canon is not None  # used machines always carry one
-            old_key = (shape, old_canon)
-
         if machine.is_failed:
             new_state = _FAILED
         elif machine.is_used:
@@ -291,23 +281,20 @@ class UsageClassIndex:
         if new_state != old_state:
             self._move(pos, machine, old_state, new_state)
 
-        new_key: Optional[ClassKey] = None
+        table = self.table
+        old_id = int(self.class_ids[pos])
+        new_id = -1
         if new_state == _USED:
-            new_key = (shape, shape.canonicalize(machine.usage))
-        # Class membership and table sync: old key first, then new key.
-        if new_key != old_key:
-            if old_key is not None:
-                _remove_member(self._classes, old_key, pos)
-                self.table.update(old_key, self._classes.get(old_key))  # prv: disable=PRV005 -- SoAClassTable is this index's own maintained state, not a memoized score table
-            if new_key is not None:
-                self._canon[pos] = new_key[1]
-                _add_member(self._classes, new_key, pos)
-        if new_key is None:
-            self.class_ids[pos] = -1
-        else:
-            self.class_ids[pos] = self.table.update(  # prv: disable=PRV005 -- SoAClassTable is this index's own maintained state, not a memoized score table
-                new_key, self._classes[new_key]
-            )
+            shape = machine.shape
+            new_id = table.intern((shape, shape.canonicalize(machine.usage)))
+            # Share the interned key's tuple: one copy per class.
+            self._canon[pos] = table.keys[new_id][1]
+        if new_id != old_id:
+            if old_id >= 0:
+                table.remove(old_id, pos)  # prv: disable=PRV005 -- SoAClassTable is this index's own maintained state, not a memoized score table
+            if new_id >= 0:
+                table.add(new_id, pos)  # prv: disable=PRV005 -- SoAClassTable is this index's own maintained state, not a memoized score table
+            self.class_ids[pos] = new_id
 
     def _move(
         self, pos: int, machine: Any, old_state: str, new_state: str
@@ -323,7 +310,10 @@ class UsageClassIndex:
             _discard_sorted(self._used, pos)
         elif old_state == _UNUSED:
             _discard_sorted(self._unused, pos)
-            _remove_member(self._unused_by_shape, shape, pos)
+            same_shape = self._unused_by_shape[shape]
+            _discard_sorted(same_shape, pos)
+            if not same_shape:
+                del self._unused_by_shape[shape]
         was_healthy = old_state in (_USED, _UNUSED)
         if new_state == _FAILED:
             self._canon[pos] = None
@@ -336,7 +326,7 @@ class UsageClassIndex:
         elif new_state == _UNUSED:
             self._canon[pos] = shape.canonicalize(machine.usage)
             insort(self._unused, pos)
-            _add_member(self._unused_by_shape, shape, pos)
+            insort(self._unused_by_shape.setdefault(shape, []), pos)
         self._state[pos] = new_state
 
     # ------------------------------------------------------------------
@@ -350,7 +340,7 @@ class UsageClassIndex:
     @property
     def n_classes(self) -> int:
         """Number of distinct used classes (observability)."""
-        return len(self._classes)
+        return int(np.count_nonzero(self.table.size))
 
     def used_machines(self) -> List[Any]:
         """Used healthy machines in inventory order (O(used))."""
@@ -378,6 +368,7 @@ class UsageClassIndex:
         rather than silently served.
         """
         fresh = UsageClassIndex(self._machines)
+        table = self.table
         problems: List[str] = []
         for label, mine, theirs in (
             ("state", self._state, fresh._state),
@@ -385,7 +376,8 @@ class UsageClassIndex:
             ("healthy set", self._healthy, fresh._healthy),
             ("used set", self._used, fresh._used),
             ("unused set", self._unused, fresh._unused),
-            ("used classes", self._classes, fresh._classes),
+            ("used classes", table.live_classes(),
+             fresh.table.live_classes()),
             ("unused shape classes", self._unused_by_shape,
              fresh._unused_by_shape),
         ):
@@ -394,42 +386,32 @@ class UsageClassIndex:
                     f"index {label} diverged from a fresh scan: "
                     f"maintained {mine!r} != scanned {theirs!r}"
                 )
-        active_ids = set()
-        for key, members in self._classes.items():
-            class_id = self.table.lookup(key)
-            if class_id < 0:
+        for class_id, (key, members) in enumerate(
+            zip(table.keys, table.members)
+        ):
+            if table.lookup(key) != class_id:
                 problems.append(
-                    f"class table missing an id for live class {key!r}"
+                    f"class table key of row {class_id} is interned as "
+                    f"{table.lookup(key)}"
                 )
-                continue
-            active_ids.add(class_id)
-            if int(self.table.rep[class_id]) != members[0] or int(
-                self.table.size[class_id]
-            ) != len(members):
+            rep_size = (int(table.rep[class_id]), int(table.size[class_id]))
+            expected = (members[0] if members else _NO_REP, len(members))
+            if rep_size != expected:
                 problems.append(
                     f"class table row {class_id} diverged: rep/size "
-                    f"({int(self.table.rep[class_id])}, "
-                    f"{int(self.table.size[class_id])}) != "
-                    f"({members[0]}, {len(members)})"
-                )
-        for class_id in range(self.table.n_classes):
-            if class_id not in active_ids and self.table.size[class_id] != 0:
-                problems.append(
-                    f"class table row {class_id} claims "
-                    f"{int(self.table.size[class_id])} members but the key "
-                    f"is not a live class"
+                    f"{rep_size} != {expected}"
                 )
         for pos in range(len(self._machines)):
             if self._state[pos] == _USED:
-                expected = self.table.lookup(
+                expected_id = table.lookup(
                     (self._machines[pos].shape, cast(Usage, self._canon[pos]))
                 )
             else:
-                expected = -1
-            if int(self.class_ids[pos]) != expected:
+                expected_id = -1
+            if int(self.class_ids[pos]) != expected_id:
                 problems.append(
                     f"class-id column stale at position {pos}: "
-                    f"{int(self.class_ids[pos])} != {expected}"
+                    f"{int(self.class_ids[pos])} != {expected_id}"
                 )
         return problems
 
@@ -501,17 +483,15 @@ class IndexedMachines(Sequence[Any]):
         if class_id >= 0:
             rep, size = rep.copy(), size.copy()
             size[class_id] -= 1
-            members = index._classes[table.keys[class_id]]
+            members = table.members[class_id]
             if size[class_id] > 0 and members[0] == ex:
                 rep[class_id] = members[1]
         return rep, size
 
     def class_members(self, class_id: int) -> List[int]:
         """Member positions of a used class id, ascending, exclusion applied."""
-        index = self._index
         ex = self._excluded_pos()
-        members = index._classes.get(index.table.keys[class_id], [])
-        return [p for p in members if p != ex]
+        return [p for p in self._index.table.members[class_id] if p != ex]
 
     def machine_at(self, pos: int) -> Any:
         """The machine at inventory position ``pos``."""

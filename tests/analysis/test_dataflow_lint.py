@@ -75,8 +75,16 @@ class TestPRV011:
     def test_mutator_call_through_the_table_flagged(self):
         assert flow_codes(
             """
-            def poke(index: TunedIndex, key, members) -> None:
-                index.table.update(key, members)
+            def poke(index: TunedIndex, class_id, pos) -> None:
+                index.table.add(class_id, pos)
+            """
+        ) == ["PRV011"]
+
+    def test_interning_through_the_table_flagged(self):
+        assert flow_codes(
+            """
+            def poke(index: TunedIndex, key) -> int:
+                return index.table.intern(key)
             """
         ) == ["PRV011"]
 
@@ -93,8 +101,8 @@ class TestPRV011:
         # in the mutating function re-derives the canonical state.
         assert flow_codes(
             """
-            def repack(index: UsageClassIndex, key, members) -> None:
-                index.table.update(key, members)
+            def repack(index: UsageClassIndex, class_id, pos) -> None:
+                index.table.remove(class_id, pos)
                 index.rebuild()
             """
         ) == []

@@ -261,18 +261,17 @@ class TestAuditDatacenter:
             toy_datacenter(toy_shape).machines
         )
         place(datacenter, 0, vm2)
-        # Bit-flip the committed usage PM 0 reports, mirrored into its
-        # canonical column so the columns (I2) stay self-consistent.
+        # Bit-flip the committed usage PM 0 reports through its usage
+        # cache, leaving the usage column and the records intact.
         usage = datacenter.machine(0).usage
         corrupted = ((usage[0][0] + 1,) + usage[0][1:],) + usage[1:]
         datacenter._usage_cache[0] = corrupted
-        canonical = toy_shape.canonicalize(corrupted)
-        flat = [u for group in canonical for u in group]
-        datacenter.columns.canon[0, : len(flat)] = flat
         report = audit_datacenter(datacenter)
-        # The corrupted usage breaks conservation (C2) and makes the
-        # usage-class index stale relative to a fresh scan (I1).
-        assert report.constraint_ids() == ("C2", "I1")
+        # The corrupted usage breaks conservation (C2), makes the
+        # usage-class index stale relative to a fresh scan (I1) and no
+        # longer matches the usage column it caches (I2).
+        assert report.constraint_ids() == ("C2", "I1", "I2")
+        assert "usage cache" in str(report.by_constraint("I2")[0])
         assert "conservation" in str(report.by_constraint("C2")[0])
         assert "index stale" in str(report.by_constraint("I1")[0])
 
@@ -437,6 +436,19 @@ class TestPlacementsPersistence:
         save_placements(instance, collocated, path)
         report = audit_solution(*load_placements(path))
         assert report.constraint_ids() == ("C4",)
+
+    def test_loaded_new_usage_is_canonical(self, tmp_path, instance, toy_shape):
+        # vm2 on units 3 and 1 of PM 0: real unit order (0, 1, 0, 1).
+        solution = PlacementSolution(assignments=(
+            (0, Placement(new_usage=((0, 0, 1, 1),),
+                          assignments=(((3, 1), (1, 1)),))),
+        ))
+        path = tmp_path / "unsorted.json"
+        save_placements(instance, solution, path)
+        _, loaded = load_placements(path)
+        (_, placement), = loaded.assignments
+        assert placement.new_usage == toy_shape.canonicalize(((0, 1, 0, 1),))
+        assert placement.assignments == (((3, 1), (1, 1)),)
 
     def test_unknown_format_rejected(self, tmp_path):
         path = tmp_path / "nonsense.json"

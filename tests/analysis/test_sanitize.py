@@ -298,15 +298,15 @@ class TestMutationSelfTest:
                 )
                 datacenter.apply(vm_b, second)
                 if mutated:
-                    # The injected bug: sync the shared class with a
-                    # membership list missing the representative — what
-                    # a skipped refresh() leaves behind.
-                    index = datacenter.usage_index
-                    key = max(index._classes, key=lambda k: len(
-                        index._classes[k]
-                    ))
-                    members = index._classes[key]
-                    index.table.update(key, members[1:])
+                    # The injected bug: drop the shared class's
+                    # representative from its member list — what a
+                    # skipped refresh() leaves behind.
+                    table = datacenter.usage_index.table
+                    class_id = max(
+                        range(table.n_classes),
+                        key=lambda c: len(table.members[c]),
+                    )
+                    table.remove(class_id, table.members[class_id][0])
                 # The next selection of the same type ranks the shared
                 # class through its (now stale) representative.
                 final = policy.select(

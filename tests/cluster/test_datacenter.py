@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.cluster.datacenter import Datacenter
+from repro.cluster.datacenter import Datacenter, restore_placement
 from repro.cluster.machine import PhysicalMachine
 from repro.cluster.vm import VirtualMachine
-from repro.core.permutations import balanced_placement
+from repro.core.permutations import Placement, balanced_placement
+from repro.core.profile import VMType
 from repro.core.policy import PlacementDecision
 from repro.util.validation import ValidationError
 
@@ -98,3 +99,26 @@ class TestMigrate:
         datacenter.apply(vm, decision_for(datacenter, 0, vm2))
         datacenter.migrate(1, decision_for(datacenter, 0, vm2))
         assert datacenter.locate(1) == 0
+
+
+class TestRestorePlacement:
+    def test_new_usage_is_canonical(self, toy_shape):
+        machine = PhysicalMachine(0, toy_shape)
+        loads = VMType(name="loads", demands=((3, 1),))
+        machine.place(
+            VirtualMachine(0, loads),
+            Placement(new_usage=((0, 0, 1, 3),), assignments=(((0, 3), (3, 1)),)),
+        )
+        moved = VMType(name="moved", demands=((2,),))
+        machine.place(
+            VirtualMachine(1, moved),
+            Placement(new_usage=((0, 1, 2, 3),), assignments=(((1, 2),),)),
+        )
+        allocation = machine.remove(1)
+        assert machine.usage == ((3, 0, 0, 1),)
+        restored = restore_placement(machine, allocation)
+        # Real unit order after the restore is (3, 2, 0, 1): unsorted.
+        assert restored.new_usage == toy_shape.canonicalize(((3, 2, 0, 1),))
+        assert restored.new_usage == ((0, 1, 2, 3),)
+        machine.place(VirtualMachine(1, moved), restored)
+        assert machine.usage == ((3, 2, 0, 1),)

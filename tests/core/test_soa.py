@@ -7,6 +7,7 @@ rebuild/epoch invalidation of the policy memo (the LRU-vs-bulk-rebuild
 contract), and the I2 column audit.
 """
 
+import numpy as np
 import pytest
 
 from repro.analysis.invariants import audit_datacenter
@@ -33,29 +34,50 @@ def place(dc, policy, vm_id, vm_type):
 class TestSoAClassTable:
     def test_ids_are_dense_and_monotone(self):
         table = SoAClassTable()
-        a = table.update(("shape", "a"), [3, 5])
-        b = table.update(("shape", "b"), [1])
+        a = table.intern(("shape", "a"))
+        b = table.intern(("shape", "b"))
         assert (a, b) == (0, 1)
+        assert table.intern(("shape", "a")) == a
+        table.add(a, 5)
+        table.add(a, 3)
+        table.add(b, 1)
         assert table.n_classes == 2
         assert table.lookup(("shape", "a")) == 0
         assert table.lookup(("shape", "missing")) == -1
+        assert table.members == [[3, 5], [1]]
         assert list(table.rep) == [3, 1]
         assert list(table.size) == [2, 1]
 
     def test_emptied_class_keeps_its_id(self):
         table = SoAClassTable()
-        a = table.update(("shape", "a"), [2])
-        table.update(("shape", "a"), None)
+        a = table.intern(("shape", "a"))
+        table.add(a, 2)
+        table.remove(a, 2)
         assert table.lookup(("shape", "a")) == a
+        assert table.members[a] == []
         assert int(table.size[a]) == 0
+        assert int(table.rep[a]) == np.iinfo(np.int64).max
+        assert table.live_classes() == {}
         # Refilling reuses the id: memoized per-id scores stay valid.
-        assert table.update(("shape", "a"), [7]) == a
+        assert table.intern(("shape", "a")) == a
+        table.add(a, 7)
         assert int(table.rep[a]) == 7
+        assert table.live_classes() == {("shape", "a"): [7]}
+
+    def test_removing_the_representative_hands_it_on(self):
+        table = SoAClassTable()
+        a = table.intern(("shape", "a"))
+        for pos in (4, 9, 6):
+            table.add(a, pos)
+        table.remove(a, 4)
+        assert (int(table.rep[a]), int(table.size[a])) == (6, 2)
+        with pytest.raises(ValueError):
+            table.remove(a, 4)
 
     def test_columns_grow_past_the_initial_capacity(self):
         table = SoAClassTable()
         for i in range(200):
-            table.update(("shape", i), [i])
+            table.add(table.intern(("shape", i)), i)
         assert table.n_classes == 200
         assert int(table.rep[150]) == 150
         assert int(table.size[150]) == 1
@@ -199,3 +221,31 @@ class TestColumnAudit:
         report = audit_datacenter(dc, expected_vm_ids=[0])
         assert not report.ok
         assert any(v.constraint == "I2" for v in report.violations)
+
+    def test_writes_fill_the_usage_cache(self, toy_shape, toy_table, vm2):
+        dc = soa_datacenter(toy_shape)
+        policy = PageRankVMPolicy({toy_shape: toy_table})
+        place(dc, policy, 0, vm2)
+        pos = dc.locate(0)
+        cached = dc._usage_cache[pos]
+        assert cached is not None
+        info = dc._info_of_pos(pos)
+        assert cached == info.usage_tuple(dc.columns.usage[pos])
+        dc.evict(0)
+        assert dc._usage_cache[pos] == info.usage_tuple(
+            dc.columns.usage[pos]
+        )
+
+    def test_tampered_usage_cache_fails_i2(self, toy_shape, toy_table, vm2):
+        dc = soa_datacenter(toy_shape)
+        policy = PageRankVMPolicy({toy_shape: toy_table})
+        place(dc, policy, 0, vm2)
+        pos = dc.locate(0)
+        usage = dc._usage_cache[pos]
+        # Only the cache is corrupted; the columns and records agree.
+        dc._usage_cache[pos] = ((usage[0][0] + 1,) + usage[0][1:],) + usage[1:]
+        problems = dc.check_columns()
+        assert len(problems) == 1
+        assert "usage cache" in problems[0]
+        report = audit_datacenter(dc, expected_vm_ids=[0])
+        assert "I2" in report.constraint_ids()

@@ -138,6 +138,29 @@ class TestConsistencyCheck:
         assert problems
         assert any("canonical usage" in p for p in problems)
 
+    def test_dropped_representative_detected(self, toy_shape, vm2):
+        dc = toy_datacenter(toy_shape)
+        for vm_id, pm_id in enumerate((0, 2, 3)):
+            place(dc, vm_id, vm2, pm_id=pm_id)
+        index = dc.usage_index
+        class_id = int(index.class_ids[0])
+        # Drop the representative from the member list behind the
+        # table's back, leaving its rep/size columns as they were.
+        del index.table.members[class_id][0]
+        problems = index.check_consistency()
+        assert any("used classes" in p for p in problems)
+        assert any(f"class table row {class_id}" in p for p in problems)
+
+    def test_canonical_usage_shares_the_interned_key(self, toy_shape, vm2):
+        dc = toy_datacenter(toy_shape)
+        place(dc, 0, vm2, pm_id=0)
+        place(dc, 1, vm2, pm_id=2)
+        index = dc.usage_index
+        class_id = int(index.class_ids[0])
+        key_usage = index.table.keys[class_id][1]
+        assert index.canonical_usage(0) is key_usage
+        assert index.canonical_usage(2) is key_usage
+
 
 class TestIndexedView:
     def test_sequence_protocol_over_healthy(self, toy_shape, vm2):

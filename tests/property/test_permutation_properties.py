@@ -3,12 +3,15 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.ec2 import EC2_VM_TYPES, ec2_pm_shape
 from repro.core.permutations import (
+    Placement,
     apply_assignments,
     balanced_placement,
     can_place,
     enumerate_placements,
     first_fit_placement,
+    remap_placement,
 )
 from repro.core.profile import MachineShape, ResourceGroup, VMType
 
@@ -107,3 +110,76 @@ class TestStrategyConsistency:
         for placement in enumerate_placements(shape, usage, vm):
             after = sum(sum(g) for g in placement.new_usage)
             assert after == before + demanded
+
+
+def remap_by_usage_then_index(shape, usage, placement):
+    """Frozen copy of ``remap_placement`` sorting on a ``(usage, index)`` key."""
+    assignments = []
+    for group, group_usage, group_assign in zip(
+        shape.groups, usage, placement.assignments
+    ):
+        if not group_assign or not group.anti_collocation:
+            assignments.append(group_assign)
+            continue
+        caps = group.capacities
+        mapping = list(range(len(caps)))
+        start = 0
+        while start < len(caps):
+            end = start
+            while end < len(caps) and caps[end] == caps[start]:
+                end += 1
+            order = sorted(range(start, end), key=lambda i: (group_usage[i], i))
+            mapping[start:end] = order
+            start = end
+        assignments.append(
+            tuple((mapping[idx], chunk) for idx, chunk in group_assign)
+        )
+    return Placement(
+        new_usage=placement.new_usage, assignments=tuple(assignments)
+    )
+
+
+#: The paper's PM shapes plus one with several equal-capacity runs per
+#: group, so the per-run mapping is exercised beyond uniform groups.
+REMAP_SHAPES = (
+    ec2_pm_shape("M3"),
+    ec2_pm_shape("C3"),
+    MachineShape(groups=(
+        ResourceGroup(name="cpu", capacities=(12, 12, 26, 26, 26, 28)),
+        ResourceGroup(name="mem", capacities=(256,), anti_collocation=False),
+        ResourceGroup(name="disk", capacities=(100, 100, 250, 250)),
+    )),
+)
+
+
+@st.composite
+def tie_heavy_cases(draw):
+    """Real-unit-order usages drawn from three loads per group (many ties)."""
+    shape = draw(st.sampled_from(REMAP_SHAPES))
+    usage = tuple(
+        tuple(
+            draw(st.sampled_from((0, min(group.capacities) // 4,
+                                  min(group.capacities) // 2)))
+            for _ in group.capacities
+        )
+        for group in shape.groups
+    )
+    vm = draw(st.sampled_from(EC2_VM_TYPES))
+    return shape, usage, vm
+
+
+class TestRemapPlacement:
+    @given(tie_heavy_cases())
+    @settings(max_examples=300)
+    def test_matches_the_usage_then_index_key(self, case):
+        shape, usage, vm = case
+        for placement in enumerate_placements(
+            shape, shape.canonicalize(usage), vm
+        ):
+            remapped = remap_placement(shape, usage, placement)
+            assert remapped == remap_by_usage_then_index(
+                shape, usage, placement
+            )
+            assert shape.canonicalize(
+                apply_assignments(usage, remapped.assignments)
+            ) == placement.new_usage
