@@ -14,13 +14,10 @@ workload (a cold build and a cache reload) and end-to-end
 ``workers=cpu_count`` (with a bit-identical-results check between the
 two), and an online-serving phase — allocate plus a day-long simulate on
 the EC2 M3 workload — timed against the seed serving path (linear scans
-and the chunk-walking tick) with a decision-identity cross-check.  Two
-tagged phase entries ride along: a ``"kernel"`` entry (the exact
-DAG-sweep rank kernel vs the warm power iteration, with its fixed-point
-residual) and a ``"delta"`` entry (live VM-type
-registration through the fleet delta plane vs a cold rebuild of the
-grown catalog, with a decision-digest identity check against a
-cold-built control service).  Future PRs append entries, so the file
+and the chunk-walking tick) with a decision-identity cross-check.  A
+tagged ``"kernel"`` phase entry rides along: the exact DAG-sweep rank
+kernel vs the warm power iteration, with its fixed-point residual.
+Future PRs append entries, so the file
 reads as a perf trajectory across the repo's history; ``repro perf
 check`` gates each phase's latest entry against that history.
 
@@ -241,7 +238,6 @@ def seed_build_profile_graph(
         strategy=SuccessorStrategy.BALANCED,
         profiles=profiles,
         successors=[succ_map[i] for i in range(len(profiles))],
-        _index=index,
     )
 
 
@@ -693,106 +689,6 @@ def measure_kernel_phase(
     }
 
 
-def delta_vm_type() -> "VMType":
-    """The delta-phase workload: a c3.2xlarge-class type new to the M3
-    catalog.  It reaches ~30k genuinely new profiles on the M3 graph —
-    a *hard* registration, so the recorded speedup is the delta plane's
-    floor, not a small-growth best case.
-    """
-    from repro.cluster.ec2 import _CPU, _DISK, _MEM
-
-    return VMType(
-        name="c3.2xlarge",
-        demands=(
-            tuple(_CPU.to_units(0.7) for _ in range(8)),
-            (_MEM.to_units(15.0),),
-            tuple(_DISK.to_units(80.0) for _ in range(2)),
-        ),
-    )
-
-
-def measure_delta_phase(
-    n_pms: int = 32, n_requests: int = 128
-) -> Dict[str, object]:
-    """Delta-plane phase: live VM-type registration vs a cold rebuild.
-
-    Boots the M3 fleet service plus its :class:`FleetDeltaPlane`,
-    registers :func:`delta_vm_type` through the incremental pipeline
-    (frontier graph growth, partial re-sweep, in-place row append, hot
-    swap) and times the full rebuild of the grown catalog from cold
-    placement memos — the cost an operator without the delta plane
-    pays.  An identical request stream then runs against the
-    delta-swapped service and a cold-built control service; their
-    rolling decision digests must match bit-for-bit.
-    """
-    from repro.core import permutations
-    from repro.serve.fleet import FleetDeltaPlane, build_ec2_service
-    from repro.serve.service import PlacementService, ServeRequest
-    from repro.util.rng import RngFactory
-
-    shape = ec2_pm_shape("M3")
-    new_vm = delta_vm_type()
-    grown_catalog = tuple(EC2_VM_TYPES) + (new_vm,)
-    with tempfile.TemporaryDirectory() as cache_dir:
-        service = build_ec2_service(
-            counts={"M3": n_pms}, seed=0, table_cache_dir=cache_dir
-        )
-        plane = FleetDeltaPlane(service, graph_cache_dir=cache_dir)
-        start = time.perf_counter()
-        report = plane.register(new_vm)
-        delta_wall = time.perf_counter() - start
-
-        permutations.clear_group_memos()
-        start = time.perf_counter()
-        cold_table = build_score_table(
-            shape, grown_catalog, strategy=SuccessorStrategy.BALANCED
-        )
-        cold_wall = time.perf_counter() - start
-
-        def request_stream() -> List[ServeRequest]:
-            names = [vm.name for vm in grown_catalog]
-            rng = RngFactory(7).generator("delta-phase", "mix")
-            return [
-                ServeRequest(
-                    op="place",
-                    request_id=i,
-                    vm_type=names[int(rng.integers(len(names)))],
-                    utilization=float(rng.uniform(0.05, 0.48)),
-                )
-                for i in range(n_requests)
-            ]
-
-        control = PlacementService(
-            build_ec2_soa_datacenter({"M3": n_pms}),
-            PageRankVMPolicy(
-                {shape: cold_table},
-                rng=RngFactory(0).generator("serve-policy"),
-            ),
-            grown_catalog,
-            seed=0,
-        )
-        service.serve_batch(request_stream())
-        control.serve_batch(request_stream())
-        identical = service.decision_digest == control.decision_digest
-        service.close()
-        control.close()
-
-    shape_report = next(iter(report["shapes"].values()))
-    return {
-        "delta_vm_type": new_vm.name,
-        "delta_fleet_pms": n_pms,
-        "delta_requests": n_requests,
-        "delta_graph_nodes": shape_report["n_nodes"],
-        "delta_new_nodes": shape_report["new_nodes"],
-        "delta_changed_sources": shape_report["changed_sources"],
-        "delta_register_wall_s": delta_wall,
-        "delta_swap_wall_s": report["swap_seconds"],
-        "cold_rebuild_wall_s": cold_wall,
-        "delta_speedup_vs_cold": cold_wall / delta_wall,
-        "delta_decision_digest_identical": identical,
-    }
-
-
 def measure_scale_sweep(
     table: ScoreTable, quick: bool = False
 ) -> Dict[str, object]:
@@ -887,9 +783,9 @@ def phase_entries(
 ) -> List[Dict[str, object]]:
     """One trajectory entry per requested phase, in request order.
 
-    The flat harness entry carries no ``phase`` key; the kernel and
-    delta entries are tagged so ``repro perf check`` gates them against
-    their own histories.  Every entry carries :func:`host_stamp`.
+    The flat harness entry carries no ``phase`` key; the kernel entry
+    is tagged so ``repro perf check`` gates it against its own
+    history.  Every entry carries :func:`host_stamp`.
     """
     entries: List[Dict[str, object]] = []
     recorded_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -904,17 +800,6 @@ def phase_entries(
                 "phase": "kernel",
                 "quick": quick,
                 **measure_kernel_phase(repeats=1 if quick else 5),
-            }
-        )
-    if "delta" in phases:
-        entries.append(
-            {
-                "recorded_at": recorded_at,
-                "phase": "delta",
-                "quick": quick,
-                **measure_delta_phase(
-                    n_requests=64 if quick else 128
-                ),
             }
         )
     stamp = host_stamp()
@@ -937,14 +822,14 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--phase", action="append", default=None,
-        choices=("harness", "kernel", "delta"),
-        help="measure only these phases (repeatable; default: all three)",
+        choices=("harness", "kernel"),
+        help="measure only these phases (repeatable; default: both)",
     )
     args = parser.parse_args(argv)
     phases = (
         tuple(args.phase)
         if args.phase
-        else ("harness", "kernel", "delta")
+        else ("harness", "kernel")
     )
     entries = phase_entries(
         phases, quick=args.quick, table_cache_dir=args.table_cache

@@ -142,13 +142,6 @@ PHASE_METRICS: Dict[str, Tuple[MetricSpec, ...]] = {
             _key("sweep_speedup_vs_iterative"),
         ),
     ),
-    "delta": (
-        MetricSpec("delta_register_wall_s", False,
-                   _key("delta_register_wall_s")),
-        MetricSpec(
-            "delta_speedup_vs_cold", True, _key("delta_speedup_vs_cold")
-        ),
-    ),
 }
 
 

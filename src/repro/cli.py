@@ -337,10 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="append a 'serve' phase entry to this BENCH_perf.json")
     serve_load.add_argument(
         "--hot-swap-at", type=int, default=None, metavar="N",
-        help="after N completed requests, hot-swap freshly republished "
-             "(content-equal) score tables into the live service via the "
-             "fleet delta plane; the decision digest must match a "
-             "no-swap control run")
+        help="after N completed requests, rebuild the score tables for "
+             "the current catalog and hot-swap them (content-equal) into "
+             "the live service; the decision digest must match a no-swap "
+             "control run")
     serve_chaos = serve_sub.add_parser(
         "chaos", help="replay a fault schedule against a live service and "
                       "assert every request reaches exactly one outcome"
@@ -878,19 +878,19 @@ def _cmd_serve(args) -> int:
         after_request = None
         swaps_done = [0]
         if args.hot_swap_at is not None:
-            from repro.serve.fleet import FleetDeltaPlane
-
-            plane = FleetDeltaPlane(
-                service, graph_cache_dir=args.table_cache
-            )
+            from repro.serve.fleet import swap_catalog
 
             def after_request(completed: int) -> None:
-                # One equal-content swap, mid-run: republish the current
-                # masters and hot-swap the live service onto them.  The
-                # decision stream must be digest-identical to a no-swap
-                # control run.
+                # One equal-content swap, mid-run: rebuild the tables for
+                # the current catalog and hot-swap the live service onto
+                # them.  The decision stream must be digest-identical to
+                # a no-swap control run.
                 if completed == args.hot_swap_at and swaps_done[0] == 0:
-                    plane.swap_current()
+                    swap_catalog(
+                        service,
+                        service.vm_type_catalog,
+                        graph_cache_dir=args.table_cache,
+                    )
                     swaps_done[0] += 1
 
         if args.mode == "closed":

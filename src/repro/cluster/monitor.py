@@ -26,11 +26,6 @@ class MachineSnapshot:
     cpu_utilization: float
     active: bool
 
-    @property
-    def overloaded_at(self) -> float:
-        """Alias kept for readable call sites (the utilization value)."""
-        return self.cpu_utilization
-
 
 class UtilizationMonitor:
     """Samples trace-driven CPU utilization across the fleet.

@@ -62,9 +62,7 @@ __all__ = [
     "SuccessorStrategy",
     "GraphLimitExceeded",
     "ProfileGraph",
-    "GraphDelta",
     "build_profile_graph",
-    "extend_profile_graph",
 ]
 
 
@@ -96,14 +94,13 @@ class ProfileGraph:
     strategy: SuccessorStrategy
     profiles: List[Usage]
     successors: List[Tuple[int, ...]]
-    _index: Dict[Usage, int] = field(default_factory=dict, repr=False)
+    _index: Dict[Usage, int] = field(init=False, repr=False)
     _derived: Dict[str, Any] = field(
         default_factory=dict, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        if not self._index:
-            self._index = {usage: i for i, usage in enumerate(self.profiles)}
+        self._index = {usage: i for i, usage in enumerate(self.profiles)}
 
     @property
     def n_nodes(self) -> int:
@@ -455,12 +452,6 @@ class _SuccessorEngine:
                     seen.setdefault(succ_combo)
         return list(seen)
 
-    def successor_usages(self, usage: Usage) -> List[Usage]:
-        """Distinct successor usages of a usage, in discovery order."""
-        return [
-            self.usage_of(c) for c in self.successor_combos(self.combo_of(usage))
-        ]
-
 
 def _reachable_limit_error(node_limit: int) -> GraphLimitExceeded:
     return GraphLimitExceeded(
@@ -586,255 +577,3 @@ def build_profile_graph(
     if mode == "full":
         return _build_full_serial(shape, vm_types, strategy, node_limit)
     return _build_reachable_serial(shape, vm_types, strategy, node_limit)
-
-
-@dataclass(frozen=True)
-class GraphDelta:
-    """What changed when a graph was grown by :func:`extend_profile_graph`.
-
-    Attributes:
-        base_nodes: node count of the base graph; ids below it are
-            preserved verbatim, ids at or above it are appended.
-        new_nodes: the appended node ids (``range(base_nodes, n)``).
-        changed_sources: base-graph node ids whose successor set grew —
-            together with ``new_nodes`` these seed the rank
-            invalidation cone
-            (:func:`repro.core.kernel_sweep.invalidation_cone`).
-        new_vm_types: the VM types the extension added.
-    """
-
-    base_nodes: int
-    new_nodes: Tuple[int, ...]
-    changed_sources: Tuple[int, ...]
-    new_vm_types: Tuple[VMType, ...]
-
-    @property
-    def n_new_nodes(self) -> int:
-        """Number of appended nodes."""
-        return len(self.new_nodes)
-
-
-def _balanced_extension_scan(
-    graph: ProfileGraph, vm: VMType
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Vectorized pass-1 scan: which base nodes can place ``vm``, where to.
-
-    For the BALANCED strategy over groups whose capacities are uniform
-    (every unit the same size — all the paper's shapes), balanced
-    placement has a closed form on canonical profiles: canonicalization
-    sorts each group ascending and the placement order puts the largest
-    chunk on the emptiest unit, so chunk ``j`` (descending) lands on
-    unit ``j`` and feasibility is ``usage[j] + chunk[j] <= capacity``
-    columnwise.  That turns the whole base-node scan into a handful of
-    array ops on :meth:`ProfileGraph.flat_profiles` instead of a
-    Python-engine call per node.
-
-    Returns ``(mask, successor_rows)`` — feasibility per base node and
-    the (re-canonicalized) successor profile rows, rows outside the
-    mask undefined — or None when a group's capacities are non-uniform
-    (the exact engine path handles those).
-    """
-    for group in graph.shape.groups:
-        if group.anti_collocation and len(set(group.capacities)) > 1:
-            return None
-    flat = graph.flat_profiles()
-    mask = np.ones(flat.shape[0], dtype=bool)
-    succ = flat.copy()
-    col = 0
-    for group, chunks in zip(graph.shape.groups, vm.demands):
-        k = len(group.capacities)
-        live = sorted((c for c in chunks if c > 0), reverse=True)
-        if not live:
-            col += k
-            continue
-        sub = flat[:, col:col + k]
-        if not group.anti_collocation:
-            total = sum(live)
-            mask &= sub[:, 0] + total <= group.capacities[0]
-            succ[:, col] = sub[:, 0] + total
-        elif len(live) > k:
-            mask[:] = False
-            break
-        else:
-            add = np.zeros(k, dtype=flat.dtype)
-            add[: len(live)] = live
-            placed = sub + add
-            mask &= (placed <= group.capacities[0]).all(axis=1)
-            succ[:, col:col + k] = np.sort(placed, axis=1)
-        col += k
-    return mask, succ
-
-
-def _rows_to_usages(
-    shape: MachineShape, rows: np.ndarray
-) -> List[Usage]:
-    """Flat int rows back to canonical usage tuples, in row order."""
-    boundaries = [0]
-    for group in shape.groups:
-        boundaries.append(boundaries[-1] + len(group.capacities))
-    spans = list(zip(boundaries[:-1], boundaries[1:]))
-    return [
-        tuple(tuple(row[lo:hi]) for lo, hi in spans)
-        for row in rows.tolist()
-    ]
-
-
-def extend_profile_graph(
-    graph: ProfileGraph,
-    new_vm_types: Sequence[VMType],
-    node_limit: int = 1_000_000,
-) -> Tuple[ProfileGraph, GraphDelta]:
-    """Grow a reachable graph in place of a full rebuild.
-
-    The frontier expansion is exact because successor enumeration is
-    per-VM-type and unions the results (both strategies): adding types
-    can only *add* successors, never change existing ones.  Two passes:
-
-    1. every base node's extra successors (profiles one new-type VM
-       away) are found — vectorized columnwise over the flat profile
-       matrix for BALANCED builds on uniform-capacity groups
-       (:func:`_balanced_extension_scan`), via a new-types-only
-       successor engine otherwise — recording which base nodes changed
-       and which profiles are genuinely new;
-    2. a full-catalog engine BFS-expands the new frontier, so profiles
-       reachable only by interleaving new and old placements are found
-       too — the node *set* matches a cold rebuild with the combined
-       catalog exactly; only the id order differs (base ids preserved,
-       new ids appended).
-
-    The grown graph inherits the base graph's flat-profile and
-    total-units memos by concatenation, so rank-kernel schedules over
-    it never re-walk the base profiles.
-
-    The base graph is not mutated.  Returns the grown graph and the
-    :class:`GraphDelta` the rank/table delta plane consumes.
-
-    Raises:
-        GraphLimitExceeded: when the grown graph would exceed
-            ``node_limit`` nodes.
-        ValidationError: on an empty, duplicate-name or degenerate new
-            type set.
-    """
-    new_vm_types = tuple(new_vm_types)
-    require(len(new_vm_types) > 0, "new_vm_types must not be empty")
-    existing_names = {vm.name for vm in graph.vm_types}
-    for vm in new_vm_types:
-        require(
-            vm.name not in existing_names,
-            f"VM type {vm.name!r} is already in the catalog",
-        )
-        require(
-            vm.total_units() > 0,
-            f"VM type {vm.name!r} has zero total demand (would self-loop)",
-        )
-        require(
-            len(vm.demands) == graph.shape.n_groups,
-            f"VM type {vm.name!r} has {len(vm.demands)} demand groups, "
-            f"shape has {graph.shape.n_groups}",
-        )
-        existing_names.add(vm.name)
-    all_types = graph.vm_types + new_vm_types
-
-    profiles: List[Usage] = list(graph.profiles)
-    index: Dict[Usage, int] = {u: i for i, u in enumerate(profiles)}
-    successors: List[Tuple[int, ...]] = list(graph.successors)
-    base_nodes = graph.n_nodes
-    queue: List[int] = []
-
-    def intern(usage: Usage) -> int:
-        node = index.get(usage)
-        if node is None:
-            if len(profiles) >= node_limit:
-                raise _reachable_limit_error(node_limit)
-            node = len(profiles)
-            index[usage] = node
-            profiles.append(usage)
-            successors.append(())
-            queue.append(node)
-        return node
-
-    # Pass 1: extra successors of every base node, via the new types
-    # alone (old-type edges are already present and unchanged).
-    changed_set: set = set()
-    scans: List[Tuple[np.ndarray, np.ndarray]] = []
-    use_fast = graph.strategy is SuccessorStrategy.BALANCED
-    if use_fast:
-        for vm in new_vm_types:
-            scan = _balanced_extension_scan(graph, vm)
-            if scan is None:
-                use_fast = False
-                break
-            scans.append(scan)
-    if use_fast:
-        for mask, succ_rows in scans:
-            nodes = np.nonzero(mask)[0]
-            extra_usages = _rows_to_usages(graph.shape, succ_rows[nodes])
-            for node, usage in zip(nodes.tolist(), extra_usages):
-                succ_id = intern(usage)
-                if succ_id not in successors[node]:
-                    successors[node] = tuple(
-                        sorted(successors[node] + (succ_id,))
-                    )
-                    changed_set.add(node)
-    else:
-        frontier_engine = _SuccessorEngine(
-            graph.shape, new_vm_types, graph.strategy
-        )
-        for node in range(base_nodes):
-            extra = frontier_engine.successor_usages(profiles[node])
-            if not extra:
-                continue
-            merged = set(successors[node])
-            before = len(merged)
-            merged.update(intern(usage) for usage in extra)
-            if len(merged) != before:
-                successors[node] = tuple(sorted(merged))
-                changed_set.add(node)
-    changed = sorted(changed_set)
-
-    # Pass 2: BFS the new frontier under the combined catalog.
-    full_engine = _SuccessorEngine(graph.shape, all_types, graph.strategy)
-    head = 0
-    while head < len(queue):
-        node = queue[head]
-        head += 1
-        succ_ids = {
-            intern(usage)
-            for usage in full_engine.successor_usages(profiles[node])
-        }
-        successors[node] = tuple(sorted(succ_ids))
-
-    grown = ProfileGraph(
-        shape=graph.shape,
-        vm_types=all_types,
-        strategy=graph.strategy,
-        profiles=profiles,
-        successors=successors,
-        _index=index,
-    )
-    # Seed the grown graph's flat-profile memos by concatenation: the
-    # appended rows are the only new data, so downstream consumers
-    # (sweep schedules, score-table masters) never re-walk the base
-    # profiles.
-    n_new = len(profiles) - base_nodes
-    m = graph.shape.n_dimensions
-    new_flat = np.fromiter(
-        (
-            u
-            for usage in profiles[base_nodes:]
-            for group in usage
-            for u in group
-        ),
-        dtype=np.int64,
-        count=n_new * m,
-    ).reshape(n_new, m)
-    seeded = np.vstack([graph.flat_profiles(), new_flat])
-    grown.memo("flat_profiles", lambda: seeded)
-    grown.memo("total_units", lambda: seeded.sum(axis=1))
-    delta = GraphDelta(
-        base_nodes=base_nodes,
-        new_nodes=tuple(range(base_nodes, len(profiles))),
-        changed_sources=tuple(changed),
-        new_vm_types=new_vm_types,
-    )
-    return grown, delta

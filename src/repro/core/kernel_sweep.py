@@ -1,4 +1,4 @@
-"""Exact DAG-sweep rank kernel and incremental (delta) re-solve.
+"""Exact DAG-sweep rank kernel.
 
 The profile graph is a DAG by construction — every edge ``P_a -> P_b``
 adds a VM with positive total demand, so total usage strictly grows
@@ -24,12 +24,11 @@ solves *exactly* in one pass over topological levels of the CSR —
     x[i] = 1 + theta * sum_{j -> i} x[j] / outdeg[j]
 
 — no epsilon, no iteration cap.  The only loose end is the scalar
-self-consistency ``theta = d / (1 - d * S(theta))``; it is solved by a
-fixed-point iteration whose every evaluation costs one O(E) sweep,
-converges to machine precision in a handful of sweeps (warm-startable
-via ``theta_hint``), and falls back to the iterative
-:func:`~repro.core.pagerank.profile_pagerank` in the (never observed)
-case it does not.  Degenerate dampings are pinned to the iterative
+self-consistency ``theta = d / (1 - d * S(theta))``.  ``S(theta)`` is a
+ratio of two polynomials in theta whose coefficients are graph
+constants (:func:`_theta_coefficients`), so theta bisects to the last
+representable bit with no sweeps at all, and one sweep at that theta
+yields the vector.  Degenerate dampings are pinned to the iterative
 code's own fixed points: ``d == 0`` is the uniform vector and
 ``d == 1`` is the *zero* vector (nilpotence drains all mass, the
 iterative loop skips normalization at total 0 and converges on the
@@ -45,20 +44,6 @@ from the sweep vector must move no entry by more than
 :data:`SWEEP_MAX_ULPS` units-in-the-last-place
 (:func:`sweep_residual_ulps` measures it, ``verify=True`` asserts it).
 
-Delta re-solve
---------------
-:func:`resweep_delta` re-ranks a graph grown by
-:func:`~repro.core.graph.extend_profile_graph` without a cold solve:
-``theta`` is recovered in closed form from the previous result, the
-previous ``w`` is reconstructed from its normalized ranks, and the
-first sweep is restricted to the *invalidation cone* — the transition
-descendants of the changed sources and the new nodes
-(:func:`invalidation_cone`); nodes outside the cone keep provably
-correct values.  The scalar ``theta`` couples every node, so any
-follow-up refinement sweeps run full — the delta's headline win is
-skipping the BFS graph rebuild and warm-starting ``theta``, not
-skipping sweeps (DESIGN.md section 3.15).
-
 :data:`KERNEL_CODE_VERSION` stamps every rank-derived cache key (graph
 npz cache, experiment table cache) so a
 kernel change can never serve stale scores.
@@ -66,11 +51,11 @@ kernel change can never serve stale scores.
 
 from __future__ import annotations
 
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
-from repro.core.graph import GraphDelta, ProfileGraph
+from repro.core.graph import ProfileGraph
 from repro.core.pagerank import (
     PageRankResult,
     compute_bpru,
@@ -85,9 +70,6 @@ __all__ = [
     "ulp_distance",
     "sweep_profile_pagerank",
     "sweep_residual_ulps",
-    "recovered_theta",
-    "invalidation_cone",
-    "resweep_delta",
 ]
 
 #: Generation stamp of the rank kernel; part of every cache key that
@@ -103,14 +85,6 @@ KERNEL_CODE_VERSION = 1
 #: (theta blows up and rank mass spreads over many magnitudes); at the
 #: paper's d=0.85 the observed residual is single-digit ulps.
 SWEEP_MAX_ULPS = 4096
-
-#: Hard cap on theta fixed-point sweeps before falling back to the
-#: iterative kernel; the iteration needs single digits in practice.
-_THETA_MAX_SWEEPS = 128
-
-#: Relative convergence tolerance on theta (a few float64 ulps).
-_THETA_RTOL = 5e-16
-
 
 def ulp_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Elementwise distance of two float64 arrays in ulps.
@@ -202,28 +176,13 @@ def _sweep_schedule(graph: ProfileGraph, direction: str) -> _SweepSchedule:
 def _sweep(x: np.ndarray, schedule: _SweepSchedule, theta: float) -> None:
     """One exact resolvent sweep: ``x = 1 + theta * A_hat @ x`` levelwise.
 
-    Every in-edge target is fully overwritten and in-degree-0 nodes keep
-    their (correct) value 1, so the same buffer can be swept repeatedly
-    for different ``theta`` without re-initialization.
+    ``x`` starts as all ones: in-degree-0 nodes keep their (correct)
+    value 1 and every in-edge target is overwritten level by level.
     """
     for dst_nodes, src_flat, w_flat, starts in schedule.levels:
         x[dst_nodes] = 1.0 + theta * np.add.reduceat(
             x[src_flat] * w_flat, starts
         )
-
-
-def _theta_next(
-    x: np.ndarray, schedule: _SweepSchedule, damping: float
-) -> float:
-    """The self-consistency update ``d / (1 - d * S(x))``."""
-    total = float(x.sum())
-    sink_mass = float(x[schedule.sink_mask].sum()) / total
-    denominator = 1.0 - damping * sink_mass
-    require(
-        denominator > 0.0,
-        f"degenerate normalization total {denominator} in theta solve",
-    )
-    return damping / denominator
 
 
 def _theta_coefficients(
@@ -330,15 +289,9 @@ def _zero_rank_result(graph: ProfileGraph) -> PageRankResult:
     )
 
 
-def _finish(
-    graph: ProfileGraph,
-    x: np.ndarray,
-    bpru: Optional[np.ndarray],
-    sweeps: int,
-) -> PageRankResult:
+def _finish(graph: ProfileGraph, x: np.ndarray, sweeps: int) -> PageRankResult:
     raw = x / float(x.sum())
-    if bpru is None:
-        bpru = compute_bpru(graph)
+    bpru = compute_bpru(graph)
     return PageRankResult(
         graph=graph,
         raw=raw,
@@ -347,65 +300,6 @@ def _finish(
         iterations=sweeps,
         converged=True,
     )
-
-
-def _solve(
-    graph: ProfileGraph,
-    schedule: _SweepSchedule,
-    x: np.ndarray,
-    theta: float,
-    damping: float,
-    sweeps: int,
-    first_sweep: Optional[Callable[[float], None]] = None,
-) -> Optional[PageRankResult]:
-    """Drive theta to self-consistency; None when the sweep cap is hit.
-
-    The scalar equation is ``theta = f(theta) = d / (1 - d * S(theta))``
-    where every evaluation of ``f`` is one O(E) sweep.  Plain
-    fixed-point iteration is not a contraction for damping near 1 (the
-    sink mass grows with theta), so the solver runs the secant method
-    on ``f(theta) - theta`` — superlinear in a handful of sweeps — and
-    degrades any out-of-bounds secant step to a plain ``f`` step.
-    ``first_sweep`` lets the delta path substitute a cone-restricted
-    partial sweep for the first full evaluation.
-    """
-    state = {"first": first_sweep, "sweeps": sweeps}
-
-    def evaluate(current: float) -> float:
-        if state["first"] is not None:
-            state["first"](current)
-            state["first"] = None
-        else:
-            _sweep(x, schedule, current)
-        state["sweeps"] += 1
-        return _theta_next(x, schedule, damping)
-
-    # theta* = d / (1 - d * S) with S in [0, 1] lives in this interval.
-    hi = damping / (1.0 - damping) if damping < 1.0 else float("inf")
-    t0 = theta
-    f0 = evaluate(t0)
-    if f0 == t0:
-        return _finish(graph, x, None, state["sweeps"])
-    t1 = min(max(f0, damping), hi)
-    while state["sweeps"] < _THETA_MAX_SWEEPS:
-        f1 = evaluate(t1)
-        if f1 == t1 or abs(f1 - t1) <= _THETA_RTOL * abs(t1):
-            if f1 != t1:
-                # Within an ulp of self-consistent: one last sweep so
-                # the vector matches the reported theta exactly.
-                _sweep(x, schedule, f1)
-                state["sweeps"] += 1
-            return _finish(graph, x, None, state["sweeps"])
-        denominator = (f1 - t1) - (f0 - t0)
-        if denominator != 0.0:  # prv: disable=PRV002 -- exact-zero guard before division, not a tolerance check
-            step = t1 - (f1 - t1) * (t1 - t0) / denominator
-        else:
-            step = f1
-        if not (damping <= step <= hi) or not np.isfinite(step):
-            step = f1
-        t0, f0 = t1, f1
-        t1 = step
-    return None
 
 
 def sweep_profile_pagerank(
@@ -443,7 +337,7 @@ def sweep_profile_pagerank(
         theta = _solve_theta(totals, sinks, damping)
         x = np.ones(graph.n_nodes, dtype=float)
         _sweep(x, schedule, theta)
-        result = _finish(graph, x, None, sweeps=1)
+        result = _finish(graph, x, sweeps=1)
     if verify:
         moved = sweep_residual_ulps(result, damping, vote_direction)
         require(
@@ -472,125 +366,3 @@ def sweep_residual_ulps(
         warm_start=result.raw,
     )
     return int(ulp_distance(result.raw, refined.raw).max())
-
-
-def recovered_theta(result: PageRankResult, damping: float,
-                    vote_direction: str = "forward") -> float:
-    """The theta scalar a previous solve converged to, in closed form.
-
-    ``theta = d / (1 - d * S)`` where ``S`` is the normalized rank mass
-    on transition sinks — recoverable from any rank vector without
-    having recorded theta.
-    """
-    require(0.0 <= damping < 1.0, "theta is defined for damping in [0,1)")
-    schedule = _sweep_schedule(result.graph, vote_direction)
-    sink_mass = float(result.raw[schedule.sink_mask].sum())
-    total = float(result.raw.sum())
-    require(total > 0.0, "rank vector carries no mass")
-    denominator = 1.0 - damping * (sink_mass / total)
-    require(denominator > 0.0, "degenerate sink mass in theta recovery")
-    return damping / denominator
-
-
-def invalidation_cone(
-    graph: ProfileGraph,
-    delta: GraphDelta,
-    vote_direction: str = "forward",
-) -> np.ndarray:
-    """Boolean mask of nodes whose rank a delta can change.
-
-    The cone is the transition-descendant closure of the changed
-    sources and the new nodes: every node outside it has an identical
-    in-edge multiset (and identical upstream values) before and after
-    the extension, so its resolvent value ``x`` is provably unchanged
-    at fixed theta.  One pass over the level schedule computes it.
-    """
-    schedule = _sweep_schedule(graph, vote_direction)
-    cone = np.zeros(graph.n_nodes, dtype=bool)
-    cone[list(delta.changed_sources)] = True
-    cone[delta.base_nodes:] = True
-    for dst_nodes, src_flat, _, starts in schedule.levels:
-        reached = np.logical_or.reduceat(cone[src_flat], starts)
-        cone[dst_nodes[reached]] = True
-    return cone
-
-
-def _partial_sweep(
-    x: np.ndarray,
-    schedule: _SweepSchedule,
-    cone: np.ndarray,
-    theta: float,
-) -> None:
-    """One sweep recomputing only the invalidation cone's entries."""
-    for dst_nodes, src_flat, w_flat, starts in schedule.levels:
-        selected = cone[dst_nodes]
-        if not selected.any():
-            continue
-        counts = np.diff(np.append(starts, src_flat.size))
-        keep = np.repeat(selected, counts)
-        kept_counts = counts[selected]
-        starts_r = np.zeros(kept_counts.size, dtype=np.int64)
-        np.cumsum(kept_counts[:-1], out=starts_r[1:])
-        x[dst_nodes[selected]] = 1.0 + theta * np.add.reduceat(
-            x[src_flat[keep]] * w_flat[keep], starts_r
-        )
-
-
-def resweep_delta(
-    graph: ProfileGraph,
-    old_result: PageRankResult,
-    delta: GraphDelta,
-    damping: float = 0.85,
-    vote_direction: str = "forward",
-) -> PageRankResult:
-    """Re-rank an extended graph from the previous solve.
-
-    ``graph`` must be the extension of ``old_result.graph`` described
-    by ``delta`` (node ids of the base graph preserved, new nodes
-    appended).  Theta is recovered in closed form, the previous
-    resolvent vector is reconstructed from its normalized ranks, and
-    the first sweep is restricted to :func:`invalidation_cone`;
-    refinement sweeps (theta couples all nodes) run full.  BPRU is
-    recomputed outright — the reverse DP is a cheap O(E) pass.
-    """
-    require(
-        graph.n_nodes >= delta.base_nodes
-        and delta.base_nodes == old_result.graph.n_nodes,
-        "delta does not connect the old result to the extended graph",
-    )
-    require(0.0 <= damping <= 1.0, f"damping must be in [0,1], got {damping}")
-    if damping == 1.0:  # prv: disable=PRV002 -- the d=1 degenerate case is the exact literal, not a computed float
-        return _zero_rank_result(graph)
-    if damping == 0.0 or not np.any(old_result.raw):  # prv: disable=PRV002 -- d=0 is the exact uniform-rank literal
-        # Uniform / degenerate previous vectors carry no reusable
-        # structure; the cold sweep is already minimal.
-        return sweep_profile_pagerank(
-            graph, damping=damping, vote_direction=vote_direction
-        )
-    schedule = _sweep_schedule(graph, vote_direction)
-    theta = recovered_theta(old_result, damping, vote_direction)
-    # Any transition in-degree-0 node has x == 1 exactly, which anchors
-    # the reconstruction w = raw / raw[anchor].
-    old_schedule = _sweep_schedule(old_result.graph, vote_direction)
-    in_cone_edges = np.zeros(old_result.graph.n_nodes, dtype=bool)
-    for dst_nodes, _, _, _ in old_schedule.levels:
-        in_cone_edges[dst_nodes] = True
-    anchors = np.nonzero(~in_cone_edges)[0]
-    require(anchors.size > 0, "DAG without an in-degree-0 node")
-    anchor_value = float(old_result.raw[anchors[0]])
-    require(anchor_value > 0.0, "anchor carries no rank mass")
-    x = np.ones(graph.n_nodes, dtype=float)
-    x[: delta.base_nodes] = old_result.raw / anchor_value
-    cone = invalidation_cone(graph, delta, vote_direction)
-
-    def first_sweep(current_theta: float) -> None:
-        _partial_sweep(x, schedule, cone, current_theta)
-
-    result = _solve(
-        graph, schedule, x, theta, damping, sweeps=0, first_sweep=first_sweep
-    )
-    if result is None:  # pragma: no cover - theta always converges
-        result = sweep_profile_pagerank(
-            graph, damping=damping, vote_direction=vote_direction
-        )
-    return result

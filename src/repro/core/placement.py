@@ -116,9 +116,9 @@ class PageRankVMPolicy(ProfileScorePolicy):
     ) -> None:
         """Swap in a new score-table generation (live fleet change).
 
-        The serving layer calls this between admission batches when the
-        delta plane republishes grown tables
-        (:class:`repro.serve.fleet.FleetDeltaPlane`).  Cached candidates
+        The serving layer calls this between admission batches when it
+        swaps in tables rebuilt for a new catalog
+        (:func:`repro.serve.fleet.swap_catalog`).  Cached candidates
         are dropped — entries scored against the old generation must not
         survive the swap — and a degraded policy stays degraded until
         the breaker's next healthy probe, which then probes the *new*

@@ -40,7 +40,6 @@ from repro.core import permutations
 from repro.core.permutations import (
     Placement,
     balanced_placement,
-    can_place,
     remap_placement,
 )
 from repro.core.profile import MachineShape, Usage, VMType
@@ -257,11 +256,6 @@ class PlacementPolicy(abc.ABC):
             memo = self._class_memo[key] = grown
         return memo
 
-    @staticmethod
-    def _fits(machine: MachineView, vm: VMType) -> bool:
-        """Sufficient-resource check (Algorithm 2 line 3/18)."""
-        return can_place(machine.shape, machine.usage, vm)
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
 
@@ -279,9 +273,10 @@ _CACHE_MISS = object()
 #: overhead exceeds the whole scan.
 _VECTOR_MIN_CLASSES = 64
 
-#: Default bound of the best-candidate memo; same discipline (and size)
-#: as the ScoreTable snap cache, sized for the distinct profiles a long
-#: dynamic run visits.
+#: Bound of the best-candidate memo.  Long dynamic runs visit an
+#: unbounded stream of profiles, so the memo follows the same LRU
+#: discipline (and size) as the ScoreTable snap cache instead of growing
+#: without limit.
 DEFAULT_CANDIDATE_CACHE_SIZE = 65_536
 
 
@@ -309,30 +304,23 @@ class ProfileScorePolicy(PlacementPolicy):
         rng: generator for pool sampling; defaults to a fixed-seed
             generator so runs are reproducible unless a seeded stream is
             injected.
-        candidate_cache_size: bound of the best-candidate memo.  Long
-            dynamic runs visit an unbounded stream of profiles, so the
-            memo follows the same LRU discipline as the ScoreTable snap
-            cache instead of growing without limit.
+
+    The best-candidate memo is LRU-bounded by
+    :data:`DEFAULT_CANDIDATE_CACHE_SIZE`.
     """
 
     def __init__(
         self,
         pool_size: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
-        candidate_cache_size: int = DEFAULT_CANDIDATE_CACHE_SIZE,
     ):
         if pool_size is not None:
             require(pool_size >= 1, f"pool_size must be >= 1, got {pool_size}")
-        require(
-            candidate_cache_size >= 1,
-            f"candidate_cache_size must be >= 1, got {candidate_cache_size}",
-        )
         self._pool_size = pool_size
         self._rng = rng if rng is not None else np.random.default_rng(0)
         self._cache: "OrderedDict[Tuple[Any, Usage, str], _Candidate]" = (
             OrderedDict()
         )
-        self._cache_size = candidate_cache_size
         self._cache_hits = 0
         self._cache_misses = 0
 
@@ -371,15 +359,15 @@ class ProfileScorePolicy(PlacementPolicy):
         return CandidateCacheInfo(
             hits=self._cache_hits,
             misses=self._cache_misses,
-            maxsize=self._cache_size,
+            maxsize=DEFAULT_CANDIDATE_CACHE_SIZE,
             currsize=len(self._cache),
         )
 
     def _cache_store(self, key: Tuple[Any, Usage, str], value: _Candidate) -> None:
-        """Insert with LRU eviction past the configured bound."""
+        """Insert, evicting least-recently-used entries past the bound."""
         self._cache[key] = value
         self._cache.move_to_end(key)
-        while len(self._cache) > self._cache_size:
+        while len(self._cache) > DEFAULT_CANDIDATE_CACHE_SIZE:
             self._cache.popitem(last=False)
 
     # ------------------------------------------------------------------
@@ -445,40 +433,16 @@ class ProfileScorePolicy(PlacementPolicy):
         return best
 
     def _realize(
-        self,
-        machine: MachineView,
-        vm: VMType,
-        target: Usage,
-        score: Any,
-        placement: Optional[Placement] = None,
-    ) -> Optional[PlacementDecision]:
-        """Find a concrete assignment on ``machine`` reaching ``target``.
-
-        When the cached winning ``placement`` is supplied, its canonical
-        unit indices are remapped to the machine's real unit order — no
-        re-enumeration.  The enumeration fallback remains for callers
-        holding only a target usage.
-        """
-        shape = machine.shape
-        if placement is not None:
-            return PlacementDecision(
-                pm_id=machine.pm_id,
-                placement=remap_placement(shape, machine.usage, placement),
-                score=score,
-            )
-        if self.candidate_mode(shape) == "balanced":
-            placed = permutations.balanced_placement(shape, machine.usage, vm)
-            if placed is None:
-                return None
-            return PlacementDecision(
-                pm_id=machine.pm_id, placement=placed, score=score
-            )
-        for placed in permutations.enumerate_placements(shape, machine.usage, vm):
-            if placed.new_usage == target:
-                return PlacementDecision(
-                    pm_id=machine.pm_id, placement=placed, score=score
-                )
-        return None
+        self, machine: MachineView, score: Any, placement: Placement
+    ) -> PlacementDecision:
+        """The decision placing the cached winning ``placement`` on
+        ``machine``: its canonical unit indices remapped to the
+        machine's real unit order, with no re-enumeration."""
+        return PlacementDecision(
+            pm_id=machine.pm_id,
+            placement=remap_placement(machine.shape, machine.usage, placement),
+            score=score,
+        )
 
     # ------------------------------------------------------------------
     # Algorithm 2
@@ -491,23 +455,17 @@ class ProfileScorePolicy(PlacementPolicy):
             picks = self._rng.choice(len(pool), size=self._pool_size, replace=False)
             pool = [pool[i] for i in picks]
 
-        best_machine: Optional[MachineView] = None
-        best_score: Any = None
-        best_target: Optional[Usage] = None
-        best_placement: Optional[Placement] = None
+        best: Optional[Tuple[MachineView, Any, Placement]] = None
         for machine in pool:
             candidate = self.best_candidate(machine.shape, machine.usage, vm)
             if candidate is None:
                 continue
-            score, target, placement = candidate
-            if best_machine is None or score > best_score:
-                best_machine, best_score = machine, score
-                best_target, best_placement = target, placement
-        if best_machine is None:
+            score, _, placement = candidate
+            if best is None or score > best[1]:
+                best = (machine, score, placement)
+        if best is None:
             return None
-        return self._realize(
-            best_machine, vm, best_target, best_score, best_placement
-        )
+        return self._realize(*best)
 
     def _select_among_unused(
         self, vm: VMType, unused: Sequence[MachineView]
@@ -518,8 +476,8 @@ class ProfileScorePolicy(PlacementPolicy):
             candidate = self.best_candidate(machine.shape, machine.usage, vm)
             if candidate is None:
                 continue
-            score, target, placement = candidate
-            return self._realize(machine, vm, target, score, placement)
+            score, _, placement = candidate
+            return self._realize(machine, score, placement)
         return None
 
     # ------------------------------------------------------------------
@@ -613,9 +571,9 @@ class ProfileScorePolicy(PlacementPolicy):
         candidate = self._best_for_canonical(shape, usage, vm)
         if candidate is None:  # pragma: no cover - winner came from a feasible score
             return None
-        score, target, placement = candidate
+        score, _, placement = candidate
         return self._realize(
-            view.machine_at(int(rep[winner])), vm, target, score, placement
+            view.machine_at(int(rep[winner])), score, placement
         )
 
     def _select_among_used_small(
@@ -654,8 +612,8 @@ class ProfileScorePolicy(PlacementPolicy):
         )
         if candidate is None:  # pragma: no cover - winner came from a feasible score
             return None
-        score, target, placement = candidate
-        return self._realize(machine, vm, target, score, placement)
+        score, _, placement = candidate
+        return self._realize(machine, score, placement)
 
     def _select_among_unused_classes(
         self, vm: VMType, view: IndexedMachines
@@ -667,10 +625,8 @@ class ProfileScorePolicy(PlacementPolicy):
             candidate = self._best_for_canonical(cls.shape, cls.usage, vm)
             if candidate is None:
                 continue
-            score, target, placement = candidate
-            return self._realize(
-                cls.representative, vm, target, score, placement
-            )
+            score, _, placement = candidate
+            return self._realize(cls.representative, score, placement)
         return None
 
     def _warm_class_candidates(

@@ -52,19 +52,17 @@ class ScoreTable:
         scores: canonical usage -> final score.
         damping: damping factor used to build the table (metadata).
         strategy: successor strategy used to build the table (metadata).
-        snap_cache_size: bound on the snap-result cache; long dynamic
-            simulations with migrations produce a stream of off-graph
-            profiles, so the cache evicts least-recently-used entries
-            once full instead of growing without limit.
     """
 
-    #: Default bound on the snapped-score LRU cache.
+    #: Bound on the snapped-score LRU cache; long dynamic simulations
+    #: with migrations produce a stream of off-graph profiles, so the
+    #: cache evicts least-recently-used entries once full instead of
+    #: growing without limit.
     DEFAULT_SNAP_CACHE_SIZE = 65_536
 
     __slots__ = (
         "shape", "damping", "strategy", "vote_direction", "_scores",
-        "_flat_matrix", "_flat_usages", "_flat_scores", "_snap_tree",
-        "_snap_cache", "_snap_cache_size",
+        "_flat_matrix", "_flat_scores", "_snap_tree", "_snap_cache",
     )
 
     def __init__(
@@ -74,177 +72,29 @@ class ScoreTable:
         damping: float = 0.85,
         strategy: SuccessorStrategy = SuccessorStrategy.ALL_PLACEMENTS,
         vote_direction: str = "forward",
-        snap_cache_size: int = DEFAULT_SNAP_CACHE_SIZE,
     ):
         require(len(scores) > 0, "a score table needs at least one profile")
-        require(
-            snap_cache_size >= 1,
-            f"snap_cache_size must be >= 1, got {snap_cache_size}",
-        )
         self.shape = shape
         self.damping = damping
         self.strategy = strategy
         self.vote_direction = vote_direction
-        self._scores: Optional[Dict[Usage, float]] = dict(scores)
+        self._scores: Dict[Usage, float] = dict(scores)
         self._flat_matrix: Optional[np.ndarray] = None
-        self._flat_usages: Optional[List[Usage]] = None
         self._flat_scores: Optional[np.ndarray] = None
         self._snap_tree: Optional[cKDTree] = None
         self._snap_cache: "OrderedDict[Usage, float]" = OrderedDict()
-        self._snap_cache_size = int(snap_cache_size)
-
-    @classmethod
-    def from_flat_arrays(
-        cls,
-        shape: MachineShape,
-        matrix: np.ndarray,
-        flat_scores: np.ndarray,
-        damping: float = 0.85,
-        strategy: SuccessorStrategy = SuccessorStrategy.ALL_PLACEMENTS,
-        vote_direction: str = "forward",
-        snap_cache_size: int = DEFAULT_SNAP_CACHE_SIZE,
-    ) -> "ScoreTable":
-        """Construct a table directly over its snap matrix and score vector.
-
-        :meth:`view` and the fleet delta plane build tables this way over
-        another table's arrays.  The exact-lookup dict is *not* built
-        here — construction stays O(1) in table size — but materialized
-        lazily from the matrix rows on first exact lookup
-        (:meth:`_scores_map`), in row order, which reproduces the
-        builder's insertion order exactly.
-        """
-        require(matrix.ndim == 2, "snap matrix must be 2-D")
-        require(
-            matrix.shape[0] == flat_scores.shape[0],
-            "snap matrix and score vector row counts differ",
-        )
-        require(matrix.shape[0] > 0, "a score table needs at least one profile")
-        require(
-            matrix.shape[1] == sum(len(g.capacities) for g in shape.groups),
-            "snap matrix width does not match the shape's flat dimension",
-        )
-        table = cls.__new__(cls)
-        table.shape = shape
-        table.damping = damping
-        table.strategy = strategy
-        table.vote_direction = vote_direction
-        table._scores = None
-        table._flat_matrix = matrix
-        table._flat_usages = None
-        table._flat_scores = flat_scores
-        table._snap_tree = None
-        table._snap_cache = OrderedDict()
-        table._snap_cache_size = int(snap_cache_size)
-        return table
-
-    #: Row-chunk size for lazy dict materialization; bounds the only
-    #: transient allocation to (chunk x dims) int64 regardless of table
-    #: size.
-    _MATERIALIZE_CHUNK = 8_192
-
-    def _scores_map(self) -> Dict[Usage, float]:
-        """The exact-lookup dict, materialized from the flat arrays.
-
-        Tables built by :meth:`from_flat_arrays` start dict-less; the
-        first exact lookup rebuilds the usage tuples from the snap
-        matrix rows — the matrix stores exact small integers as float64,
-        so the round trip is lossless and the dict is identical to the
-        builder's.
-
-        The snap matrix is never copied wholesale: rows convert through
-        bounded chunks (:data:`_MATERIALIZE_CHUNK`), the array object
-        itself stays in place, and a read-only matrix's
-        ``writeable=False`` protection is untouched.
-        """
-        if self._scores is None:
-            assert self._flat_scores is not None
-            if self._flat_usages is None:
-                matrix = self._flat_matrix
-                assert matrix is not None
-                self._flat_usages = self._row_usages(matrix)
-                # Materialization is in place.
-                assert self._flat_matrix is matrix
-            self._scores = dict(
-                zip(self._flat_usages, self._flat_scores.tolist())
-            )
-        return self._scores
-
-    def _row_usages(self, rows: np.ndarray) -> List[Usage]:
-        """The usage tuples of flat matrix rows, in row order."""
-        boundaries = [0]
-        for group in self.shape.groups:
-            boundaries.append(boundaries[-1] + len(group.capacities))
-        spans = list(zip(boundaries[:-1], boundaries[1:]))
-        usages: List[Usage] = []
-        for start in range(0, rows.shape[0], self._MATERIALIZE_CHUNK):
-            chunk = rows[start:start + self._MATERIALIZE_CHUNK]
-            usages.extend(
-                tuple(tuple(row[lo:hi]) for lo, hi in spans)
-                for row in chunk.astype(np.int64).tolist()
-            )
-        return usages
-
-    def apply_delta(
-        self, new_rows: np.ndarray, scores: np.ndarray
-    ) -> None:
-        """Grow the table in place after a graph delta.
-
-        ``new_rows`` are the appended profiles' flat usage rows (node-id
-        order, matching :func:`repro.core.graph.extend_profile_graph`'s
-        appended ids) and ``scores`` is the *complete* new score vector
-        — rank redistributes over every profile when the graph grows,
-        so all scores are replaced while the existing matrix rows are
-        only appended to.  Lazy structures (exact-lookup dict, snap
-        tree, snap cache) reset and rebuild on demand; the usage tuples
-        of the kept rows survive, so the dict rebuild converts only the
-        appended rows.
-
-        A table over read-only arrays refuses the mutation; grow a
-        private master table and swap a fresh view in instead (see
-        ``repro.serve.fleet.FleetDeltaPlane``).
-
-        Raises:
-            ValidationError: on read-only arrays or mismatched shapes.
-        """
-        matrix, _, _ = self._snap_structures()
-        if not matrix.flags.writeable:
-            raise ValidationError(
-                "cannot apply a delta to a score table over read-only "
-                "arrays; grow a private master table and republish it"
-            )
-        appended = np.ascontiguousarray(np.asarray(new_rows, dtype=float))
-        require(
-            appended.ndim == 2 and appended.shape[1] == matrix.shape[1],
-            "delta rows do not match the snap matrix width",
-        )
-        new_scores = np.asarray(scores, dtype=float)
-        require(
-            new_scores.shape == (matrix.shape[0] + appended.shape[0],),
-            "delta score vector does not cover the grown table",
-        )
-        self._flat_matrix = np.ascontiguousarray(
-            np.concatenate([matrix, appended])
-        ) if appended.shape[0] else matrix
-        self._flat_scores = new_scores.copy()
-        self._scores = None
-        if self._flat_usages is not None:
-            self._flat_usages = self._flat_usages + self._row_usages(appended)
-        self._snap_tree = None
-        self._snap_cache.clear()
 
     def __len__(self) -> int:
-        if self._scores is None and self._flat_scores is not None:
-            return int(self._flat_scores.shape[0])
-        return len(self._scores_map())
+        return len(self._scores)
 
     def __contains__(self, usage: Usage) -> bool:
-        return usage in self._scores_map()
+        return usage in self._scores
 
     def score(self, usage: Union[Usage, Profile]) -> Optional[float]:
         """Exact score of a canonical usage, or None when unknown."""
         if isinstance(usage, Profile):
             usage = usage.usage
-        return self._scores_map().get(usage)
+        return self._scores.get(usage)
 
     def score_or_snap(self, usage: Union[Usage, Profile]) -> float:
         """Score of a canonical usage, snapping to the L1-nearest profile.
@@ -254,7 +104,7 @@ class ScoreTable:
         """
         if isinstance(usage, Profile):
             usage = usage.usage
-        exact = self._scores_map().get(usage)
+        exact = self._scores.get(usage)
         if exact is not None:
             return exact
         cached = self._snap_cache.get(usage)
@@ -279,7 +129,7 @@ class ScoreTable:
         keys = [u.usage if isinstance(u, Profile) else u for u in usages]
         results: List[Optional[float]] = [None] * len(keys)
         misses: "OrderedDict[Usage, List[int]]" = OrderedDict()
-        scores_map = self._scores_map()
+        scores_map = self._scores
         for i, key in enumerate(keys):
             exact = scores_map.get(key)
             if exact is not None:
@@ -319,15 +169,15 @@ class ScoreTable:
         )
         nearest, _ = tree.query(flats, k=1, p=1)
         ties = tree.query_ball_point(flats, r=nearest, p=1)
-        flat_scores = self._snap_structures()[2]
+        flat_scores = self._snap_structures()[1]
         return [float(flat_scores[rows].min()) for rows in ties]
 
     def _tree(self) -> cKDTree:
         """The snap tree, built on first use over the matrix in place.
 
-        :meth:`apply_delta` drops it with the matrix.  Sliding-midpoint
-        splits (``balanced_tree=False``) answer queries far from every
-        row about twice as fast as median splits on the EC2 M3 table.
+        Sliding-midpoint splits (``balanced_tree=False``) answer queries
+        far from every row about twice as fast as median splits on the
+        EC2 M3 table.
         """
         if self._snap_tree is None:
             self._snap_tree = cKDTree(
@@ -336,71 +186,43 @@ class ScoreTable:
             )
         return self._snap_tree
 
-    def view(self) -> "ScoreTable":
-        """A table sharing this one's arrays, exact-lookup dict and snap
-        tree, all built now.
-
-        A view handed to a live policy never builds an index on a
-        request.  It keeps its own snap cache, and a later
-        :meth:`apply_delta` replaces this table's arrays and dict, never
-        mutating them, so the view's stay intact.
-        """
-        matrix, _, flat_scores = self._snap_structures()
-        view = ScoreTable.from_flat_arrays(
-            self.shape, matrix, flat_scores, damping=self.damping,
-            strategy=self.strategy, vote_direction=self.vote_direction,
-            snap_cache_size=self._snap_cache_size,
-        )
-        view._scores = self._scores_map()
-        view._snap_tree = self._tree()
-        return view
-
     def _snap_remember(self, usage: Usage, score: float) -> None:
         self._snap_cache[usage] = score
-        if len(self._snap_cache) > self._snap_cache_size:
+        if len(self._snap_cache) > self.DEFAULT_SNAP_CACHE_SIZE:
             self._snap_cache.popitem(last=False)
 
-    def _snap_structures(self) -> Tuple[np.ndarray, Optional[List[Usage]], np.ndarray]:
+    def _snap_structures(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The snap matrix (one float row per profile) and score vector,
+        built on first use in the dict's insertion order."""
         if self._flat_matrix is None:
-            assert self._scores is not None
-            self._flat_usages = list(self._scores)
-            m = sum(len(group) for group in self._flat_usages[0])
+            usages = list(self._scores)
+            m = sum(len(group) for group in usages[0])
             self._flat_matrix = np.ascontiguousarray(
                 np.fromiter(
-                    (
-                        u
-                        for usage in self._flat_usages
-                        for group in usage
-                        for u in group
-                    ),
+                    (u for usage in usages for group in usage for u in group),
                     dtype=float,
-                    count=len(self._flat_usages) * m,
-                ).reshape(len(self._flat_usages), m)
+                    count=len(usages) * m,
+                ).reshape(len(usages), m)
             )
             self._flat_scores = np.fromiter(
-                (self._scores[u] for u in self._flat_usages),
-                dtype=float,
-                count=len(self._flat_usages),
+                self._scores.values(), dtype=float, count=len(usages)
             )
         assert self._flat_scores is not None
-        # _flat_usages is None for from_flat_arrays tables until the
-        # exact-lookup dict materializes; snap callers only use the
-        # matrix and score vector.
-        return self._flat_matrix, self._flat_usages, self._flat_scores
+        return self._flat_matrix, self._flat_scores
 
     def best_profile(self) -> Usage:
         """The usage with the highest score in the table."""
-        scores = self._scores_map()
+        scores = self._scores
         return max(scores, key=lambda usage: scores[usage])
 
     def top(self, count: int) -> List[Tuple[Usage, float]]:
         """The ``count`` best (usage, score) pairs, best first."""
-        ranked = sorted(self._scores_map().items(), key=lambda kv: -kv[1])
+        ranked = sorted(self._scores.items(), key=lambda kv: -kv[1])
         return ranked[:count]
 
     def items(self) -> Iterable[Tuple[Usage, float]]:
         """Iterate (canonical usage, score) pairs."""
-        return self._scores_map().items()
+        return self._scores.items()
 
     def __repr__(self) -> str:
         return (
@@ -435,7 +257,7 @@ class ScoreTable:
             ],
             "scores": [
                 {"usage": [list(g) for g in usage], "score": score}
-                for usage, score in self._scores_map().items()
+                for usage, score in self._scores.items()
             ],
         }
         destination = Path(path)

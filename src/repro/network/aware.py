@@ -171,13 +171,13 @@ class NetworkAwarePageRankVM(PageRankVMPolicy):
             candidate = self.best_candidate(machine.shape, machine.usage, vm)
             if candidate is None:
                 continue
-            score, target, placement = candidate
-            candidates.append((machine, score, target, placement))
+            score, _, placement = candidate
+            candidates.append((machine, score, placement))
         if not candidates:
             return None
 
         scores = np.asarray(
-            [score for _, score, _, _ in candidates], dtype=float
+            [score for _, score, _ in candidates], dtype=float
         )
         span = float(scores.max() - scores.min())
         if span > 0:
@@ -187,7 +187,7 @@ class NetworkAwarePageRankVM(PageRankVMPolicy):
 
         best = None
         best_value = -np.inf
-        for (machine, score, target, placement), base in zip(
+        for (machine, score, placement), base in zip(
             candidates, normalized
         ):
             locality = self._locality(machine.pm_id, self.current_vm_id)
@@ -196,6 +196,6 @@ class NetworkAwarePageRankVM(PageRankVMPolicy):
                 value -= self._open_penalty
             if value > best_value:
                 best_value = value
-                best = (machine, score, target, placement)
-        machine, score, target, placement = best
-        return self._realize(machine, vm, target, score, placement)
+                best = (machine, score, placement)
+        machine, score, placement = best
+        return self._realize(machine, score, placement)

@@ -7,24 +7,20 @@ Two fleets cover the serving stack's needs:
   chaos drill and the CI smoke boot.
 * :func:`build_ec2_service` — the paper's M3 fleet on the
   struct-of-arrays substrate, for real load generation.
+
+:func:`swap_catalog` rebuilds a running service's score tables for a VM
+type catalog and hot-swaps them in; it is how a new VM type registers.
 """
 
 from __future__ import annotations
 
-import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
-
-import numpy as np
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from repro.cluster.ec2 import EC2_VM_TYPES, build_ec2_soa_datacenter
-from repro.core.graph import ProfileGraph, extend_profile_graph
-from repro.core.graph_cache import load_or_build_profile_graph
-from repro.core.kernel_sweep import resweep_delta, sweep_profile_pagerank
-from repro.core.pagerank import PageRankResult
 from repro.core.placement import PageRankVMPolicy
 from repro.core.profile import MachineShape, ResourceGroup, VMType
-from repro.core.score_table import ScoreTable, build_score_table
+from repro.core.score_table import build_score_table
 from repro.core.soa.datacenter import SoADatacenter
 from repro.experiments.sweep import sweep_table
 from repro.serve.clock import Clock
@@ -37,7 +33,7 @@ __all__ = [
     "toy_vm_types",
     "build_toy_service",
     "build_ec2_service",
-    "FleetDeltaPlane",
+    "swap_catalog",
 ]
 
 
@@ -85,162 +81,53 @@ def build_toy_service(
     )
 
 
-class FleetDeltaPlane:
-    """Live fleet-change pipeline over a serving :class:`PlacementService`.
+def swap_catalog(
+    service: PlacementService,
+    vm_types: Sequence[VMType],
+    graph_cache_dir: Optional[Union[str, Path]] = None,
+) -> None:
+    """Rebuild every served score table for ``vm_types`` and hot-swap.
 
-    The plane owns, per PM shape, a private *master* generation: the
-    profile graph, its exact sweep rank
-    (:mod:`repro.core.kernel_sweep`) and a writable master
-    :class:`ScoreTable` whose rows are in graph node-id order.
-    :meth:`register` grows all three incrementally for a new VM type —
-    frontier-restricted graph extension
-    (:func:`~repro.core.graph.extend_profile_graph`), partial re-sweep
-    over the invalidation cone
-    (:func:`~repro.core.kernel_sweep.resweep_delta`), in-place table
-    row append (:meth:`ScoreTable.apply_delta`) — and hot-swaps
-    immutable snapshots into the service between admission batches
-    (policy table replacement).  The serving tables are never mutated: each swap
-    hands out a fresh :meth:`ScoreTable.view` of the master, whose
-    arrays, exact-lookup dict and snap tree the master abandons (never
-    edits) on its next delta, so a stale reader can at worst see a
-    complete old generation.
+    Each shape's table is built cold with :func:`build_score_table`
+    (reachable mode, PageRank scoring), keeping the live table's
+    strategy, damping and vote direction, and its snap tree is built
+    before the swap so no request pays for it.  The service then swaps
+    the tables and the catalog in together between admission batches
+    (:meth:`PlacementService.hot_swap`).
 
-    Bootstrapping the plane performs one cold build per shape (graphs
-    come from the on-disk cache when ``graph_cache_dir`` is set); every
-    :meth:`register` after that is incremental, and ``last_report``
-    records where the time went so the ``delta`` bench phase can hold
-    the delta path to a fraction of the cold rebuild.
+    A table depends only on its shape and catalog, so registering a VM
+    type is this call with the current catalog plus the new type, and
+    the result is the table a service cold-built with that catalog
+    serves.  The current catalog swaps in equal-content tables.
+
+    Raises:
+        ValidationError: when the policy serves no score tables, or the
+            catalog is empty or repeats a VM type name.
     """
-
-    def __init__(
-        self,
-        service: PlacementService,
-        graph_cache_dir: Optional[Union[str, Path]] = None,
-        node_limit: int = 1_000_000,
-    ) -> None:
-        tables = getattr(service.policy, "tables", None)
-        require(
-            tables is not None and len(tables) > 0,
-            "FleetDeltaPlane needs a table-driven policy with score tables",
+    tables = getattr(service.policy, "tables", None)
+    require(
+        tables is not None and len(tables) > 0,
+        "swapping a catalog needs a table-driven policy with score tables",
+    )
+    catalog = tuple(vm_types)
+    names = [vm.name for vm in catalog]
+    require(
+        len(set(names)) == len(names),
+        f"VM type names repeat in the catalog: {names}",
+    )
+    rebuilt = {}
+    for shape, live in tables.items():
+        table = build_score_table(
+            shape,
+            catalog,
+            strategy=live.strategy,
+            damping=live.damping,
+            vote_direction=live.vote_direction,
+            graph_cache_dir=graph_cache_dir,
         )
-        self._service = service
-        self._node_limit = node_limit
-        self._vm_types: List[VMType] = list(service.vm_type_catalog)
-        self._graphs: Dict[MachineShape, ProfileGraph] = {}
-        self._results: Dict[MachineShape, PageRankResult] = {}
-        self._masters: Dict[MachineShape, ScoreTable] = {}
-        self.last_report: Optional[Dict[str, Any]] = None
-        for shape, table in tables.items():
-            graph = load_or_build_profile_graph(
-                shape,
-                tuple(self._vm_types),
-                strategy=table.strategy,
-                node_limit=node_limit,
-                cache_dir=graph_cache_dir,
-            )
-            result = sweep_profile_pagerank(
-                graph,
-                damping=table.damping,
-                vote_direction=table.vote_direction,
-            )
-            self._graphs[shape] = graph
-            self._results[shape] = result
-            # The master is built straight over its flat arrays in graph
-            # node-id order.  Its exact-lookup dict and snap tree are
-            # built here, at set-up: every swap's views share them, so
-            # neither a swap nor the first request after one builds
-            # either, and after a delta only the appended rows convert.
-            master = ScoreTable.from_flat_arrays(
-                shape=shape,
-                matrix=np.ascontiguousarray(
-                    graph.flat_profiles().astype(float)
-                ),
-                flat_scores=result.scores.copy(),
-                damping=table.damping,
-                strategy=table.strategy,
-                vote_direction=table.vote_direction,
-            )
-            master._scores_map()
-            master._tree()
-            self._masters[shape] = master
-
-    @property
-    def vm_types(self) -> Tuple[VMType, ...]:
-        """The live catalog, in declaration (= graph build) order."""
-        return tuple(self._vm_types)
-
-    @property
-    def service(self) -> PlacementService:
-        """The service this plane swaps tables into."""
-        return self._service
-
-    def graph_for(self, shape: MachineShape) -> ProfileGraph:
-        """The master profile graph of a shape."""
-        return self._graphs[shape]
-
-    def master_table(self, shape: MachineShape) -> ScoreTable:
-        """The writable master table of a shape (do not serve from it)."""
-        return self._masters[shape]
-
-    def swap_current(self) -> None:
-        """Hot-swap the service onto snapshots of the current masters.
-
-        Content-equal to what the service already holds unless a
-        :meth:`register` happened; the digest-identity CI leg uses this
-        as its "swap with no semantic change" probe.
-        """
-        self._service.hot_swap(
-            {shape: master.view() for shape, master in self._masters.items()},
-            vm_types=tuple(self._vm_types),
-        )
-
-    def register(self, vm_type: VMType) -> Dict[str, Any]:
-        """Register a new VM type fleet-wide and hot-swap the service.
-
-        Per shape: delta-grow the master graph, re-sweep the rank over
-        the invalidation cone, append the new profiles' rows to the
-        master table in place — then swap fresh snapshots (and the
-        grown catalog) into the service between admission batches.
-        Returns a timing/size report, also kept in ``last_report``.
-        """
-        require(
-            all(vm.name != vm_type.name for vm in self._vm_types),
-            f"VM type {vm_type.name!r} is already registered",
-        )
-        started = time.perf_counter()
-        report: Dict[str, Any] = {"vm_type": vm_type.name, "shapes": {}}
-        for shape, graph in list(self._graphs.items()):
-            shape_started = time.perf_counter()
-            master = self._masters[shape]
-            grown, delta = extend_profile_graph(
-                graph, (vm_type,), node_limit=self._node_limit
-            )
-            result = resweep_delta(
-                grown,
-                self._results[shape],
-                delta,
-                damping=master.damping,
-                vote_direction=master.vote_direction,
-            )
-            new_rows = grown.flat_profiles()[delta.base_nodes:].astype(
-                float
-            )
-            master.apply_delta(new_rows, result.scores)
-            self._graphs[shape] = grown
-            self._results[shape] = result
-            report["shapes"][repr(shape)] = {
-                "n_nodes": grown.n_nodes,
-                "new_nodes": delta.n_new_nodes,
-                "changed_sources": len(delta.changed_sources),
-                "seconds": time.perf_counter() - shape_started,
-            }
-        self._vm_types.append(vm_type)
-        swap_started = time.perf_counter()
-        self.swap_current()
-        report["swap_seconds"] = time.perf_counter() - swap_started
-        report["seconds"] = time.perf_counter() - started
-        self.last_report = report
-        return report
+        table._tree()
+        rebuilt[shape] = table
+    service.hot_swap(rebuilt, vm_types=catalog)
 
 
 def build_ec2_service(

@@ -323,31 +323,16 @@ class PlacementService:
         nothing; it stays so callers can scope a service uniformly.
         """
 
-    def vm_type_named(self, name: str) -> Optional[VMType]:
-        """Resolve a catalog VM type by name (None when unknown)."""
-        return self._vm_types.get(name)
-
     @property
     def vm_type_catalog(self) -> Sequence[VMType]:
         """The catalog in declaration order.
 
-        Order matters downstream: graph builds (and therefore node ids
-        and cache keys) depend on VM type declaration order, so the
-        delta plane reconstructs its master generation from this exact
+        Order matters downstream: graph builds (and therefore node ids,
+        table bits and cache keys) depend on VM type declaration order,
+        so a catalog swap that grows the catalog appends to this exact
         sequence.
         """
         return tuple(self._vm_types.values())
-
-    def register_vm_type(self, vm_type: VMType) -> None:
-        """Add (or replace) one VM type in the request catalog.
-
-        Catalog-only: requests naming the type are admitted from the
-        next batch on.  The score tables must already cover profiles
-        reachable through it — :meth:`repro.serve.fleet.FleetDeltaPlane.register`
-        is the full pipeline (graph delta, partial re-sweep, table
-        append, hot swap) that ends here.
-        """
-        self._vm_types[vm_type.name] = vm_type
 
     def hot_swap(
         self,
@@ -360,10 +345,10 @@ class PlacementService:
         caches dropped; an optional grown VM type catalog lands in the
         same swap.  Admission batches are served synchronously, so a
         call between :meth:`serve_batch` calls (the load generator's
-        after-request hook, the delta plane) is atomic with respect to
-        requests: no decision ever sees a mixed table generation, and a
-        swap to equal-content tables leaves the rolling decision digest
-        bit-identical.
+        after-request hook, :func:`repro.serve.fleet.swap_catalog`) is
+        atomic with respect to requests: no decision ever sees a mixed
+        table generation, and a swap to equal-content tables leaves the
+        rolling decision digest bit-identical.
         """
         replace = getattr(self._policy, "replace_tables", None)
         require(

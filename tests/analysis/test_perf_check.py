@@ -54,7 +54,7 @@ class TestEntryPhase:
 
     def test_registry_covers_the_emitting_phases(self):
         assert set(PHASE_METRICS) == {
-            "harness", "scale_sweep", "serve", "kernel", "delta",
+            "harness", "scale_sweep", "serve", "kernel",
         }
 
 

@@ -65,26 +65,28 @@ class TestSnapping:
 
 
 class TestSnapCacheBound:
-    def _reachable_table(self, toy_shape, toy_vm_types, **kwargs):
-        graph_table = build_score_table(toy_shape, toy_vm_types, mode="reachable")
-        return ScoreTable(
-            toy_shape,
-            dict(graph_table.items()),
-            damping=graph_table.damping,
-            strategy=graph_table.strategy,
-            **kwargs,
-        )
+    def _reachable_table(self, toy_shape, toy_vm_types):
+        return build_score_table(toy_shape, toy_vm_types, mode="reachable")
 
-    def test_cache_never_exceeds_bound(self, toy_shape, toy_vm_types):
-        table = self._reachable_table(toy_shape, toy_vm_types, snap_cache_size=4)
+    def _bound(self, monkeypatch, size):
+        monkeypatch.setattr(ScoreTable, "DEFAULT_SNAP_CACHE_SIZE", size)
+
+    def test_cache_never_exceeds_bound(
+        self, toy_shape, toy_vm_types, monkeypatch
+    ):
+        table = self._reachable_table(toy_shape, toy_vm_types)
+        self._bound(monkeypatch, 4)
         # Odd-total usages are off the reachable graph, so all of these
         # miss and must be snapped.
         for first in range(5):
             table.score_or_snap(((1, 1, 1, 2 * first),))
         assert len(table._snap_cache) <= 4
 
-    def test_least_recently_used_evicted_first(self, toy_shape, toy_vm_types):
-        table = self._reachable_table(toy_shape, toy_vm_types, snap_cache_size=2)
+    def test_least_recently_used_evicted_first(
+        self, toy_shape, toy_vm_types, monkeypatch
+    ):
+        table = self._reachable_table(toy_shape, toy_vm_types)
+        self._bound(monkeypatch, 2)
         a, b, c = ((0, 0, 0, 1),), ((0, 0, 0, 3),), ((0, 0, 1, 2),)
         table.score_or_snap(a)
         table.score_or_snap(b)
@@ -94,16 +96,16 @@ class TestSnapCacheBound:
         assert b not in table._snap_cache
         assert c in table._snap_cache
 
-    def test_eviction_does_not_change_scores(self, toy_shape, toy_vm_types):
-        bounded = self._reachable_table(toy_shape, toy_vm_types, snap_cache_size=1)
-        unbounded = self._reachable_table(toy_shape, toy_vm_types)
+    def test_eviction_does_not_change_scores(
+        self, toy_shape, toy_vm_types, monkeypatch
+    ):
         usages = [((0, 0, 0, 1),), ((0, 0, 0, 3),), ((0, 0, 0, 1),)]
-        for usage in usages:
-            assert bounded.score_or_snap(usage) == unbounded.score_or_snap(usage)
-
-    def test_invalid_bound_rejected(self, toy_shape, toy_table):
-        with pytest.raises(ValidationError):
-            ScoreTable(toy_shape, dict(toy_table.items()), snap_cache_size=0)
+        unbounded = self._reachable_table(toy_shape, toy_vm_types)
+        expected = [unbounded.score_or_snap(usage) for usage in usages]
+        bounded = self._reachable_table(toy_shape, toy_vm_types)
+        self._bound(monkeypatch, 1)
+        assert [bounded.score_or_snap(usage) for usage in usages] == expected
+        assert len(bounded._snap_cache) == 1
 
 
 class TestBatchSnap:
@@ -129,70 +131,6 @@ class TestBatchSnap:
         missing = ((1, 0, 0, 0),)
         [score] = table.score_or_snap_many([missing])
         assert table._snap_cache[missing] == score
-
-
-class TestView:
-    OFF_GRAPH = [((1, 0, 0, 0),), ((0, 0, 1, 2),), ((6, 6, 6, 6),)]
-
-    def test_view_shares_arrays_and_prebuilt_tree(
-        self, toy_shape, toy_vm_types
-    ):
-        table = build_score_table(toy_shape, toy_vm_types)
-        view = table.view()
-        matrix, _, scores = table._snap_structures()
-        assert view._snap_tree is not None
-        assert view._snap_tree is table._snap_tree
-        assert view._snap_structures()[0] is matrix
-        assert view._snap_structures()[2] is scores
-        assert view.score_or_snap_many(self.OFF_GRAPH) == [
-            table.score_or_snap(u) for u in self.OFF_GRAPH
-        ]
-        assert view._snap_cache is not table._snap_cache
-
-    def test_delta_on_the_source_leaves_the_view_intact(
-        self, toy_shape, toy_vm_types
-    ):
-        import numpy as np
-
-        table = build_score_table(toy_shape, toy_vm_types)
-        view = table.view()
-        before = view.score_or_snap_many(self.OFF_GRAPH)
-        tree = view._snap_tree
-        # One appended row sits on an off-graph usage with a score above
-        # every other, and the whole score vector changes.
-        table.apply_delta(
-            np.asarray([[1.0, 0.0, 0.0, 0.0]]),
-            np.concatenate([table._snap_structures()[2] * 0.5, [10.0]]),
-        )
-        assert table._snap_tree is None
-        assert table.score_or_snap(((1, 0, 0, 0),)) == 10.0
-        view._snap_cache.clear()
-        assert view._snap_tree is tree
-        assert view.score_or_snap_many(self.OFF_GRAPH) == before
-
-
-    def test_delta_rebuilds_the_dict_from_the_grown_arrays(
-        self, toy_shape, toy_vm_types
-    ):
-        import numpy as np
-
-        table = build_score_table(toy_shape, toy_vm_types)
-        view = table.view()
-        shared = view._scores
-        assert shared is table._scores
-        before = dict(shared)
-        table.apply_delta(
-            np.asarray([[1.0, 0.0, 0.0, 0.0]]),
-            np.concatenate([table._snap_structures()[2] * 0.5, [10.0]]),
-        )
-        # The rebuilt dict matches one materialized from scratch over
-        # the grown arrays, and the view's dict is left as it was.
-        matrix, _, scores = table._snap_structures()
-        fresh = ScoreTable.from_flat_arrays(toy_shape, matrix, scores)
-        assert list(table.items()) == list(fresh.items())
-        assert table.score(((1, 0, 0, 0),)) == 10.0
-        assert view._scores is shared
-        assert shared == before
 
 
 class TestPersistence:
@@ -352,52 +290,3 @@ class TestPrebuiltGraph:
         assert cache_events()["hits"] == 1
         assert dict(first.items()) == dict(second.items())
         clear_cache_events()
-
-
-class TestFreezeAndSharedContract:
-    """Read-only arrays refuse deltas; lazy materialization is in place."""
-
-    def _flat_table(self, toy_table):
-        import numpy as np
-
-        matrix, _, scores = toy_table._snap_structures()
-        return ScoreTable.from_flat_arrays(
-            shape=toy_table.shape,
-            matrix=np.ascontiguousarray(matrix).copy(),
-            flat_scores=np.ascontiguousarray(scores).copy(),
-            damping=toy_table.damping,
-            strategy=toy_table.strategy,
-            vote_direction=toy_table.vote_direction,
-        )
-
-    def test_frozen_table_refuses_deltas(self, toy_shape, toy_vm_types):
-        import numpy as np
-
-        table = build_score_table(toy_shape, toy_vm_types)
-        matrix, _, _ = table._snap_structures()
-        matrix.flags.writeable = False
-        rows = np.zeros((1, 4))
-        scores = np.zeros(len(table) + 1)
-        with pytest.raises(ValidationError, match="read-only"):
-            table.apply_delta(rows, scores)
-
-    def test_lazy_materialization_never_copies_the_matrix(self, toy_table):
-        table = self._flat_table(toy_table)
-        matrix = table._flat_matrix
-        matrix.flags.writeable = False
-        assert table._scores is None
-        # Exact lookups force the dict; the matrix object must stay in
-        # place with its read-only protection untouched.
-        assert len(table) == len(toy_table)
-        for usage, score in list(toy_table.items())[:8]:
-            assert table.score(usage) == score
-        assert table._flat_matrix is matrix
-        assert not matrix.flags.writeable
-
-    def test_materialization_chunking_covers_every_row(
-        self, toy_table, monkeypatch
-    ):
-        table = self._flat_table(toy_table)
-        # Force several partial chunks through the bounded materializer.
-        monkeypatch.setattr(ScoreTable, "_MATERIALIZE_CHUNK", 7)
-        assert dict(table.items()) == dict(toy_table.items())

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster.machine import PhysicalMachine
 from repro.cluster.vm import VirtualMachine
+from repro.core import policy as policy_module
 from repro.core.permutations import balanced_placement
 from repro.core.policy import (
     DEFAULT_CANDIDATE_CACHE_SIZE,
@@ -240,8 +241,11 @@ class TestCandidateCacheLRU:
         info = policy.cache_info()
         assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
-    def test_bound_enforced_with_lru_eviction(self, toy_shape, vm2):
-        policy = UtilizationPolicy(candidate_cache_size=2)
+    def test_bound_enforced_with_lru_eviction(
+        self, toy_shape, vm2, monkeypatch
+    ):
+        monkeypatch.setattr(policy_module, "DEFAULT_CANDIDATE_CACHE_SIZE", 2)
+        policy = UtilizationPolicy()
         usages = [
             ((0, 0, 0, 0),),
             ((1, 0, 0, 0),),
@@ -258,8 +262,9 @@ class TestCandidateCacheLRU:
         policy.best_candidate(toy_shape, usages[0], vm2)
         assert policy.cache_info().misses == before.misses + 1
 
-    def test_hit_refreshes_recency(self, toy_shape, vm2):
-        policy = UtilizationPolicy(candidate_cache_size=2)
+    def test_hit_refreshes_recency(self, toy_shape, vm2, monkeypatch):
+        monkeypatch.setattr(policy_module, "DEFAULT_CANDIDATE_CACHE_SIZE", 2)
+        policy = UtilizationPolicy()
         a = ((0, 0, 0, 0),)
         b = ((1, 0, 0, 0),)
         c = ((1, 1, 0, 0),)

@@ -2,26 +2,15 @@
 
 Random toy worlds drive the documented sweep-vs-iterative contract
 (fixed-point residual within :data:`SWEEP_MAX_ULPS`, both vote
-directions, degenerate dampings included), and the incremental
-extension + delta re-solve against cold rebuilds.
+directions, degenerate dampings included).
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.graph import (
-    SuccessorStrategy,
-    build_profile_graph,
-    extend_profile_graph,
-)
-from repro.core.kernel_sweep import (
-    SWEEP_MAX_ULPS,
-    resweep_delta,
-    sweep_profile_pagerank,
-    sweep_residual_ulps,
-    ulp_distance,
-)
+from repro.core.graph import build_profile_graph
+from repro.core.kernel_sweep import sweep_profile_pagerank
 from repro.core.pagerank import profile_pagerank
 from repro.core.profile import MachineShape, ResourceGroup, VMType
 
@@ -73,27 +62,3 @@ class TestSweepContract:
             graph, damping=1.0, vote_direction=direction
         )
         np.testing.assert_array_equal(swept.raw, iterated.raw)
-
-
-class TestDeltaContract:
-    @given(small_worlds(), st.sampled_from(["forward", "reverse"]))
-    @settings(max_examples=25, deadline=None)
-    def test_extension_and_resweep_match_cold(self, world, direction):
-        shape, vm_types = world
-        new_vm = VMType(name="grown", demands=((1,),))
-        base = build_profile_graph(
-            shape, vm_types, strategy=SuccessorStrategy.BALANCED
-        )
-        grown, delta = extend_profile_graph(base, (new_vm,))
-        cold = build_profile_graph(
-            shape,
-            vm_types + (new_vm,),
-            strategy=SuccessorStrategy.BALANCED,
-        )
-        assert set(grown.profiles) == set(cold.profiles)
-
-        old = sweep_profile_pagerank(base, vote_direction=direction)
-        warm = resweep_delta(grown, old, delta, vote_direction=direction)
-        fresh = sweep_profile_pagerank(grown, vote_direction=direction)
-        assert int(ulp_distance(warm.raw, fresh.raw).max()) <= SWEEP_MAX_ULPS
-        assert sweep_residual_ulps(warm, 0.85, direction) <= SWEEP_MAX_ULPS

@@ -49,10 +49,9 @@ def _flat_width(shape):
 
 
 def _table(shape, rows, scores):
-    return ScoreTable.from_flat_arrays(
+    return ScoreTable(
         shape,
-        np.ascontiguousarray(np.asarray(rows, dtype=float)),
-        np.asarray(scores, dtype=float),
+        dict(zip((_usage(shape, row) for row in rows), map(float, scores))),
     )
 
 

@@ -72,17 +72,18 @@ class TestAfterRequestHook:
         assert seen == list(range(1, 9))
 
     def test_hot_swap_mid_run_keeps_the_digest(self):
-        from repro.serve.fleet import FleetDeltaPlane
+        from repro.serve.fleet import swap_catalog
 
         swapped_service = build_toy_service(n_pms=16, clock=ManualClock())
         control_service = build_toy_service(n_pms=16, clock=ManualClock())
         try:
-            plane = FleetDeltaPlane(swapped_service)
             swaps = []
 
             def maybe_swap(completed):
                 if completed == 10:
-                    plane.swap_current()
+                    swap_catalog(
+                        swapped_service, swapped_service.vm_type_catalog
+                    )
                     swaps.append(completed)
 
             run_closed_loop(
