@@ -20,30 +20,25 @@ Two successor strategies:
   deterministic least-loaded packing (scalable approximation, see
   DESIGN.md section 3.2).
 
-Construction is built on two layers (DESIGN.md section 3.9):
+Construction is a level-synchronous BFS (DESIGN.md section 3.9):
 
-* per-group usages are interned into small integer ids, so a machine
-  usage is a tuple of a few ints (a *combo*) and BFS dedup is combo
-  hashing instead of nested-tuple hashing;
+* per-group usages are interned into small integer ids (*gids*), so a
+  machine usage is a row of a few ints and a BFS level is one
+  ``(n, n_groups)`` int array;
 * group-level placement results come from the bounded memo tables in
-  :mod:`repro.core.permutations` and compose into full successors via
-  cheap id products.
+  :mod:`repro.core.permutations`, land in per-(group, demand) successor
+  tables, and expand a whole level per VM type with ``np.repeat`` and
+  mixed-radix indexing;
+* nodes are found with one sorted-key ``searchsorted`` per level and
+  numbered in first-occurrence order, which is the FIFO BFS order.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
+import math
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,6 +49,7 @@ from repro.core.profile import (
     Profile,
     Usage,
     VMType,
+    count_all_profiles,
     iter_all_profiles,
 )
 from repro.util.validation import ValidationError, require
@@ -101,6 +97,30 @@ class ProfileGraph:
 
     def __post_init__(self) -> None:
         self._index = {usage: i for i, usage in enumerate(self.profiles)}
+
+    @classmethod
+    def from_csr(
+        cls,
+        shape: MachineShape,
+        vm_types: Tuple[VMType, ...],
+        strategy: SuccessorStrategy,
+        profiles: List[Usage],
+        indptr: np.ndarray,
+        indices: np.ndarray,
+    ) -> "ProfileGraph":
+        """A graph from its int64 CSR adjacency, kept as the CSR memo."""
+        bounds, flat = indptr.tolist(), indices.tolist()
+        graph = cls(
+            shape=shape,
+            vm_types=vm_types,
+            strategy=strategy,
+            profiles=profiles,
+            successors=[
+                tuple(flat[bounds[i]:bounds[i + 1]]) for i in range(len(profiles))
+            ],
+        )
+        graph.memo("successor_csr", lambda: (indptr, indices))
+        return graph
 
     @property
     def n_nodes(self) -> int:
@@ -151,14 +171,8 @@ class ProfileGraph:
         def build() -> np.ndarray:
             m = self.shape.n_dimensions
             flat = np.fromiter(
-                (
-                    u
-                    for usage in self.profiles
-                    for group in usage
-                    for u in group
-                ),
-                dtype=np.int64,
-                count=self.n_nodes * m,
+                (u for usage in self.profiles for group in usage for u in group),
+                dtype=np.int64, count=self.n_nodes * m,
             )
             return flat.reshape(self.n_nodes, m)
 
@@ -185,18 +199,11 @@ class ProfileGraph:
         """
 
         def build() -> Tuple[np.ndarray, np.ndarray]:
-            out_deg = np.fromiter(
-                (len(s) for s in self.successors), dtype=np.int64,
-                count=self.n_nodes,
-            )
-            indptr = np.zeros(self.n_nodes + 1, dtype=np.int64)
-            np.cumsum(out_deg, out=indptr[1:])
+            out_deg = np.fromiter(map(len, self.successors), dtype=np.int64)
             indices = np.fromiter(
-                (d for succ in self.successors for d in succ),
-                dtype=np.int64,
-                count=int(out_deg.sum()),
+                (d for succ in self.successors for d in succ), dtype=np.int64
             )
-            return indptr, indices
+            return np.concatenate(([0], np.cumsum(out_deg))), indices
 
         return self.memo("successor_csr", build)
 
@@ -241,23 +248,13 @@ class ProfileGraph:
     def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """All edges as parallel (src, dst) int arrays, grouped by src.
 
-        This is the CSR adjacency flattened: ``dst`` is the concatenation
-        of every node's successor tuple and ``src`` repeats each node id
-        ``out_degree`` times.
+        This is :meth:`successor_csr` flattened: ``dst`` is its
+        ``indices`` and ``src`` repeats each node id ``out_degree`` times.
         """
 
         def build() -> Tuple[np.ndarray, np.ndarray]:
-            out_deg = np.fromiter(
-                (len(s) for s in self.successors), dtype=np.int64,
-                count=self.n_nodes,
-            )
-            src = np.repeat(np.arange(self.n_nodes, dtype=np.int64), out_deg)
-            dst = np.fromiter(
-                (s for succ in self.successors for s in succ),
-                dtype=np.int64,
-                count=int(out_deg.sum()),
-            )
-            return src, dst
+            indptr, indices = self.successor_csr()
+            return np.repeat(np.arange(self.n_nodes), np.diff(indptr)), indices
 
         return self.memo("edge_arrays", build)
 
@@ -314,36 +311,41 @@ class ProfileGraph:
         return self.memo("reverse_level_schedule", build)
 
 
-# A machine usage interned as one small-int id per group.
-_Combo = Tuple[int, ...]
+class _Table:
+    """One group's successor rows for one demand multiset.
+
+    Row ``gid`` lists a parent gid's successor gids in enumeration order,
+    ``pool[start[gid]:start[gid] + count[gid]]``; ``count`` is 0 where
+    the demand does not fit and -1 until the row is filled.
+    """
+
+    __slots__ = ("live", "start", "count", "pool")
+
+    def __init__(self, live: Tuple[int, ...]):
+        self.live = live
+        self.start, self.count, self.pool = (
+            np.zeros(0, dtype=np.int64) for _ in range(3)
+        )
 
 
 class _SuccessorEngine:
-    """Successor generation over per-group interned usage ids.
+    """Level-at-a-time successor generation over per-group interned ids.
 
-    One engine serves one ``(shape, vm_types, strategy)`` build.  Every
-    distinct per-group usage tuple gets a dense *gid*; a machine usage is
-    then a combo of gids, and successor enumeration composes per-group
-    results by id product:
+    Every distinct per-group usage tuple gets a dense *gid*, so a machine
+    usage is a row of gids and a BFS frontier an ``(n, n_groups)`` array.
+    Group-level placements come from the shared bounded memos in
+    :mod:`repro.core.permutations` and land in one :class:`_Table` per
+    (group, demand multiset).  A row is filled only for a gid that occurs
+    in a frontier row whose earlier groups fit the VM, so the build never
+    walks a group's whole placement closure.
 
-    * group-level placements come from the shared bounded memos in
-      :mod:`repro.core.permutations` (hit on the first distinct state);
-    * on top of that, a per-``(vm, group)`` dict maps a parent gid
-      straight to its successor gids, so steady-state successor
-      generation touches only int-keyed dicts — no usage tuples, no
-      re-hashing of group states.
-
-    Successor order exactly reproduces the legacy builder: VM types in
-    declaration order, placements in enumeration order (last group
-    varies fastest), deduplicated on first occurrence — which is what
-    keeps node ids, and every float reduction downstream, bit-identical
-    across builder generations.
+    :meth:`expand` emits candidates in (parent, VM type, option) order,
+    last group varying fastest: the order the per-node builder found
+    them in.  First-occurrence ids over it keep node ids, and every float
+    reduction downstream, bit-identical across builder generations.
     """
 
-    __slots__ = (
-        "shape", "vm_types", "strategy", "_groups", "_n_groups", "_memos",
-        "_lives", "_gids", "_gusages", "_balanced", "_options",
-    )
+    __slots__ = ("strategy", "_groups", "_memos", "_gids", "_gusages", "_tables")
 
     def __init__(
         self,
@@ -351,188 +353,198 @@ class _SuccessorEngine:
         vm_types: Sequence[VMType],
         strategy: SuccessorStrategy,
     ):
-        self.shape = shape
-        self.vm_types = tuple(vm_types)
         self.strategy = strategy
         self._groups = tuple(shape.groups)
-        self._n_groups = len(self._groups)
         self._memos = tuple(permutations.group_memo(g) for g in self._groups)
-        self._lives = tuple(
-            tuple(permutations.live_chunks(chunks) for chunks in vm.demands)
-            for vm in self.vm_types
-        )
-        self._gids: List[Dict[Tuple[int, ...], int]] = [
-            {} for _ in self._groups
-        ]
+        self._gids: List[Dict[Tuple[int, ...], int]] = [{} for _ in self._groups]
         self._gusages: List[List[Tuple[int, ...]]] = [[] for _ in self._groups]
-        # Per (vm, group): parent gid -> successor gid(s).  Plain
-        # int-keyed dicts; the VM's demand multiset is fixed per slot.
-        self._balanced: List[List[Dict[int, Optional[int]]]] = [
-            [{} for _ in self._groups] for _ in self.vm_types
-        ]
-        self._options: List[List[Dict[int, Tuple[int, ...]]]] = [
-            [{} for _ in self._groups] for _ in self.vm_types
-        ]
+        shared: List[Dict[Tuple[int, ...], _Table]] = [{} for _ in self._groups]
+        self._tables = tuple(
+            tuple(
+                shared[g].setdefault(live, _Table(live))
+                for g, live in enumerate(map(permutations.live_chunks, vm.demands))
+            )
+            for vm in vm_types
+        )
 
     def _gid(self, g: int, usage: Tuple[int, ...]) -> int:
         ids = self._gids[g]
         gid = ids.get(usage)
         if gid is None:
             usages = self._gusages[g]
-            gid = len(usages)
-            ids[usage] = gid
+            gid = ids[usage] = len(usages)
             usages.append(usage)
         return gid
 
-    def combo_of(self, usage: Usage) -> _Combo:
-        """Intern a machine usage into its per-group id combo."""
-        return tuple(self._gid(g, u) for g, u in enumerate(usage))
-
-    def usage_of(self, combo: _Combo) -> Usage:
-        """Reconstruct the canonical usage of a combo."""
-        gusages = self._gusages
-        return tuple(gusages[g][gid] for g, gid in enumerate(combo))
-
-    def successor_combos(self, combo: _Combo) -> List[_Combo]:
-        """Distinct successor combos of ``combo``, in discovery order."""
-        seen: Dict[_Combo, None] = {}
-        groups = self._groups
-        gusages = self._gusages
-        memos = self._memos
-        if self.strategy is SuccessorStrategy.BALANCED:
-            for vi in range(len(self.vm_types)):
-                caches = self._balanced[vi]
-                lives = self._lives[vi]
-                succ: List[int] = []
-                feasible = True
-                for g, gid in enumerate(combo):
-                    cache = caches[g]
-                    if gid in cache:
-                        sgid = cache[gid]
-                    else:
-                        placed = memos[g].balanced(
-                            groups[g], gusages[g][gid], lives[g]
-                        )
-                        sgid = (
-                            None
-                            if placed is None
-                            else self._gid(g, placed.new_usage)
-                        )
-                        cache[gid] = sgid
-                    if sgid is None:
-                        feasible = False
-                        break
-                    succ.append(sgid)
-                if feasible:
-                    seen.setdefault(tuple(succ))
-            return list(seen)
-
-        for vi in range(len(self.vm_types)):
-            caches = self._options[vi]
-            lives = self._lives[vi]
-            per_group: List[Tuple[int, ...]] = []
-            feasible = True
-            for g, gid in enumerate(combo):
-                cache = caches[g]
-                opts = cache.get(gid)
-                if opts is None:
-                    placements = memos[g].enumerated(
-                        groups[g], gusages[g][gid], lives[g]
-                    )
-                    opts = tuple(
-                        self._gid(g, p.new_usage) for p in placements
-                    )
-                    cache[gid] = opts
-                if not opts:
-                    feasible = False
-                    break
-                per_group.append(opts)
-            if feasible:
-                for succ_combo in itertools.product(*per_group):
-                    seen.setdefault(succ_combo)
-        return list(seen)
-
-
-def _reachable_limit_error(node_limit: int) -> GraphLimitExceeded:
-    return GraphLimitExceeded(
-        f"reachable profile graph exceeded node_limit="
-        f"{node_limit}; coarsen the quantizers or use "
-        f"SuccessorStrategy.BALANCED"
-    )
-
-
-def _build_reachable_serial(
-    shape: MachineShape,
-    vm_types: Tuple[VMType, ...],
-    strategy: SuccessorStrategy,
-    node_limit: int,
-) -> ProfileGraph:
-    """FIFO BFS from the empty profile over interned combos."""
-    engine = _SuccessorEngine(shape, vm_types, strategy)
-    root = engine.combo_of(shape.empty_usage())
-    combo_ids: Dict[_Combo, int] = {root: 0}
-    combos: List[_Combo] = [root]
-    successors: List[Tuple[int, ...]] = []
-    node = 0
-    while node < len(combos):
-        succ_ids: List[int] = []
-        for succ_combo in engine.successor_combos(combos[node]):
-            succ_id = combo_ids.get(succ_combo)
-            if succ_id is None:
-                if len(combos) >= node_limit:
-                    raise _reachable_limit_error(node_limit)
-                succ_id = len(combos)
-                combo_ids[succ_combo] = succ_id
-                combos.append(succ_combo)
-            succ_ids.append(succ_id)
-        successors.append(tuple(sorted(succ_ids)))
-        node += 1
-    return ProfileGraph(
-        shape=shape,
-        vm_types=vm_types,
-        strategy=strategy,
-        profiles=[engine.usage_of(c) for c in combos],
-        successors=successors,
-    )
-
-
-def _full_profiles(
-    shape: MachineShape, node_limit: int
-) -> List[Usage]:
-    profiles = [p.usage for p in iter_all_profiles(shape)]
-    if len(profiles) > node_limit:
-        raise GraphLimitExceeded(
-            f"full lattice has {len(profiles)} profiles "
-            f"(> node_limit={node_limit}); use mode='reachable'"
+    def rows_of(self, usages: Sequence[Usage]) -> np.ndarray:
+        """Intern machine usages into an ``(n, n_groups)`` gid array."""
+        return np.array(
+            [[self._gid(g, u) for g, u in enumerate(usage)] for usage in usages],
+            dtype=np.int64,
         )
-    return profiles
+
+    def profiles_of(self, rows: np.ndarray) -> List[Usage]:
+        """The canonical usages of gid rows."""
+        return list(zip(*(
+            map(usages.__getitem__, rows[:, g].tolist())
+            for g, usages in enumerate(self._gusages)
+        )))
+
+    def flat_of(self, rows: np.ndarray) -> np.ndarray:
+        """The usages of gid rows as an ``(n, n_dimensions)`` int matrix."""
+        return np.hstack([
+            np.array(usages, dtype=np.int64)[rows[:, g]]
+            for g, usages in enumerate(self._gusages)
+        ])
+
+    def _fill(self, g: int, table: _Table, gids: np.ndarray) -> None:
+        """Fill the rows of the distinct ``gids`` that are still empty."""
+        grow = len(self._gusages[g]) - len(table.count)
+        if grow:
+            table.start = np.concatenate((table.start, np.zeros(grow, np.int64)))
+            table.count = np.concatenate((table.count, np.full(grow, -1)))
+        gids = gids[table.count[gids] < 0]
+        group, memo, usages = self._groups[g], self._memos[g], self._gusages[g]
+        counts: List[int] = []
+        pool: List[int] = []
+        placements: Tuple[permutations.GroupPlacement, ...]
+        for gid in gids.tolist():
+            if self.strategy is SuccessorStrategy.BALANCED:
+                placed = memo.balanced(group, usages[gid], table.live)
+                placements = () if placed is None else (placed,)
+            else:
+                placements = memo.enumerated(group, usages[gid], table.live)
+            counts.append(len(placements))
+            pool.extend(self._gid(g, p.new_usage) for p in placements)
+        filled = np.array(counts, dtype=np.int64)
+        table.start[gids] = len(table.pool) + np.cumsum(filled) - filled
+        table.count[gids] = filled
+        table.pool = np.concatenate((table.pool, np.array(pool, np.int64)))
+
+    def expand(self, frontier: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(parents, rows)``: frontier row indices and successor gid rows.
+
+        A parent may repeat a successor (two VM types can land on the
+        same profile); the caller deduplicates.
+        """
+        n, n_groups = frontier.shape
+        columns = [np.unique(frontier[:, g], return_inverse=True)
+                   for g in range(n_groups)]
+        parents = [np.zeros(0, dtype=np.int64)]
+        blocks = [np.zeros((0, n_groups), dtype=np.int64)]
+        for tables in self._tables:
+            fits = np.ones(n, dtype=bool)
+            for g, (table, (gids, inverse)) in enumerate(zip(tables, columns)):
+                needed = np.zeros(len(gids), dtype=bool)
+                needed[inverse[fits]] = True
+                self._fill(g, table, gids[needed])
+                fits &= table.count[frontier[:, g]] > 0
+            rows = np.flatnonzero(fits)
+            starts = [t.start[frontier[rows, g]] for g, t in enumerate(tables)]
+            counts = [t.count[frontier[rows, g]] for g, t in enumerate(tables)]
+            per_row = np.prod(counts, axis=0)
+            # Mixed-radix option index per candidate, last group fastest.
+            option = np.arange(int(per_row.sum()), dtype=np.int64)
+            option -= np.repeat(np.cumsum(per_row) - per_row, per_row)
+            block = np.empty((len(option), n_groups), dtype=np.int64)
+            for g in reversed(range(n_groups)):
+                radix = np.repeat(counts[g], per_row)
+                block[:, g] = tables[g].pool[
+                    np.repeat(starts[g], per_row) + option % radix
+                ]
+                option //= radix
+            parents.append(np.repeat(rows, per_row))
+            blocks.append(block)
+        parent = np.concatenate(parents)
+        order = np.argsort(parent, kind="stable")
+        return parent[order], np.concatenate(blocks)[order]
 
 
-def _build_full_serial(
+def _row_keys(shape: MachineShape) -> Callable[[np.ndarray], np.ndarray]:
+    """An exact key for gid rows: equal keys iff equal rows.
+
+    A gid stays below its group's canonical lattice size, so rows pack
+    into one int64 by mixed radix whenever the whole lattice fits; wider
+    shapes compare whole rows through a structured view instead.
+    """
+    sizes = [count_all_profiles(MachineShape(groups=(g,))) for g in shape.groups]
+    if math.prod(sizes) <= np.iinfo(np.int64).max:
+        weights = np.array(
+            [math.prod(sizes[g + 1:]) for g in range(len(sizes))], np.int64
+        )
+        return lambda rows: rows @ weights
+    fields = np.dtype([(f"g{g}", np.int64) for g in range(len(sizes))])
+    return lambda rows: np.ascontiguousarray(rows).view(fields).ravel()
+
+
+def _build(
     shape: MachineShape,
     vm_types: Tuple[VMType, ...],
     strategy: SuccessorStrategy,
+    mode: str,
     node_limit: int,
 ) -> ProfileGraph:
-    profiles = _full_profiles(shape, node_limit)
+    """Level-synchronous BFS over gid rows.
+
+    ``reachable`` starts from the empty profile and numbers the nodes
+    first found while expanding level d after all of level d, in
+    (parent, VM type, option) order: the ids a FIFO BFS assigns.
+    ``full`` numbers the lattice up front and expands it as one level.
+    """
     engine = _SuccessorEngine(shape, vm_types, strategy)
-    combo_ids: Dict[_Combo, int] = {}
-    combos: List[_Combo] = []
-    for i, usage in enumerate(profiles):
-        combo = engine.combo_of(usage)
-        combo_ids[combo] = i
-        combos.append(combo)
-    successors = [
-        tuple(sorted(combo_ids[s] for s in engine.successor_combos(combo)))
-        for combo in combos
-    ]
-    return ProfileGraph(
-        shape=shape,
-        vm_types=vm_types,
-        strategy=strategy,
-        profiles=profiles,
-        successors=successors,
+    key_of = _row_keys(shape)
+    roots = [shape.empty_usage()]
+    if mode == "full":
+        roots = [p.usage for p in iter_all_profiles(shape)]
+        if len(roots) > node_limit:
+            raise GraphLimitExceeded(
+                f"full lattice has {len(roots)} profiles "
+                f"(> node_limit={node_limit}); use mode='reachable'"
+            )
+    blocks = [engine.rows_of(roots)]
+    keys = key_of(blocks[0])
+    known_ids = np.argsort(keys)
+    known_keys = keys[known_ids]
+    degrees: List[np.ndarray] = []
+    targets: List[np.ndarray] = []
+    lo, n_nodes = 0, len(roots)
+    while lo < n_nodes:
+        parent, rows = engine.expand(blocks[-1])
+        keys = key_of(rows)
+        pos = np.minimum(np.searchsorted(known_keys, keys), len(known_keys) - 1)
+        ids, new = known_ids[pos], known_keys[pos] != keys
+        level_size, lo = n_nodes - lo, n_nodes
+        if np.any(new):
+            new_keys, first, inverse = np.unique(
+                keys[new], return_index=True, return_inverse=True
+            )
+            if n_nodes + len(first) > node_limit:
+                raise GraphLimitExceeded(
+                    f"reachable profile graph exceeded node_limit="
+                    f"{node_limit}; coarsen the quantizers or use "
+                    f"SuccessorStrategy.BALANCED"
+                )
+            new_ids = np.empty(len(first), dtype=np.int64)
+            new_ids[np.argsort(first)] = np.arange(n_nodes, n_nodes + len(first))
+            ids[new] = new_ids[inverse]
+            blocks.append(rows[new][np.sort(first)])
+            at = np.searchsorted(known_keys, new_keys)
+            known_keys = np.insert(known_keys, at, new_keys)
+            known_ids = np.insert(known_ids, at, new_ids)
+            n_nodes += len(first)
+        edges = np.unique(parent * n_nodes + ids)
+        degrees.append(np.bincount(edges // n_nodes, minlength=level_size))
+        targets.append(edges % n_nodes)
+
+    rows = np.concatenate(blocks)
+    graph = ProfileGraph.from_csr(
+        shape, vm_types, strategy, engine.profiles_of(rows),
+        np.concatenate(([0], np.cumsum(np.concatenate(degrees)))),
+        np.concatenate(targets),
     )
+    flat_profiles = engine.flat_of(rows)
+    graph.memo("flat_profiles", lambda: flat_profiles)
+    return graph
 
 
 def build_profile_graph(
@@ -573,7 +585,4 @@ def build_profile_graph(
         )
     if mode not in ("reachable", "full"):
         raise ValidationError(f"unknown graph mode {mode!r}")
-
-    if mode == "full":
-        return _build_full_serial(shape, vm_types, strategy, node_limit)
-    return _build_reachable_serial(shape, vm_types, strategy, node_limit)
+    return _build(shape, vm_types, strategy, mode, node_limit)

@@ -242,22 +242,12 @@ def load_graph(
             f"cached profile graph has {n_nodes} nodes "
             f"(> node_limit={node_limit})"
         )
-    bounds = indptr.tolist()
-    flat = indices.tolist()
-    successors = [
-        tuple(flat[bounds[i]:bounds[i + 1]]) for i in range(n_nodes)
-    ]
-    graph = ProfileGraph(
-        shape=shape,
-        vm_types=vm_types,
-        strategy=strategy,
-        profiles=_unpack_profiles(shape, profiles_matrix),
-        successors=successors,
+    graph = ProfileGraph.from_csr(
+        shape, vm_types, strategy, _unpack_profiles(shape, profiles_matrix),
+        indptr.astype(np.int64), indices.astype(np.int64),
     )
     packed = np.ascontiguousarray(profiles_matrix)
-    csr = (indptr.astype(np.int64), indices.astype(np.int64))
     graph.memo("packed_profiles", lambda: packed)
-    graph.memo("successor_csr", lambda: csr)
     _CACHE_EVENTS["hits"] += 1
     return graph
 

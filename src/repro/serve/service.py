@@ -57,7 +57,7 @@ from repro.serve.breaker import CircuitBreaker
 from repro.serve.clock import Clock, SystemClock
 from repro.traces.base import ConstantTrace
 from repro.util.rng import RngFactory
-from repro.util.validation import ValidationError, require
+from repro.util.validation import require
 
 __all__ = [
     "OUTCOMES",

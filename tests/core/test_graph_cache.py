@@ -1,7 +1,11 @@
 """Tests for repro.core.graph_cache: hit, miss and corruption paths."""
 
+import hashlib
+
 import numpy as np
 import pytest
+
+from repro.cluster.ec2 import EC2_VM_TYPES, ec2_pm_shape
 
 from repro.core.graph import (
     GraphLimitExceeded,
@@ -9,6 +13,7 @@ from repro.core.graph import (
     build_profile_graph,
 )
 from repro.core.graph_cache import (
+    BUILDER_CODE_VERSION,
     cache_events,
     clear_cache_events,
     graph_cache_key,
@@ -181,3 +186,31 @@ class TestMissAndCorruption:
                 SuccessorStrategy.ALL_PLACEMENTS,
                 node_limit=graph.n_nodes - 1,
             )
+
+
+def cached_bytes_digest(graph):
+    """SHA-256 of what a cache entry stores: profiles, then the CSR."""
+    digest = hashlib.sha256()
+    packed = graph.packed_profiles()
+    digest.update(packed.dtype.str.encode())
+    digest.update(np.ascontiguousarray(packed).tobytes())
+    for array in graph.successor_csr():
+        digest.update(array.astype("<i8").tobytes())
+    return digest.hexdigest()
+
+
+class TestPinnedGraphBytes:
+    """Node ids fix the score tables' bits, and cached entries outlive
+    the process that wrote them: a builder change that renumbers nodes
+    must bump BUILDER_CODE_VERSION and re-pin these digests."""
+
+    @pytest.mark.parametrize("pm, digest", [
+        ("M3", "72ea1c4032d746cd59cef376d13b381758f94742d1672bb2167a911e9751f4b1"),
+        ("C3", "82aff24353801de70170f46e360424fae0db64ad2dfe3d462ac492ac753822ee"),
+    ])
+    def test_ec2_balanced_graph_bytes(self, pm, digest):
+        assert BUILDER_CODE_VERSION == 2
+        graph = build_profile_graph(
+            ec2_pm_shape(pm), EC2_VM_TYPES, strategy=SuccessorStrategy.BALANCED
+        )
+        assert cached_bytes_digest(graph) == digest
