@@ -7,7 +7,8 @@ trajectory::
 
 Each entry records ops/sec for the kernels that dominate evaluation
 wall-clock — the PageRank power iteration on an EC2-scale graph, snap
-lookups against the EC2 score table, one Algorithm 2 placement decision
+lookups against the EC2 score table, a recorded day of eviction choices
+replayed through ``select_victim``, one Algorithm 2 placement decision
 over a fleet — plus graph-construction wall-clock on the EC2-scale
 workload (a cold build and a cache reload) and end-to-end
 :func:`run_experiment` wall-clock at ``workers=1`` and
@@ -54,6 +55,7 @@ from repro.cluster.ec2 import (
 )
 from repro.cluster.simulation import SimulationConfig
 from repro.core.graph import ProfileGraph, SuccessorStrategy, build_profile_graph
+from repro.core.migration import PageRankMigrationSelector
 from repro.core.pagerank import profile_pagerank
 from repro.core.placement import PageRankVMPolicy
 from repro.core.profile import MachineShape, ResourceGroup, Usage, VMType
@@ -277,6 +279,48 @@ def off_graph_usages(shape, count: int, seed: int = 0):
     return usages
 
 
+class _StreamAllocation:
+    """An allocation record of the replayed victim stream."""
+
+    __slots__ = ("assignments",)
+
+    def __init__(self, assignments) -> None:
+        self.assignments = assignments
+
+
+def victim_stream(table: ScoreTable, n_vms: int = 600, seed: int = 0):
+    """The eviction choices of one PageRankVM day, for replay.
+
+    Runs ``n_vms`` PlanetLab-driven VMs through a 24 h day on an M3
+    fleet served by ``table`` and records every ``select_victim`` call
+    as (usage, allocations), the allocations frozen to their
+    assignments.  The stream keeps the relief loop's repeats: the same
+    PM is re-ranked tick after tick while it stays overloaded.
+    """
+    from repro.cluster.simulation import CloudSimulation
+    from repro.experiments.config import ExperimentConfig
+    from repro.experiments.workload import build_vms
+
+    shape = table.shape
+    recorded = []
+
+    class Recording(PageRankMigrationSelector):
+        def select_victim(self, shape, usage, allocations):
+            recorded.append(
+                (usage, [_StreamAllocation(a.assignments) for a in allocations])
+            )
+            return super().select_victim(shape, usage, allocations)
+
+    config = ExperimentConfig(n_vms=n_vms, datacenter=(("M3", 400),), seed=seed)
+    CloudSimulation(
+        build_ec2_soa_datacenter(dict(config.datacenter)),
+        PageRankVMPolicy({shape: table}),
+        Recording({shape: table}),
+        config.sim,
+    ).run(build_vms(config, 0))
+    return recorded
+
+
 def measure_kernels(
     graph: ProfileGraph,
     table: ScoreTable,
@@ -330,6 +374,24 @@ def measure_kernels(
     batched.score_or_snap_many(misses)
     batch_wall = time.perf_counter() - start
     metrics["snap_batch_lookups_per_s"] = len(misses) / batch_wall
+
+    # Victim choice: a recorded day of eviction rankings, replayed on a
+    # fresh table (cold snap cache, tree already built).
+    stream = victim_stream(table)
+    replay = ScoreTable(
+        shape,
+        dict(table.items()),
+        damping=table.damping,
+        strategy=table.strategy,
+        vote_direction=table.vote_direction,
+    )
+    replay.score_or_snap(misses[0])
+    selector = PageRankMigrationSelector({shape: replay})
+    start = time.perf_counter()
+    for usage, allocations in stream:
+        selector.select_victim(shape, usage, allocations)
+    victim_wall = time.perf_counter() - start
+    metrics["victim_selections_per_s"] = len(stream) / victim_wall
 
     # One Algorithm 2 decision over a warmed 50-PM fleet.
     policy = PageRankVMPolicy({shape: table})

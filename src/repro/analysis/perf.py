@@ -109,6 +109,9 @@ PHASE_METRICS: Dict[str, Tuple[MetricSpec, ...]] = {
             _key("snap_batch_lookups_per_s"),
         ),
         MetricSpec(
+            "victim_selections_per_s", True, _key("victim_selections_per_s")
+        ),
+        MetricSpec(
             "placement_decisions_per_s", True,
             _key("placement_decisions_per_s"),
         ),

@@ -82,16 +82,12 @@ class PageRankMigrationSelector:
 
         Returns (score, allocation) pairs sorted best first.
         """
-        table = self._tables.get(shape)
-        if table is None:
-            raise KeyError(f"no score table for shape {shape!r}")
+        table = self._table(shape)
         # One batched lookup: residual-profile misses share a single
         # snap distance pass instead of paying one lookup per hosted VM.
-        residuals = [
-            shape.canonicalize(usage_after_removal(usage, a.assignments))
-            for a in allocations
-        ]
-        scores = table.score_or_snap_many(residuals)
+        scores = table.score_or_snap_many(
+            _residuals(shape, usage, allocations)
+        )
         scored: List[Tuple[float, AllocationView]] = [
             (float(score), allocation)
             for score, allocation in zip(scores, allocations)
@@ -107,13 +103,35 @@ class PageRankMigrationSelector:
     ) -> Optional[AllocationView]:
         """The allocation whose removal yields the highest-ranked profile.
 
+        The same allocation as ``rank_victims(...)[0][1]`` (the first of
+        the best, in ``allocations`` order), found by
+        :meth:`ScoreTable.argmax_score_or_snap`: only the off-graph
+        residuals that can still win are snapped exactly.
+
         Returns None when the PM hosts no VMs.
 
         Raises:
             KeyError: when no table covers ``shape``.
         """
-        if shape not in self._tables:
-            raise KeyError(f"no score table for shape {shape!r}")
+        table = self._table(shape)
         if not allocations:
             return None
-        return self.rank_victims(shape, usage, allocations)[0][1]
+        return allocations[
+            table.argmax_score_or_snap(_residuals(shape, usage, allocations))
+        ]
+
+    def _table(self, shape: MachineShape) -> ScoreTable:
+        table = self._tables.get(shape)
+        if table is None:
+            raise KeyError(f"no score table for shape {shape!r}")
+        return table
+
+
+def _residuals(
+    shape: MachineShape, usage: Usage, allocations: Sequence[AllocationView]
+) -> List[Usage]:
+    """The canonical usage each allocation's removal would leave."""
+    return [
+        shape.canonicalize(usage_after_removal(usage, a.assignments))
+        for a in allocations
+    ]

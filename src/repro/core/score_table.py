@@ -63,6 +63,7 @@ class ScoreTable:
     __slots__ = (
         "shape", "damping", "strategy", "vote_direction", "_scores",
         "_flat_matrix", "_flat_scores", "_snap_tree", "_snap_cache",
+        "_bound_cache",
     )
 
     def __init__(
@@ -83,6 +84,11 @@ class ScoreTable:
         self._flat_scores: Optional[np.ndarray] = None
         self._snap_tree: Optional[cKDTree] = None
         self._snap_cache: "OrderedDict[Usage, float]" = OrderedDict()
+        #: Off-graph usage -> (nearest L1 distance, that row's score),
+        #: for :meth:`argmax_score_or_snap`; bounded like the snap cache.
+        self._bound_cache: "OrderedDict[Usage, Tuple[float, float]]" = (
+            OrderedDict()
+        )
 
     def __len__(self) -> int:
         return len(self._scores)
@@ -153,24 +159,121 @@ class ScoreTable:
             check_finite(results, "snapped profile scores")
         return cast(List[float], results)
 
-    def _snap(self, usages: Sequence[Usage]) -> List[float]:
+    def argmax_score_or_snap(
+        self, usages: Sequence[Union[Usage, Profile]]
+    ) -> int:
+        """Index of the first maximal :meth:`score_or_snap` value.
+
+        Equal to the first best position of :meth:`score_or_snap_many`,
+        but a miss pays the exact tie pass only when it can win.  Exact
+        hits and cached snaps resolve first.  The distinct misses then
+        get one batched ``query(k=1)``: the row it returns sits at the
+        snap distance, and the snapped score is the lowest score among
+        the rows at that distance, so that row's score is an upper bound
+        on the snapped score.  A miss whose bound is below the best
+        score known can neither win nor tie, and skips the tie pass; the
+        others are snapped (and cached) as in :meth:`_snap`.  Bounds are
+        kept in an LRU the size of the snap cache, since migration
+        re-ranks the same residuals tick after tick.
+
+        Raises:
+            ValidationError: for an empty ``usages``.
+        """
+        require(len(usages) > 0, "argmax of no usages")
+        scores_map = self._scores
+        snap_cache = self._snap_cache
+        best = -np.inf
+        best_at = -1
+        misses: Dict[Usage, int] = {}
+        for i, usage in enumerate(usages):
+            key = usage.usage if isinstance(usage, Profile) else usage
+            score = scores_map.get(key)
+            if score is None:
+                score = snap_cache.get(key)
+                if score is None:
+                    misses.setdefault(key, i)
+                    continue
+                snap_cache.move_to_end(key)
+            if score > best:
+                best, best_at = score, i
+        if not misses:
+            return best_at
+        contenders = [
+            (key, distance)
+            for key, (distance, bound) in zip(
+                misses, self._snap_bounds(list(misses))
+            )
+            if bound >= best
+        ]
+        if contenders:
+            keys = [key for key, _ in contenders]
+            snapped = self._snap(keys, [distance for _, distance in contenders])
+            if GUARD.active:
+                check_finite(snapped, "snapped profile scores")
+            for key, score in zip(keys, snapped):
+                # The exact score supersedes the bound.
+                self._bound_cache.pop(key, None)
+                self._snap_remember(key, score)
+                at = misses[key]
+                if score > best or (score >= best and at < best_at):
+                    best, best_at = score, at
+        return best_at
+
+    def _snap_bounds(self, usages: List[Usage]) -> List[Tuple[float, float]]:
+        """(nearest L1 distance, nearest row's score) per usage, memoized
+        in the bound LRU."""
+        cache = self._bound_cache
+        found: Dict[Usage, Tuple[float, float]] = {}
+        unknown = []
+        for key in usages:
+            pair = cache.get(key)
+            if pair is None:
+                unknown.append(key)
+            else:
+                cache.move_to_end(key)
+                found[key] = pair
+        if unknown:
+            nearest, rows = self._tree().query(
+                self._flat_rows(unknown), k=1, p=1
+            )
+            flat_scores = self._snap_structures()[1]
+            for key, distance, bound in zip(
+                unknown, nearest.tolist(), flat_scores[rows].tolist()
+            ):
+                found[key] = cache[key] = (distance, bound)
+            while len(cache) > self.DEFAULT_SNAP_CACHE_SIZE:
+                cache.popitem(last=False)
+        return [found[key] for key in usages]
+
+    def _snap(
+        self,
+        usages: Sequence[Usage],
+        nearest: Optional[Sequence[float]] = None,
+    ) -> List[float]:
         """Scores of the L1-nearest table rows, lowest score on ties.
 
-        ``query`` finds each usage's nearest distance ``d``;
-        ``query_ball_point`` at radius ``d`` then returns every row at
-        exactly that distance.  Usages are small integers, so every L1
-        distance is exact in float64 and the result is bit-identical to
-        a brute-force scan of the whole matrix.
+        ``query`` finds each usage's nearest distance ``d`` (unless the
+        caller already has it in ``nearest``); ``query_ball_point`` at
+        radius ``d`` then returns every row at exactly that distance.
+        Usages are small integers, so every L1 distance is exact in
+        float64 and the result is bit-identical to a brute-force scan of
+        the whole matrix.
         """
         tree = self._tree()
-        flats = np.asarray(
-            [[u for group in usage for u in group] for usage in usages],
-            dtype=float,
-        )
-        nearest, _ = tree.query(flats, k=1, p=1)
+        flats = self._flat_rows(usages)
+        if nearest is None:
+            nearest, _ = tree.query(flats, k=1, p=1)
         ties = tree.query_ball_point(flats, r=nearest, p=1)
         flat_scores = self._snap_structures()[1]
         return [float(flat_scores[rows].min()) for rows in ties]
+
+    @staticmethod
+    def _flat_rows(usages: Sequence[Usage]) -> np.ndarray:
+        """Usages as float rows in the snap matrix's column order."""
+        return np.asarray(
+            [[u for group in usage for u in group] for usage in usages],
+            dtype=float,
+        )
 
     def _tree(self) -> cKDTree:
         """The snap tree, built on first use over the matrix in place.

@@ -43,7 +43,7 @@ from repro.core.placement import PageRankVMPolicy
 from repro.experiments.checkpoint import ExperimentCheckpoint
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.tables import score_tables_for
-from repro.experiments.workload import build_vms
+from repro.experiments.workload import build_vms, sharing_draws
 from repro.faults.schedule import FaultInjector
 from repro.faults.spec import FaultSpec
 from repro.util.rng import RngFactory
@@ -607,10 +607,12 @@ def run_experiment(
         if needs_tables and workers > 1 and len(pending) > 1:
             _score_tables(config, table_cache_dir)
         if workers == 1 or len(pending) == 1:
-            ran, failures = _run_cells_serial(
-                config, pending, table_cache_dir, audit, faults, retry,
-                checkpoint,
-            )
+            # Each repetition's workload is drawn once for all its cells.
+            with sharing_draws(config, [rep for _, rep in pending]):
+                ran, failures = _run_cells_serial(
+                    config, pending, table_cache_dir, audit, faults, retry,
+                    checkpoint,
+                )
         else:
             ran, failures = _run_cells_parallel(
                 config, pending, table_cache_dir, audit, faults, retry,

@@ -11,7 +11,10 @@ Two workload shapes:
 
 from __future__ import annotations
 
-from typing import List
+from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -25,6 +28,7 @@ from repro.traces import (
     GoogleClusterSynthesizer,
     PlanetLabSynthesizer,
     TracePool,
+    UtilizationTrace,
 )
 from repro.util.rng import RngFactory
 from repro.util.validation import require
@@ -32,6 +36,7 @@ from repro.util.validation import require
 __all__ = [
     "sample_vm_types",
     "make_trace_pool",
+    "sharing_draws",
     "build_vms",
     "build_dynamic_workload",
 ]
@@ -67,19 +72,82 @@ def make_trace_pool(spec: WorkloadSpec, rngs: RngFactory) -> TracePool:
     return TracePool(source, assignment_rng, population=spec.trace_population)
 
 
+def _draw(
+    config: ExperimentConfig, repetition: int
+) -> List[Tuple[VMType, UtilizationTrace]]:
+    """Each request's (VM type, trace) for one repetition, in order."""
+    rngs = RngFactory(config.seed).spawn("rep", repetition)
+    types = sample_vm_types(rngs.generator("vm-types"), config.n_vms, config.workload)
+    pool = make_trace_pool(config.workload, rngs)
+    return [(vm_type, pool.sample()) for vm_type in types]
+
+
+#: Most repetition draws a :func:`sharing_draws` scope holds at once
+#: (about 2 MB each at the paper's 1000-trace population); further
+#: repetitions are drawn again per cell instead.
+_MAX_HELD_DRAWS = 8
+
+
+class _HeldDraws:
+    """The draws of one grid's repetitions, held while still needed."""
+
+    def __init__(self, config: ExperimentConfig, repetitions: Sequence[int]):
+        self.config = config
+        self._uses = Counter(repetitions)
+        self._held: Dict[int, List[Tuple[VMType, UtilizationTrace]]] = {}
+
+    def take(self, repetition: int) -> List[Tuple[VMType, UtilizationTrace]]:
+        draw = self._held.pop(repetition, None)
+        if draw is None:
+            draw = _draw(self.config, repetition)
+        self._uses[repetition] -= 1
+        if self._uses[repetition] > 0 and len(self._held) < _MAX_HELD_DRAWS:
+            self._held[repetition] = draw
+        return draw
+
+
+_SHARED: ContextVar[Optional[_HeldDraws]] = ContextVar(
+    "shared_workload_draws", default=None
+)
+
+
+@contextmanager
+def sharing_draws(
+    config: ExperimentConfig, repetitions: Sequence[int]
+) -> Iterator[None]:
+    """Within the block, :func:`build_vms` draws each repetition once.
+
+    ``repetitions`` lists the repetition of every cell the block will
+    build, one entry per cell: a draw is held only while a later cell
+    still needs it, and at most :data:`_MAX_HELD_DRAWS` at once.  Draws
+    are deterministic, so a repetition that was not held (or a retried
+    cell) is drawn again with the same result.
+    """
+    token = _SHARED.set(_HeldDraws(config, repetitions))
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
 def build_vms(config: ExperimentConfig, repetition: int) -> List[VirtualMachine]:
     """The VM request batch for one repetition of an experiment.
 
     Types and traces are sampled from streams derived from
     ``(config.seed, repetition)``, so every policy in a repetition sees
     the *same* workload (paired comparison) while repetitions differ.
+    Every call returns new VMs, but trace objects are shared: by the
+    VMs that draw one pool index, and inside :func:`sharing_draws` by
+    the cells of one repetition.  Traces are read-only.
     """
-    rngs = RngFactory(config.seed).spawn("rep", repetition)
-    types = sample_vm_types(rngs.generator("vm-types"), config.n_vms, config.workload)
-    pool = make_trace_pool(config.workload, rngs)
+    shared = _SHARED.get()
+    if shared is not None and shared.config == config:
+        draw = shared.take(repetition)
+    else:
+        draw = _draw(config, repetition)
     return [
-        VirtualMachine(vm_id=i, vm_type=vm_type, trace=pool.sample())
-        for i, vm_type in enumerate(types)
+        VirtualMachine(vm_id=i, vm_type=vm_type, trace=trace)
+        for i, (vm_type, trace) in enumerate(draw)
     ]
 
 

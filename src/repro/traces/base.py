@@ -29,6 +29,10 @@ class UtilizationTrace(Protocol):
 class ArrayTrace:
     """A step-function trace over evenly spaced samples.
 
+    The samples are copied into a read-only array, because one trace
+    object is shared by every VM that draws it (see
+    :class:`~repro.traces.sampler.TracePool`).
+
     Args:
         samples: utilization fractions, each in [0, 1].
         sample_interval_s: seconds each sample holds for (the PlanetLab
@@ -43,7 +47,7 @@ class ArrayTrace:
         sample_interval_s: float = 300.0,
         cycle: bool = True,
     ):
-        values = np.asarray(list(samples), dtype=float)
+        values = np.array(samples, dtype=float)
         require(values.size > 0, "a trace needs at least one sample")
         require(sample_interval_s > 0, "sample_interval_s must be positive")
         if float(values.min()) < 0.0 or float(values.max()) > 1.0:
@@ -51,13 +55,14 @@ class ArrayTrace:
                 f"trace samples must lie in [0, 1], got range "
                 f"[{values.min():.4f}, {values.max():.4f}]"
             )
+        values.flags.writeable = False
         self._samples = values
         self._interval = float(sample_interval_s)
         self._cycle = cycle
 
     @property
     def samples(self) -> np.ndarray:
-        """The underlying sample array (do not mutate)."""
+        """The underlying sample array (read-only)."""
         return self._samples
 
     @property

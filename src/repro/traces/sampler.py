@@ -7,7 +7,7 @@ loaded real traces) and hands out a random trace per VM, reproducibly.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Dict, List, Sequence, Union
 
 import numpy as np
 
@@ -23,6 +23,12 @@ TraceSource = Union[Sequence[UtilizationTrace], "IndexedSynthesizer"]
 
 class TracePool:
     """Hands out traces for VMs, sampling randomly with replacement.
+
+    A synthesizer's trace is built once per pool index and the same
+    object is handed out on every later draw of that index; the memo is
+    bounded by ``population``.  Traces are immutable
+    (:class:`~repro.traces.base.ArrayTrace` samples are read-only), so
+    VMs that draw one index share it safely.
 
     Args:
         source: either a sequence of traces (e.g. loaded from the real
@@ -43,7 +49,16 @@ class TracePool:
         self._rng = rng
         if hasattr(source, "trace") and callable(source.trace):
             require(population > 0, "population must be positive")
-            self._get = source.trace
+            memo: Dict[int, UtilizationTrace] = {}
+            synthesize = source.trace
+
+            def get(index: int) -> UtilizationTrace:
+                trace = memo.get(index)
+                if trace is None:
+                    trace = memo[index] = synthesize(index)
+                return trace
+
+            self._get = get
             self._size = population
         else:
             traces = list(source)

@@ -6,7 +6,8 @@ from typing import Tuple
 import pytest
 
 from repro.core.migration import PageRankMigrationSelector, usage_after_removal
-from repro.core.profile import VMType
+from repro.core.profile import MachineShape, ResourceGroup, VMType
+from repro.core.score_table import ScoreTable
 
 
 @dataclass(frozen=True)
@@ -75,3 +76,25 @@ class TestVictimSelection:
         ranked = selector.rank_victims(toy_shape, usage, candidates)
         scores = [score for score, _ in ranked]
         assert scores == sorted(scores, reverse=True)
+
+    def test_snapped_miss_tying_the_best_exact_score_wins_when_first(self):
+        shape = MachineShape(
+            groups=(ResourceGroup(name="cpu", capacities=(4, 4)),)
+        )
+        # (0,1) is off the table, equidistant from (0,0) and (0,2): it
+        # snaps to the lower score, 0.5, which ties the exact (0,0).
+        table = ScoreTable(
+            shape, {((0, 0),): 0.5, ((0, 2),): 0.7, ((4, 4),): 0.2}
+        )
+        selector = PageRankMigrationSelector({shape: table})
+        usage = ((1, 1),)
+        leaves_miss = alloc("a", [(0, 1)])
+        leaves_exact = alloc("b", [(0, 1), (1, 1)])
+        for candidates in (
+            [leaves_miss, leaves_exact], [leaves_exact, leaves_miss]
+        ):
+            assert (
+                selector.select_victim(shape, usage, candidates)
+                is candidates[0]
+                is selector.rank_victims(shape, usage, candidates)[0][1]
+            )

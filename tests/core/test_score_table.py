@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.graph import SuccessorStrategy
+from repro.core.profile import MachineShape, ResourceGroup
 from repro.core.score_table import ScoreTable, build_score_table
 from repro.util.validation import ValidationError
 
@@ -131,6 +132,64 @@ class TestBatchSnap:
         missing = ((1, 0, 0, 0),)
         [score] = table.score_or_snap_many([missing])
         assert table._snap_cache[missing] == score
+
+
+class TestArgmaxSnap:
+    """``argmax_score_or_snap``: the first best position, snapping lazily."""
+
+    @staticmethod
+    def _table():
+        shape = MachineShape(
+            groups=(ResourceGroup(name="cpu", capacities=(4, 4)),)
+        )
+        # (1,0) is a miss at L1 distance 1 from (0,0) and (2,0): it snaps
+        # to the lower score, 0.5, which ties the exact score of (0,0).
+        # (4,3) is a miss whose only nearest row, (4,4), scores 0.2.
+        return ScoreTable(
+            shape, {((0, 0),): 0.5, ((2, 0),): 0.7, ((4, 4),): 0.2}
+        )
+
+    def test_matches_first_best_of_the_batch(self):
+        usages = [((4, 3),), ((1, 0),), ((0, 0),), ((2, 0),), ((1, 0),)]
+        scores = self._table().score_or_snap_many(usages)
+        assert self._table().argmax_score_or_snap(usages) == scores.index(
+            max(scores)
+        )
+
+    def test_miss_tying_the_best_exact_score_wins_when_first(self):
+        assert self._table().argmax_score_or_snap([((1, 0),), ((0, 0),)]) == 0
+        assert self._table().argmax_score_or_snap([((0, 0),), ((1, 0),)]) == 0
+
+    def test_cached_snap_resolves_like_an_exact_hit(self):
+        table = self._table()
+        assert table.score_or_snap(((1, 0),)) == 0.5
+        assert table.argmax_score_or_snap([((4, 4),), ((1, 0),)]) == 1
+
+    def test_losing_miss_is_bounded_not_snapped(self):
+        table = self._table()
+        assert table.argmax_score_or_snap([((4, 3),), ((2, 0),)]) == 1
+        assert ((4, 3),) not in table._snap_cache
+        assert table._bound_cache[((4, 3),)] == (1.0, 0.2)
+        # A later call reuses the bound; a winning miss is snapped and
+        # its bound makes way for the exact score.
+        assert table.argmax_score_or_snap([((4, 3),), ((1, 0),)]) == 1
+        assert table._snap_cache[((1, 0),)] == 0.5
+        assert ((1, 0),) not in table._bound_cache
+
+    def test_bound_cache_never_exceeds_bound(self, monkeypatch):
+        monkeypatch.setattr(ScoreTable, "DEFAULT_SNAP_CACHE_SIZE", 2)
+        table = self._table()
+        # Every miss sits nearest (4,4) alone and loses to (2,0).
+        misses = [((4, 3),), ((3, 4),), ((4, 2),), ((3, 3),), ((2, 4),)]
+        for first in range(len(misses)):
+            losers = misses[first:] + misses[:first]
+            assert table.argmax_score_or_snap(losers + [((2, 0),)]) == 5
+            assert len(table._bound_cache) <= 2
+        assert len(table._snap_cache) == 0
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValidationError):
+            self._table().argmax_score_or_snap([])
 
 
 class TestPersistence:

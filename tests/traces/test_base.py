@@ -1,5 +1,6 @@
 """Tests for trace primitives."""
 
+import numpy as np
 import pytest
 
 from repro.traces.base import ArrayTrace, ConstantTrace, UtilizationTrace
@@ -28,6 +29,19 @@ class TestArrayTrace:
             ArrayTrace([0.5, 1.5])
         with pytest.raises(ValidationError):
             ArrayTrace([-0.1])
+
+    def test_out_of_range_array_rejected(self):
+        with pytest.raises(ValidationError):
+            ArrayTrace(np.array([0.2, 1.0 + 1e-12]))
+
+    def test_samples_are_a_read_only_copy(self):
+        source = np.array([0.2, 0.4])
+        trace = ArrayTrace(source)
+        source[0] = 0.9
+        assert trace.utilization_at(0.0) == 0.2
+        with pytest.raises(ValueError):
+            trace.samples[0] = 0.5
+        assert trace.utilization_at(0.0) == 0.2
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):

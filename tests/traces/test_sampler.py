@@ -39,6 +39,21 @@ class TestSynthesizerSource:
         trace = pool.sample()
         assert trace.utilization_at(0.0) >= 0.0
 
+    def test_synthesizes_each_index_once(self):
+        calls = []
+
+        class CountingSource:
+            def trace(self, index):
+                calls.append(index)
+                return ConstantTrace(index / 10)
+
+        pool = TracePool(CountingSource(), np.random.default_rng(0),
+                         population=3)
+        drawn = pool.sample_many(30)
+        assert sorted(calls) == sorted(set(calls))
+        for trace in drawn:
+            assert trace is drawn[[t.mean() for t in drawn].index(trace.mean())]
+
     def test_population_validated(self):
         from repro.traces.planetlab import PlanetLabSynthesizer
 
