@@ -33,9 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import statistics
-import subprocess
 import tempfile
 import time
 from collections import deque
@@ -45,7 +43,6 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy
 
 from repro.cluster.ec2 import (
     EC2_VM_TYPES,
@@ -63,6 +60,7 @@ from repro.core.score_table import ScoreTable, build_score_table
 from repro.experiments.config import ExperimentConfig, WorkloadSpec
 from repro.experiments.runner import run_experiment
 from repro.util import benchfile
+from repro.util.benchfile import host_stamp
 
 BENCH_FORMAT = benchfile.BENCH_FORMAT
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
@@ -341,9 +339,22 @@ def measure_kernels(
     metrics["pagerank_wall_s"] = wall
     metrics["pagerank_iterations_per_s"] = result.iterations / wall
     if with_seed_baseline:
-        seed_wall = _best_of(lambda: seed_profile_pagerank(graph), repeats)
-        metrics["pagerank_seed_wall_s"] = seed_wall
-        metrics["pagerank_speedup_vs_seed"] = seed_wall / wall
+        # The speedup comes from production and seed runs in interleaved
+        # pairs, so a host-speed swing slows both legs of a pair: the
+        # median of the per-pair ratios.
+        pairs = [
+            (
+                _best_of(lambda: profile_pagerank(graph), 1),
+                _best_of(lambda: seed_profile_pagerank(graph), 1),
+            )
+            for _ in range(max(5, repeats))
+        ]
+        metrics["pagerank_seed_wall_s"] = statistics.median(
+            seed for _, seed in pairs
+        )
+        metrics["pagerank_speedup_vs_seed"] = statistics.median(
+            seed / own for own, seed in pairs
+        )
 
     # Snap lookups: misses against the full EC2 table, then batched.
     shape = table.shape
@@ -806,29 +817,6 @@ def append_entry(entry: Dict[str, object], out: Path = DEFAULT_OUT) -> None:
     existing payload is schema-validated, and the rewrite is atomic.
     """
     benchfile.append_entry(entry, out)
-
-
-def host_stamp() -> Dict[str, object]:
-    """Where an entry was measured: cores, library versions, commit.
-
-    ``git_sha`` is ``git describe --always --dirty`` of the checkout, so
-    an entry recorded on uncommitted changes says so.
-    """
-    try:
-        sha = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True, text=True, check=True,
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        sha = "unknown"
-    return {
-        "cpu_count": os.cpu_count() or 1,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "git_sha": sha,
-    }
 
 
 def phase_entries(

@@ -10,7 +10,8 @@ module turns that history into a regression gate (``repro perf check``):
   the same ``quick`` flag (quick runs use different workloads, so their
   walls are not comparable to full runs) and the same ``cpu_count``
   (another host's timings are no baseline; entries without one form
-  their own group);
+  their own group); a ``serve`` entry also needs the same fleet, PM
+  count, load mode, request count and concurrency;
 * each phase has a small registry of metrics with a declared direction
   (throughput up, wall-clock down);
 * the **baseline** for a metric is the median of the last ``window``
@@ -148,6 +149,12 @@ PHASE_METRICS: Dict[str, Tuple[MetricSpec, ...]] = {
 }
 
 
+#: Keys an entry must share with the latest one to count as its history:
+#: the host's cores and, for ``serve`` entries, the load's shape.
+LIKE_FOR_LIKE = ("cpu_count", "fleet", "pms", "mode", "n_requests",
+                 "concurrency")
+
+
 @dataclass(frozen=True)
 class MetricCheck:
     """The verdict for one metric of the latest entry in one phase.
@@ -250,15 +257,15 @@ def _check_metric(
     if not history:
         return None
     latest_index, latest, latest_quick = history[-1]
-    latest_cpus = entries[latest_index].get("cpu_count")
     # Only comparable history: same phase (by construction), the same
     # quick flag — quick runs measure different workload sizes — and the
-    # same cpu_count (None for entries without one).
+    # same LIKE_FOR_LIKE keys (None for entries without one).
+    like = [entries[latest_index].get(key) for key in LIKE_FOR_LIKE]
     prior = [
         v
         for index, v, quick in history[:-1]
         if quick == latest_quick
-        and entries[index].get("cpu_count") == latest_cpus
+        and [entries[index].get(key) for key in LIKE_FOR_LIKE] == like
     ]
     baseline_window = prior[-window:]
     if len(baseline_window) < min_history:

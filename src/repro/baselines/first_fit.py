@@ -10,14 +10,12 @@ capacity exactly the way the paper criticizes.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.core.permutations import can_place, first_fit_placement
 from repro.core.policy import MachineView, PlacementDecision, PlacementPolicy
 from repro.core.profile import MachineShape, VMType
-from repro.core.usage_index import IndexedMachines
+from repro.core.usage_index import IndexedMachines, RankKey
 
 __all__ = ["FirstFitPolicy"]
 
@@ -31,9 +29,10 @@ class FirstFitPolicy(PlacementPolicy):
 
     The indexed fast path ranks the class table.  The Hall condition
     (:func:`can_place`) depends only on the canonical usage, so it is
-    memoized per class id and VM type and skips every member of an
-    infeasible class.  The first member to try is the feasible class
-    with the smallest ``(tier, representative)``.  The first-fit unit
+    evaluated once per class id and VM type, and an infeasible class
+    never enters the ranking.  The first member to try is the
+    representative of the feasible class with the smallest
+    ``(tier, representative)``.  The first-fit unit
     assignment itself is **not** class-invariant (chunks land on the
     lowest-index unit with room, which depends on the real unit order),
     so when that member fails the remaining members of the feasible
@@ -59,28 +58,25 @@ class FirstFitPolicy(PlacementPolicy):
 
     _select_among_unused = _select_among_used
 
+    def _class_keys(
+        self, vm: VMType, table: Any, class_ids: List[int]
+    ) -> List[Tuple[RankKey, None]]:
+        """``(tier,)`` of each Hall-feasible class, None for the rest."""
+        keyed: List[Tuple[RankKey, None]] = []
+        for class_id in class_ids:
+            shape, usage = table.keys[class_id]
+            feasible = can_place(shape, usage, vm)
+            keyed.append(((self._tier(shape),) if feasible else None, None))
+        return keyed
+
     def _select_among_used_classes(
         self, vm: VMType, view: IndexedMachines
     ) -> Optional[PlacementDecision]:
-        self._observe_index(view)
-        table = view.class_table
-        n = table.n_classes
-        rep, size = view.class_columns()
-        active = size > 0
-        # Both memos are id-addressed.  The tier (memo key None) is
-        # filled once per id, NaN until then; feasibility once per id and
-        # VM type, -1 until then, else the Hall condition as 0/1.
-        tier = self._memo_column(None, n, np.nan)[:n]
-        for cid in np.flatnonzero(np.isnan(tier)).tolist():
-            tier[cid] = self._tier(table.keys[cid][0])
-        feasible = self._memo_column(vm.name, n, -1, np.int8)[:n]
-        for cid in np.flatnonzero(active & (feasible < 0)).tolist():
-            feasible[cid] = can_place(*table.keys[cid], vm)
-        candidates = np.flatnonzero(active & (feasible == 1))
-        if not candidates.size:
+        ranking = self._class_ranking(vm, view, self._class_keys)
+        top = ranking.top(view.class_table, view.excluded_position())
+        if top is None:
             return None
-        first = candidates[np.lexsort((rep[candidates], tier[candidates]))[0]]
-        first_pos = int(rep[first])
+        first_pos = top[-2]
         decision = self._select_among_used(vm, [view.machine_at(first_pos)])
         if decision is not None:
             return decision
@@ -89,7 +85,8 @@ class FirstFitPolicy(PlacementPolicy):
         # walk's stable sort restores the tier order).
         rest = sorted(
             pos
-            for cid in candidates.tolist()
+            for cid, key in ranking.keys.items()
+            if key is not None
             for pos in view.class_members(cid)
             if pos != first_pos
         )

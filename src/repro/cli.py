@@ -910,6 +910,7 @@ def _cmd_serve(args) -> int:
                 after_request=after_request,
             )
         digest = service.decision_digest
+        pms = len(service.datacenter.machines)
         service.close()
         payload = report.as_dict()
         payload["decision_digest"] = digest
@@ -930,6 +931,7 @@ def _cmd_serve(args) -> int:
                 Path(args.out),
                 fleet=args.fleet,
                 recorded_at=recorded_at,
+                pms=pms,
                 extra=extra,
             )
         return 0

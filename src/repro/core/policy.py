@@ -24,6 +24,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import (
     Any,
+    Callable,
     Dict,
     List,
     NamedTuple,
@@ -43,7 +44,7 @@ from repro.core.permutations import (
     remap_placement,
 )
 from repro.core.profile import MachineShape, Usage, VMType
-from repro.core.usage_index import IndexedMachines
+from repro.core.usage_index import ClassRanking, IndexedMachines, RankKey
 from repro.util.trace import TRACE, tracepoint
 from repro.util.validation import require
 
@@ -204,14 +205,15 @@ class PlacementPolicy(abc.ABC):
         return self.select(vm, [m for m in machines if m.pm_id != excluded_pm])
 
     # ------------------------------------------------------------------
-    # Id-addressed memos (rows indexed by the serving index's class ids)
+    # Id-addressed memos (keyed by the serving index's class ids)
     # ------------------------------------------------------------------
     #: Weak reference to the index the memos were built against, and its
     #: epoch.  A weak reference, not ``id()``: a freed index's address
     #: can be reused by a new one whose ids mean different classes.
     _index_ref: Optional["weakref.ReferenceType[Any]"] = None
     _index_epoch = -1
-    _class_memo: Dict[Any, np.ndarray]
+    #: One :class:`ClassRanking` per VM type name.
+    _class_memo: Dict[str, ClassRanking]
 
     def invalidate_cache(self) -> None:
         """Drop memoized per-class state (call if definitions change)."""
@@ -221,7 +223,7 @@ class PlacementPolicy(abc.ABC):
         """Keep the id-addressed memos only if built for the view's index.
 
         Class ids are content-addressed within one index epoch, so a
-        memo row stays valid through any incremental churn.  A bulk
+        memo entry stays valid through any incremental churn.  A bulk
         rebuild (``UsageClassIndex.rebuild``) re-interns the ids and
         bumps the epoch: the same index at a new epoch drops every memo
         (:meth:`invalidate_cache`), which is equivalent to keying each
@@ -237,24 +239,21 @@ class PlacementPolicy(abc.ABC):
         self._index_epoch = index.epoch
         self._class_memo = {}
 
-    def _memo_column(
-        self, key: Any, n: int, fill: Any, dtype: Any = np.float64,
-        width: Tuple[int, ...] = (),
-    ) -> np.ndarray:
-        """The id-addressed memo ``key``, grown to cover ``n`` class ids.
-
-        New rows hold ``fill`` (the "not yet evaluated" sentinel); a
-        memo keeps the row width it was created or last widened with.
-        """
-        memo = self._class_memo.get(key)
-        if memo is None or len(memo) < n:
-            if memo is not None:
-                width = memo.shape[1:]
-            grown = np.full((max(64, 2 * n),) + width, fill, dtype=dtype)
-            if memo is not None:
-                grown[: len(memo)] = memo
-            memo = self._class_memo[key] = grown
-        return memo
+    def _class_ranking(
+        self,
+        vm: VMType,
+        view: IndexedMachines,
+        key_of: Callable[[VMType, Any, List[int]], List[Tuple[RankKey, Any]]],
+    ) -> ClassRanking:
+        """This VM type's class ranking, synced with the view's table;
+        ``key_of(vm, table, class_ids)`` keys classes it has not seen."""
+        self._observe_index(view)
+        ranking = self._class_memo.get(vm.name)
+        if ranking is None:
+            ranking = self._class_memo[vm.name] = ClassRanking()
+        table = view.class_table
+        ranking.sync(table, lambda ids: key_of(vm, table, ids))
+        return ranking
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
@@ -267,11 +266,6 @@ _Candidate = Optional[Tuple[Any, Usage, Placement]]
 
 #: Sentinel distinguishing "not cached" from a cached infeasible (None).
 _CACHE_MISS = object()
-
-#: Class-table size below which the class ranking runs as a plain loop
-#: (identical winner): with few distinct classes the per-call numpy
-#: overhead exceeds the whole scan.
-_VECTOR_MIN_CLASSES = 64
 
 #: Bound of the best-candidate memo.  Long dynamic runs visit an
 #: unbounded stream of profiles, so the memo follows the same LRU
@@ -373,32 +367,6 @@ class ProfileScorePolicy(PlacementPolicy):
     # ------------------------------------------------------------------
     # Candidate scoring
     # ------------------------------------------------------------------
-    def _candidates(
-        self, shape: MachineShape, usage: Usage, vm: VMType
-    ) -> List[Tuple[Any, Usage, Placement]]:
-        results: List[Tuple[Any, Usage, Placement]] = []
-        if self.candidate_mode(shape) == "balanced":
-            placed = permutations.balanced_placement(shape, usage, vm)
-            if placed is not None:
-                results.append(
-                    (
-                        self.profile_score(shape, placed.new_usage),
-                        placed.new_usage,
-                        placed,
-                    )
-                )
-        else:
-            placements = list(permutations.enumerate_placements(shape, usage, vm))
-            if placements:
-                scores = self.profile_scores(
-                    shape, [placed.new_usage for placed in placements]
-                )
-                results.extend(
-                    (score, placed.new_usage, placed)
-                    for score, placed in zip(scores, placements)
-                )
-        return results
-
     def best_candidate(
         self, shape: MachineShape, usage: Usage, vm: VMType
     ) -> _Candidate:
@@ -424,13 +392,46 @@ class ProfileScorePolicy(PlacementPolicy):
             self._cache_hits += 1
             self._cache.move_to_end(key)
             return cached
-        self._cache_misses += 1
-        candidates = self._candidates(shape, canonical, vm)
-        best: _Candidate = None
-        if candidates:
-            best = max(candidates, key=lambda c: c[0])
-        self._cache_store(key, best)
-        return best
+        return self._score_usages(shape, [canonical], vm)[0]
+
+    def _score_usages(
+        self, shape: MachineShape, usages: Sequence[Usage], vm: VMType
+    ) -> List[_Candidate]:
+        """Best candidate of each uncached canonical usage, memoized.
+
+        In "all" candidate mode every canonically distinct accommodation
+        of every usage is scored in one :meth:`profile_scores` call; in
+        "balanced" mode each usage has one accommodation, scored alone.
+        The first maximal accommodation wins, as ``max`` would pick.
+        """
+        balanced = self.candidate_mode(shape) == "balanced"
+        spans: List[List[Placement]] = []
+        for usage in usages:
+            if balanced:
+                placed = permutations.balanced_placement(shape, usage, vm)
+                spans.append([] if placed is None else [placed])
+            else:
+                spans.append(
+                    list(permutations.enumerate_placements(shape, usage, vm))
+                )
+        batched = [placed.new_usage for span in spans for placed in span]
+        if balanced:
+            scores = [self.profile_score(shape, u) for u in batched]
+        else:
+            scores = self.profile_scores(shape, batched) if batched else []
+        shape_key = self._shape_key(shape)
+        bests: List[_Candidate] = []
+        offset = 0
+        for usage, span in zip(usages, spans):
+            best: _Candidate = None
+            if span:
+                i = max(range(len(span)), key=lambda i: scores[offset + i])
+                best = (scores[offset + i], span[i].new_usage, span[i])
+            offset += len(span)
+            self._cache_misses += 1
+            self._cache_store((shape_key, usage, vm.name), best)
+            bests.append(best)
+        return bests
 
     def _realize(
         self, machine: MachineView, score: Any, placement: Placement
@@ -489,131 +490,47 @@ class ProfileScorePolicy(PlacementPolicy):
         """Rank the used classes of the view's class table.
 
         Machines in a class share their canonical usage and therefore
-        their best candidate, so one memoized score row per class id
-        decides the request.  The winner is the class with the highest
-        score (compared lexicographically), ties going to the lowest
-        representative: the linear scan's first maximum (lowest pm_id
-        on ties).  Up to :data:`_VECTOR_MIN_CLASSES` classes a plain
-        loop ranks them; above that one masked argmax does.
+        their best candidate, so each class id is scored once per VM
+        type.  The winner is the class with the highest score (compared
+        lexicographically), ties going to the lowest representative:
+        the linear scan's first maximum (lowest pm_id on ties).  The
+        :class:`ClassRanking` heap keys each class by its negated score.
         """
-        self._observe_index(view)
         if self._pool_size is not None:
             # Pool sampling draws machine indices from the RNG stream;
             # the class path would consume it differently, so 2-choice
             # runs keep the legacy scan bit-for-bit.
             return super()._select_among_used_classes(vm, view)
-        table = view.class_table
-        n = table.n_classes
-        # One row per class id, one float64 column per score component
-        # (1 for a float score, 2 for CompVM's tuple).  NaN marks an id
-        # never evaluated for this VM type, -inf a cached infeasibility.
-        scores = self._memo_column(vm.name, n, np.nan, width=(1,))[:n]
-        if n <= _VECTOR_MIN_CLASSES:
-            return self._select_among_used_small(vm, view, table, scores)
-        return self._select_among_used_vector(vm, view, table, scores)
-
-    def _score_class(
-        self, vm: VMType, table: Any, class_id: int
-    ) -> List[float]:
-        """Evaluate one class id into the memo and return its score row.
-
-        A score is a float or a tuple of floats; its row is the list of
-        its components (``[-inf]`` when the VM does not fit).
-        """
-        shape, usage = table.keys[class_id]
-        candidate = self._best_for_canonical(shape, usage, vm)
-        memo = self._class_memo[vm.name]
-        if candidate is None:
-            memo[class_id] = -np.inf
-            return [-np.inf]
-        score = candidate[0]
-        row = list(score) if isinstance(score, tuple) else [score]
-        if len(row) > memo.shape[1]:
-            # The width is learned from the first feasible score.  Rows
-            # written before it are NaN/-inf sentinels, which stay
-            # sentinels when repeated across the new columns.
-            memo = np.repeat(memo[:, :1], len(row), axis=1)
-            self._class_memo[vm.name] = memo
-        memo[class_id] = score
-        return row
-
-    def _select_among_used_vector(
-        self, vm: VMType, view: IndexedMachines, table: Any, scores: Any
-    ) -> Optional[PlacementDecision]:
-        """Rank every used class with one masked argmax over the table.
-
-        Equivalence with the linear scan: it keeps the first strict
-        maximum in pm_id order, i.e. the minimum-representative class
-        among those achieving the maximal score.  The argmax narrows
-        the ties one score column at a time (the lexicographic order of
-        tuple scores), then takes ``argmin(rep)``.
-        """
-        n = table.n_classes
-        rep, size = view.class_columns()
-        active = size > 0
-        unknown = np.flatnonzero(active & np.isnan(scores[:, 0]))
-        if unknown.size:
-            unknown = unknown.tolist()
-            self._warm_class_candidates(vm, [table.keys[c] for c in unknown])
-            for c in unknown:
-                self._score_class(vm, table, c)
-            scores = self._class_memo[vm.name][:n]
-        masked = np.where(active, scores[:, 0], -np.inf)
-        best = masked.max()
-        if best == -np.inf:
+        ranking = self._class_ranking(vm, view, self._class_keys)
+        top = ranking.top(view.class_table, view.excluded_position())
+        if top is None:
             return None
-        tied = np.flatnonzero(masked == best)
-        for column in range(1, scores.shape[1]):
-            values = scores[tied, column]
-            tied = tied[values == values.max()]
-        winner = int(tied[np.argmin(rep[tied])])
-        shape, usage = table.keys[winner]
-        candidate = self._best_for_canonical(shape, usage, vm)
-        if candidate is None:  # pragma: no cover - winner came from a feasible score
-            return None
-        score, _, placement = candidate
-        return self._realize(
-            view.machine_at(int(rep[winner])), score, placement
-        )
+        score, _, placement = ranking.values[top[-1]]
+        return self._realize(view.machine_at(top[-2]), score, placement)
 
-    def _select_among_used_small(
-        self, vm: VMType, view: IndexedMachines, table: Any, scores: Any
-    ) -> Optional[PlacementDecision]:
-        """The vector ranking's low-class-count twin (identical winner).
-
-        Same score memo, same max-score / min-representative choice —
-        written as a plain loop because at a handful of classes
-        per-call numpy overhead dominates the serving latency.  Score
-        rows compare as lists, i.e. lexicographically.
-        """
-        rep, size = view.class_columns()
-        columns = zip(scores.tolist(), size.tolist(), rep.tolist())
-        infeasible = -float("inf")
-        best_row = None
-        best_rep = -1
-        for cid, (row, class_size, class_rep) in enumerate(columns):
-            if class_size <= 0:
+    def _class_keys(
+        self, vm: VMType, table: Any, class_ids: List[int]
+    ) -> List[Tuple[RankKey, _Candidate]]:
+        """Per class, its negated score components (None when the VM
+        does not fit) and its best candidate.  Uncached classes are
+        scored in one batch per shape."""
+        by_shape: Dict[MachineShape, List[Usage]] = {}
+        for class_id in class_ids:
+            shape, usage = table.keys[class_id]
+            if (self._shape_key(shape), usage, vm.name) not in self._cache:
+                by_shape.setdefault(shape, []).append(usage)
+        for shape, usages in by_shape.items():
+            self._score_usages(shape, usages, vm)
+        keyed: List[Tuple[RankKey, _Candidate]] = []
+        for class_id in class_ids:
+            candidate = self._best_for_canonical(*table.keys[class_id], vm)
+            if candidate is None:
+                keyed.append((None, None))
                 continue
-            if row[0] != row[0]:  # NaN: never evaluated
-                row = self._score_class(vm, table, cid)
-            if row[0] == infeasible:
-                continue
-            if (
-                best_row is None
-                or row > best_row
-                or (row == best_row and class_rep < best_rep)
-            ):
-                best_row, best_rep = row, class_rep
-        if best_row is None:
-            return None
-        machine = view.machine_at(best_rep)
-        candidate = self._best_for_canonical(
-            machine.shape, view.index._canon[best_rep], vm
-        )
-        if candidate is None:  # pragma: no cover - winner came from a feasible score
-            return None
-        score, _, placement = candidate
-        return self._realize(machine, score, placement)
+            score = candidate[0]
+            parts = score if isinstance(score, tuple) else (score,)
+            keyed.append((tuple(-float(c) for c in parts), candidate))
+        return keyed
 
     def _select_among_unused_classes(
         self, vm: VMType, view: IndexedMachines
@@ -628,49 +545,3 @@ class ProfileScorePolicy(PlacementPolicy):
             score, _, placement = candidate
             return self._realize(cls.representative, score, placement)
         return None
-
-    def _warm_class_candidates(
-        self, vm: VMType, keys: Sequence[Tuple[MachineShape, Usage]]
-    ) -> None:
-        """Resolve uncached class keys with one batched scoring pass per shape.
-
-        Only the "all" candidate mode benefits: its per-class cost is an
-        enumeration plus many score lookups, which
-        :meth:`profile_scores` can resolve for every uncached class of a
-        shape in a single call.  Balanced mode scores one usage per
-        class and stays on the per-class path.
-        """
-        by_shape: "OrderedDict[MachineShape, List[Usage]]" = OrderedDict()
-        for shape, usage in keys:
-            if (self._shape_key(shape), usage, vm.name) in self._cache:
-                continue
-            by_shape.setdefault(shape, []).append(usage)
-        for shape, usages in by_shape.items():
-            if self.candidate_mode(shape) != "all":
-                continue
-            spans: List[Tuple[Usage, List[Placement]]] = []
-            batched: List[Usage] = []
-            for usage in usages:
-                placements = list(
-                    permutations.enumerate_placements(shape, usage, vm)
-                )
-                spans.append((usage, placements))
-                batched.extend(placed.new_usage for placed in placements)
-            scores = self.profile_scores(shape, batched) if batched else []
-            offset = 0
-            for usage, placements in spans:
-                n = len(placements)
-                best: _Candidate = None
-                if n:
-                    # max() keeps the first maximum, matching the
-                    # unbatched _candidates + max tie-break exactly.
-                    best_i = max(
-                        range(n), key=lambda i: scores[offset + i]
-                    )
-                    placed = placements[best_i]
-                    best = (scores[offset + best_i], placed.new_usage, placed)
-                offset += n
-                self._cache_misses += 1
-                self._cache_store(
-                    (self._shape_key(shape), usage, vm.name), best
-                )

@@ -26,9 +26,8 @@ The used classes live in two structures addressed by class id:
 
 * a :class:`SoAClassTable` interns every ``(shape, canonical usage)``
   key ever seen to a dense integer id and holds, per id, the sorted
-  member positions plus representative and size columns (numpy arrays)
-  that policies rank with one masked ``argmax`` instead of a Python
-  loop over classes;
+  member positions plus representative and size columns, and logs the
+  id of every membership change;
 * a ``class_ids`` column maps every inventory position to the class id
   of its current used class (-1 while unused or failed), indexed like
   the fleet columns.  A refresh reads the old class from it, so only
@@ -43,7 +42,8 @@ re-interns ids from scratch) invalidates them, and that bumps the epoch.
 ``Sequence`` of the healthy machines (so list-based code keeps working
 unchanged) that additionally exposes the class table, the unused shape
 classes and a cheap single-PM exclusion used for migration-destination
-selection.
+selection.  A :class:`ClassRanking` keeps one policy's best used class
+for one VM type current by reading the table's change log.
 
 The index is owned and driven by :class:`repro.core.soa.SoADatacenter`,
 which calls :meth:`UsageClassIndex.refresh` after every mutation;
@@ -58,9 +58,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import (
     Any,
+    Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -76,7 +79,10 @@ import numpy as np
 from repro.core.profile import MachineShape, Usage
 from repro.util.validation import require
 
-__all__ = ["UsageClass", "SoAClassTable", "UsageClassIndex", "IndexedMachines"]
+__all__ = [
+    "UsageClass", "SoAClassTable", "UsageClassIndex", "IndexedMachines",
+    "ClassRanking",
+]
 
 ClassKey = Tuple[MachineShape, Usage]
 
@@ -89,6 +95,12 @@ _FAILED = "failed"
 #: Representative sentinel for ids whose class is currently empty; any
 #: real inventory position compares smaller.
 _NO_REP = np.iinfo(np.int64).max
+
+#: Bounds that keep the change log and the ranking heaps proportional to
+#: the classes: the log is trimmed past ``max(_LOG_MIN_ENTRIES,
+#: _LOG_PER_CLASS * n_classes)`` entries, a heap compacted past
+#: ``2 * n_live + _HEAP_SLACK``.
+_LOG_MIN_ENTRIES, _LOG_PER_CLASS, _HEAP_SLACK = 4096, 4, 64
 
 
 @dataclass(frozen=True)
@@ -120,20 +132,31 @@ class SoAClassTable:
 
     Ids are handed out monotonically and never reused within an epoch;
     an id whose class emptied keeps its key (size 0, sentinel rep) so
-    memoized per-id scores stay addressable.  ``members[id]`` is the
-    class's sorted member positions; ``rep``/``size`` mirror it as numpy
-    columns for the vectorized ranking.
+    memoized per-id state stays addressable.  ``members[id]`` is the
+    class's sorted member positions; ``rep``/``size`` mirror it as plain
+    lists, and ``n_live`` counts the non-empty classes.  ``log``
+    records the id of every ``add``/``remove``;
+    ``log[i]`` is change number ``log_base + i``, and the oldest half is
+    dropped (``log_base`` advances) once the log outgrows
+    ``max(_LOG_MIN_ENTRIES, _LOG_PER_CLASS * n_classes)`` entries.
     """
 
-    __slots__ = ("_id_of", "keys", "members", "_rep", "_size", "n_classes")
+    __slots__ = (
+        "_id_of", "keys", "members", "rep", "size", "n_classes", "n_live",
+        "log", "log_base", "_log_limit",
+    )
 
     def __init__(self) -> None:
         self._id_of: Dict[ClassKey, int] = {}
         self.keys: List[ClassKey] = []
         self.members: List[List[int]] = []
-        self._rep = np.full(64, _NO_REP, dtype=np.int64)
-        self._size = np.zeros(64, dtype=np.int64)
+        self.rep: List[int] = []
+        self.size: List[int] = []
         self.n_classes = 0
+        self.n_live = 0
+        self.log: List[int] = []
+        self.log_base = 0
+        self._log_limit = _LOG_MIN_ENTRIES
 
     def lookup(self, key: ClassKey) -> int:
         """Id of a key, or -1 when never interned."""
@@ -145,41 +168,45 @@ class SoAClassTable:
         if class_id is not None:
             return class_id
         class_id = self.n_classes
-        if class_id >= self._rep.size:
-            for name, fill in (("_rep", _NO_REP), ("_size", 0)):
-                old = getattr(self, name)
-                grown = np.full(old.size * 2, fill, dtype=np.int64)
-                grown[:old.size] = old
-                setattr(self, name, grown)
         self._id_of[key] = class_id
         self.keys.append(key)
         self.members.append([])
+        self.rep.append(_NO_REP)
+        self.size.append(0)
         self.n_classes += 1
+        self._log_limit = max(
+            _LOG_MIN_ENTRIES, _LOG_PER_CLASS * self.n_classes
+        )
         return class_id
 
     def add(self, class_id: int, pos: int) -> None:
         """Insert member position ``pos`` into class ``class_id``."""
         members = self.members[class_id]
         insort(members, pos)
-        self._rep[class_id] = members[0]
-        self._size[class_id] = len(members)
+        self.rep[class_id] = members[0]
+        self.size[class_id] = len(members)
+        if len(members) == 1:
+            self.n_live += 1
+        self.log.append(class_id)
+        if len(self.log) > self._log_limit:
+            self._trim_log()
 
     def remove(self, class_id: int, pos: int) -> None:
         """Remove member position ``pos`` (it must be present)."""
         members = self.members[class_id]
         _discard_sorted(members, pos)
-        self._rep[class_id] = members[0] if members else _NO_REP
-        self._size[class_id] = len(members)
+        self.rep[class_id] = members[0] if members else _NO_REP
+        self.size[class_id] = len(members)
+        if not members:
+            self.n_live -= 1
+        self.log.append(class_id)
+        if len(self.log) > self._log_limit:
+            self._trim_log()
 
-    @property
-    def rep(self) -> np.ndarray:
-        """Representative position per id (sentinel when empty)."""
-        return self._rep[: self.n_classes]
-
-    @property
-    def size(self) -> np.ndarray:
-        """Member count per id (0 when currently empty)."""
-        return self._size[: self.n_classes]
+    def _trim_log(self) -> None:
+        drop = len(self.log) // 2
+        del self.log[:drop]
+        self.log_base += drop
 
     def live_classes(self) -> Dict[ClassKey, List[int]]:
         """``{key: members}`` of every currently non-empty class."""
@@ -340,7 +367,7 @@ class UsageClassIndex:
     @property
     def n_classes(self) -> int:
         """Number of distinct used classes (observability)."""
-        return int(np.count_nonzero(self.table.size))
+        return self.table.n_live
 
     def used_machines(self) -> List[Any]:
         """Used healthy machines in inventory order (O(used))."""
@@ -378,6 +405,7 @@ class UsageClassIndex:
             ("unused set", self._unused, fresh._unused),
             ("used classes", table.live_classes(),
              fresh.table.live_classes()),
+            ("live class count", table.n_live, fresh.table.n_live),
             ("unused shape classes", self._unused_by_shape,
              fresh._unused_by_shape),
         ):
@@ -394,7 +422,7 @@ class UsageClassIndex:
                     f"class table key of row {class_id} is interned as "
                     f"{table.lookup(key)}"
                 )
-            rep_size = (int(table.rep[class_id]), int(table.size[class_id]))
+            rep_size = (table.rep[class_id], table.size[class_id])
             expected = (members[0] if members else _NO_REP, len(members))
             if rep_size != expected:
                 problems.append(
@@ -462,35 +490,15 @@ class IndexedMachines(Sequence[Any]):
         """
         return IndexedMachines(self._index, pm_id)
 
-    def _excluded_pos(self) -> int:
+    def excluded_position(self) -> int:
+        """Inventory position of the hidden PM, or -1."""
         if self._excluded is None:
             return -1
         return self._index._pos.get(self._excluded, -1)
 
-    def class_columns(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-id ``(representative, size)`` columns as this view sees them.
-
-        Hiding the migration source shrinks its class by one and, when it
-        was the representative, hands that role to the next member.
-        Without an exclusion these are the live table columns themselves
-        (read-only by contract).
-        """
-        index = self._index
-        table = index.table
-        rep, size = table.rep, table.size
-        ex = self._excluded_pos()
-        class_id = int(index.class_ids[ex]) if ex >= 0 else -1
-        if class_id >= 0:
-            rep, size = rep.copy(), size.copy()
-            size[class_id] -= 1
-            members = table.members[class_id]
-            if size[class_id] > 0 and members[0] == ex:
-                rep[class_id] = members[1]
-        return rep, size
-
     def class_members(self, class_id: int) -> List[int]:
         """Member positions of a used class id, ascending, exclusion applied."""
-        ex = self._excluded_pos()
+        ex = self.excluded_position()
         return [p for p in self._index.table.members[class_id] if p != ex]
 
     def machine_at(self, pos: int) -> Any:
@@ -501,7 +509,7 @@ class IndexedMachines(Sequence[Any]):
     # Sequence protocol (healthy machines, inventory order)
     # ------------------------------------------------------------------
     def _positions(self) -> List[int]:
-        ex = self._excluded_pos()
+        ex = self.excluded_position()
         if ex < 0:
             return self._index._healthy
         return [p for p in self._index._healthy if p != ex]
@@ -523,7 +531,7 @@ class IndexedMachines(Sequence[Any]):
 
     def __iter__(self) -> Iterator[Any]:
         machines = self._index._machines
-        ex = self._excluded_pos()
+        ex = self.excluded_position()
         for p in self._index._healthy:
             if p != ex:
                 yield machines[p]
@@ -534,13 +542,13 @@ class IndexedMachines(Sequence[Any]):
     def used_list(self) -> List[Any]:
         """Used machines in inventory order (the legacy scan's input)."""
         machines = self._index._machines
-        ex = self._excluded_pos()
+        ex = self.excluded_position()
         return [machines[p] for p in self._index._used if p != ex]
 
     def unused_list(self) -> List[Any]:
         """Unused healthy machines in inventory order."""
         machines = self._index._machines
-        ex = self._excluded_pos()
+        ex = self.excluded_position()
         return [machines[p] for p in self._index._unused if p != ex]
 
     def unused_classes(self) -> List[UsageClass]:
@@ -550,7 +558,7 @@ class IndexedMachines(Sequence[Any]):
         shape alone determines feasibility and the resulting placement.
         """
         index = self._index
-        ex = self._excluded_pos()
+        ex = self.excluded_position()
         rows: List[Tuple[int, MachineShape, int]] = []
         for shape, members in index._unused_by_shape.items():
             size = len(members)
@@ -571,3 +579,121 @@ class IndexedMachines(Sequence[Any]):
             UsageClass(shape, canon[rep], index._machines[rep], size)
             for rep, shape, size in rows
         ]
+
+
+#: A class's rank key (compared lexicographically, smaller ranks first),
+#: or None when the class can never win (the VM does not fit).
+RankKey = Optional[Tuple[Any, ...]]
+
+
+class ClassRanking:
+    """The best live class of a class table under a fixed per-class key.
+
+    One instance serves one (policy, VM type) pair.  ``keys`` holds each
+    class id's key and ``values`` what its owner derived it from, both
+    computed once (they depend on the class content only).  ``heap``
+    holds entries ``key + (rep, class_id)``, and the smallest valid one
+    wins: smallest key, ties to the lowest representative, i.e. the
+    linear scan's first best machine.  An entry is valid while its
+    class's representative is still ``rep``, so the heap is invalidated
+    lazily: :meth:`sync` pushes the current entry of each class the
+    change log names since ``cursor`` (``pushed`` holds the rep of each
+    class's newest entry) and :meth:`top` pops stale entries as they
+    surface.  The heap is rebuilt from the live classes on first use,
+    when it would pass ``2 * n_live + _HEAP_SLACK`` entries, and when
+    the log was trimmed past ``cursor``; the counters record how often
+    each path ran.
+    """
+
+    __slots__ = (
+        "keys", "values", "heap", "pushed", "cursor",
+        "stale_pops", "compactions", "rebuilds", "excluded_tops",
+    )
+
+    def __init__(self) -> None:
+        self.keys: Dict[int, RankKey] = {}
+        self.values: Dict[int, Any] = {}
+        self.heap: List[Tuple[Any, ...]] = []
+        self.pushed: Dict[int, int] = {}
+        self.cursor = -1
+        self.stale_pops = self.compactions = 0
+        self.rebuilds = self.excluded_tops = 0
+
+    def sync(
+        self,
+        table: SoAClassTable,
+        key_of: Callable[[List[int]], List[Tuple[RankKey, Any]]],
+    ) -> None:
+        """Bring the heap up to date with the table; ``key_of`` gives the
+        ``(key, value)`` of each live class id that has no key yet."""
+        log, base, cursor = table.log, table.log_base, self.cursor
+        if cursor == base + len(log):
+            return
+        self.cursor = base + len(log)
+        rep, keys, pushed = table.rep, self.keys, self.pushed
+        scan = cursor < base
+        changed: Iterable[int]
+        if scan:
+            self.rebuilds += cursor >= 0
+            changed = range(table.n_classes)
+        else:
+            changed = log[cursor - base:]
+        fresh = [
+            cid for cid in changed
+            if (pos := rep[cid]) != _NO_REP and pushed.get(cid) != pos
+        ]
+        unknown = [cid for cid in fresh if cid not in keys]
+        if unknown:
+            unknown = list(dict.fromkeys(unknown))
+            for cid, (key, value) in zip(unknown, key_of(unknown)):
+                keys[cid] = key
+                self.values[cid] = value
+        heap = self.heap
+        if scan or len(heap) + len(fresh) > 2 * table.n_live + _HEAP_SLACK:
+            self.compactions += not scan
+            self.heap = heap = [
+                key + (rep[cid], cid)
+                for cid, key in keys.items()
+                if key is not None and rep[cid] != _NO_REP
+            ]
+            heapify(heap)
+            self.pushed = {entry[-1]: entry[-2] for entry in heap}
+            return
+        for cid in fresh:
+            key, pos = keys[cid], rep[cid]
+            if key is not None and pushed.get(cid) != pos:
+                heappush(heap, key + (pos, cid))
+                pushed[cid] = pos
+
+    def top(
+        self, table: SoAClassTable, ex: int = -1
+    ) -> Optional[Tuple[Any, ...]]:
+        """The winning entry ``key + (rep, class_id)``, position ``ex``
+        hidden: a class whose representative is ``ex`` competes with its
+        next member ``members[1]``.  Call :meth:`sync` first."""
+        rep, heap, pushed = table.rep, self.heap, self.pushed
+        held: List[Tuple[Any, ...]] = []
+        while heap:
+            entry = heap[0]
+            pos, cid = entry[-2], entry[-1]
+            if rep[cid] != pos:
+                heappop(heap)
+                self.stale_pops += 1
+                if pushed.get(cid) == pos:
+                    del pushed[cid]
+            elif pos == ex:
+                held.append(heappop(heap))
+            else:
+                break
+        best = heap[0] if heap else None
+        if held:
+            self.excluded_tops += 1
+            entry = held[0]
+            members = table.members[entry[-1]]
+            if len(members) > 1:
+                runner = entry[:-2] + (members[1], entry[-1])
+                if best is None or runner < best:
+                    best = runner
+            for entry in held:
+                heappush(heap, entry)
+        return best

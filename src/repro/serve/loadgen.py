@@ -226,15 +226,18 @@ def record_report(
     out: Path,
     fleet: str,
     recorded_at: str,
+    pms: Optional[int] = None,
     extra: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
-    """Append a ``"serve"`` phase entry to the BENCH trajectory."""
+    """Append a host-stamped ``"serve"`` phase entry to the trajectory."""
     from repro.util import benchfile
 
     entry: Dict[str, Any] = {
         "recorded_at": recorded_at,
         "phase": "serve",
         "fleet": fleet,
+        "pms": pms,
+        **benchfile.host_stamp(),
     }
     entry.update(report.as_dict())
     if extra:

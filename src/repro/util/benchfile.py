@@ -20,6 +20,8 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import platform
+import subprocess
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional
 
@@ -37,9 +39,32 @@ __all__ = [
     "load_trajectory",
     "append_entry",
     "latest_entry",
+    "host_stamp",
 ]
 
 BENCH_FORMAT = "repro.bench_perf.v1"
+
+
+def host_stamp() -> Dict[str, object]:
+    """Where an entry was measured: cores, library versions and, as
+    ``git_sha``, ``git describe --always --dirty`` of the checkout (so
+    an entry recorded on uncommitted changes says so)."""
+    import numpy
+    import scipy
+
+    try:
+        sha = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        sha = "unknown"
+    return {
+        "cpu_count": os.cpu_count() or 1, "python": platform.python_version(),
+        "numpy": numpy.__version__, "scipy": scipy.__version__,
+        "git_sha": sha,
+    }
 
 
 @contextlib.contextmanager

@@ -5,7 +5,9 @@ the recorded BENCH trajectory, so what this suite pins is the
 *statistics*, not any particular machine's numbers:
 
 * baselines come only from comparable history — same phase, same
-  ``quick`` flag, same ``cpu_count``, latest entry excluded;
+  ``quick`` flag, same ``cpu_count`` (and for ``serve`` the same fleet,
+  PM count, mode, request count and concurrency), latest entry
+  excluded;
 * the allowed band is the larger of the relative tolerance and the
   robust (MAD-based) spread, so flat histories still tolerate CI noise
   and noisy histories earn wider bands, in the worse direction only;
@@ -204,6 +206,33 @@ class TestCheckTrajectory:
         serve_only = check_trajectory(path, phases=["serve"])
         assert serve_only.ok
         assert {c.phase for c in serve_only.checks} == {"serve"}
+
+    def test_serve_entries_are_gated_like_for_like(self, tmp_path):
+        # CI's 8-PM toy loadgen run on a host with a 3.75k-PM ec2 history
+        # has no baseline, and neither has an ec2 run at another
+        # concurrency; a slow ec2 run with the same workload is flagged.
+        def serve(value, fleet="ec2", pms=3750, concurrency=2):
+            return {
+                "phase": "serve", "placements_per_s": value,
+                "cpu_count": 2, "fleet": fleet, "pms": pms,
+                "mode": "closed", "n_requests": 11250,
+                "concurrency": concurrency,
+            }
+
+        history = [serve(v) for v in (4000.0, 4100.0, 3900.0)]
+        for latest in (
+            serve(900.0, fleet="toy", pms=8),
+            serve(900.0, pms=480),
+            serve(900.0, concurrency=8),
+        ):
+            path = write_trajectory(tmp_path / "b.json", history + [latest])
+            (check,) = check_trajectory(path, phases=["serve"]).checks
+            assert check.status == "no-history", latest
+        path = write_trajectory(
+            tmp_path / "b.json", history + [serve(900.0)]
+        )
+        (degraded,) = check_trajectory(path, phases=["serve"]).degraded
+        assert degraded.baseline == pytest.approx(4000.0)
 
     def test_retired_shared_phase_is_not_gated(self, tmp_path):
         # Committed trajectories keep "shared" entries from the deleted

@@ -1,19 +1,26 @@
 """Class ranking on the SoA class table agrees with the linear scan.
 
 Every :class:`~repro.core.policy.ProfileScorePolicy` ranks the used
-classes of an ``SoADatacenter`` through its class table: a plain loop up
-to ``_VECTOR_MIN_CLASSES`` interned classes, one masked argmax above.
-FF and FFDSum rank the same table by ``(tier, representative)`` with a
-first-fit walk behind it.  This suite drives a random place / evict /
-migrate script on an M3 fleet and on a mixed M3 + C3 fleet (where
-FFDSum's size tiers interleave with inventory order) until the table
-passes that threshold, and checks every ``select`` and
-``select_excluding`` decision against the linear scan over the object
-``Datacenter``'s machine list.
+classes of an ``SoADatacenter`` with one lazily invalidated heap per VM
+type (:class:`~repro.core.usage_index.ClassRanking`), keyed by negated
+score.  FF and FFDSum rank the same table by ``(tier, representative)``
+with a first-fit walk behind it.  This suite drives a random place /
+evict / migrate script on an M3 fleet and on a mixed M3 + C3 fleet
+(where FFDSum's size tiers interleave with inventory order), checks
+every ``select`` and ``select_excluding`` decision against the linear
+scan over the object ``Datacenter``'s machine list, and checks that the
+heap's excluded-representative fix-up, stale pops, compaction and
+log-trim rebuild all ran.  A property test compares the heap's winner
+with a brute-force minimum over random table churn, and a bound test
+keeps heap and log proportional to the live classes over a fleet day.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import (
     BestFitPolicy,
@@ -26,15 +33,17 @@ from repro.cluster.ec2 import EC2_VM_TYPES, ec2_pm_shape
 from repro.cluster.machine import PhysicalMachine
 from repro.cluster.vm import VirtualMachine
 from repro.core.placement import PageRankVMPolicy
-from repro.core.policy import _VECTOR_MIN_CLASSES, ProfileScorePolicy
+from repro.core import usage_index
+from repro.core.policy import ProfileScorePolicy
 from repro.core.soa import SoADatacenter
+from repro.core.usage_index import ClassRanking, SoAClassTable
 from repro.traces.base import ConstantTrace
 
 N_PMS = 48
 STEPS = 400
 # The opening steps place m3.large only: few classes, many of them with
 # several members, so migrations out of a class representative happen
-# below the threshold too.  The rest draws from every EC2 type.
+# early.  The rest draws from every EC2 type.
 SINGLE_TYPE_STEPS = 150
 
 
@@ -73,13 +82,13 @@ MIXED_FLEET = ["M3" if i % 3 == 0 else "C3" for i in range(N_PMS)]
 def _excludes_representative(view, pm_id):
     """True when ``pm_id`` represents a class that keeps other members."""
     excluded = view.excluding(pm_id)
-    pos = excluded._excluded_pos()
+    pos = excluded.excluded_position()
     class_id = int(view.index.class_ids[pos])
     table = view.class_table
     return (
         class_id >= 0
-        and int(table.rep[class_id]) == pos
-        and int(table.size[class_id]) >= 2
+        and table.rep[class_id] == pos
+        and table.size[class_id] >= 2
     )
 
 
@@ -103,14 +112,42 @@ POLICIES = pytest.mark.parametrize(
 )
 
 
-@POLICIES
-def test_class_ranking_matches_linear_scan(make_policy, tables):
-    _check_against_scan(make_policy(tables), make_policy(tables), ["M3"] * N_PMS)
+#: The heap counters every scripted run must exercise.
+COUNTERS = ("excluded_tops", "stale_pops")
 
 
 @POLICIES
-def test_class_ranking_matches_linear_scan_on_mixed_fleet(make_policy, tables):
-    _check_against_scan(make_policy(tables), make_policy(tables), MIXED_FLEET)
+def test_class_ranking_matches_linear_scan(make_policy, tables, monkeypatch):
+    # No slack: the heap compacts once stale entries outnumber the live.
+    monkeypatch.setattr(usage_index, "_HEAP_SLACK", 0)
+    counts = _check_against_scan(
+        make_policy(tables), make_policy(tables), ["M3"] * N_PMS
+    )
+    assert all(counts[name] > 0 for name in COUNTERS + ("compactions",)), (
+        counts
+    )
+
+
+@POLICIES
+def test_class_ranking_matches_linear_scan_on_mixed_fleet(
+    make_policy, tables, monkeypatch
+):
+    # A short log makes the rarely requested VM types fall behind its
+    # trimmed start and rebuild their heaps from a scan of the table.
+    monkeypatch.setattr(usage_index, "_LOG_MIN_ENTRIES", 16)
+    monkeypatch.setattr(usage_index, "_LOG_PER_CLASS", 1)
+    counts = _check_against_scan(
+        make_policy(tables), make_policy(tables), MIXED_FLEET
+    )
+    assert all(counts[name] > 0 for name in COUNTERS + ("rebuilds",)), counts
+
+
+def _counts(policy):
+    rankings = policy._class_memo.values()
+    return {
+        name: sum(getattr(r, name) for r in rankings)
+        for name in COUNTERS + ("compactions", "rebuilds")
+    }
 
 
 def _check_against_scan(scan_policy, soa_policy, types):
@@ -121,14 +158,8 @@ def _check_against_scan(scan_policy, soa_policy, types):
     soa_dc = SoADatacenter([(i, ec2_pm_shape(t), t) for i, t in enumerate(types)])
     rng = np.random.default_rng(0)
     placed = {}  # vm_id -> VMType
-    compared = {"loop": 0, "argmax": 0}
-    excluded_reps = {"loop": 0, "argmax": 0}
     for step in range(STEPS):
         view = soa_dc.indexed_machines()
-        path = (
-            "loop" if view.class_table.n_classes <= _VECTOR_MIN_CLASSES
-            else "argmax"
-        )
         draw = rng.random()
         if placed and draw < 0.25:
             vm_id = sorted(placed)[int(rng.integers(len(placed)))]
@@ -144,14 +175,12 @@ def _check_against_scan(scan_policy, soa_policy, types):
             ]
             pool = on_rep or sorted(placed)
             vm_id = pool[int(rng.integers(len(pool)))]
-            excluded_reps[path] += bool(on_rep)
             source = scan_dc.locate(vm_id)
             scan = scan_policy.select_excluding(
                 placed[vm_id], scan_dc.machines, source
             )
             ranked = soa_policy.select_excluding(placed[vm_id], view, source)
             _assert_same(scan, ranked, step)
-            compared[path] += 1
             if scan is not None:
                 scan_dc.migrate(vm_id, scan)
                 soa_dc.migrate(vm_id, ranked)
@@ -164,7 +193,6 @@ def _check_against_scan(scan_policy, soa_policy, types):
             scan = scan_policy.select(vm_type, scan_dc.machines)
             ranked = soa_policy.select(vm_type, view)
             _assert_same(scan, ranked, step)
-            compared[path] += 1
             if scan is not None:
                 vm_id = step
                 scan_dc.apply(
@@ -174,7 +202,88 @@ def _check_against_scan(scan_policy, soa_policy, types):
                     VirtualMachine(vm_id, vm_type, ConstantTrace(0.3)), ranked
                 )
                 placed[vm_id] = vm_type
-    assert compared["loop"] > 0 and compared["argmax"] > 0, compared
-    assert excluded_reps["loop"] > 0 and excluded_reps["argmax"] > 0, (
-        excluded_reps
-    )
+    return _counts(soa_policy)
+
+
+#: Random churn for the property test: ``(position, class, excluded
+#: position, check)``; class -1 empties the position, -1 hides nothing.
+CHURN = st.lists(
+    st.tuples(
+        st.integers(0, 5), st.integers(-1, 4), st.integers(-1, 5),
+        st.booleans(),
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=st.lists(st.one_of(st.none(), st.integers(0, 3)),
+                     min_size=1, max_size=5),
+       churn=CHURN, tight=st.booleans())
+def test_heap_winner_is_the_brute_force_minimum(keys, churn, tight):
+    """Over random add/remove/exclusion sequences the heap's top is the
+    minimum ``(key, rep)`` over live classes with the exclusion applied.
+    ``tight`` bounds (a short log, no heap slack) run every rebuild
+    path; the default ones leave the lazy invalidation on its own."""
+    bounds = (8, 1, 0) if tight else (4096, 4, 64)
+    with mock.patch.object(usage_index, "_LOG_MIN_ENTRIES", bounds[0]), \
+            mock.patch.object(usage_index, "_LOG_PER_CLASS", bounds[1]), \
+            mock.patch.object(usage_index, "_HEAP_SLACK", bounds[2]):
+        table = SoAClassTable()
+        for k in range(len(keys)):
+            table.intern(("shape", k))
+        ranking = ClassRanking()
+        home = {}  # position -> class id
+
+        def key_of(ids):
+            return [(None if keys[c] is None else (keys[c],), c) for c in ids]
+
+        for pos, cls, ex, check in churn:
+            old = home.pop(pos, -1)
+            if old >= 0:
+                table.remove(old, pos)
+            if cls >= 0:
+                cls %= len(keys)
+                table.add(cls, pos)
+                home[pos] = cls
+            if not check:
+                continue
+            ranking.sync(table, key_of)
+            expected = min(
+                (
+                    (keys[c], min(p for p, h in home.items()
+                                  if h == c and p != ex), c)
+                    for c in set(home.values())
+                    if keys[c] is not None
+                    and any(h == c and p != ex for p, h in home.items())
+                ),
+                default=None,
+            )
+            assert ranking.top(table, ex) == expected
+            assert all(ranking.values[c] == c for c in ranking.keys)
+            assert len(ranking.heap) <= 2 * table.n_live + bounds[2]
+
+
+def test_heap_and_log_stay_bounded_over_a_fleet_day(monkeypatch):
+    """A 10k-PM day (e2ebench ``fleet_day``'s point) keeps every heap
+    within ``2 * live + slack`` and the log within its trim bound, far
+    below the number of membership changes."""
+    from repro.experiments.sweep import run_point, sweep_table
+
+    seen = {"heap": 0, "log": 0, "changes": 0}
+    sync = ClassRanking.sync
+
+    def observed_sync(self, table, key_of):
+        sync(self, table, key_of)
+        assert len(self.heap) <= 2 * table.n_live + usage_index._HEAP_SLACK
+        assert len(table.log) <= max(
+            usage_index._LOG_MIN_ENTRIES,
+            usage_index._LOG_PER_CLASS * table.n_classes,
+        )
+        seen["heap"] = max(seen["heap"], len(self.heap))
+        seen["log"] = max(seen["log"], len(table.log))
+        seen["changes"] = table.log_base + len(table.log)
+
+    monkeypatch.setattr(ClassRanking, "sync", observed_sync)
+    run_point(sweep_table(), 10_000)
+    assert seen["changes"] > 4 * seen["log"] > 0, seen

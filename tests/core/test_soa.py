@@ -7,7 +7,6 @@ rebuild/epoch invalidation of the policy memo (the LRU-vs-bulk-rebuild
 contract), and the I2 column audit.
 """
 
-import numpy as np
 import pytest
 
 from repro.analysis.invariants import audit_datacenter
@@ -16,7 +15,12 @@ from repro.cluster.ec2 import ec2_pm_shape, ec2_vm_type
 from repro.cluster.vm import VirtualMachine
 from repro.core.placement import PageRankVMPolicy
 from repro.core.soa import SoADatacenter
-from repro.core.usage_index import IndexedMachines, SoAClassTable, UsageClassIndex
+from repro.core.usage_index import (
+    _NO_REP,
+    IndexedMachines,
+    SoAClassTable,
+    UsageClassIndex,
+)
 from repro.traces.base import ConstantTrace
 
 
@@ -45,8 +49,9 @@ class TestSoAClassTable:
         assert table.lookup(("shape", "a")) == 0
         assert table.lookup(("shape", "missing")) == -1
         assert table.members == [[3, 5], [1]]
-        assert list(table.rep) == [3, 1]
-        assert list(table.size) == [2, 1]
+        assert table.rep == [3, 1]
+        assert table.size == [2, 1]
+        assert table.n_live == 2
 
     def test_emptied_class_keeps_its_id(self):
         table = SoAClassTable()
@@ -55,13 +60,14 @@ class TestSoAClassTable:
         table.remove(a, 2)
         assert table.lookup(("shape", "a")) == a
         assert table.members[a] == []
-        assert int(table.size[a]) == 0
-        assert int(table.rep[a]) == np.iinfo(np.int64).max
+        assert table.size[a] == 0
+        assert table.rep[a] == _NO_REP
+        assert table.n_live == 0
         assert table.live_classes() == {}
         # Refilling reuses the id: memoized per-id scores stay valid.
         assert table.intern(("shape", "a")) == a
         table.add(a, 7)
-        assert int(table.rep[a]) == 7
+        assert table.rep[a] == 7
         assert table.live_classes() == {("shape", "a"): [7]}
 
     def test_removing_the_representative_hands_it_on(self):
@@ -70,7 +76,7 @@ class TestSoAClassTable:
         for pos in (4, 9, 6):
             table.add(a, pos)
         table.remove(a, 4)
-        assert (int(table.rep[a]), int(table.size[a])) == (6, 2)
+        assert (table.rep[a], table.size[a]) == (6, 2)
         with pytest.raises(ValueError):
             table.remove(a, 4)
 
@@ -79,8 +85,8 @@ class TestSoAClassTable:
         for i in range(200):
             table.add(table.intern(("shape", i)), i)
         assert table.n_classes == 200
-        assert int(table.rep[150]) == 150
-        assert int(table.size[150]) == 1
+        assert table.rep[150] == 150
+        assert table.size[150] == 1
 
 
 class TestUsageTupleCache:

@@ -62,8 +62,8 @@ class TestIndexMaintenance:
         assert index.class_ids[1] == -1
         table = dc.indexed_machines().class_table
         assert table.n_classes == 1
-        assert int(table.rep[class_id]) == 0
-        assert int(table.size[class_id]) == 3
+        assert table.rep[class_id] == 0
+        assert table.size[class_id] == 3
 
     def test_distinct_usages_split_classes(self, toy_shape, vm2, vm4):
         dc = toy_datacenter(toy_shape)
@@ -72,7 +72,7 @@ class TestIndexMaintenance:
         index = dc.usage_index
         assert index.n_classes == 2
         assert index.class_ids[0] != index.class_ids[1]
-        assert index.table.size.tolist() == [1, 1]
+        assert index.table.size == [1, 1]
 
     def test_evict_returns_machine_to_unused(self, toy_shape, vm2):
         dc = toy_datacenter(toy_shape)
@@ -84,7 +84,7 @@ class TestIndexMaintenance:
         assert [m.pm_id for m in index.healthy_machines()] == [0, 1, 2, 3]
         # The emptied class keeps its id with size 0; PM 0 has none.
         assert index.class_ids[0] == -1
-        assert index.table.size.tolist() == [0]
+        assert index.table.size == [0]
 
     def test_crash_hides_machine_repair_restores_it(self, toy_shape, vm2):
         dc = toy_datacenter(toy_shape)
@@ -185,8 +185,8 @@ class TestIndexedView:
         # The table row is view-independent; the ranking skips PM 0 and
         # lands on the class's next member.
         (class_id,) = set(view.index.class_ids[:2].tolist())
-        assert int(view.class_table.rep[class_id]) == 0
-        assert int(view.class_table.size[class_id]) == 2
+        assert view.class_table.rep[class_id] == 0
+        assert view.class_table.size[class_id] == 2
         assert UtilizationPolicy().select(vm2, dc.indexed_machines()).pm_id == 0
         assert UtilizationPolicy().select(vm2, view).pm_id == 1
 

@@ -120,6 +120,17 @@ class TestRecordReport:
         assert latest["fleet"] == "toy"
         assert latest["seed"] == 0
 
+    def test_entry_carries_the_host_stamp_and_fleet_size(self, tmp_path):
+        out = tmp_path / "BENCH_perf.json"
+        report = run_closed_loop(make_app(), n_requests=10, concurrency=2)
+        entry = record_report(
+            report, out, fleet="toy", recorded_at="2026-08-08T00:00:00+00:00",
+            pms=8,
+        )
+        assert entry["pms"] == 8
+        assert set(benchfile.host_stamp()) <= set(entry)
+        assert entry["cpu_count"] >= 1
+
     def test_latest_entry_filters_by_phase(self, tmp_path):
         out = tmp_path / "BENCH_perf.json"
         assert benchfile.latest_entry(out) is None
