@@ -1,73 +1,54 @@
 """Performance trajectory harness: measures the hot paths, writes BENCH_perf.json.
 
-Run as a script to append one entry to the repo-root ``BENCH_perf.json``
-trajectory::
+Run as a script to append one entry per phase to the repo-root
+``BENCH_perf.json`` trajectory::
 
     PYTHONPATH=src python benchmarks/perf_harness.py [--quick] [--out PATH]
 
-Each entry records ops/sec for the kernels that dominate evaluation
-wall-clock — the PageRank power iteration on an EC2-scale graph, snap
-lookups against the EC2 score table, a recorded day of eviction choices
-replayed through ``select_victim``, one Algorithm 2 placement decision
-over a fleet — plus graph-construction wall-clock on the EC2-scale
-workload (a cold build and a cache reload) and end-to-end
-:func:`run_experiment` wall-clock at ``workers=1`` and
-``workers=cpu_count`` (with a bit-identical-results check between the
-two), and an online-serving phase — allocate plus a day-long simulate on
-the EC2 M3 workload — timed against the seed serving path (linear scans
-and the chunk-walking tick) with a decision-identity cross-check.  A
-tagged ``"kernel"`` phase entry rides along: the exact DAG-sweep rank
-kernel vs the warm power iteration, with its fixed-point residual.
-Future PRs append entries, so the file
-reads as a perf trajectory across the repo's history; ``repro perf
+The harness keeps only the micro phases that the end-to-end benchmark
+(``e2ebench/``) cannot isolate.  The untagged ``"harness"`` entry
+records the PageRank power iteration on an EC2-scale graph, snap
+lookups against the EC2 score table (one at a time and batched), and
+graph construction on the same workload: a cold build, the seed
+builder with a node-for-node identity check, and a cache reload.  The
+tagged ``"kernel"`` entry times the exact DAG-sweep rank kernel against
+the warm power iteration, with its fixed-point residual.  ``repro perf
 check`` gates each phase's latest entry against that history.
 
 The seed (pre-optimization) implementations are kept here verbatim —
 :func:`seed_profile_pagerank` for the PageRank kernel and
 :func:`seed_build_profile_graph` for graph construction — so speedups
-stay measurable against fixed references.
+stay measurable against fixed references.  :func:`run_online_serving`
+stays for the identity test that serves one workload on both
+datacenter substrates (``benchmarks/test_perf_core.py``).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import tempfile
 import time
 from collections import deque
-from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.ec2 import (
-    EC2_VM_TYPES,
-    build_ec2_datacenter,
-    build_ec2_soa_datacenter,
-    ec2_pm_shape,
-)
+from repro.cluster.ec2 import EC2_VM_TYPES, ec2_pm_shape
 from repro.cluster.simulation import SimulationConfig
 from repro.core.graph import ProfileGraph, SuccessorStrategy, build_profile_graph
-from repro.core.migration import PageRankMigrationSelector
 from repro.core.pagerank import profile_pagerank
 from repro.core.placement import PageRankVMPolicy
 from repro.core.profile import MachineShape, ResourceGroup, Usage, VMType
 from repro.core.score_table import ScoreTable, build_score_table
-from repro.experiments.config import ExperimentConfig, WorkloadSpec
-from repro.experiments.runner import run_experiment
 from repro.util import benchfile
 from repro.util.benchfile import host_stamp
 
 BENCH_FORMAT = benchfile.BENCH_FORMAT
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
-
-#: Metrics compared between the serial and parallel runs.
-_METRICS = ("pms_used", "energy_kwh", "migrations", "slo_violations")
-
 
 def seed_compute_bpru(graph: ProfileGraph) -> np.ndarray:
     """The seed repo's BPRU DP: per-call Python sort + per-node loop."""
@@ -277,59 +258,13 @@ def off_graph_usages(shape, count: int, seed: int = 0):
     return usages
 
 
-class _StreamAllocation:
-    """An allocation record of the replayed victim stream."""
-
-    __slots__ = ("assignments",)
-
-    def __init__(self, assignments) -> None:
-        self.assignments = assignments
-
-
-def victim_stream(table: ScoreTable, n_vms: int = 600, seed: int = 0):
-    """The eviction choices of one PageRankVM day, for replay.
-
-    Runs ``n_vms`` PlanetLab-driven VMs through a 24 h day on an M3
-    fleet served by ``table`` and records every ``select_victim`` call
-    as (usage, allocations), the allocations frozen to their
-    assignments.  The stream keeps the relief loop's repeats: the same
-    PM is re-ranked tick after tick while it stays overloaded.
-    """
-    from repro.cluster.simulation import CloudSimulation
-    from repro.experiments.config import ExperimentConfig
-    from repro.experiments.workload import build_vms
-
-    shape = table.shape
-    recorded = []
-
-    class Recording(PageRankMigrationSelector):
-        def select_victim(self, shape, usage, allocations):
-            recorded.append(
-                (usage, [_StreamAllocation(a.assignments) for a in allocations])
-            )
-            return super().select_victim(shape, usage, allocations)
-
-    config = ExperimentConfig(n_vms=n_vms, datacenter=(("M3", 400),), seed=seed)
-    CloudSimulation(
-        build_ec2_soa_datacenter(dict(config.datacenter)),
-        PageRankVMPolicy({shape: table}),
-        Recording({shape: table}),
-        config.sim,
-    ).run(build_vms(config, 0))
-    return recorded
-
-
 def measure_kernels(
     graph: ProfileGraph,
     table: ScoreTable,
     repeats: int = 3,
     with_seed_baseline: bool = True,
 ) -> Dict[str, float]:
-    """Kernel metrics: pagerank iteration rate, snap lookups, decisions."""
-    from repro.cluster.machine import PhysicalMachine
-    from repro.cluster.vm import VirtualMachine
-    from repro.core.permutations import balanced_placement
-
+    """Kernel metrics: pagerank iteration rate and snap lookups."""
     metrics: Dict[str, float] = {}
 
     # PageRank kernel (warm: derived structures cached on the graph).
@@ -385,43 +320,6 @@ def measure_kernels(
     batched.score_or_snap_many(misses)
     batch_wall = time.perf_counter() - start
     metrics["snap_batch_lookups_per_s"] = len(misses) / batch_wall
-
-    # Victim choice: a recorded day of eviction rankings, replayed on a
-    # fresh table (cold snap cache, tree already built).
-    stream = victim_stream(table)
-    replay = ScoreTable(
-        shape,
-        dict(table.items()),
-        damping=table.damping,
-        strategy=table.strategy,
-        vote_direction=table.vote_direction,
-    )
-    replay.score_or_snap(misses[0])
-    selector = PageRankMigrationSelector({shape: replay})
-    start = time.perf_counter()
-    for usage, allocations in stream:
-        selector.select_victim(shape, usage, allocations)
-    victim_wall = time.perf_counter() - start
-    metrics["victim_selections_per_s"] = len(stream) / victim_wall
-
-    # One Algorithm 2 decision over a warmed 50-PM fleet.
-    policy = PageRankVMPolicy({shape: table})
-    machines = [PhysicalMachine(i, shape) for i in range(50)]
-    rng = np.random.default_rng(0)
-    vm = EC2_VM_TYPES[0]
-    for machine in machines:
-        for _ in range(int(rng.integers(1, 5))):
-            placement = balanced_placement(shape, machine.usage, vm)
-            if placement is None:
-                break
-            machine.place(VirtualMachine(int(rng.integers(1 << 40)), vm), placement)
-    policy.select(vm, machines)  # warm the candidate cache
-    decisions = 200
-    start = time.perf_counter()
-    for _ in range(decisions):
-        policy.select(vm, machines)
-    decision_wall = time.perf_counter() - start
-    metrics["placement_decisions_per_s"] = decisions / decision_wall
     return metrics
 
 
@@ -481,60 +379,6 @@ def measure_graph_build(repeats: int = 3) -> Dict[str, object]:
     return metrics
 
 
-def seed_actual_cpu_utilization(self, time_s: float, burst="core") -> float:
-    """The seed repo's per-tick utilization, kept verbatim as the fixed
-    baseline for the online-serving phase: walks every allocation's
-    per-chunk assignments on every call instead of reusing the cached
-    per-allocation ceiling terms.
-    """
-    from repro.util.validation import ValidationError
-
-    capacities = self._shape.groups[self._cpu_group].capacities
-    demand = 0.0
-    numeric = isinstance(burst, (int, float)) and not isinstance(burst, bool)
-    if not numeric and burst not in ("core", "request"):
-        raise ValidationError(
-            f"unknown burst model {burst!r}; use 'core', 'request' or a "
-            "positive factor"
-        )
-    if numeric and burst <= 0:
-        raise ValidationError(f"burst factor must be positive, got {burst}")
-    for allocation in self._allocations.values():
-        fraction = allocation.vm.cpu_utilization_at(time_s)
-        if fraction <= 0.0:
-            continue
-        for idx, chunk in allocation.assignments[self._cpu_group]:
-            if numeric:
-                ceiling = min(chunk * burst, capacities[idx])
-            elif burst == "core":
-                ceiling = capacities[idx]
-            else:
-                ceiling = chunk
-            demand += fraction * ceiling
-    return demand / self._cpu_capacity
-
-
-@contextmanager
-def seed_serving_path():
-    """Swap the seed per-tick utilization back in.
-
-    Inside the context, ``PhysicalMachine.actual_cpu_utilization`` walks
-    chunks per call — the pre-memoization tick.  Combined with the object
-    datacenter (whose inventory queries are the seed's O(n) scans and
-    whose simulation runs the verbatim sequential tick and list-based
-    policy scan) this reproduces the seed's end-to-end behavior for
-    honest baseline timing.
-    """
-    from repro.cluster.machine import PhysicalMachine
-
-    saved = PhysicalMachine.actual_cpu_utilization
-    PhysicalMachine.actual_cpu_utilization = seed_actual_cpu_utilization
-    try:
-        yield
-    finally:
-        PhysicalMachine.actual_cpu_utilization = saved
-
-
 def online_serving_workload(n_vms: int, seed: int = 0):
     """Deterministic request batch: large M3 VM types, step-function traces.
 
@@ -584,142 +428,6 @@ def run_online_serving(
     return simulation.run(online_serving_workload(n_vms, seed=workload_seed))
 
 
-#: SimulationResult counters compared exactly between the two paths.
-_SERVING_EXACT = (
-    "n_vms", "unplaced_vms", "pms_used_initial", "pms_used_peak",
-    "pms_used_final", "migrations", "failed_migrations", "overload_events",
-    "consolidations",
-)
-
-
-def measure_online_serving(
-    repeats: int = 3, quick: bool = False, table: Optional[ScoreTable] = None
-) -> Dict[str, object]:
-    """Online-serving phase: allocate + simulate on the EC2 M3 workload.
-
-    Times the serving path on the SoA substrate against the seed
-    baseline — the object datacenter under :func:`seed_serving_path`,
-    i.e. the verbatim pre-optimization code — and cross-checks that both report identical decision counters
-    (identical placements, migrations and overload handling; energy/SLO
-    agree up to float summation order).
-    """
-    if table is None:
-        table = build_score_table(
-            ec2_pm_shape("M3"), EC2_VM_TYPES,
-            strategy=SuccessorStrategy.BALANCED,
-        )
-    n_pms = 400 if quick else 480
-    n_vms = 900 if quick else 1200
-    duration_s = 21_600.0 if quick else 86_400.0
-
-    def fast_run():
-        return run_online_serving(
-            table, build_ec2_soa_datacenter({"M3": n_pms}), n_vms, duration_s
-        )
-
-    def seed_run():
-        with seed_serving_path():
-            return run_online_serving(
-                table, build_ec2_datacenter({"M3": n_pms}), n_vms, duration_s
-            )
-
-    fast_result = fast_run()  # warm the policy-independent caches once
-    fast_wall = _best_of(fast_run, repeats)
-    seed_start = time.perf_counter()
-    seed_result = seed_run()
-    seed_wall = time.perf_counter() - seed_start
-
-    identical = all(
-        getattr(fast_result, field) == getattr(seed_result, field)
-        for field in _SERVING_EXACT
-    )
-    tolerably_close = (
-        abs(fast_result.energy_kwh - seed_result.energy_kwh)
-        <= 1e-9 * max(1.0, abs(seed_result.energy_kwh))
-        and abs(fast_result.slo_violation_rate - seed_result.slo_violation_rate)
-        <= 1e-9
-    )
-    return {
-        "online_serving_n_pms": n_pms,
-        "online_serving_n_vms": n_vms,
-        "online_serving_duration_s": duration_s,
-        "online_serving_wall_s": fast_wall,
-        "online_serving_seed_wall_s": seed_wall,
-        "online_serving_speedup_vs_seed": seed_wall / fast_wall,
-        "online_serving_results_identical": identical,
-        "online_serving_float_metrics_close": tolerably_close,
-        "online_serving_pms_used_final": fast_result.pms_used_final,
-        "online_serving_migrations": fast_result.migrations,
-        "online_serving_overload_events": fast_result.overload_events,
-    }
-
-
-def measure_end_to_end(
-    workers_grid: Optional[List[int]] = None,
-    table_cache_dir: Optional[str] = None,
-) -> Dict[str, object]:
-    """End-to-end run_experiment wall-clock, plus a determinism check.
-
-    The grid scales with the machine: serial always, then 2 and
-    ``cpu_count`` workers where the cores exist.  On a single core only
-    the serial point runs — a forced 2-worker leg there measures
-    scheduler overhead, not parallel speedup, and its identity check
-    repeats what the multi-core CI legs already pin.
-    """
-    cpu = os.cpu_count() or 1
-    if workers_grid is None:
-        workers_grid = sorted({w for w in (1, 2, cpu) if w <= cpu})
-    config = ExperimentConfig(
-        n_vms=40,
-        datacenter=(("M3", 30), ("C3", 8)),
-        workload=WorkloadSpec(trace="planetlab"),
-        policies=("PageRankVM", "FF", "FFDSum"),
-        repetitions=4,
-        sim=SimulationConfig(duration_s=1800.0, monitor_interval_s=300.0),
-    )
-    # Warm the in-process score-table cache so every grid point times the
-    # simulation cells, not a first-run table build.
-    from repro.experiments.runner import _score_tables
-
-    _score_tables(config, table_cache_dir)
-    walls: Dict[str, float] = {}
-    reference = None
-    identical = True
-    for workers in workers_grid:
-        start = time.perf_counter()
-        results = run_experiment(
-            config, workers=workers, table_cache_dir=table_cache_dir
-        )
-        walls[f"run_experiment_wall_s_workers_{workers}"] = (
-            time.perf_counter() - start
-        )
-        values = {
-            (policy, metric): results.metric_values(policy, metric)
-            for policy in config.policies
-            for metric in _METRICS
-        }
-        if reference is None:
-            reference = values
-        elif values != reference:
-            identical = False
-    metrics: Dict[str, object] = {
-        "cpu_count": cpu,
-        "workers_grid": workers_grid,
-        "parallel_results_identical": identical,
-        **walls,
-    }
-    parallel_walls = [
-        walls[f"run_experiment_wall_s_workers_{w}"]
-        for w in workers_grid
-        if w > 1
-    ]
-    if parallel_walls and 1 in workers_grid:
-        metrics["run_experiment_parallel_speedup"] = (
-            walls["run_experiment_wall_s_workers_1"] / min(parallel_walls)
-        )
-    return metrics
-
-
 def measure_kernel_phase(
     graph: Optional[ProfileGraph] = None, repeats: int = 3
 ) -> Dict[str, object]:
@@ -758,26 +466,8 @@ def measure_kernel_phase(
     }
 
 
-def measure_scale_sweep(
-    table: ScoreTable, quick: bool = False
-) -> Dict[str, object]:
-    """Scale-sweep phase: the columnar path at 480 → 100k PMs.
-
-    Quick mode stops at 5k PMs with a 2h horizon; the full sweep runs
-    the {480, 5k, 50k, 100k} ladder over a 24h day.  Either way the
-    480-PM point is checked against the seed scan's anchor run (the CI
-    identity gate).
-    """
-    from repro.experiments.sweep import run_sweep
-
-    points = (480, 5_000) if quick else (480, 5_000, 50_000, 100_000)
-    return run_sweep(points, table=table, quick=quick, check_identity=True)
-
-
-def run_harness(
-    quick: bool = False, table_cache_dir: Optional[str] = None
-) -> Dict[str, object]:
-    """Measure everything and return one trajectory entry."""
+def run_harness(quick: bool = False) -> Dict[str, object]:
+    """Measure the harness phase and return one trajectory entry."""
     graph = ec2_scale_graph()
     table = build_score_table(
         ec2_pm_shape("M3"), EC2_VM_TYPES,
@@ -799,13 +489,6 @@ def run_harness(
     # The seed graph build runs in quick mode too: its node-for-node
     # identity check (graph_build_matches_seed) is a CI gate.
     entry.update(measure_graph_build(repeats=1 if quick else 3))
-    entry.update(
-        measure_online_serving(
-            repeats=1 if quick else 3, quick=quick, table=table
-        )
-    )
-    entry.update(measure_end_to_end(table_cache_dir=table_cache_dir))
-    entry.update(measure_scale_sweep(table, quick=quick))
     return entry
 
 
@@ -820,9 +503,7 @@ def append_entry(entry: Dict[str, object], out: Path = DEFAULT_OUT) -> None:
 
 
 def phase_entries(
-    phases: Sequence[str],
-    quick: bool = False,
-    table_cache_dir: Optional[str] = None,
+    phases: Sequence[str], quick: bool = False
 ) -> List[Dict[str, object]]:
     """One trajectory entry per requested phase, in request order.
 
@@ -833,9 +514,7 @@ def phase_entries(
     entries: List[Dict[str, object]] = []
     recorded_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
     if "harness" in phases:
-        entries.append(
-            run_harness(quick=quick, table_cache_dir=table_cache_dir)
-        )
+        entries.append(run_harness(quick=quick))
     if "kernel" in phases:
         entries.append(
             {
@@ -853,15 +532,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick", action="store_true",
-        help="single timing repeat, skip the seed-baseline comparison",
+        help="single timing repeat, skip the seed PageRank comparison",
     )
     parser.add_argument(
         "--out", type=Path, default=DEFAULT_OUT,
         help=f"trajectory file to append to (default {DEFAULT_OUT})",
-    )
-    parser.add_argument(
-        "--table-cache", default=None,
-        help="score-table disk cache directory for the end-to-end runs",
     )
     parser.add_argument(
         "--phase", action="append", default=None,
@@ -874,9 +549,7 @@ def main(argv=None) -> int:
         if args.phase
         else ("harness", "kernel")
     )
-    entries = phase_entries(
-        phases, quick=args.quick, table_cache_dir=args.table_cache
-    )
+    entries = phase_entries(phases, quick=args.quick)
     for entry in entries:
         append_entry(entry, args.out)
     print(json.dumps(entries, indent=2, sort_keys=True))

@@ -109,13 +109,6 @@ PHASE_METRICS: Dict[str, Tuple[MetricSpec, ...]] = {
             "snap_batch_lookups_per_s", True,
             _key("snap_batch_lookups_per_s"),
         ),
-        MetricSpec(
-            "victim_selections_per_s", True, _key("victim_selections_per_s")
-        ),
-        MetricSpec(
-            "placement_decisions_per_s", True,
-            _key("placement_decisions_per_s"),
-        ),
         MetricSpec("graph_build_wall_s", False, _key("graph_build_wall_s")),
         MetricSpec(
             "graph_build_speedup_vs_seed", True,
@@ -123,13 +116,6 @@ PHASE_METRICS: Dict[str, Tuple[MetricSpec, ...]] = {
         ),
         MetricSpec(
             "graph_cache_load_wall_s", False, _key("graph_cache_load_wall_s")
-        ),
-        MetricSpec(
-            "online_serving_wall_s", False, _key("online_serving_wall_s")
-        ),
-        MetricSpec(
-            "online_serving_speedup_vs_seed", True,
-            _key("online_serving_speedup_vs_seed"),
         ),
     ),
     "scale_sweep": (

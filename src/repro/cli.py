@@ -13,7 +13,7 @@ Commands:
   on-disk graph cache directly.
 * ``bench``     — performance measurements outside the full harness;
   ``bench sweep --pms N`` runs the columnar scale sweep (allocate +
-  simulate at N PMs, optionally checked against the seed scan).
+  simulate at N PMs).
 * ``perf``      — trajectory analysis; ``perf check`` gates the latest
   BENCH_perf.json entry of each phase against per-phase baselines
   (median of recent history) and fails on statistically significant
@@ -195,15 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sweep.add_argument(
         "--quick", action="store_true",
         help="simulate a 2h horizon instead of the paper's 24h day")
-    bench_sweep.add_argument(
-        "--check-identity", action="store_true",
-        help="assert that every point at a scan anchor size makes the "
-             "same decisions as that anchor's seed-scan run")
-    bench_sweep.add_argument(
-        "--scan-anchor-pms", type=int, default=480, metavar="N",
-        help="measure the seed scan (object datacenter) at N and 2N "
-             "PMs and extrapolate it quadratically to every point (default: "
-             "480; 0 disables the scan baseline)")
     bench_sweep.add_argument(
         "--out", metavar="FILE", default=None,
         help="append the sweep entry to this BENCH trajectory file")
@@ -630,8 +621,6 @@ def _cmd_bench(args) -> int:
     entry.update(run_sweep(
         args.pms,
         quick=args.quick,
-        check_identity=args.check_identity,
-        scan_anchor_pms=args.scan_anchor_pms,
         table_cache_dir=args.table_cache,
     ))
     if args.out is not None:

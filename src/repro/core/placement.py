@@ -49,12 +49,11 @@ class PageRankVMPolicy(ProfileScorePolicy):
             decision (the 2-choice method uses ``pool_size=2``); None
             scans every used PM, as in Algorithm 2.
         rng: random generator for pool sampling.
-        fallback: when True (default), a score-table fault mid-run —
-            missing table for a shape, corrupt/truncated arrays,
-            non-finite scores — degrades the policy to FFDSum (logged
-            once) instead of crashing the simulation; ``degraded`` /
-            ``degraded_reason`` report that it happened.  False keeps
-            the fail-fast behavior for debugging.
+
+    A score-table fault mid-run (missing table for a shape,
+    corrupt/truncated arrays, non-finite scores) degrades the policy to
+    FFDSum, logged once, instead of crashing the simulation;
+    ``degraded`` / ``degraded_reason`` report that it happened.
     """
 
     name = "PageRankVM"
@@ -64,13 +63,11 @@ class PageRankVMPolicy(ProfileScorePolicy):
         tables: Mapping[MachineShape, ScoreTable],
         pool_size: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
-        fallback: bool = True,
     ):
         super().__init__(pool_size=pool_size, rng=rng)
         require(len(tables) > 0, "PageRankVMPolicy needs at least one score table")
         self._tables = dict(tables)
         self._shape_ids = {shape: i for i, shape in enumerate(self._tables)}
-        self._fallback_enabled = fallback
         self._fallback_policy = None
         self._degraded_reason: Optional[str] = None
 
@@ -256,8 +253,6 @@ class PageRankVMPolicy(ProfileScorePolicy):
         try:
             return super().select(vm, machines)
         except _TABLE_FAULTS as error:
-            if not self._fallback_enabled:
-                raise
             self._degrade(error)
             return self._fallback_policy.select(vm, machines)
 

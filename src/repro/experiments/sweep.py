@@ -1,26 +1,17 @@
 """Scale sweep: allocate + simulate the M3 fleet from 480 to 100k PMs.
 
 The sweep measures the columnar (struct-of-arrays) serving path at
-datacenter sizes the object path cannot reach, on the same workload
-family as the perf harness's online-serving phase: a 50/50 mix of
+datacenter sizes the object path cannot reach: a 50/50 mix of
 m3.xlarge / m3.2xlarge VMs with 16-sample step traces.  Trace levels
-are drawn from U(0.05, 0.48) — calmer than the 480-PM phase — so
-overload churn (Python-bound in both substrates) does not dominate the
-wall clock at 100k PMs while migrations still happen.
+are drawn from U(0.05, 0.48), calm enough that overload churn
+(Python-bound) does not dominate the wall clock at 100k PMs while
+migrations still happen.
 
-One baseline is recorded: the **seed scan** on the object datacenter
-(per-machine monitor walk, linear candidate scans) — the pre-index
-substrate the paper's headline numbers compare against.  It is
-measured at two small anchor sizes (n and 2n) and extrapolated with the
-exact quadratic through them, ``w(x) = a*x + b*x**2`` — the scan's
-per-decision cost grows with fleet size, so its wall clock is
-superlinear; a linear extrapolation would understate the baseline (and
-so the speedup), while the quadratic models the measured growth.
-
-With ``check_identity`` the anchor runs double as twins: wherever an
-anchor size is also a sweep point, the scan and the columnar run serve
-the same workload and their decision counters must match exactly — the
-same identity contract the substrate tests enforce.
+The sweep times the production path only.  That the columnar path
+decides exactly as the seed scan on the object datacenter does is the
+``soa`` sanitizer twin's contract (``repro sanitize run --twin soa``,
+which serves this module's workload and table at 480 PMs and compares
+every decision digest), not a measurement here.
 """
 
 from __future__ import annotations
@@ -47,7 +38,6 @@ __all__ = [
     "SWEEP_POINTS",
     "sweep_table",
     "sweep_workload",
-    "measure_scan_anchor",
     "run_point",
     "run_sweep",
 ]
@@ -57,13 +47,6 @@ SWEEP_POINTS: Tuple[int, ...] = (480, 5_000, 50_000, 100_000)
 
 #: VMs per PM: fills the M3 fleet to its memory-bound packing density.
 VMS_PER_PM = 2.5
-
-#: Decision counters compared exactly between the scan and SoA runs.
-_EXACT_FIELDS = (
-    "n_vms", "unplaced_vms", "pms_used_initial", "pms_used_peak",
-    "pms_used_final", "migrations", "failed_migrations", "overload_events",
-    "consolidations",
-)
 
 
 def sweep_table(table_cache_dir: Optional[str] = None) -> ScoreTable:
@@ -98,19 +81,6 @@ def _simulate(datacenter, table: ScoreTable, vms, duration_s: float):
         SimulationConfig(duration_s=duration_s, monitor_interval_s=300.0),
     )
     return simulation.run(vms)
-
-
-def measure_scan_anchor(
-    table: ScoreTable, n_pms: int, duration_s: float, workload_seed: int = 0
-) -> Tuple[float, SimulationResult]:
-    """Wall time and result of the seed scan on the object datacenter."""
-    from repro.cluster.ec2 import build_ec2_datacenter
-
-    vms = sweep_workload(int(n_pms * VMS_PER_PM), seed=workload_seed)
-    start = time.perf_counter()
-    datacenter = build_ec2_datacenter({"M3": n_pms})
-    result = _simulate(datacenter, table, vms, duration_s)
-    return time.perf_counter() - start, result
 
 
 def _measure_point(
@@ -157,101 +127,26 @@ def run_point(
     return _measure_point(table, n_pms, duration_s, workload_seed)[0]
 
 
-def _assert_identical(
-    scan: SimulationResult, soa: SimulationResult, n_pms: int
-) -> None:
-    """Exact decision counters, energy/SLO to 1e-9 relative.
-
-    Raises:
-        AssertionError: on a divergence — a sweep whose substrates
-            disagree measures nothing.
-    """
-    mismatches = [
-        (field, getattr(scan, field), getattr(soa, field))
-        for field in _EXACT_FIELDS
-        if getattr(scan, field) != getattr(soa, field)
-    ]
-    close = (
-        abs(scan.energy_kwh - soa.energy_kwh)
-        <= 1e-9 * max(1.0, abs(scan.energy_kwh))
-        and abs(scan.slo_violation_rate - soa.slo_violation_rate) <= 1e-9
-    )
-    if mismatches or not close:
-        raise AssertionError(
-            f"scan/SoA divergence at {n_pms} PMs: "
-            f"counters {mismatches}, energy/slo close={close}"
-        )
-
-
 def run_sweep(
     points: Sequence[int] = SWEEP_POINTS,
     table: Optional[ScoreTable] = None,
     quick: bool = False,
-    check_identity: bool = False,
-    scan_anchor_pms: int = 480,
     table_cache_dir: Optional[str] = None,
 ) -> Dict[str, object]:
     """Run the scale sweep and summarize it as one BENCH-ready mapping.
 
     Args:
-        points: datacenter sizes (n_pms) to measure, ascending.
+        points: datacenter sizes (n_pms) to measure; run in ascending
+            order.
         table: prebuilt M3 score table; built once here when omitted.
         quick: 2h simulated horizon instead of the paper's 24h day.
-        check_identity: every sweep point at a scan anchor size gains
-            an ``identical`` verdict against that anchor's seed-scan run
-            (asserted); at least one point must sit at an anchor size.
-        scan_anchor_pms: the seed scan is measured at this size and
-            twice it, and every point gains a ``scan_wall_extrapolated_s``
-            from the exact quadratic through the two anchors (0 disables
-            the scan baseline).
     """
-    anchors: Tuple[int, ...] = ()
-    if scan_anchor_pms > 0:
-        anchors = (scan_anchor_pms, 2 * scan_anchor_pms)
-    if check_identity:
-        require(
-            any(n_pms in anchors for n_pms in points),
-            f"check_identity needs a sweep point at a scan anchor size "
-            f"{anchors}; got points {tuple(points)}",
-        )
     if table is None:
         table = sweep_table(table_cache_dir)
     duration_s = 7_200.0 if quick else 86_400.0
-    sweep: List[Dict[str, object]] = []
-    results: Dict[int, SimulationResult] = {}
-    for n_pms in sorted(points):
-        point, results[n_pms] = _measure_point(
-            table, n_pms, duration_s, workload_seed=0
-        )
-        sweep.append(point)
-    summary: Dict[str, object] = {
-        "scale_sweep_points": sweep,
+    return {
+        "scale_sweep_points": [
+            run_point(table, n_pms, duration_s) for n_pms in sorted(points)
+        ],
         "scale_sweep_duration_s": duration_s,
     }
-    if anchors:
-        scans = [measure_scan_anchor(table, n, duration_s) for n in anchors]
-        (w1, _), (w2, _) = scans
-        # Exact quadratic through (1, w1) and (2, w2) in units of the
-        # anchor size: w(x) = a*x + b*x**2 with w(0) = 0.  The guard
-        # keeps the fit monotone if noise makes w2 < 2*w1.
-        b = max(0.0, (w2 - 2.0 * w1) / 2.0)
-        a = w1 - b
-        summary["scale_sweep_scan_anchors"] = [
-            {"n_pms": scan_anchor_pms, "scan_wall_s": w1},
-            {"n_pms": 2 * scan_anchor_pms, "scan_wall_s": w2},
-        ]
-        summary["scale_sweep_scan_fit"] = {
-            "base_pms": scan_anchor_pms, "a": a, "b": b,
-        }
-        for point in sweep:
-            x = point["n_pms"] / scan_anchor_pms
-            point["scan_wall_extrapolated_s"] = a * x + b * x * x
-            point["speedup_vs_scan_extrapolated"] = (
-                point["scan_wall_extrapolated_s"] / point["soa_wall_s"]
-            )
-            if check_identity and point["n_pms"] in anchors:
-                n_pms = point["n_pms"]
-                scan = scans[anchors.index(n_pms)][1]
-                _assert_identical(scan, results[n_pms], n_pms)
-                point["identical"] = True
-    return summary

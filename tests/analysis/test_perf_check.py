@@ -17,6 +17,7 @@ the recorded BENCH trajectory, so what this suite pins is the
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +32,8 @@ from repro.analysis.perf import (
 from repro.util import benchfile
 from repro.util.validation import ValidationError
 
+BENCH_PERF = Path(__file__).resolve().parents[2] / "BENCH_perf.json"
+
 
 def write_trajectory(path, entries):
     payload = {"format": benchfile.BENCH_FORMAT, "entries": entries}
@@ -39,7 +42,7 @@ def write_trajectory(path, entries):
 
 
 def harness_entries(
-    values, metric="placement_decisions_per_s", quick=False, cpu_count=None
+    values, metric="snap_lookups_per_s", quick=False, cpu_count=None
 ):
     entries = [{metric: value, "quick": quick} for value in values]
     if cpu_count is not None:
@@ -58,6 +61,18 @@ class TestEntryPhase:
         assert set(PHASE_METRICS) == {
             "harness", "scale_sweep", "serve", "kernel",
         }
+
+    def test_every_gated_metric_is_recorded(self):
+        # A spec that no committed entry of its phase carries gates
+        # nothing: the trajectory must hold at least one value for each.
+        entries = benchfile.load_trajectory(BENCH_PERF)["entries"]
+        unrecorded = [
+            (phase, spec.name)
+            for phase, specs in PHASE_METRICS.items()
+            for spec in specs
+            if not metric_history(entries, phase, spec)
+        ]
+        assert unrecorded == []
 
 
 class TestMetricHistory:
@@ -117,7 +132,7 @@ class TestCheckTrajectory:
         report = check_trajectory(path)
         assert not report.ok
         (degraded,) = report.degraded
-        assert degraded.metric == "placement_decisions_per_s"
+        assert degraded.metric == "snap_lookups_per_s"
         assert degraded.latest == 500.0
         assert "FAIL: 1 metric(s) degraded" in report.describe()
 

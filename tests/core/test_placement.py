@@ -205,14 +205,6 @@ class TestGracefulDegradation:
         assert decision.pm_id == expected.pm_id
         assert decision.placement.new_usage == expected.placement.new_usage
 
-    def test_fallback_disabled_fails_fast(
-        self, toy_shape, toy_table, odd_shape, vm2, fake_machine
-    ):
-        policy = PageRankVMPolicy({toy_shape: toy_table}, fallback=False)
-        with pytest.raises(KeyError, match="no score table"):
-            policy.select(vm2, [fake_machine(0, odd_shape, ((1, 0, 0, 0),))])
-        assert not policy.degraded
-
     def test_poisoned_table_degrades(self, toy_shape, vm2, fake_machine):
         policy = PageRankVMPolicy({toy_shape: _PoisonedTable()})
         decision = policy.select(

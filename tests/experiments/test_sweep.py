@@ -1,28 +1,20 @@
-"""Tests for the scale sweep's seed-scan baseline and identity check."""
-
-import pytest
+"""Tests for the scale sweep's summary."""
 
 from repro.experiments.sweep import run_sweep, sweep_table
-from repro.util.validation import ValidationError
 
 
-@pytest.fixture(scope="module")
-def m3_table():
-    return sweep_table(None)
-
-
-def test_anchor_point_is_checked_against_the_seed_scan(m3_table):
-    summary = run_sweep(
-        (16, 40), table=m3_table, quick=True, check_identity=True,
-        scan_anchor_pms=16,
-    )
-    by_size = {p["n_pms"]: p for p in summary["scale_sweep_points"]}
-    assert by_size[16]["identical"] is True
-    assert "identical" not in by_size[40]
-    assert [a["n_pms"] for a in summary["scale_sweep_scan_anchors"]] == [16, 32]
-
-
-def test_identity_check_needs_a_point_at_an_anchor(m3_table):
-    with pytest.raises(ValidationError, match="anchor"):
-        run_sweep((40,), table=m3_table, quick=True, check_identity=True,
-                  scan_anchor_pms=16)
+def test_sweep_reports_one_soa_point_per_size():
+    summary = run_sweep((40, 16), table=sweep_table(None), quick=True)
+    points = summary["scale_sweep_points"]
+    assert [p["n_pms"] for p in points] == [16, 40]
+    for point in points:
+        assert point["soa_wall_s"] > 0
+        for counter in (
+            "n_vms", "pms_used", "unplaced_vms", "migrations",
+            "overload_events",
+        ):
+            assert isinstance(point[counter], int), counter
+        assert not [
+            key for key in point if "scan" in key or key == "identical"
+        ]
+    assert summary["scale_sweep_duration_s"] == 7_200.0
