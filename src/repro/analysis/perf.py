@@ -19,7 +19,11 @@ module turns that history into a regression gate (``repro perf check``):
   test), and the latest value fails when it is worse than the baseline
   by more than ``max(tolerance * |baseline|, sigma * 1.4826 * MAD)`` —
   a relative floor so tiny jitter never trips, plus a robust spread
-  term so a noisy metric earns a wider band.
+  term so a noisy metric earns a wider band;
+* only the metrics the newest entry of a phase carries are judged: a
+  metric it lacks reports ``not-recorded`` instead of re-judging an
+  older entry's value (CI's quick harness entries omit
+  ``pagerank_speedup_vs_seed``, which full entries carry).
 
 :func:`derived_speedup_floor` is the second consumer of the history: the
 benchmark suite's speedup assertions (``benchmarks/test_perf_core.py``)
@@ -145,15 +149,18 @@ LIKE_FOR_LIKE = ("cpu_count", "fleet", "pms", "mode", "n_requests",
 class MetricCheck:
     """The verdict for one metric of the latest entry in one phase.
 
-    ``status`` is one of ``"ok"``, ``"degraded"`` or ``"no-history"``
-    (fewer than ``min_history`` comparable prior values — informational,
-    never a failure: a fresh trajectory has nothing to regress against).
+    ``status`` is one of ``"ok"``, ``"degraded"``, ``"no-history"``
+    (fewer than ``min_history`` comparable prior values) or
+    ``"not-recorded"`` (the phase's newest entry lacks the metric;
+    ``latest`` is None).  The last two are informational, never a
+    failure: a fresh trajectory has nothing to regress against, and a
+    value the newest entry did not measure is not under test.
     """
 
     phase: str
     metric: str
     higher_is_better: bool
-    latest: float
+    latest: Optional[float]
     baseline: Optional[float]
     allowed: Optional[float]
     n_history: int
@@ -162,6 +169,12 @@ class MetricCheck:
     def describe(self) -> str:
         """One human-readable gate line."""
         direction = "↑" if self.higher_is_better else "↓"
+        if self.latest is None:
+            return (
+                f"[{self.status:>10s}] {self.phase}/{self.metric} {direction} "
+                f"absent from the newest {self.phase} entry "
+                f"(history n={self.n_history})"
+            )
         if self.baseline is None:
             return (
                 f"[{self.status:>10s}] {self.phase}/{self.metric} {direction} "
@@ -234,15 +247,27 @@ def _check_metric(
     spec: MetricSpec,
     history: Sequence[Tuple[int, float, bool]],
     entries: Sequence[Entry],
+    newest: int,
     window: int,
     tolerance: float,
     sigma: float,
     min_history: int,
 ) -> Optional[MetricCheck]:
-    """Gate the newest value of one metric against its history."""
+    """Gate one metric of the phase's newest entry (index ``newest``)."""
     if not history:
         return None
     latest_index, latest, latest_quick = history[-1]
+    if latest_index != newest:
+        return MetricCheck(
+            phase=phase,
+            metric=spec.name,
+            higher_is_better=spec.higher_is_better,
+            latest=None,
+            baseline=None,
+            allowed=None,
+            n_history=len(history),
+            status="not-recorded",
+        )
     # Only comparable history: same phase (by construction), the same
     # quick flag — quick runs measure different workload sizes — and the
     # same LIKE_FOR_LIKE keys (None for entries without one).
@@ -318,12 +343,17 @@ def check_trajectory(
     wanted = tuple(phases) if phases is not None else tuple(PHASE_METRICS)
     checks: List[MetricCheck] = []
     for phase in wanted:
+        newest = max(
+            (i for i, e in enumerate(entries) if entry_phase(e) == phase),
+            default=-1,
+        )
         for spec in PHASE_METRICS.get(phase, ()):
             check = _check_metric(
                 phase,
                 spec,
                 metric_history(entries, phase, spec),
                 entries,
+                newest,
                 window,
                 tolerance,
                 sigma,

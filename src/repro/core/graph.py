@@ -25,10 +25,11 @@ Construction is a level-synchronous BFS (DESIGN.md section 3.9):
 * per-group usages are interned into small integer ids (*gids*), so a
   machine usage is a row of a few ints and a BFS level is one
   ``(n, n_groups)`` int array;
-* group-level placement results come from the bounded memo tables in
-  :mod:`repro.core.permutations`, land in per-(group, demand) successor
-  tables, and expand a whole level per VM type with ``np.repeat`` and
-  mixed-radix indexing;
+* group-level placement results land in per-(group, demand) successor
+  tables — the balanced packings of a table's unfilled rows in one array
+  pass, the exhaustive enumerations from the bounded memo tables in
+  :mod:`repro.core.permutations` — and expand a whole level per VM type
+  with ``np.repeat`` and mixed-radix indexing;
 * nodes are found with one sorted-key ``searchsorted`` per level and
   numbered in first-occurrence order, which is the FIFO BFS order.
 """
@@ -333,11 +334,13 @@ class _SuccessorEngine:
 
     Every distinct per-group usage tuple gets a dense *gid*, so a machine
     usage is a row of gids and a BFS frontier an ``(n, n_groups)`` array.
-    Group-level placements come from the shared bounded memos in
-    :mod:`repro.core.permutations` and land in one :class:`_Table` per
-    (group, demand multiset).  A row is filled only for a gid that occurs
-    in a frontier row whose earlier groups fit the VM, so the build never
-    walks a group's whole placement closure.
+    Group-level placements land in one :class:`_Table` per (group, demand
+    multiset): the balanced packings of all rows to fill from one
+    :func:`repro.core.permutations.balanced_group_packings` call (the
+    placement memo is left to the on-line path), the exhaustive
+    enumerations from the shared bounded memos.  A row is filled only for
+    a gid that occurs in a frontier row whose earlier groups fit the VM,
+    so the build never walks a group's whole placement closure.
 
     :meth:`expand` emits candidates in (parent, VM type, option) order,
     last group varying fastest: the order the per-node builder found
@@ -404,22 +407,34 @@ class _SuccessorEngine:
             table.start = np.concatenate((table.start, np.zeros(grow, np.int64)))
             table.count = np.concatenate((table.count, np.full(grow, -1)))
         gids = gids[table.count[gids] < 0]
-        group, memo, usages = self._groups[g], self._memos[g], self._gusages[g]
-        counts: List[int] = []
-        pool: List[int] = []
-        placements: Tuple[permutations.GroupPlacement, ...]
-        for gid in gids.tolist():
-            if self.strategy is SuccessorStrategy.BALANCED:
-                placed = memo.balanced(group, usages[gid], table.live)
-                placements = () if placed is None else (placed,)
-            else:
+        if not len(gids):
+            return
+        group, usages = self._groups[g], self._gusages[g]
+        if self.strategy is SuccessorStrategy.BALANCED:
+            new_usages, _, fits = permutations.balanced_group_packings(
+                group, np.array([usages[gid] for gid in gids.tolist()]),
+                table.live,
+            )
+            # Most successors are distinct, so interning every row costs
+            # less than deduplicating the rows first.
+            filled = fits.astype(np.int64)
+            pool = np.array(
+                [self._gid(g, tuple(u)) for u in new_usages[fits].tolist()],
+                dtype=np.int64,
+            )
+        else:
+            memo = self._memos[g]
+            counts: List[int] = []
+            successors: List[int] = []
+            for gid in gids.tolist():
                 placements = memo.enumerated(group, usages[gid], table.live)
-            counts.append(len(placements))
-            pool.extend(self._gid(g, p.new_usage) for p in placements)
-        filled = np.array(counts, dtype=np.int64)
+                counts.append(len(placements))
+                successors.extend(self._gid(g, p.new_usage) for p in placements)
+            filled = np.array(counts, dtype=np.int64)
+            pool = np.array(successors, dtype=np.int64)
         table.start[gids] = len(table.pool) + np.cumsum(filled) - filled
         table.count[gids] = filled
-        table.pool = np.concatenate((table.pool, np.array(pool, np.int64)))
+        table.pool = np.concatenate((table.pool, pool))
 
     def expand(self, frontier: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(parents, rows)``: frontier row indices and successor gid rows.

@@ -27,6 +27,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.profile import MachineShape, ResourceGroup, Usage, VMType
 
 __all__ = [
@@ -38,6 +40,7 @@ __all__ = [
     "enumerate_group_placements",
     "enumerate_placements",
     "balanced_group_placement",
+    "balanced_group_packings",
     "balanced_placement",
     "first_fit_group_placement",
     "first_fit_placement",
@@ -120,11 +123,14 @@ _MAX_MEMOIZED_GROUPS = 1024
 class GroupPlacementMemo:
     """Bounded LRU memo of group-level placement results for one group.
 
-    The profile-graph BFS revisits the same (canonical group usage,
-    demand multiset) state thousands of times across nodes and VM types;
-    both the exhaustive enumeration and the balanced packing are pure
-    functions of that pair, so their results — immutable tuples of
-    frozen :class:`GroupPlacement` — are computed once and shared.
+    Both the exhaustive enumeration and the balanced packing are pure
+    functions of the (canonical group usage, demand multiset) pair, so
+    their results — immutable tuples of frozen :class:`GroupPlacement`
+    — are computed once and shared.  The enumeration table serves
+    Algorithm 2's candidate enumeration and the ``ALL_PLACEMENTS``
+    profile-graph build; the balanced table serves only the on-line
+    placements (the ``BALANCED`` graph build packs a whole frontier at
+    once with :func:`balanced_group_packings` and never reads it).
 
     Keys are ``(usage tuple, live-chunk multiset)``; the group signature
     is implicit because each memo belongs to exactly one group in the
@@ -555,6 +561,47 @@ def _balanced_group_placement_uncached(
     return GroupPlacement(
         new_usage=_canonical_group(group, new_usage), assignment=tuple(assignment)
     )
+
+
+def balanced_group_packings(
+    group: ResourceGroup, usages: np.ndarray, live_asc: Tuple[int, ...]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_balanced_group_placement_uncached` for many usages at once.
+
+    ``usages`` is a ``(k, n_units)`` int array of group usages and
+    ``live_asc`` a normalized demand multiset.  Returns ``(new_usages,
+    units, fits)``: row ``i`` of ``new_usages`` is the canonical usage
+    after the packing, ``units[i, j]`` the unit receiving the ``j``-th
+    largest chunk (the assignment order), and ``fits[i]`` is False where
+    the packing fails, which leaves that row of the other two arrays
+    meaningless.
+    """
+    usages = np.asarray(usages, dtype=np.int64)
+    k, n_units = usages.shape
+    chunks = np.array(live_asc[::-1], dtype=np.int64)
+    caps = np.array(group.capacities, dtype=np.int64)
+    units = np.zeros((k, len(chunks)), dtype=np.int64)
+    if not group.anti_collocation:
+        new_usages = usages + chunks.sum()
+        return new_usages, units, (new_usages[:, 0] <= caps[0]) | (not live_asc)
+    if len(chunks) > n_units:
+        return usages.copy(), units, np.zeros(k, dtype=bool)
+    # Most free capacity first, then least used, then lowest index (the
+    # sort is stable): the one-row packing's unit order, row by row.
+    units = np.lexsort((usages, usages - caps), axis=-1)[:, :len(chunks)]
+    packed = np.take_along_axis(usages, units, axis=1) + chunks
+    fits = (packed <= caps[units]).all(axis=1)
+    new_usages = usages.copy()
+    np.put_along_axis(new_usages, units, packed, axis=1)
+    # Canonical form: each equal-capacity run sorted; capacities are
+    # sorted, so one row sort keyed on (capacity, usage) does every run.
+    if group.uniform():
+        new_usages.sort(axis=1)
+    else:
+        run_key = np.broadcast_to(caps, usages.shape)
+        by_run = np.lexsort((new_usages, run_key), axis=-1)
+        new_usages = np.take_along_axis(new_usages, by_run, axis=1)
+    return new_usages, units, fits
 
 
 def balanced_placement(

@@ -180,6 +180,37 @@ class TestCheckTrajectory:
         assert check.status == "no-history"
         assert check.n_history == 2
 
+    def test_metric_missing_from_the_newest_entry_is_not_judged(
+        self, tmp_path
+    ):
+        # Full entries carry the speedup; the newest (quick) entry does
+        # not.  The full history's last value — degraded as it is — must
+        # not be judged again: it reports not-recorded and the gate
+        # passes, while the metric the newest entry carries is judged.
+        entries = [
+            {"snap_lookups_per_s": 1000.0, "pagerank_speedup_vs_seed": v}
+            for v in (10.0, 10.5, 9.5, 10.0, 2.0)
+        ] + [{"snap_lookups_per_s": 990.0, "quick": True}]
+        path = write_trajectory(tmp_path / "b.json", entries)
+        report = check_trajectory(path)
+        assert report.ok
+        by_metric = {c.metric: c for c in report.checks}
+        skipped = by_metric["pagerank_speedup_vs_seed"]
+        assert skipped.status == "not-recorded"
+        assert skipped.latest is None and skipped.n_history == 5
+        assert "absent from the newest harness entry" in report.describe()
+        assert by_metric["snap_lookups_per_s"].status == "no-history"
+
+        # Once the newest entry carries it again, it is judged (and the
+        # degraded full value now sits in its history, as it should).
+        entries.append(
+            {"snap_lookups_per_s": 1000.0, "pagerank_speedup_vs_seed": 1.0}
+        )
+        path = write_trajectory(tmp_path / "b.json", entries)
+        (degraded,) = check_trajectory(path).degraded
+        assert degraded.metric == "pagerank_speedup_vs_seed"
+        assert degraded.latest == 1.0
+
     def test_hosts_with_other_cpu_counts_never_mix(self, tmp_path):
         # A 2-CPU entry with only 1-CPU history has no baseline, however
         # far it sits from the 1-CPU values.

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.ec2 import EC2_VM_TYPES, ec2_pm_shape
 from repro.core import permutations
 from repro.core.graph import (
     GraphLimitExceeded,
@@ -423,3 +424,42 @@ class TestLevelBuildMatchesOracle:
             want = oracle_graph(shape, vm_types, strategy, node_limit=5000)
             got = build_profile_graph(shape, vm_types, strategy, node_limit=5000)
             assert_same_graph(got, want)
+
+
+#: Several equal-capacity runs in both anti-collocation groups, so the
+#: run-wise canonical sort of the batched packing shapes the node ids.
+MIXED_RUNS = MachineShape(groups=(
+    ResourceGroup("cpu", (3, 3, 5, 5, 6)),
+    ResourceGroup("mem", (16,), anti_collocation=False),
+    ResourceGroup("disk", (4, 6, 6)),
+))
+MIXED_RUNS_VMS = (
+    VMType("small", ((1,), (1,), (1,))),
+    VMType("wide", ((1, 1, 1), (2,), (2, 2))),
+    VMType("big", ((3, 2), (3,), (5,))),
+)
+
+
+class TestBalancedBuild:
+    """BALANCED packs each table's frontier rows in one array pass."""
+
+    @pytest.mark.parametrize("shape, vm_types", [
+        (ec2_pm_shape("M3"), EC2_VM_TYPES),
+        (MIXED_RUNS, MIXED_RUNS_VMS),
+    ], ids=["M3", "mixed-runs"])
+    def test_frozen_per_node_builder_agrees(self, shape, vm_types):
+        strategy = SuccessorStrategy.BALANCED
+        got = build_profile_graph(shape, vm_types, strategy)
+        assert got.n_nodes > 100
+        assert_same_graph(got, oracle_graph(shape, vm_types, strategy))
+
+    def test_cold_build_leaves_the_balanced_memo_empty(self):
+        permutations.clear_group_memos()
+        strategy = SuccessorStrategy.BALANCED
+        build_profile_graph(MIXED_RUNS, MIXED_RUNS_VMS, strategy)
+        memos = list(permutations._GROUP_MEMOS.values())
+        assert len(memos) == len(MIXED_RUNS.groups)
+        assert [len(m._balanced) for m in memos] == [0, 0, 0]
+        # The probe sees a build that does fill the memo: the oracle's.
+        oracle_graph(MIXED_RUNS, MIXED_RUNS_VMS, strategy)
+        assert all(len(m._balanced) for m in memos)

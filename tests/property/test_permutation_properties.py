@@ -1,12 +1,15 @@
 """Property-based tests for placement enumeration invariants."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster.ec2 import EC2_VM_TYPES, ec2_pm_shape
 from repro.core.permutations import (
     Placement,
+    _balanced_group_placement_uncached,
     apply_assignments,
+    balanced_group_packings,
     balanced_placement,
     can_place,
     enumerate_placements,
@@ -183,3 +186,62 @@ class TestRemapPlacement:
             assert shape.canonicalize(
                 apply_assignments(usage, remapped.assignments)
             ) == placement.new_usage
+
+
+@st.composite
+def packing_batches(draw):
+    """One group, one demand multiset and a batch of real-order usages.
+
+    Anti-collocation groups have one to three equal-capacity runs (no
+    EC2 shape has more than one run per group) with small capacities,
+    so usages tie in ``usage - capacity`` across runs and in ``(usage -
+    capacity, usage)`` within a run; usages reach capacity; demand sets
+    run from empty to one chunk more than there are units.
+    """
+    if draw(st.booleans()):
+        run_caps = sorted(draw(st.sets(
+            st.integers(min_value=1, max_value=5), min_size=1, max_size=3
+        )))
+        caps = tuple(
+            cap
+            for cap in run_caps
+            for _ in range(draw(st.integers(min_value=1, max_value=3)))
+        )
+        group = ResourceGroup(name="cpu", capacities=caps)
+    else:
+        group = ResourceGroup(
+            name="mem",
+            capacities=(draw(st.integers(min_value=1, max_value=8)),),
+            anti_collocation=False,
+        )
+    usages = draw(st.lists(
+        st.tuples(*(st.integers(min_value=0, max_value=c)
+                    for c in group.capacities)),
+        min_size=1, max_size=6,
+    ))
+    live = tuple(sorted(draw(st.lists(
+        st.integers(min_value=1, max_value=max(group.capacities)),
+        max_size=group.n_units + 1,
+    ))))
+    return group, usages, live
+
+
+class TestBalancedPackings:
+    """The batched packing equals the one-row packing, row by row."""
+
+    @given(packing_batches())
+    @settings(max_examples=400)
+    def test_matches_the_one_row_packing(self, case):
+        group, usages, live = case
+        new_usages, units, fits = balanced_group_packings(
+            group, np.array(usages, dtype=np.int64), live
+        )
+        chunks = live[::-1]
+        for i, usage in enumerate(usages):
+            want = _balanced_group_placement_uncached(group, usage, live)
+            if want is None:
+                assert not fits[i]
+                continue
+            assert fits[i]
+            assert tuple(new_usages[i].tolist()) == want.new_usage
+            assert tuple(zip(units[i].tolist(), chunks)) == want.assignment
