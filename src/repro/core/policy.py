@@ -270,8 +270,11 @@ _CACHE_MISS = object()
 #: Bound of the best-candidate memo.  Long dynamic runs visit an
 #: unbounded stream of profiles, so the memo follows the same LRU
 #: discipline (and size) as the ScoreTable snap cache instead of growing
-#: without limit.
+#: without limit.  The realization memo shares the bound.
 DEFAULT_CANDIDATE_CACHE_SIZE = 65_536
+
+# Realization memo entry: (cached winner, its remapped placement).
+_Realized = Tuple[Placement, Placement]
 
 
 class CandidateCacheInfo(NamedTuple):
@@ -300,7 +303,8 @@ class ProfileScorePolicy(PlacementPolicy):
             injected.
 
     The best-candidate memo is LRU-bounded by
-    :data:`DEFAULT_CANDIDATE_CACHE_SIZE`.
+    :data:`DEFAULT_CANDIDATE_CACHE_SIZE`; the realization memo
+    (:meth:`_realize`) is emptied whenever it reaches that size.
     """
 
     def __init__(
@@ -317,6 +321,7 @@ class ProfileScorePolicy(PlacementPolicy):
         )
         self._cache_hits = 0
         self._cache_misses = 0
+        self._realized: Dict[Tuple[Usage, int], _Realized] = {}
 
     @abc.abstractmethod
     def profile_score(self, shape: MachineShape, usage: Usage) -> Any:
@@ -344,6 +349,7 @@ class ProfileScorePolicy(PlacementPolicy):
     def invalidate_cache(self) -> None:
         """Drop cached candidates (call if score definitions change)."""
         self._cache.clear()
+        self._realized.clear()
         self._cache_hits = 0
         self._cache_misses = 0
         super().invalidate_cache()
@@ -438,11 +444,30 @@ class ProfileScorePolicy(PlacementPolicy):
     ) -> PlacementDecision:
         """The decision placing the cached winning ``placement`` on
         ``machine``: its canonical unit indices remapped to the
-        machine's real unit order, with no re-enumeration."""
+        machine's real unit order, with no re-enumeration.
+
+        The remapped placement is memoized by (the machine's real usage,
+        the winner's identity): a run realizes few distinct pairs many
+        times, so a hit builds only the decision.  The entry holds the
+        winner, which keeps its ``id`` from being reused while the entry
+        lives, and is checked with ``is``.  The key needs no shape: a
+        winner is scored for one shape (by :meth:`_shape_key`) and is
+        realized only on machines of that shape.  :func:`remap_placement`
+        is the miss path.
+        """
+        usage = machine.usage
+        key = (usage, id(placement))
+        entry = self._realized.get(key)
+        if entry is None or entry[0] is not placement:
+            if len(self._realized) >= DEFAULT_CANDIDATE_CACHE_SIZE:
+                self._realized.clear()
+            entry = (
+                placement,
+                remap_placement(machine.shape, usage, placement),
+            )
+            self._realized[key] = entry
         return PlacementDecision(
-            pm_id=machine.pm_id,
-            placement=remap_placement(machine.shape, machine.usage, placement),
-            score=score,
+            pm_id=machine.pm_id, placement=entry[1], score=score
         )
 
     # ------------------------------------------------------------------

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core import policy as policy_module
+from repro.core.permutations import Placement, remap_placement
 from repro.core.policy import PlacementPolicy, ProfileScorePolicy
 from repro.core.profile import MachineShape, ResourceGroup
 
@@ -182,6 +184,77 @@ class TestRealization:
             decision = policy.select(vm2, [machine])
             for unit, chunk in decision.placement.assignments[0]:
                 assert machine.usage[0][unit] + chunk <= 4
+
+
+class TestRealizationMemo:
+    def test_forged_entry_for_another_winner_misses(
+        self, toy_shape, vm2, fake_machine
+    ):
+        # A key matching (usage, id) whose entry holds a different winner
+        # object must be recomputed, not trusted.
+        machine = fake_machine(0, toy_shape, ((3, 2, 1, 0),))
+        policy = UtilizationPolicy()
+        score, _, winner = policy.best_candidate(
+            toy_shape, machine.usage, vm2
+        )
+        stale = Placement(new_usage=winner.new_usage,
+                          assignments=(((0, 1), (1, 1)),))
+        policy._realized[(machine.usage, id(winner))] = (stale, stale)
+        decision = policy._realize(machine, score, winner)
+        assert decision.placement == remap_placement(
+            toy_shape, machine.usage, winner
+        )
+        assert decision.placement != stale
+
+    def test_hit_shares_the_realized_placement(
+        self, toy_shape, vm2, fake_machine
+    ):
+        a = fake_machine(0, toy_shape, ((3, 2, 1, 0),))
+        b = fake_machine(1, toy_shape, ((3, 2, 1, 0),))
+        policy = UtilizationPolicy()
+        first = policy.select(vm2, [a])
+        second = policy.select(vm2, [b])
+        assert (first.pm_id, second.pm_id) == (0, 1)
+        assert second.placement is first.placement
+        assert len(policy._realized) == 1
+
+    def test_memo_never_exceeds_the_bound(
+        self, toy_shape, vm2, vm4, fake_machine, monkeypatch
+    ):
+        usages = [((a, b, c, 0),) for a in range(3) for b in range(3)
+                  for c in range(3)]
+
+        def decisions(policy, bound=None):
+            made = []
+            for i, usage in enumerate(usages):
+                machine = fake_machine(i, toy_shape, usage)
+                for vm in (vm2, vm4, vm2):
+                    decision = policy.select(vm, [machine])
+                    made.append(None if decision is None else
+                                (decision.pm_id, decision.placement,
+                                 decision.score))
+                    if bound is not None:
+                        assert len(policy._realized) <= bound
+            return made
+
+        unbounded_policy = UtilizationPolicy()
+        unbounded = decisions(unbounded_policy)
+        assert len(unbounded_policy._realized) > 4
+        monkeypatch.setattr(policy_module, "DEFAULT_CANDIDATE_CACHE_SIZE", 4)
+        assert decisions(UtilizationPolicy(), bound=4) == unbounded
+
+    def test_invalidate_cache_empties_the_memo(
+        self, toy_shape, vm2, fake_machine
+    ):
+        machine = fake_machine(0, toy_shape, ((1, 0, 0, 0),))
+        policy = UtilizationPolicy()
+        first = policy.select(vm2, [machine])
+        assert policy._realized
+        policy.invalidate_cache()
+        assert policy._realized == {}
+        again = policy.select(vm2, [machine])
+        assert again.placement == first.placement
+        assert again.placement is not first.placement
 
 
 class TestCandidateModes:

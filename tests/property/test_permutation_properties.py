@@ -16,6 +16,7 @@ from repro.core.permutations import (
     first_fit_placement,
     remap_placement,
 )
+from repro.core.policy import ProfileScorePolicy
 from repro.core.profile import MachineShape, ResourceGroup, VMType
 
 
@@ -155,11 +156,9 @@ REMAP_SHAPES = (
 )
 
 
-@st.composite
-def tie_heavy_cases(draw):
-    """Real-unit-order usages drawn from three loads per group (many ties)."""
-    shape = draw(st.sampled_from(REMAP_SHAPES))
-    usage = tuple(
+def _tie_heavy_usage(draw, shape):
+    """A real-unit-order usage drawn from three loads per group (many ties)."""
+    return tuple(
         tuple(
             draw(st.sampled_from((0, min(group.capacities) // 4,
                                   min(group.capacities) // 2)))
@@ -167,8 +166,13 @@ def tie_heavy_cases(draw):
         )
         for group in shape.groups
     )
-    vm = draw(st.sampled_from(EC2_VM_TYPES))
-    return shape, usage, vm
+
+
+@st.composite
+def tie_heavy_cases(draw):
+    shape = draw(st.sampled_from(REMAP_SHAPES))
+    usage = _tie_heavy_usage(draw, shape)
+    return shape, usage, draw(st.sampled_from(EC2_VM_TYPES))
 
 
 class TestRemapPlacement:
@@ -186,6 +190,102 @@ class TestRemapPlacement:
             assert shape.canonicalize(
                 apply_assignments(usage, remapped.assignments)
             ) == placement.new_usage
+
+
+class _UtilizationPolicy(ProfileScorePolicy):
+    """Prefer fuller profiles, enumerating candidates in ``mode``."""
+
+    name = "util"
+
+    def __init__(self, mode):
+        super().__init__()
+        self._mode = mode
+
+    def profile_score(self, shape, usage):
+        return shape.utilization(usage)
+
+    def candidate_mode(self, shape):
+        return self._mode
+
+
+class _Machine:
+    """A machine view whose usage the test updates in place."""
+
+    def __init__(self, pm_id, shape, usage):
+        self.pm_id, self.shape, self.usage = pm_id, shape, usage
+
+    @property
+    def is_used(self):
+        return any(any(group) for group in self.usage)
+
+
+@st.composite
+def realize_fleets(draw):
+    """A fleet of either the mixed-runs toy shape or M3 + C3 machines.
+
+    Usages come from a pool of two per shape, so machines repeat real
+    usages and the realization memo hits across them.
+    """
+    if draw(st.booleans()):
+        shapes = (REMAP_SHAPES[2],)
+    else:
+        shapes = REMAP_SHAPES[:2]
+    pools = {shape: [_tie_heavy_usage(draw, shape) for _ in range(2)]
+             for shape in shapes}
+    machines = []
+    for pm_id in range(draw(st.integers(min_value=2, max_value=6))):
+        shape = draw(st.sampled_from(shapes))
+        machines.append(
+            _Machine(pm_id, shape, draw(st.sampled_from(pools[shape])))
+        )
+    vms = draw(st.lists(st.sampled_from(EC2_VM_TYPES), min_size=1,
+                        max_size=6))
+    mode = draw(st.sampled_from(("all", "balanced")))
+    return machines, vms, mode
+
+
+class TestRealizationMemo:
+    @given(realize_fleets())
+    @settings(max_examples=100, deadline=None)
+    def test_memoized_realize_matches_the_remap_oracles(self, case):
+        machines, vms, mode = case
+        policy = _UtilizationPolicy(mode)
+        winners = {}  # id -> (winner, shape it was realized on)
+        for vm in vms:
+            for machine in machines:
+                candidate = policy.best_candidate(
+                    machine.shape, machine.usage, vm
+                )
+                if candidate is None:
+                    continue
+                score, _, winner = candidate
+                realized = policy._realize(machine, score, winner).placement
+                assert realized == remap_placement(
+                    machine.shape, machine.usage, winner
+                )
+                assert realized == remap_by_usage_then_index(
+                    machine.shape, machine.usage, winner
+                )
+            decision = policy.select(vm, machines)
+            if decision is None:
+                continue
+            machine = machines[decision.pm_id]
+            winner = policy.best_candidate(machine.shape, machine.usage, vm)[2]
+            # One winner object is realized on one shape only, which is
+            # why the memo key leaves the shape out.
+            seen = winners.setdefault(id(winner), (winner, machine.shape))
+            assert seen[0] is winner and seen[1] == machine.shape
+            assert decision.placement == remap_by_usage_then_index(
+                machine.shape, machine.usage, winner
+            )
+            # The same state again is a memo hit: the realized placement
+            # is shared, not rebuilt.
+            again = policy.select(vm, machines)
+            assert again.pm_id == decision.pm_id
+            assert again.placement is decision.placement
+            machine.usage = apply_assignments(
+                machine.usage, decision.placement.assignments
+            )
 
 
 @st.composite
