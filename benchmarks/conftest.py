@@ -6,8 +6,13 @@ evaluation section.  Scale is controlled by ``REPRO_BENCH_SCALE``:
 
 * ``small`` (default) — a faithful scaled-down grid that preserves each
   figure's shape and finishes in minutes;
-* ``paper`` — the paper's grid (1000-3000 VMs, 100 repetitions); expect
-  hours in pure Python.
+* ``paper`` — the paper's grid (1000-3000 VMs, 100 repetitions).  On a
+  2-CPU host, run serially, one repetition of the four simulation
+  policies took 1.7-3.5 s at 1000 VMs and 5.8-9.6 s at 3000 VMs once
+  the score tables existed (3.0-5.0 s and 9.1-11.8 s for a fresh
+  process's first repetition, tables included), so the simulation grid
+  of Figures 3/5/6/7 takes about an hour on one core for both traces.
+  The testbed grid (Figures 4/8) was not timed.
 """
 
 import os

@@ -51,7 +51,8 @@ BENCH_FORMAT = benchfile.BENCH_FORMAT
 DEFAULT_OUT = Path(__file__).resolve().parent.parent / "BENCH_perf.json"
 
 def seed_compute_bpru(graph: ProfileGraph) -> np.ndarray:
-    """The seed repo's BPRU DP: per-call Python sort + per-node loop."""
+    """The seed repo's BPRU DP: per-call Python sort + per-node loop
+    over the successor lists (here, Python slices of the CSR)."""
     utils = np.asarray(
         [graph.shape.utilization(u) for u in graph.profiles], dtype=float
     )
@@ -60,8 +61,9 @@ def seed_compute_bpru(graph: ProfileGraph) -> np.ndarray:
         key=lambda i: sum(sum(g) for g in graph.profiles[i]),
     )
     bpru = utils.copy()
+    bounds, targets = (a.tolist() for a in graph.successor_csr())
     for node in reversed(order):
-        succ = graph.successors[node]
+        succ = targets[bounds[node]:bounds[node + 1]]
         if succ:
             best = max(bpru[s] for s in succ)
             if best > bpru[node]:
@@ -85,8 +87,9 @@ def seed_profile_pagerank(
     n = graph.n_nodes
     srcs: List[int] = []
     dsts: List[int] = []
-    for node, succ in enumerate(graph.successors):
-        for s in succ:
+    bounds, targets = (a.tolist() for a in graph.successor_csr())
+    for node in range(n):
+        for s in targets[bounds[node]:bounds[node + 1]]:
             if vote_direction == "forward":
                 srcs.append(node)
                 dsts.append(s)
@@ -213,12 +216,23 @@ def seed_build_profile_graph(
                 frontier.append(succ_id)
             succ_ids.append(succ_id)
         succ_map[node] = tuple(sorted(set(succ_ids)))
+    successors = [succ_map[i] for i in range(len(profiles))]
     return ProfileGraph(
-        shape=shape,
-        vm_types=vm_types,
-        strategy=SuccessorStrategy.BALANCED,
-        profiles=profiles,
-        successors=[succ_map[i] for i in range(len(profiles))],
+        shape, vm_types, SuccessorStrategy.BALANCED, profiles,
+        np.array(
+            [[u for group in usage for u in group] for usage in profiles],
+            dtype=np.int64,
+        ),
+        np.concatenate(([0], np.cumsum([len(s) for s in successors]))),
+        np.array([d for succ in successors for d in succ], dtype=np.int64),
+    )
+
+
+def same_graph(left: ProfileGraph, right: ProfileGraph) -> bool:
+    """True when two graphs have the same profiles and CSR adjacency."""
+    return left.profiles == right.profiles and all(
+        np.array_equal(a, b)
+        for a, b in zip(left.successor_csr(), right.successor_csr())
     )
 
 
@@ -354,10 +368,7 @@ def measure_graph_build(repeats: int = 3) -> Dict[str, object]:
     seed_wall = time.perf_counter() - seed_start
     metrics["graph_build_seed_wall_s"] = seed_wall
     metrics["graph_build_speedup_vs_seed"] = seed_wall / serial_wall
-    metrics["graph_build_matches_seed"] = (
-        seed_graph.profiles == serial.profiles
-        and seed_graph.successors == serial.successors
-    )
+    metrics["graph_build_matches_seed"] = same_graph(seed_graph, serial)
 
     with tempfile.TemporaryDirectory() as cache_dir:
         load_or_build_profile_graph(  # populate the cache
@@ -372,10 +383,7 @@ def measure_graph_build(repeats: int = 3) -> Dict[str, object]:
             cache_dir=cache_dir,
         )
         metrics["graph_cache_load_wall_s"] = time.perf_counter() - start
-        metrics["graph_cache_load_identical"] = (
-            cached.profiles == serial.profiles
-            and cached.successors == serial.successors
-        )
+        metrics["graph_cache_load_identical"] = same_graph(cached, serial)
     return metrics
 
 

@@ -74,54 +74,40 @@ class GraphLimitExceeded(RuntimeError):
     """Raised when graph generation would exceed ``node_limit`` nodes."""
 
 
-@dataclass
+@dataclass(eq=False)
 class ProfileGraph:
-    """An immutable profile graph plus index structures.
+    """An immutable profile graph: node profiles and their arrays.
 
     Attributes:
         shape: the PM shape the graph is built for.
         vm_types: the VM type set ``S_v`` driving the edges.
         strategy: the successor strategy used.
         profiles: node id -> canonical usage.
-        successors: node id -> sorted tuple of distinct successor node ids.
+        flat: the profiles as an ``(n_nodes, n_dimensions)`` matrix.
+        indptr, indices: the adjacency in CSR form;
+            ``indices[indptr[i]:indptr[i + 1]]`` are node ``i``'s distinct
+            successor ids, sorted ascending.
+
+    The three arrays are int64 and read-only; a consumer that needs to
+    write copies first.
     """
 
     shape: MachineShape
     vm_types: Tuple[VMType, ...]
     strategy: SuccessorStrategy
     profiles: List[Usage]
-    successors: List[Tuple[int, ...]]
-    _index: Dict[Usage, int] = field(init=False, repr=False)
+    flat: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
     _derived: Dict[str, Any] = field(
-        default_factory=dict, repr=False, compare=False
+        default_factory=dict, init=False, repr=False
     )
 
     def __post_init__(self) -> None:
-        self._index = {usage: i for i, usage in enumerate(self.profiles)}
-
-    @classmethod
-    def from_csr(
-        cls,
-        shape: MachineShape,
-        vm_types: Tuple[VMType, ...],
-        strategy: SuccessorStrategy,
-        profiles: List[Usage],
-        indptr: np.ndarray,
-        indices: np.ndarray,
-    ) -> "ProfileGraph":
-        """A graph from its int64 CSR adjacency, kept as the CSR memo."""
-        bounds, flat = indptr.tolist(), indices.tolist()
-        graph = cls(
-            shape=shape,
-            vm_types=vm_types,
-            strategy=strategy,
-            profiles=profiles,
-            successors=[
-                tuple(flat[bounds[i]:bounds[i + 1]]) for i in range(len(profiles))
-            ],
-        )
-        graph.memo("successor_csr", lambda: (indptr, indices))
-        return graph
+        for name in ("flat", "indptr", "indices"):
+            array = np.asarray(getattr(self, name), dtype=np.int64)
+            array.flags.writeable = False
+            setattr(self, name, array)
 
     @property
     def n_nodes(self) -> int:
@@ -131,15 +117,22 @@ class ProfileGraph:
     @property
     def n_edges(self) -> int:
         """Number of distinct (profile, successor-profile) edges."""
-        return sum(len(s) for s in self.successors)
+        return int(self.indptr[-1])
 
     def node_id(self, usage: Usage) -> Optional[int]:
         """Node id of a canonical usage, or None if absent."""
-        return self._index.get(usage)
+        return self._node_index().get(usage)
 
     def contains(self, usage: Usage) -> bool:
         """True when the canonical usage is a node of the graph."""
-        return usage in self._index
+        return usage in self._node_index()
+
+    def _node_index(self) -> Dict[Usage, int]:
+        """Usage -> node id, built on the first lookup (the hot paths
+        read the arrays and never look a usage up)."""
+        return self.memo(
+            "node_index", lambda: {u: i for i, u in enumerate(self.profiles)}
+        )
 
     def profile(self, node: int) -> Profile:
         """The :class:`Profile` of a node id."""
@@ -147,18 +140,18 @@ class ProfileGraph:
 
     def out_degree(self, node: int) -> int:
         """Out-degree |S(P_i)| of a node."""
-        return len(self.successors[node])
+        return int(self.indptr[node + 1] - self.indptr[node])
 
     def sinks(self) -> List[int]:
         """Node ids that cannot accommodate any further VM."""
-        return [i for i, succ in enumerate(self.successors) if not succ]
+        return np.flatnonzero(np.diff(self.indptr) == 0).tolist()
 
     def memo(self, key: str, builder: Callable[[], Any]) -> Any:
         """Cache an immutable derived structure on the graph.
 
-        The graph never changes after construction, so flat matrices,
-        edge arrays and DP schedules are built once and shared by every
-        consumer (PageRank kernel, BPRU/EFU DPs, benchmarks).
+        The graph never changes after construction, so edge arrays and
+        DP schedules are built once and shared by every consumer
+        (PageRank kernel, BPRU/EFU DPs, benchmarks).
         """
         try:
             return self._derived[key]
@@ -169,15 +162,7 @@ class ProfileGraph:
 
     def flat_profiles(self) -> np.ndarray:
         """All profiles flattened to an (n_nodes, n_dimensions) int matrix."""
-        def build() -> np.ndarray:
-            m = self.shape.n_dimensions
-            flat = np.fromiter(
-                (u for usage in self.profiles for group in usage for u in group),
-                dtype=np.int64, count=self.n_nodes * m,
-            )
-            return flat.reshape(self.n_nodes, m)
-
-        return self.memo("flat_profiles", build)
+        return self.flat
 
     def packed_profiles(self) -> np.ndarray:
         """All profiles as a packed unsigned (n_nodes, n_dimensions) matrix.
@@ -193,20 +178,8 @@ class ProfileGraph:
         )
 
     def successor_csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The adjacency in CSR form: ``(indptr, indices)`` int64 arrays.
-
-        ``indices[indptr[i]:indptr[i + 1]]`` are node ``i``'s successor
-        ids, sorted ascending (the order of :attr:`successors`).
-        """
-
-        def build() -> Tuple[np.ndarray, np.ndarray]:
-            out_deg = np.fromiter(map(len, self.successors), dtype=np.int64)
-            indices = np.fromiter(
-                (d for succ in self.successors for d in succ), dtype=np.int64
-            )
-            return np.concatenate(([0], np.cumsum(out_deg))), indices
-
-        return self.memo("successor_csr", build)
+        """The adjacency in CSR form: ``(indptr, indices)`` int64 arrays."""
+        return self.indptr, self.indices
 
     def total_units_array(self) -> np.ndarray:
         """Total used units per node (the topological level of each node)."""
@@ -226,12 +199,6 @@ class ProfileGraph:
                 int(i)
                 for i in np.argsort(self.total_units_array(), kind="stable")
             ],
-        )
-
-    def utilizations(self) -> List[float]:
-        """Mean per-dimension utilization of every node."""
-        return self.memo(
-            "utilizations", lambda: [float(u) for u in self.utilization_array()]
         )
 
     def utilization_array(self) -> np.ndarray:
@@ -552,14 +519,12 @@ def _build(
         targets.append(edges % n_nodes)
 
     rows = np.concatenate(blocks)
-    graph = ProfileGraph.from_csr(
+    return ProfileGraph(
         shape, vm_types, strategy, engine.profiles_of(rows),
+        engine.flat_of(rows),
         np.concatenate(([0], np.cumsum(np.concatenate(degrees)))),
         np.concatenate(targets),
     )
-    flat_profiles = engine.flat_of(rows)
-    graph.memo("flat_profiles", lambda: flat_profiles)
-    return graph
 
 
 def build_profile_graph(

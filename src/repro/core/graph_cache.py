@@ -242,12 +242,10 @@ def load_graph(
             f"cached profile graph has {n_nodes} nodes "
             f"(> node_limit={node_limit})"
         )
-    graph = ProfileGraph.from_csr(
+    graph = ProfileGraph(
         shape, vm_types, strategy, _unpack_profiles(shape, profiles_matrix),
-        indptr.astype(np.int64), indices.astype(np.int64),
+        profiles_matrix.astype(np.int64), indptr, indices,
     )
-    packed = np.ascontiguousarray(profiles_matrix)
-    graph.memo("packed_profiles", lambda: packed)
     _CACHE_EVENTS["hits"] += 1
     return graph
 

@@ -26,6 +26,12 @@ from repro.core.profile import (
 from repro.util.validation import ValidationError
 
 
+def successors_of(graph: ProfileGraph, node: int) -> Tuple[int, ...]:
+    """Node ``node``'s successor ids: its slice of the CSR."""
+    indptr, indices = graph.successor_csr()
+    return tuple(indices[indptr[node]:indptr[node + 1]].tolist())
+
+
 class TestFullMode:
     def test_toy_node_count(self, toy_graph):
         assert toy_graph.n_nodes == 70
@@ -43,26 +49,26 @@ class TestFullMode:
             for vm in toy_vm_types:
                 for placed in enumerate_placements(toy_shape, usage, vm):
                     expected.add(placed.new_usage)
-            got = {toy_graph.profiles[s] for s in toy_graph.successors[node]}
+            got = {toy_graph.profiles[s] for s in successors_of(toy_graph, node)}
             assert got == expected
 
     def test_graph_is_dag(self, toy_graph):
         # Total usage strictly increases along every edge.
-        for node, successors in enumerate(toy_graph.successors):
+        for node in range(toy_graph.n_nodes):
             node_units = sum(sum(g) for g in toy_graph.profiles[node])
-            for succ in successors:
+            for succ in successors_of(toy_graph, node):
                 succ_units = sum(sum(g) for g in toy_graph.profiles[succ])
                 assert succ_units > node_units
 
     def test_best_profile_is_sink(self, toy_graph, toy_shape):
         full_id = toy_graph.node_id(toy_shape.full_usage())
-        assert toy_graph.successors[full_id] == ()
+        assert successors_of(toy_graph, full_id) == ()
 
     def test_topological_order_respects_edges(self, toy_graph):
         position = {n: i for i, n in enumerate(toy_graph.topological_order())}
-        for node, successors in enumerate(toy_graph.successors):
-            for succ in successors:
-                assert position[node] < position[succ]
+        src, dst = toy_graph.edge_arrays()
+        for node, succ in zip(src.tolist(), dst.tolist()):
+            assert position[node] < position[succ]
 
 
 class TestReachableMode:
@@ -92,8 +98,7 @@ class TestBalancedStrategy:
             strategy=SuccessorStrategy.BALANCED,
             mode="reachable",
         )
-        for successors in graph.successors:
-            assert len(successors) <= len(toy_vm_types)
+        assert np.diff(graph.indptr).max() <= len(toy_vm_types)
 
     def test_balanced_subgraph_of_all_placements(self, toy_shape, toy_vm_types):
         balanced = build_profile_graph(
@@ -140,7 +145,10 @@ class TestValidation:
 
 class TestGraphQueries:
     def test_n_edges(self, toy_graph):
-        assert toy_graph.n_edges == sum(len(s) for s in toy_graph.successors)
+        assert toy_graph.n_edges == sum(
+            toy_graph.out_degree(n) for n in range(toy_graph.n_nodes)
+        )
+        assert toy_graph.n_edges == len(toy_graph.indices)
 
     def test_node_id_roundtrip(self, toy_graph):
         for node in range(0, toy_graph.n_nodes, 7):
@@ -159,8 +167,8 @@ class TestGraphQueries:
             )
 
     def test_utilizations_in_unit_interval(self, toy_graph):
-        utils = toy_graph.utilizations()
-        assert all(0.0 <= u <= 1.0 for u in utils)
+        utils = toy_graph.utilization_array()
+        assert np.all((0.0 <= utils) & (utils <= 1.0))
 
     def test_profile_accessor(self, toy_graph):
         profile = toy_graph.profile(0)
@@ -173,13 +181,40 @@ class TestGraphQueries:
             packed.astype(np.int64), toy_graph.flat_profiles()
         )
 
+    def test_node_index_is_built_on_first_lookup(self, toy_shape, toy_vm_types):
+        graph = build_profile_graph(toy_shape, toy_vm_types, mode="full")
+        assert "node_index" not in graph._derived
+        assert graph.node_id(graph.profiles[5]) == 5
+        assert "node_index" in graph._derived
+
+    def test_cold_score_table_never_builds_the_node_index(self, monkeypatch):
+        from repro.core import graph_cache
+        from repro.core.score_table import build_score_table
+
+        built = []
+
+        def recording_build(*args, **kwargs):
+            built.append(build_profile_graph(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(graph_cache, "build_profile_graph", recording_build)
+        build_score_table(
+            ec2_pm_shape("M3"), EC2_VM_TYPES,
+            strategy=SuccessorStrategy.BALANCED,
+        )
+        assert len(built) == 1 and built[0].n_nodes > 100_000
+        assert "node_index" not in built[0]._derived
+
     def test_successor_csr_matches_successors(self, toy_graph):
         indptr, indices = toy_graph.successor_csr()
+        assert indptr is toy_graph.indptr and indices is toy_graph.indices
         assert indptr.shape == (toy_graph.n_nodes + 1,)
+        assert int(indptr[0]) == 0
         assert int(indptr[-1]) == toy_graph.n_edges
-        for node, succ in enumerate(toy_graph.successors):
-            got = tuple(int(s) for s in indices[indptr[node]:indptr[node + 1]])
-            assert got == succ
+        for node in range(toy_graph.n_nodes):
+            succ = successors_of(toy_graph, node)
+            assert list(succ) == sorted(set(succ))
+            assert len(succ) == toy_graph.out_degree(node)
 
 
 # ----------------------------------------------------------------------
@@ -297,8 +332,13 @@ def oracle_graph(shape, vm_types, strategy, mode="reachable", node_limit=10**6):
             node += 1
         profiles = [engine.usage_of(c) for c in combos]
     return ProfileGraph(
-        shape=shape, vm_types=vm_types, strategy=strategy,
-        profiles=profiles, successors=successors,
+        shape, vm_types, strategy, profiles,
+        np.array(
+            [[u for group in usage for u in group] for usage in profiles],
+            dtype=np.int64,
+        ),
+        np.concatenate(([0], np.cumsum([len(s) for s in successors]))),
+        np.array([d for succ in successors for d in succ], dtype=np.int64),
     )
 
 
@@ -337,7 +377,6 @@ def small_worlds(draw):
 
 def assert_same_graph(got: ProfileGraph, want: ProfileGraph):
     assert got.profiles == want.profiles
-    assert got.successors == want.successors
     for left, right in zip(got.successor_csr(), want.successor_csr()):
         np.testing.assert_array_equal(left, right)
         assert left.dtype == right.dtype

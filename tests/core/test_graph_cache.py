@@ -50,7 +50,11 @@ def _reset_events():
 
 def assert_graphs_equal(left, right):
     assert left.profiles == right.profiles
-    assert left.successors == right.successors
+    for got, want in zip(
+        (left.flat, left.indptr, left.indices),
+        (right.flat, right.indptr, right.indices),
+    ):
+        np.testing.assert_array_equal(got, want)
     assert left.shape == right.shape
     assert left.vm_types == right.vm_types
     assert left.strategy == right.strategy
@@ -124,6 +128,35 @@ class TestRoundTrip:
         graph = load_or_build_profile_graph(toy_shape(), toy_vms())
         assert graph.n_nodes > 0
         assert cache_events() == {"hits": 0, "misses": 0, "corrupt": 0}
+
+
+@pytest.fixture(scope="module")
+def m3_cold_and_reloaded(tmp_path_factory):
+    """The M3 BALANCED graph, built cold and reloaded from its archive."""
+    shape, strategy = ec2_pm_shape("M3"), SuccessorStrategy.BALANCED
+    cold = build_profile_graph(shape, EC2_VM_TYPES, strategy=strategy)
+    path = tmp_path_factory.mktemp("m3") / "graph.npz"
+    save_graph(cold, path, "reachable")
+    return {"cold": cold, "reload": load_graph(path, shape, EC2_VM_TYPES, strategy)}
+
+
+class TestArrays:
+    """A build and a cache reload hand out the same read-only arrays."""
+
+    @pytest.mark.parametrize("source", ["cold", "reload"])
+    def test_arrays_are_read_only(self, m3_cold_and_reloaded, source):
+        graph = m3_cold_and_reloaded[source]
+        for array in (graph.flat, graph.indptr, graph.indices):
+            assert array.dtype == np.int64
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 1
+
+    def test_reload_flat_profiles_bit_identical(self, m3_cold_and_reloaded):
+        cold = m3_cold_and_reloaded["cold"].flat_profiles()
+        warm = m3_cold_and_reloaded["reload"].flat_profiles()
+        assert warm.dtype == cold.dtype and warm.shape == cold.shape
+        assert warm.tobytes() == cold.tobytes()
 
 
 class TestMissAndCorruption:

@@ -118,7 +118,7 @@ class TestBPRU:
 
     def test_sink_bpru_is_own_utilization(self, toy_graph):
         bpru = compute_bpru(toy_graph)
-        utils = toy_graph.utilizations()
+        utils = toy_graph.utilization_array()
         for sink in toy_graph.sinks():
             assert bpru[sink] == pytest.approx(utils[sink])
 
@@ -128,11 +128,11 @@ class TestBPRU:
         # never holds universally; the correct invariant is
         # bpru(node) = max(bpru(successors)) when successors exist.
         bpru = compute_bpru(toy_graph)
-        for node, successors in enumerate(toy_graph.successors):
-            if successors:
-                assert bpru[node] == pytest.approx(
-                    max(bpru[s] for s in successors)
-                )
+        indptr, indices = toy_graph.successor_csr()
+        for node in range(toy_graph.n_nodes):
+            successors = indices[indptr[node]:indptr[node + 1]]
+            if successors.size:
+                assert bpru[node] == pytest.approx(bpru[successors].max())
 
     def test_final_scores_are_raw_times_bpru(self, toy_graph):
         result = profile_pagerank(toy_graph)
@@ -142,17 +142,17 @@ class TestBPRU:
 class TestExpectedFinalUtilization:
     def test_sinks_keep_own_utilization(self, toy_graph):
         efu = expected_final_utilization(toy_graph)
-        utils = toy_graph.utilizations()
+        utils = toy_graph.utilization_array()
         for sink in toy_graph.sinks():
             assert efu[sink] == pytest.approx(utils[sink])
 
     def test_interior_is_mean_of_successors(self, toy_graph):
         efu = expected_final_utilization(toy_graph)
-        for node, successors in enumerate(toy_graph.successors):
-            if successors:
-                assert efu[node] == pytest.approx(
-                    np.mean([efu[s] for s in successors])
-                )
+        indptr, indices = toy_graph.successor_csr()
+        for node in range(toy_graph.n_nodes):
+            successors = indices[indptr[node]:indptr[node + 1]]
+            if successors.size:
+                assert efu[node] == pytest.approx(efu[successors].mean())
 
     def test_bounded_by_bpru(self, toy_graph):
         # The mean over endpoints can never exceed the max over endpoints.

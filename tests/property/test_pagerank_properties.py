@@ -67,7 +67,7 @@ class TestBPRUInvariants:
         shape, vm_types = world
         graph = build_profile_graph(shape, vm_types, mode="full")
         bpru = compute_bpru(graph)
-        utils = np.asarray(graph.utilizations())
+        utils = graph.utilization_array()
         assert np.all(bpru >= utils - 1e-12)
 
     @given(small_worlds())
@@ -85,6 +85,6 @@ class TestBPRUInvariants:
         graph = build_profile_graph(shape, vm_types, mode="full")
         efu = expected_final_utilization(graph)
         bpru = compute_bpru(graph)
-        utils = np.asarray(graph.utilizations())
+        utils = graph.utilization_array()
         assert np.all(efu <= bpru + 1e-12)
         assert np.all(efu >= utils.min() - 1e-12)

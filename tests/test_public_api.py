@@ -1,12 +1,15 @@
 """Public-API contract tests.
 
 Guards the import surface downstream users rely on: everything listed
-in each package's ``__all__`` must resolve, and the example scripts must
-at least compile against the current API.
+in each package's ``__all__`` must resolve, the example scripts must
+compile against the current API, and the sub-second ones must run.
 """
 
 import importlib
+import os
 import py_compile
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,8 +30,12 @@ PACKAGES = [
     "repro.util",
 ]
 
-EXAMPLES = sorted(
-    (Path(__file__).resolve().parent.parent / "examples").glob("*.py")
+ROOT = Path(__file__).resolve().parent.parent
+EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
+
+#: Examples that finish in about a second; the rest simulate for minutes.
+FAST_EXAMPLES = (
+    "quickstart", "motivation", "anti_collocation_demo", "exact_vs_heuristic",
 )
 
 
@@ -90,3 +97,15 @@ class TestExamples:
         source = path.read_text()
         assert source.lstrip().startswith(('#!/usr/bin/env python3'))
         assert 'if __name__ == "__main__":' in source
+
+    @pytest.mark.parametrize("name", FAST_EXAMPLES)
+    def test_fast_example_runs(self, name):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(ROOT / "src"), env.get("PYTHONPATH")))
+        )
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "examples" / f"{name}.py")],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
