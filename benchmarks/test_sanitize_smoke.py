@@ -26,7 +26,7 @@ SCENARIO = SanitizeScenario(n_pms=24, duration_s=1_800.0, seed=0)
 def m3_table():
     from repro.experiments.sweep import sweep_table
 
-    return sweep_table(None)
+    return sweep_table()
 
 
 @pytest.mark.parametrize("twin", TWIN_NAMES)

@@ -56,18 +56,17 @@ def request_stream(names):
     ]
 
 
-def test_c3_registration_equals_a_fresh_m3_service(tmp_path):
+def test_c3_registration_equals_a_fresh_m3_service(tmp_path, monkeypatch):
     shape = ec2_pm_shape("M3")
     grown = tuple(EC2_VM_TYPES) + (c3_2xlarge(),)
-    registered = build_ec2_service(
-        counts={"M3": N_PMS}, seed=0, table_cache_dir=str(tmp_path)
-    )
+    monkeypatch.setenv("REPRO_TABLE_CACHE", str(tmp_path))
+    registered = build_ec2_service(counts={"M3": N_PMS}, seed=0)
     base_rows = len(registered.policy.tables[shape])
     swap_catalog(
-        registered, tuple(registered.vm_type_catalog) + (c3_2xlarge(),),
-        graph_cache_dir=str(tmp_path),
+        registered, tuple(registered.vm_type_catalog) + (c3_2xlarge(),)
     )
     # The reference is built without the graph cache: a true cold build.
+    monkeypatch.delenv("REPRO_TABLE_CACHE")
     cold = build_score_table(
         shape, grown, strategy=SuccessorStrategy.BALANCED
     )

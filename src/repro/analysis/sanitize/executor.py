@@ -455,7 +455,6 @@ def run_twin(
     scenario: SanitizeScenario = SanitizeScenario(),
     max_ulps: Optional[int] = None,
     table: Optional[object] = None,
-    table_cache_dir: Optional[str] = None,
 ) -> SanitizeReport:
     """Run one built-in twin pair on the default EC2 M3 scenario.
 
@@ -474,14 +473,13 @@ def run_twin(
         max_ulps: float-stream tolerance override; defaults to the
             twin's documented bound (:data:`DEFAULT_MAX_ULPS`).
         table: prebuilt M3 score table (built once here when omitted).
-        table_cache_dir: optional on-disk graph cache for the build.
     """
     if twin not in TWIN_NAMES:
         raise ValueError(f"unknown twin {twin!r}; choose from {TWIN_NAMES}")
     if table is None:
         from repro.experiments.sweep import sweep_table
 
-        table = sweep_table(table_cache_dir)
+        table = sweep_table()
     if max_ulps is None:
         max_ulps = DEFAULT_MAX_ULPS[twin]
     if twin == "kernel":
@@ -500,7 +498,6 @@ def run_twin(
             ec2_pm_shape("M3"),
             EC2_VM_TYPES,
             strategy=strategy,
-            cache_dir=table_cache_dir,
         )
         result = profile_pagerank(graph, epsilon=1e-14)
         iterative = ScoreTable(

@@ -9,8 +9,8 @@ Commands:
 * ``exact``     — solve a small random instance exactly and report
   heuristic gaps.
 * ``graph``     — build (and cache) profile graphs for EC2 PM shapes;
-  ``graph build --graph-cache DIR`` exercises the frontier BFS and the
-  on-disk graph cache directly.
+  ``graph build`` exercises the frontier BFS and the on-disk graph
+  cache directly.
 * ``bench``     — performance measurements outside the full harness;
   ``bench sweep --pms N`` runs the columnar scale sweep (allocate +
   simulate at N PMs).
@@ -36,7 +36,9 @@ Commands:
   asserting every request resolves to exactly one outcome.
 
 All commands take ``--seed`` and print deterministic output for a given
-seed, so CLI runs are as reproducible as library calls.
+seed, so CLI runs are as reproducible as library calls.  Every command
+that builds score tables or profile graphs keeps the graphs in the
+on-disk cache named by ``$REPRO_TABLE_CACHE`` (none when it is unset).
 """
 
 from __future__ import annotations
@@ -57,6 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="PageRankVM reproduction toolkit (ICDCS 2018)",
+        epilog="Set REPRO_TABLE_CACHE=DIR to keep built profile graphs "
+               "in DIR across runs and worker processes; every command "
+               "that builds score tables or graphs loads them from it.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -88,11 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the (policy, repetition) grid; "
              "0 means one per CPU.  Results are bit-identical to "
              "--workers 1 (default)")
-    simulate.add_argument(
-        "--table-cache", metavar="DIR", default=None,
-        help="on-disk profile-graph cache for the score-table builds, "
-             "shared across runs and worker processes "
-             "(default: $REPRO_TABLE_CACHE)")
     simulate.add_argument(
         "--audit", action="store_true",
         help="validate every run's final placements against the MIP "
@@ -144,10 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=int, default=1,
         help="worker processes for the simulation grid; 0 means one per "
              "CPU (simulation figures only)")
-    figures.add_argument(
-        "--table-cache", metavar="DIR", default=None,
-        help="on-disk profile-graph cache for the score-table builds "
-             "(default: $REPRO_TABLE_CACHE)")
 
     exact = sub.add_parser(
         "exact", help="solve a small random instance exactly"
@@ -173,10 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     graph_build.add_argument(
         "--mode", choices=("reachable", "full"), default="reachable")
     graph_build.add_argument(
-        "--graph-cache", metavar="DIR", default=None,
-        help="on-disk graph cache directory: load the graph from it when "
-             "present, store the built graph into it otherwise")
-    graph_build.add_argument(
         "--node-limit", type=int, default=1_000_000,
         help="abort once the graph would exceed this many nodes")
 
@@ -198,9 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_sweep.add_argument(
         "--out", metavar="FILE", default=None,
         help="append the sweep entry to this BENCH trajectory file")
-    bench_sweep.add_argument(
-        "--table-cache", metavar="DIR", default=None,
-        help="profile-graph disk cache for the M3 score-table build")
 
     perf = sub.add_parser(
         "perf", help="BENCH_perf.json trajectory analysis"
@@ -281,9 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--dump", metavar="FILE", default=None,
         help="write the full JSON report (including any divergence and "
              "its reproducing op prefix) to FILE")
-    sanitize_run.add_argument(
-        "--table-cache", metavar="DIR", default=None,
-        help="profile-graph disk cache for the M3 score-table build")
 
     audit = sub.add_parser(
         "audit", help="audit a saved artifact against constraints (1)-(11)"
@@ -363,9 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--pms", type=int, default=None,
                         help="fleet size (default: 8 toy / 480 ec2)")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument(
-            "--table-cache", metavar="DIR", default=None,
-            help="profile-graph disk cache for the ec2 score-table build")
         sp.add_argument("--queue-depth", type=int, default=64,
                         help="admission queue depth (429 past this)")
         sp.add_argument("--batch-max", type=int, default=16,
@@ -431,7 +414,6 @@ def _cmd_simulate(args) -> int:
     results = run_experiment(
         config,
         workers=args.workers or None,
-        table_cache_dir=args.table_cache,
         audit=args.audit,
         faults=faults,
         retry=retry,
@@ -530,7 +512,6 @@ def _cmd_figures(args) -> int:
         n_vms_list=grid,
         repetitions=args.repetitions,
         workers=args.workers or None,
-        table_cache_dir=args.table_cache,
     )
     print(figure.text)
     print(f"ordering (best first): {' < '.join(figure.ordering())}")
@@ -594,7 +575,6 @@ def _cmd_graph(args) -> int:
             strategy=strategy,
             mode=args.mode,
             node_limit=args.node_limit,
-            cache_dir=args.graph_cache,
         )
         elapsed = time.perf_counter() - start
         source = "cache" if cache_events()["hits"] > before else "built"
@@ -618,11 +598,7 @@ def _cmd_bench(args) -> int:
         "phase": "scale_sweep",
         "quick": args.quick,
     }
-    entry.update(run_sweep(
-        args.pms,
-        quick=args.quick,
-        table_cache_dir=args.table_cache,
-    ))
+    entry.update(run_sweep(args.pms, quick=args.quick))
     if args.out is not None:
         benchfile.append_entry(entry, Path(args.out))
     print(json.dumps(entry, indent=2, sort_keys=True))
@@ -741,12 +717,7 @@ def _cmd_sanitize(args) -> int:
         duration_s=7_200.0 if args.quick else 86_400.0,
         seed=args.seed,
     )
-    report = run_twin(
-        args.twin,
-        scenario,
-        max_ulps=args.max_ulps,
-        table_cache_dir=args.table_cache,
-    )
+    report = run_twin(args.twin, scenario, max_ulps=args.max_ulps)
     print(report.render())
     if args.dump is not None:
         Path(args.dump).write_text(report.to_json() + "\n")
@@ -828,11 +799,7 @@ def _cmd_serve(args) -> int:
     def make_service():
         if args.fleet == "ec2":
             counts = {"M3": args.pms if args.pms is not None else 480}
-            return build_ec2_service(
-                counts,
-                seed=args.seed,
-                table_cache_dir=args.table_cache,
-            )
+            return build_ec2_service(counts, seed=args.seed)
         return build_toy_service(
             n_pms=args.pms if args.pms is not None else 8,
             seed=args.seed,
@@ -875,11 +842,7 @@ def _cmd_serve(args) -> int:
                 # them.  The decision stream must be digest-identical to
                 # a no-swap control run.
                 if completed == args.hot_swap_at and swaps_done[0] == 0:
-                    swap_catalog(
-                        service,
-                        service.vm_type_catalog,
-                        graph_cache_dir=args.table_cache,
-                    )
+                    swap_catalog(service, service.vm_type_catalog)
                     swaps_done[0] += 1
 
         if args.mode == "closed":

@@ -7,7 +7,13 @@ module persists built graphs as compressed ``.npz`` archives (packed
 profile matrix + CSR adjacency, the formats
 :meth:`~repro.core.graph.ProfileGraph.packed_profiles` and
 :meth:`~repro.core.graph.ProfileGraph.successor_csr` already define) so
-sweeps, policies and the CLI can reload one in milliseconds.
+sweeps, policies and the CLI can reload one instead of rebuilding it.
+
+The cache directory is a deployment setting, the ``REPRO_TABLE_CACHE``
+environment variable, read here and nowhere else, so every road to a
+score table (experiments, the testbed, sweeps, serving, the sanitizer,
+``repro graph build``) honours it in the same way.  Tests and
+benchmarks pass an explicit ``cache_dir`` instead.
 
 Cache-key notes:
 
@@ -29,10 +35,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -168,17 +175,31 @@ def _current_umask() -> int:
 
 
 def _unpack_profiles(shape: MachineShape, matrix: np.ndarray) -> List[Usage]:
-    sizes = [group.n_units for group in shape.groups]
-    rows = matrix.tolist()
-    profiles: List[Usage] = []
-    for row in rows:
-        groups: List[Tuple[int, ...]] = []
-        start = 0
-        for size in sizes:
-            groups.append(tuple(row[start:start + size]))
-            start += size
-        profiles.append(tuple(groups))
-    return profiles
+    """The nested usage tuples of a packed profile matrix, row for row.
+
+    Each group's columns repeat few distinct rows, so they are decoded
+    per group: a mixed-radix key (radix = unit capacity + 1) finds the
+    distinct rows, which become Python tuples once, and the per-group
+    columns are zipped back into usages.  A group too large for an int64
+    key is decoded row by row.
+    """
+    columns = []
+    start = 0
+    for group in shape.groups:
+        block = matrix[:, start:start + group.n_units].astype(np.int64)
+        start += group.n_units
+        if math.prod(c + 1 for c in group.capacities) > np.iinfo(np.int64).max:
+            columns.append([tuple(row) for row in block.tolist()])
+            continue
+        keys = np.zeros(len(block), dtype=np.int64)
+        for unit, capacity in enumerate(group.capacities):
+            keys = keys * (capacity + 1) + block[:, unit]
+        _, first, inverse = np.unique(
+            keys, return_index=True, return_inverse=True
+        )
+        distinct = [tuple(row) for row in block[first].tolist()]
+        columns.append([distinct[i] for i in inverse.tolist()])
+    return list(zip(*columns))
 
 
 def load_graph(
@@ -260,13 +281,15 @@ def load_or_build_profile_graph(
 ) -> ProfileGraph:
     """The cached graph when available, otherwise build (and cache) it.
 
-    With ``cache_dir=None`` this is exactly :func:`build_profile_graph`.
-    Otherwise the content-keyed entry under ``cache_dir`` is tried first;
-    a miss builds the graph and persists the result
-    atomically for the next caller.
+    ``cache_dir`` defaults to ``$REPRO_TABLE_CACHE``; with neither set
+    this is exactly :func:`build_profile_graph`.  Otherwise the
+    content-keyed entry under the directory is tried first; a miss
+    builds the graph and persists the result atomically for the next
+    caller.
     """
     vm_types = tuple(vm_types)
-    if cache_dir is None:
+    cache_dir = cache_dir or os.environ.get("REPRO_TABLE_CACHE")
+    if not cache_dir:
         return build_profile_graph(
             shape, vm_types, strategy, mode=mode,
             node_limit=node_limit,

@@ -15,15 +15,14 @@ with nearest-profile snapping for off-graph profiles.
 from __future__ import annotations
 
 import logging
-from pathlib import Path
-from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Union
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.core.graph import SuccessorStrategy
 from repro.core.policy import PlacementDecision, ProfileScorePolicy
 from repro.core.profile import MachineShape, Usage, VMType
-from repro.core.score_table import ScoreTable, build_score_table
+from repro.core.score_table import ScoreTable
 from repro.util.validation import ValidationError, require
 
 __all__ = ["TABLE_FAULTS", "PageRankVMPolicy"]
@@ -70,38 +69,6 @@ class PageRankVMPolicy(ProfileScorePolicy):
         self._shape_ids = {shape: i for i, shape in enumerate(self._tables)}
         self._fallback_policy = None
         self._degraded_reason: Optional[str] = None
-
-    @classmethod
-    def for_shapes(
-        cls,
-        shapes: Sequence[MachineShape],
-        vm_types: Sequence[VMType],
-        strategy: SuccessorStrategy = SuccessorStrategy.ALL_PLACEMENTS,
-        damping: float = 0.85,
-        pool_size: Optional[int] = None,
-        rng: Optional[np.random.Generator] = None,
-        graph_cache_dir: Optional[Union[str, Path]] = None,
-        **table_kwargs,
-    ) -> "PageRankVMPolicy":
-        """Build score tables for every distinct shape and wrap a policy.
-
-        ``graph_cache_dir`` reaches the graph builder unchanged
-        (on-disk graph cache, see
-        :func:`repro.core.score_table.build_score_table`); further
-        keyword arguments are passed through as well.
-        """
-        tables = {
-            shape: build_score_table(
-                shape,
-                vm_types,
-                strategy=strategy,
-                damping=damping,
-                graph_cache_dir=graph_cache_dir,
-                **table_kwargs,
-            )
-            for shape in dict.fromkeys(shapes)
-        }
-        return cls(tables, pool_size=pool_size, rng=rng)
 
     @property
     def tables(self) -> Dict[MachineShape, ScoreTable]:

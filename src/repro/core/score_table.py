@@ -431,7 +431,6 @@ def build_score_table(
     vote_direction: str = "forward",
     scoring: str = "pagerank",
     graph: Optional[ProfileGraph] = None,
-    graph_cache_dir: Optional[Union[str, Path]] = None,
 ) -> ScoreTable:
     """Build the graph, run the chosen scoring and return the score table.
 
@@ -450,9 +449,9 @@ def build_score_table(
         graph: optionally a prebuilt :class:`ProfileGraph` for ``shape``
             and ``vm_types``; sweeps over damping/scoring reuse one
             graph this way instead of rebuilding it per variant.
-        graph_cache_dir: optional on-disk graph cache consulted before
-            building (see :mod:`repro.core.graph_cache`); ignored when
-            ``graph`` is supplied.
+            Without it the graph is loaded from, or built into, the
+            on-disk graph cache under ``$REPRO_TABLE_CACHE`` (see
+            :mod:`repro.core.graph_cache`).
 
     Raises:
         ValidationError: for an unknown ``scoring``, or a graph built
@@ -470,7 +469,6 @@ def build_score_table(
             strategy=strategy,
             mode=mode,
             node_limit=node_limit,
-            cache_dir=graph_cache_dir,
         )
     else:
         require(

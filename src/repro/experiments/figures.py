@@ -94,13 +94,12 @@ def simulation_suite(
     vm_mix: Sequence[Tuple[str, float]] = DEFAULT_VM_MIX,
     vote_direction: str = "forward",
     workers: Optional[int] = 1,
-    table_cache_dir: Optional[str] = None,
 ) -> Dict[int, ExperimentResults]:
     """Run (or reuse) the simulation grid underlying Figures 3/5/6/7.
 
-    ``workers`` and ``table_cache_dir`` only change how fast the grid
-    runs, never what it produces (see :func:`run_experiment`), so they
-    are deliberately excluded from the memo key.
+    ``workers`` only changes how fast the grid runs, never what it
+    produces (see :func:`run_experiment`), so it is deliberately
+    excluded from the memo key.
     """
     n_vms_list = tuple(n_vms_list)
     policies = tuple(policies)
@@ -129,9 +128,7 @@ def simulation_suite(
             seed=seed,
             vote_direction=vote_direction,
         )
-        suite[n_vms] = run_experiment(
-            config, workers=workers, table_cache_dir=table_cache_dir
-        )
+        suite[n_vms] = run_experiment(config, workers=workers)
     _SUITE_CACHE[key] = suite
     return suite
 

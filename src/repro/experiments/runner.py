@@ -26,8 +26,6 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.baselines import (
     BestFitPolicy,
     CompVMPolicy,
@@ -89,7 +87,6 @@ def make_policy_and_selector(
     name: str,
     config: ExperimentConfig,
     repetition: int = 0,
-    table_cache_dir: Optional[str] = None,
 ):
     """Instantiate a placement policy and its eviction selector.
 
@@ -97,16 +94,12 @@ def make_policy_and_selector(
     PageRank eviction selector; baselines pair with CloudSim's default
     minimum-migration-time selector, exactly as in the paper.
 
-    Args:
-        table_cache_dir: optional on-disk profile-graph cache directory
-            (defaults to the ``REPRO_TABLE_CACHE`` environment variable).
-
     Raises:
         ValidationError: for unknown policy names.
     """
     rng = RngFactory(config.seed).generator("policy", name, repetition)
     if name in ("PageRankVM", "PageRankVM-2choice"):
-        tables = _score_tables(config, table_cache_dir)
+        tables = _score_tables(config)
         pool = 2 if name.endswith("2choice") else None
         policy = PageRankVMPolicy(tables, pool_size=pool, rng=rng)
         return policy, PageRankMigrationSelector(tables)
@@ -123,15 +116,12 @@ def make_policy_and_selector(
     )
 
 
-def _score_tables(
-    config: ExperimentConfig,
-    table_cache_dir: Optional[str],
-):
+def _score_tables(config: ExperimentConfig):
     """The (cached) score tables every PageRankVM variant of a config shares.
 
-    A table miss loads its profile graph from the on-disk graph cache in
-    ``table_cache_dir`` (default ``$REPRO_TABLE_CACHE``), building and
-    storing any missing one, and re-solves the table from it — see
+    A table miss loads its profile graph from the on-disk graph cache
+    under ``$REPRO_TABLE_CACHE``, building and storing any missing one,
+    and re-solves the table from it — see
     :func:`repro.experiments.tables.score_tables_for`.
     """
     shapes = [ec2_pm_shape(pm_name) for pm_name, _ in config.datacenter]
@@ -142,7 +132,6 @@ def _score_tables(
         damping=config.damping,
         vote_direction=config.vote_direction,
         scoring=config.scoring,
-        cache_dir=table_cache_dir,
     )
 
 
@@ -150,7 +139,6 @@ def run_single(
     config: ExperimentConfig,
     policy_name: str,
     repetition: int,
-    table_cache_dir: Optional[str] = None,
     audit: bool = False,
     faults: Optional[FaultSpec] = None,
 ) -> SimulationResult:
@@ -172,7 +160,7 @@ def run_single(
     """
     datacenter = build_ec2_soa_datacenter(dict(config.datacenter))
     policy, selector = make_policy_and_selector(
-        policy_name, config, repetition, table_cache_dir=table_cache_dir
+        policy_name, config, repetition
     )
     vms = build_vms(config, repetition)
     injector = None
@@ -349,15 +337,10 @@ def _maybe_chaos_kill(policy_name: str, repetition: int) -> None:
 
 def _run_cell(args) -> SimulationResult:
     """Process-pool entry point for one (policy, repetition) cell."""
-    config, policy_name, repetition, table_cache_dir, audit, faults = args
+    config, policy_name, repetition, audit, faults = args
     _maybe_chaos_kill(policy_name, repetition)
     return run_single(
-        config,
-        policy_name,
-        repetition,
-        table_cache_dir=table_cache_dir,
-        audit=audit,
-        faults=faults,
+        config, policy_name, repetition, audit=audit, faults=faults
     )
 
 
@@ -376,7 +359,6 @@ def _fail_fast(error: BaseException) -> bool:
 def _run_cells_serial(
     config: ExperimentConfig,
     pending: List[Tuple[str, int]],
-    table_cache_dir: Optional[str],
     audit: bool,
     faults: Optional[FaultSpec],
     retry: RetryPolicy,
@@ -386,7 +368,7 @@ def _run_cells_serial(
     done: Dict[Tuple[str, int], SimulationResult] = {}
     failures: List[CellFailure] = []
     for policy_name, rep in pending:
-        args = (config, policy_name, rep, table_cache_dir, audit, faults)
+        args = (config, policy_name, rep, audit, faults)
         for attempt in range(1, retry.max_attempts + 1):
             try:
                 result = _run_cell(args)
@@ -426,7 +408,6 @@ def _run_cells_serial(
 def _run_cells_parallel(
     config: ExperimentConfig,
     pending: List[Tuple[str, int]],
-    table_cache_dir: Optional[str],
     audit: bool,
     faults: Optional[FaultSpec],
     retry: RetryPolicy,
@@ -462,9 +443,7 @@ def _run_cells_parallel(
             for cell in queue:
                 attempts[cell] += 1
                 policy_name, rep = cell
-                args = (
-                    config, policy_name, rep, table_cache_dir, audit, faults
-                )
+                args = (config, policy_name, rep, audit, faults)
                 futures[cell] = executor.submit(_run_cell, args)
             requeue: List[Tuple[str, int]] = []
             for cell in queue:
@@ -526,7 +505,6 @@ def _run_cells_parallel(
 def run_experiment(
     config: ExperimentConfig,
     workers: Optional[int] = 1,
-    table_cache_dir: Optional[str] = None,
     audit: bool = False,
     faults: Optional[FaultSpec] = None,
     retry: Optional[RetryPolicy] = None,
@@ -542,11 +520,10 @@ def run_experiment(
             Every cell derives its randomness from ``(config.seed,
             policy, repetition)`` label paths, so the parallel results
             are bit-identical to the serial ones regardless of worker
-            count or scheduling.
-        table_cache_dir: optional on-disk profile-graph cache shared by
-            the workers, so each distinct graph is built once rather
-            than once per process; a worker missing a table re-solves it
-            from the cached graph (see :mod:`repro.experiments.tables`).
+            count or scheduling.  Workers inherit ``$REPRO_TABLE_CACHE``,
+            so with it set each distinct graph is built once rather than
+            once per process; a worker missing a table re-solves it from
+            the cached graph (see :mod:`repro.experiments.tables`).
         audit: when True, every cell's final allocation state is checked
             against the MIP constraints (1)-(11) inside the worker that
             produced it, so an invariant break fails the run before any
@@ -598,25 +575,23 @@ def run_experiment(
     failures: List[CellFailure] = []
     if pending:
         # Build the score tables once in the parent before any cell runs:
-        # pool children inherit the in-memory cache (and with a disk
-        # cache directory even spawn-started workers load the graphs
-        # instead of rebuilding them).
+        # pool children inherit the in-memory cache (and with
+        # $REPRO_TABLE_CACHE set even spawn-started workers load the
+        # graphs instead of rebuilding them).
         needs_tables = any(
             name.startswith("PageRankVM") for name in config.policies
         )
         if needs_tables and workers > 1 and len(pending) > 1:
-            _score_tables(config, table_cache_dir)
+            _score_tables(config)
         if workers == 1 or len(pending) == 1:
             # Each repetition's workload is drawn once for all its cells.
             with sharing_draws(config, [rep for _, rep in pending]):
                 ran, failures = _run_cells_serial(
-                    config, pending, table_cache_dir, audit, faults, retry,
-                    checkpoint,
+                    config, pending, audit, faults, retry, checkpoint
                 )
         else:
             ran, failures = _run_cells_parallel(
-                config, pending, table_cache_dir, audit, faults, retry,
-                checkpoint, workers,
+                config, pending, audit, faults, retry, checkpoint, workers
             )
         done.update(ran)
 

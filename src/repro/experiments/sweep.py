@@ -49,12 +49,10 @@ SWEEP_POINTS: Tuple[int, ...] = (480, 5_000, 50_000, 100_000)
 VMS_PER_PM = 2.5
 
 
-def sweep_table(table_cache_dir: Optional[str] = None) -> ScoreTable:
+def sweep_table() -> ScoreTable:
     """The M3 score table the sweep serves from (harness-identical)."""
     return build_score_table(
-        ec2_pm_shape("M3"), EC2_VM_TYPES,
-        strategy=SuccessorStrategy.BALANCED,
-        graph_cache_dir=table_cache_dir,
+        ec2_pm_shape("M3"), EC2_VM_TYPES, strategy=SuccessorStrategy.BALANCED
     )
 
 
@@ -131,7 +129,6 @@ def run_sweep(
     points: Sequence[int] = SWEEP_POINTS,
     table: Optional[ScoreTable] = None,
     quick: bool = False,
-    table_cache_dir: Optional[str] = None,
 ) -> Dict[str, object]:
     """Run the scale sweep and summarize it as one BENCH-ready mapping.
 
@@ -142,7 +139,7 @@ def run_sweep(
         quick: 2h simulated horizon instead of the paper's 24h day.
     """
     if table is None:
-        table = sweep_table(table_cache_dir)
+        table = sweep_table()
     duration_s = 7_200.0 if quick else 86_400.0
     return {
         "scale_sweep_points": [

@@ -5,17 +5,15 @@ types in declaration order, strategy, damping, vote direction, scoring)
 — the paper notes it is stable until the provider changes its VM
 catalog.  Tables are therefore cached in memory per process.  Across
 processes the expensive part, the profile graph, is cached on disk
-(``REPRO_TABLE_CACHE`` or an explicit ``cache_dir``) by
-:mod:`repro.core.graph_cache`, and a table is re-solved from its cached
-graph, which is faster than reloading a serialized table (DESIGN.md
-section 3.6).
+(under ``$REPRO_TABLE_CACHE``) by :mod:`repro.core.graph_cache`, and a
+table is re-solved from its cached graph, which is faster than
+reloading a serialized table (DESIGN.md section 3.6).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.core.graph import SuccessorStrategy
 from repro.core.profile import MachineShape, VMType
@@ -87,20 +85,17 @@ def score_tables_for(
     damping: float = 0.85,
     vote_direction: str = "forward",
     scoring: str = "pagerank",
-    cache_dir: Optional[str] = None,
     node_limit: int = 1_000_000,
 ) -> Dict[MachineShape, ScoreTable]:
     """Tables for every distinct shape, built at most once each.
 
     A table missing from the in-memory cache is built by
     :func:`~repro.core.score_table.build_score_table`, which loads the
-    shape's profile graph from the on-disk graph cache in ``cache_dir``
-    (default: ``$REPRO_TABLE_CACHE``; none when neither is set) or builds
-    and stores it there.  Only ``profile_graph_*.npz`` archives are
-    written, directly under that directory.
+    shape's profile graph from the on-disk graph cache under
+    ``$REPRO_TABLE_CACHE`` (none when it is unset) or builds and stores
+    it there.  Only ``profile_graph_*.npz`` archives are written,
+    directly under that directory.
     """
-    if cache_dir is None:
-        cache_dir = os.environ.get("REPRO_TABLE_CACHE") or None
     tables: Dict[MachineShape, ScoreTable] = {}
     for shape in dict.fromkeys(shapes):
         key = table_cache_key(
@@ -116,7 +111,6 @@ def score_tables_for(
                 vote_direction=vote_direction,
                 scoring=scoring,
                 node_limit=node_limit,
-                graph_cache_dir=cache_dir,
             )
             _BUILD_COUNTS[key] = _BUILD_COUNTS.get(key, 0) + 1
             _MEMORY_CACHE[key] = table

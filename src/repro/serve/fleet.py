@@ -14,8 +14,7 @@ type catalog and hot-swaps them in; it is how a new VM type registers.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.cluster.ec2 import EC2_VM_TYPES, build_ec2_soa_datacenter
 from repro.core.placement import PageRankVMPolicy
@@ -84,7 +83,6 @@ def build_toy_service(
 def swap_catalog(
     service: PlacementService,
     vm_types: Sequence[VMType],
-    graph_cache_dir: Optional[Union[str, Path]] = None,
 ) -> None:
     """Rebuild every served score table for ``vm_types`` and hot-swap.
 
@@ -123,7 +121,6 @@ def swap_catalog(
             strategy=live.strategy,
             damping=live.damping,
             vote_direction=live.vote_direction,
-            graph_cache_dir=graph_cache_dir,
         )
         table._tree()
         rebuilt[shape] = table
@@ -135,12 +132,11 @@ def build_ec2_service(
     seed: int = 0,
     clock: Optional[Clock] = None,
     pool_size: Optional[int] = None,
-    table_cache_dir: Optional[str] = None,
     **service_kwargs,
 ) -> PlacementService:
     """The paper's M3 fleet as a service (loadgen's default world)."""
     counts = counts if counts is not None else {"M3": 480}
-    table = sweep_table(table_cache_dir)
+    table = sweep_table()
     policy = PageRankVMPolicy(
         {table.shape: table},
         pool_size=pool_size,

@@ -30,7 +30,7 @@ from repro.util.trace import TraceRecorder
 def m3_table():
     from repro.experiments.sweep import sweep_table
 
-    return sweep_table(None)
+    return sweep_table()
 
 
 def make_recorder(events):

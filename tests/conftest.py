@@ -12,6 +12,19 @@ from repro.core.profile import MachineShape, ResourceGroup, VMType
 from repro.core.score_table import build_score_table
 
 
+@pytest.fixture(scope="session", autouse=True)
+def no_table_cache():
+    """Keep the suite off any graph cache named by the environment.
+
+    Every table build reads ``$REPRO_TABLE_CACHE``, so a developer's
+    setting would otherwise feed (and fill) the suite's builds.  Tests
+    that exercise the cache set the variable themselves.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        patch.delenv("REPRO_TABLE_CACHE", raising=False)
+        yield
+
+
 @pytest.fixture(scope="session")
 def toy_shape():
     """A PM with capacity [4,4,4,4], all dimensions one CPU group."""

@@ -129,6 +129,21 @@ class TestRoundTrip:
         assert graph.n_nodes > 0
         assert cache_events() == {"hits": 0, "misses": 0, "corrupt": 0}
 
+    def test_group_too_wide_for_a_radix_key_round_trips(self, tmp_path):
+        # 101**20 overflows an int64 key: the group decodes row by row.
+        shape = MachineShape(
+            groups=(ResourceGroup(name="cpu", capacities=(100,) * 20),)
+        )
+        vms = (VMType(name="whole", demands=((100,),)),)
+        graph = build_profile_graph(shape, vms)
+        path = tmp_path / "graph.npz"
+        save_graph(graph, path, "reachable")
+        loaded = load_graph(
+            path, shape, vms, SuccessorStrategy.ALL_PLACEMENTS
+        )
+        assert graph.n_nodes == 21
+        assert_graphs_equal(loaded, graph)
+
 
 @pytest.fixture(scope="module")
 def m3_cold_and_reloaded(tmp_path_factory):
@@ -151,6 +166,14 @@ class TestArrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 1
+
+    def test_reload_profiles_are_python_ints(self, m3_cold_and_reloaded):
+        cold = m3_cold_and_reloaded["cold"].profiles
+        warm = m3_cold_and_reloaded["reload"].profiles
+        assert warm == cold
+        assert {
+            type(unit) for usage in warm for group in usage for unit in group
+        } == {int}
 
     def test_reload_flat_profiles_bit_identical(self, m3_cold_and_reloaded):
         cold = m3_cold_and_reloaded["cold"].flat_profiles()

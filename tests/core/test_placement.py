@@ -23,29 +23,12 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             PageRankVMPolicy({})
 
-    def test_for_shapes_builds_tables(self, toy_shape, toy_vm_types):
-        policy = PageRankVMPolicy.for_shapes(
-            [toy_shape, toy_shape], toy_vm_types, mode="full"
-        )
-        assert len(policy.tables) == 1
-
     def test_table_for_unknown_shape_raises(self, policy, mixed_shape):
         with pytest.raises(KeyError):
             policy.table_for(mixed_shape)
 
     def test_name(self, policy):
         assert policy.name == "PageRankVM"
-
-    def test_for_shapes_with_graph_cache(
-        self, tmp_path, toy_shape, toy_vm_types
-    ):
-        cached = PageRankVMPolicy.for_shapes(
-            [toy_shape], toy_vm_types, graph_cache_dir=tmp_path
-        )
-        plain = PageRankVMPolicy.for_shapes([toy_shape], toy_vm_types)
-        assert dict(cached.tables[toy_shape].items()) == dict(
-            plain.tables[toy_shape].items()
-        )
 
 
 class TestShapeKey:

@@ -332,20 +332,21 @@ class TestPrebuiltGraph:
         with pytest.raises(ValidationError):
             build_score_table(toy_shape, other_vms, graph=toy_graph)
 
-    def test_graph_cache_dir_roundtrip(self, tmp_path, toy_shape, toy_vm_types):
+    def test_graph_cache_dir_roundtrip(
+        self, tmp_path, monkeypatch, toy_shape, toy_vm_types
+    ):
         from repro.core.graph_cache import (
             cache_events,
             clear_cache_events,
         )
 
+        plain = build_score_table(toy_shape, toy_vm_types)
+        monkeypatch.setenv("REPRO_TABLE_CACHE", str(tmp_path))
         clear_cache_events()
-        first = build_score_table(
-            toy_shape, toy_vm_types, graph_cache_dir=tmp_path
-        )
+        first = build_score_table(toy_shape, toy_vm_types)
         assert cache_events()["misses"] == 1
-        second = build_score_table(
-            toy_shape, toy_vm_types, graph_cache_dir=tmp_path
-        )
+        second = build_score_table(toy_shape, toy_vm_types)
         assert cache_events()["hits"] == 1
-        assert dict(first.items()) == dict(second.items())
+        assert list(first.items()) == list(plain.items())
+        assert list(second.items()) == list(plain.items())
         clear_cache_events()

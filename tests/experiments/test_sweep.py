@@ -4,7 +4,7 @@ from repro.experiments.sweep import run_sweep, sweep_table
 
 
 def test_sweep_reports_one_soa_point_per_size():
-    summary = run_sweep((40, 16), table=sweep_table(None), quick=True)
+    summary = run_sweep((40, 16), table=sweep_table(), quick=True)
     points = summary["scale_sweep_points"]
     assert [p["n_pms"] for p in points] == [16, 40]
     for point in points:

@@ -91,16 +91,15 @@ class TestScoreTablesFor:
         assert second is not first
         assert sorted(build_counts().values()) == [1, 1]
 
-    def test_disk_cache_roundtrip(self, toy_shape, toy_vm_types, tmp_path):
-        first = score_tables_for(
-            [toy_shape], toy_vm_types, cache_dir=str(tmp_path)
-        )[toy_shape]
+    def test_disk_cache_roundtrip(
+        self, toy_shape, toy_vm_types, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_TABLE_CACHE", str(tmp_path))
+        first = score_tables_for([toy_shape], toy_vm_types)[toy_shape]
         assert _cache_files(tmp_path) == _graph_files(tmp_path)
         assert len(_graph_files(tmp_path)) == 1
         clear_memory_cache()
-        second = score_tables_for(
-            [toy_shape], toy_vm_types, cache_dir=str(tmp_path)
-        )[toy_shape]
+        second = score_tables_for([toy_shape], toy_vm_types)[toy_shape]
         assert second is not first
         assert list(second.items()) == list(first.items())
 
@@ -109,6 +108,43 @@ class TestScoreTablesFor:
         score_tables_for([toy_shape], toy_vm_types)
         assert _cache_files(tmp_path) == _graph_files(tmp_path)
         assert len(_graph_files(tmp_path)) == 1
+
+
+class TestRoadsToTheCache:
+    """Every road to a score table keeps its graph under the variable."""
+
+    @pytest.mark.parametrize("road", [
+        "sweep_table", "make_policy_and_selector", "make_testbed_policy",
+        "build_score_table",
+    ])
+    def test_road_fills_then_reads_the_cache(
+        self, road, toy_shape, toy_vm_types, tmp_path, monkeypatch
+    ):
+        from repro.core.score_table import build_score_table
+        from repro.experiments import figures, runner, sweep
+        from repro.experiments.config import ExperimentConfig
+        from repro.testbed import experiment as testbed
+
+        build = {
+            "sweep_table": sweep.sweep_table,
+            "make_policy_and_selector": lambda: runner.make_policy_and_selector(
+                "PageRankVM", ExperimentConfig(datacenter=(("C3", 2),))
+            ),
+            "make_testbed_policy": lambda: figures.make_testbed_policy(
+                "PageRankVM", testbed.TestbedConfig()
+            ),
+            "build_score_table": lambda: build_score_table(
+                toy_shape, toy_vm_types
+            ),
+        }[road]
+        monkeypatch.setenv("REPRO_TABLE_CACHE", str(tmp_path))
+        build()
+        assert _cache_files(tmp_path) == _graph_files(tmp_path)
+        assert len(_graph_files(tmp_path)) == 1
+        clear_memory_cache()
+        clear_cache_events()
+        build()
+        assert cache_events() == {"hits": 1, "misses": 0, "corrupt": 0}
 
 
 class TestBuildCounts:
@@ -124,18 +160,19 @@ class TestBuildCounts:
         score_tables_for([toy_shape], toy_vm_types, vote_direction="reverse")
         assert sorted(build_counts().values()) == [1, 1]
 
-    def test_disk_load_is_not_a_build(self, toy_shape, toy_vm_types, tmp_path):
+    def test_disk_load_is_not_a_build(
+        self, toy_shape, toy_vm_types, tmp_path, monkeypatch
+    ):
         # A warm disk cache re-solves the table but never rebuilds the
         # expensive part, the profile graph.
-        score_tables_for([toy_shape], toy_vm_types, cache_dir=str(tmp_path))
+        monkeypatch.setenv("REPRO_TABLE_CACHE", str(tmp_path))
+        score_tables_for([toy_shape], toy_vm_types)
         clear_memory_cache()
         clear_cache_events()
         with patch.object(
             graph_cache, "build_profile_graph",
             side_effect=AssertionError("warm cache rebuilt a graph"),
         ):
-            score_tables_for(
-                [toy_shape], toy_vm_types, cache_dir=str(tmp_path)
-            )
+            score_tables_for([toy_shape], toy_vm_types)
         assert cache_events()["hits"] == 1
         assert cache_events()["misses"] == 0

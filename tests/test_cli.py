@@ -45,14 +45,12 @@ class TestParser:
 
     def test_graph_build_flags(self):
         args = build_parser().parse_args([
-            "graph", "build", "--pm", "M3", "C3",
-            "--graph-cache", "cache-dir", "--strategy", "all",
+            "graph", "build", "--pm", "M3", "C3", "--strategy", "all",
             "--mode", "full", "--node-limit", "5000",
         ])
         assert args.command == "graph"
         assert args.graph_command == "build"
         assert args.pm == ["M3", "C3"]
-        assert args.graph_cache == "cache-dir"
         assert args.strategy == "all"
         assert args.mode == "full"
         assert args.node_limit == 5000
@@ -60,7 +58,6 @@ class TestParser:
     def test_graph_build_defaults(self):
         args = build_parser().parse_args(["graph", "build"])
         assert args.pm == ["M3"]
-        assert args.graph_cache is None
         assert args.strategy == "balanced"
 
     def test_graph_requires_subcommand(self):
@@ -69,15 +66,15 @@ class TestParser:
 
 
 class TestGraphCommand:
-    def test_build_reports_nodes_and_source(self, tmp_path, capsys):
-        cache = str(tmp_path / "graphs")
-        assert main(["graph", "build", "--pm", "C3",
-                     "--graph-cache", cache]) == 0
+    def test_build_reports_nodes_and_source(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("REPRO_TABLE_CACHE", str(tmp_path / "graphs"))
+        assert main(["graph", "build", "--pm", "C3"]) == 0
         first = capsys.readouterr().out
         assert "C3" in first
         assert "built" in first
-        assert main(["graph", "build", "--pm", "C3",
-                     "--graph-cache", cache]) == 0
+        assert main(["graph", "build", "--pm", "C3"]) == 0
         second = capsys.readouterr().out
         assert "cache" in second
 
