@@ -597,6 +597,8 @@ def _cmd_bench(args) -> int:
         ),
         "phase": "scale_sweep",
         "quick": args.quick,
+        "pms": sorted(args.pms),
+        **benchfile.host_stamp(),
     }
     entry.update(run_sweep(args.pms, quick=args.quick))
     if args.out is not None:

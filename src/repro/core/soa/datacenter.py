@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cluster.allocation import Allocation
+from repro.cluster.allocation import Allocation, Assignments
 from repro.cluster.datacenter import restore_placement
 from repro.cluster.vm import VirtualMachine
 from repro.core.permutations import Placement, can_place
@@ -45,10 +45,58 @@ from repro.core.soa.columns import (
     chunk_ceilings,
     validate_burst,
 )
-from repro.core.usage_index import IndexedMachines, UsageClassIndex
+from repro.core.usage_index import ClassKey, IndexedMachines, UsageClassIndex
 from repro.util.validation import ValidationError, require
 
 __all__ = ["SoAMachineView", "SoADatacenter"]
+
+#: Entries a datacenter's row-transition memo holds before it is emptied
+#: (see :meth:`SoADatacenter._transition`).
+TRANSITION_MEMO_SIZE = 256
+
+
+class _Transition:
+    """One valid write of ``assignments`` to a row of one shape at one usage.
+
+    ``row`` is the new flat usage row, ``usage`` its nested form (shared
+    by every PM the transition leaves in that state), ``class_key`` its
+    usage-class key and ``class_id`` the id the usage-class index last
+    gave that key (-1 before it gave one); :meth:`ceilings` gives the
+    CSR terms of the placed chunks under a burst model, computed once
+    per model.
+    """
+
+    __slots__ = (
+        "assignments", "info", "row", "usage", "class_key", "class_id",
+        "_ceilings",
+    )
+
+    def __init__(
+        self,
+        assignments: Assignments,
+        info: ShapeInfo,
+        row: np.ndarray,
+        usage: Usage,
+        class_key: ClassKey,
+    ) -> None:
+        self.assignments = assignments
+        self.info = info
+        self.row = row
+        self.usage = usage
+        self.class_key = class_key
+        self.class_id = -1
+        self._ceilings: Dict[Any, Tuple[float, ...]] = {}
+
+    def ceilings(self, burst: Any) -> Tuple[float, ...]:
+        """:func:`chunk_ceilings` of the placed CPU chunks under ``burst``."""
+        terms = self._ceilings.get(burst)
+        if terms is None:
+            info = self.info
+            terms = chunk_ceilings(
+                self.assignments[info.cpu_group], info.cpu_capacities, burst
+            )
+            self._ceilings[burst] = terms
+        return terms
 
 
 class SoAMachineView:
@@ -233,6 +281,9 @@ class SoADatacenter:
             SoAMachineView(self, pos) for pos in range(n)
         ]
         self._usage_cache: List[Optional[Usage]] = [None] * n
+        self._transitions: Dict[
+            Tuple[int, Usage, int, bool], _Transition
+        ] = {}
         self._index = UsageClassIndex(self._views)
         self._view = IndexedMachines(self._index)
 
@@ -307,10 +358,87 @@ class SoADatacenter:
     # ------------------------------------------------------------------
     # Row mutation primitives
     # ------------------------------------------------------------------
+    def _transition(
+        self, pos: int, assignments: Assignments, placing: bool, vm_id: int
+    ) -> _Transition:
+        """The row transition placing (or removing) ``assignments`` at
+        ``pos``, memoized by (shape id, the row's usage, the assignments'
+        identity, direction).
+
+        The usage half of the key is read from the row (its cached
+        tuple), never carried from the decision.  The entry holds the
+        assignments, which keeps their ``id`` from being reused while
+        the entry lives, and is checked with ``is``.  A miss validates
+        exactly as an unmemoized write would and raises before anything
+        is stored, so only valid transitions enter the memo; the memo
+        is emptied when it reaches :data:`TRANSITION_MEMO_SIZE`.
+        """
+        cols = self._cols
+        info = self._infos[cols.shape_id[pos]]
+        usage = self._usage_cache[pos]
+        if usage is None:
+            usage = self._views[pos].usage
+        key = (info.shape_id, usage, id(assignments), placing)
+        entry = self._transitions.get(key)
+        if entry is not None and entry.assignments is assignments:
+            return entry
+        # One row read; validate before anything is stored so failures
+        # leave the row and the memo unchanged.
+        values = cols.usage[pos].tolist()
+        if placing:
+            for offset, group, group_assign in zip(
+                info.offsets, info.shape.groups, assignments
+            ):
+                taken = set()
+                for idx, chunk in group_assign:
+                    if idx in taken and group.anti_collocation:
+                        raise ValidationError(
+                            f"anti-collocation violated: two chunks on unit "
+                            f"{idx} of group {group.name!r}"
+                        )
+                    taken.add(idx)
+                    if values[offset + idx] + chunk > group.capacities[idx]:
+                        raise ValidationError(
+                            f"capacity exceeded on unit {idx} of group "
+                            f"{group.name!r}: {values[offset + idx]}+"
+                            f"{chunk} > {group.capacities[idx]}"
+                        )
+            for offset, group_assign in zip(info.offsets, assignments):
+                for idx, chunk in group_assign:
+                    values[offset + idx] += chunk
+        else:
+            for offset, group_assign in zip(info.offsets, assignments):
+                for idx, chunk in group_assign:
+                    values[offset + idx] -= chunk
+                    if values[offset + idx] < 0:
+                        raise ValidationError(
+                            f"negative usage on PM#{self._pm_ids[pos]} after "
+                            f"removing VM#{vm_id}; allocation records are "
+                            f"corrupt"
+                        )
+        new_usage = info.split_usage(values)
+        class_key = (info.shape, info.shape.canonicalize(new_usage))
+        # Share the class table's copy of a known key.
+        class_id = self._index.table.lookup(class_key)
+        if class_id >= 0:
+            class_key = self._index.table.keys[class_id]
+        entry = _Transition(
+            assignments,
+            info,
+            np.array(values, dtype=cols.usage.dtype),
+            new_usage,
+            class_key,
+        )
+        if len(self._transitions) >= TRANSITION_MEMO_SIZE:
+            self._transitions.clear()
+        self._transitions[key] = entry
+        return entry
+
     def _machine_place(
         self, pos: int, vm: VirtualMachine, placement: Placement, time_s: float
     ) -> Allocation:
-        """``PhysicalMachine.place`` semantics against the columns."""
+        """``PhysicalMachine.place`` semantics against the columns; the
+        index is refreshed with the transition's class key and id."""
         cols = self._cols
         pm_id = self._pm_ids[pos]
         if cols.failed[pos]:
@@ -322,75 +450,41 @@ class SoADatacenter:
             raise ValidationError(
                 f"VM#{vm.vm_id} is already placed on PM#{pm_id}"
             )
-        info = self._infos[cols.shape_id[pos]]
-        # One row read, one write back; validate before mutating so
-        # failures leave the row unchanged.
-        values = cols.usage[pos].tolist()
-        for offset, group, group_assign in zip(
-            info.offsets, info.shape.groups, placement.assignments
-        ):
-            taken = set()
-            for idx, chunk in group_assign:
-                if idx in taken and group.anti_collocation:
-                    raise ValidationError(
-                        f"anti-collocation violated: two chunks on unit "
-                        f"{idx} of group {group.name!r}"
-                    )
-                taken.add(idx)
-                if values[offset + idx] + chunk > group.capacities[idx]:
-                    raise ValidationError(
-                        f"capacity exceeded on unit {idx} of group "
-                        f"{group.name!r}: {values[offset + idx]}+"
-                        f"{chunk} > {group.capacities[idx]}"
-                    )
-        for offset, group_assign in zip(info.offsets, placement.assignments):
-            for idx, chunk in group_assign:
-                values[offset + idx] += chunk
-        cols.usage[pos] = values
-        self._usage_cache[pos] = info.split_usage(values)
+        assignments = placement.assignments
+        entry = self._transition(pos, assignments, True, vm.vm_id)
+        cols.usage[pos] = entry.row
+        self._usage_cache[pos] = entry.usage
         allocation = Allocation(
-            vm=vm, pm_id=pm_id, assignments=placement.assignments,
-            placed_at=time_s,
+            vm=vm, pm_id=pm_id, assignments=assignments, placed_at=time_s,
         )
         row_allocs[vm.vm_id] = allocation
         cols.alloc_count[pos] += 1
         slot = self._traces.register(vm.vm_id, vm.trace)
         for burst, csr in cols.csr.items():
-            csr.append(
-                pos,
-                vm.vm_id,
-                slot,
-                chunk_ceilings(
-                    allocation.assignments[info.cpu_group],
-                    info.cpu_capacities,
-                    burst,
-                ),
-            )
+            csr.append(pos, vm.vm_id, slot, entry.ceilings(burst))
+        entry.class_id = self._index.refresh(
+            pm_id, entry.class_key, entry.class_id
+        )
         return allocation
 
     def _machine_remove(self, pos: int, vm_id: int) -> Allocation:
-        """``PhysicalMachine.remove`` semantics against the columns."""
+        """``PhysicalMachine.remove`` semantics against the columns; the
+        index is refreshed with the transition's class key and id."""
         cols = self._cols
         pm_id = self._pm_ids[pos]
         allocation = cols.allocs[pos].get(vm_id)
         if allocation is None:
             raise KeyError(f"PM#{pm_id} does not host VM#{vm_id}")
-        info = self._infos[cols.shape_id[pos]]
-        values = cols.usage[pos].tolist()
-        for offset, group_assign in zip(info.offsets, allocation.assignments):
-            for idx, chunk in group_assign:
-                values[offset + idx] -= chunk
-                if values[offset + idx] < 0:
-                    raise ValidationError(
-                        f"negative usage on PM#{pm_id} after removing "
-                        f"VM#{vm_id}; allocation records are corrupt"
-                    )
-        cols.usage[pos] = values
-        self._usage_cache[pos] = info.split_usage(values)
+        entry = self._transition(pos, allocation.assignments, False, vm_id)
+        cols.usage[pos] = entry.row
+        self._usage_cache[pos] = entry.usage
         del cols.allocs[pos][vm_id]
         cols.alloc_count[pos] -= 1
         for csr in cols.csr.values():
             csr.remove(pos, vm_id)
+        entry.class_id = self._index.refresh(
+            pm_id, entry.class_key, entry.class_id
+        )
         return allocation
 
     # ------------------------------------------------------------------
@@ -410,7 +504,6 @@ class SoADatacenter:
             raise KeyError(f"no PM with id {decision.pm_id}")
         allocation = self._machine_place(pos, vm, decision.placement, time_s)
         self._vm_location[vm.vm_id] = decision.pm_id
-        self._index.refresh(decision.pm_id)
         return allocation
 
     def evict(self, vm_id: int) -> Allocation:
@@ -420,7 +513,6 @@ class SoADatacenter:
             raise KeyError(f"VM#{vm_id} is not placed")
         allocation = self._machine_remove(self._pos_of[pm_id], vm_id)
         del self._vm_location[vm_id]
-        self._index.refresh(pm_id)
         return allocation
 
     def crash_machine(self, pm_id: int) -> List[Allocation]:
@@ -456,7 +548,6 @@ class SoADatacenter:
                 old.placed_at,
             )
             self._vm_location[vm_id] = old.pm_id
-            self._index.refresh(old.pm_id)
             raise
 
     # ------------------------------------------------------------------
@@ -504,7 +595,10 @@ class SoADatacenter:
         refills on read), CSRs dropped (they rebuild lazily on the next
         tick), and the usage-class index is rebuilt — which re-interns
         class ids and bumps the index epoch so memoized per-id consumers
-        invalidate.
+        invalidate.  The row-transition memo is kept: its entries are
+        keyed by value (shape id, usage, the held assignments) and hold
+        values (rows, usages, class keys), none of which a rebuild
+        changes, so writes after it hit the entries made before it.
         """
         self._usage_cache = [None] * len(self._views)
         cols = self._cols

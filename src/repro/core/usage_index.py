@@ -279,13 +279,21 @@ class UsageClassIndex:
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
-    def refresh(self, pm_id: int) -> None:
-        """Re-derive one machine's class membership from its live state.
+    def refresh(
+        self, pm_id: int, key: Optional[ClassKey] = None, class_id: int = -1
+    ) -> int:
+        """Re-derive one machine's class membership from its live state;
+        returns its used-class id (-1 while unused or failed).
 
         Called by the datacenter after every mutation touching the PM
         (place, evict, crash, repair).  Cost is one canonicalization and
         one class-table lookup: the old class is read from ``class_ids``
-        by id, so its key is never rebuilt or hashed again.  A mutation
+        by id, so its key is never rebuilt or hashed again.  A row write
+        passes ``key``, the ``(shape, canonical usage)`` of the usage it
+        left, and the id this method returned for that key before (its
+        memoized transition holds both): the canonicalization is skipped,
+        and so is the lookup while ``class_id`` still names the table's
+        own copy of ``key``.  A mutation
         that keeps the machine's broad state (used→used, unused→unused)
         leaves the healthy/used position lists untouched: at 100k PMs
         those lists are ~800 KB each, and re-inserting into them would
@@ -311,26 +319,38 @@ class UsageClassIndex:
         table = self.table
         old_id = int(self.class_ids[pos])
         new_id = -1
-        if new_state == _USED:
-            shape = machine.shape
-            new_id = table.intern((shape, shape.canonicalize(machine.usage)))
-            # Share the interned key's tuple: one copy per class.
-            self._canon[pos] = table.keys[new_id][1]
+        if new_state != _FAILED:
+            if key is None:
+                shape = machine.shape
+                key = (shape, shape.canonicalize(machine.usage))
+            if new_state == _UNUSED:
+                self._canon[pos] = key[1]
+            else:
+                if not (
+                    0 <= class_id < table.n_classes
+                    and table.keys[class_id] is key
+                ):
+                    class_id = table.intern(key)
+                new_id = class_id
+                # Share the interned key's tuple: one copy per class.
+                self._canon[pos] = table.keys[new_id][1]
         if new_id != old_id:
             if old_id >= 0:
                 table.remove(old_id, pos)  # prv: disable=PRV005 -- SoAClassTable is this index's own maintained state, not a memoized score table
             if new_id >= 0:
                 table.add(new_id, pos)  # prv: disable=PRV005 -- SoAClassTable is this index's own maintained state, not a memoized score table
             self.class_ids[pos] = new_id
+        return new_id
 
     def _move(
         self, pos: int, machine: Any, old_state: str, new_state: str
     ) -> None:
         """Move a position between the used/unused/failed partitions.
 
-        Used-class membership is left to :meth:`refresh`; this maintains
-        the position lists, the unused shape classes and the canonical
-        usage of unused and failed machines.
+        Class membership and canonical usage are left to
+        :meth:`refresh`; this maintains the position lists and the
+        unused shape classes, and clears the canonical usage of a
+        failed machine.
         """
         shape = machine.shape
         if old_state == _USED:
@@ -351,7 +371,6 @@ class UsageClassIndex:
         if new_state == _USED:
             insort(self._used, pos)
         elif new_state == _UNUSED:
-            self._canon[pos] = shape.canonicalize(machine.usage)
             insort(self._unused, pos)
             insort(self._unused_by_shape.setdefault(shape, []), pos)
         self._state[pos] = new_state

@@ -6,8 +6,8 @@ the recorded BENCH trajectory, so what this suite pins is the
 
 * baselines come only from comparable history — same phase, same
   ``quick`` flag, same ``cpu_count`` (and for ``serve`` the same fleet,
-  PM count, mode, request count and concurrency), latest entry
-  excluded;
+  PM count, mode, request count and concurrency, for ``scale_sweep``
+  the same point list), latest entry excluded;
 * the allowed band is the larger of the relative tolerance and the
   robust (MAD-based) spread, so flat histories still tolerate CI noise
   and noisy histories earn wider bands, in the worse direction only;
@@ -279,6 +279,46 @@ class TestCheckTrajectory:
         )
         (degraded,) = check_trajectory(path, phases=["serve"]).degraded
         assert degraded.baseline == pytest.approx(4000.0)
+
+    def test_sweep_entries_are_stamped_and_gated_like_for_like(
+        self, tmp_path, monkeypatch
+    ):
+        # ``bench sweep --out`` stamps the host and the point list, so a
+        # full 10k sweep is judged only against full 10k sweeps of the
+        # same host: not against a 480 + 5k sweep or a 4-point one.
+        from repro.cli import main
+        from repro.experiments import sweep
+
+        walls = []
+
+        def fake_sweep(points, quick=False):
+            return {"scale_sweep_points": [
+                {"n_pms": n, "soa_wall_s": walls[-1] * n / sum(points)}
+                for n in sorted(points)
+            ]}
+
+        monkeypatch.setattr(sweep, "run_sweep", fake_sweep)
+        path = tmp_path / "b.json"
+
+        def record(wall, *argv):
+            walls.append(wall)
+            assert main(["bench", "sweep", *argv, "--out", str(path)]) == 0
+            return check_trajectory(path, phases=["scale_sweep"]).checks[0]
+
+        for wall in (6.0, 6.1, 5.9):
+            record(wall, "--pms", "10000")
+        entry = benchfile.load_trajectory(path)["entries"][-1]
+        assert entry["pms"] == [10_000]
+        assert set(benchfile.host_stamp()) <= set(entry)
+        for argv in (
+            ("--pms", "5000", "480", "--quick"),
+            ("--pms", "480", "5000", "50000", "100000"),
+        ):
+            check = record(90.0, *argv)
+            assert check.status == "no-history", argv
+        check = record(60.0, "--pms", "10000")
+        assert check.status == "degraded"
+        assert check.baseline == pytest.approx(6.0)
 
     def test_retired_shared_phase_is_not_gated(self, tmp_path):
         # Committed trajectories keep "shared" entries from the deleted

@@ -255,3 +255,102 @@ class TestColumnAudit:
         assert "usage cache" in problems[0]
         report = audit_datacenter(dc, expected_vm_ids=[0])
         assert "I2" in report.constraint_ids()
+
+
+class TestTransitionMemo:
+    def test_equal_writes_share_one_entry_and_usage(
+        self, toy_shape, toy_table, vm2
+    ):
+        dc = soa_datacenter(toy_shape)
+        policy = PageRankVMPolicy({toy_shape: toy_table})
+        first = place(dc, policy, 0, vm2)
+        second = policy.select(vm2, dc.indexed_machines().excluding(0))
+        assert second.placement is first.placement
+        dc.apply(VirtualMachine(1, vm2, ConstantTrace(0.3)), second)
+        assert len(dc._transitions) == 1
+        a, b = (dc._usage_cache[dc.locate(v)] for v in (0, 1))
+        assert a is b
+        dc.evict(0)
+        dc.evict(1)
+        assert len(dc._transitions) == 2  # one removal entry for both
+        assert dc.check_columns() == []
+
+    def test_failed_write_leaves_memo_and_row(self, toy_shape, vm2):
+        from repro.core.permutations import Placement
+        from repro.core.policy import PlacementDecision
+        from repro.util.validation import ValidationError
+
+        dc = soa_datacenter(toy_shape)
+        over = PlacementDecision(pm_id=0, placement=Placement(
+            new_usage=toy_shape.empty_usage(), assignments=(((0, 5),),),
+        ))
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="capacity exceeded"):
+                dc.apply(VirtualMachine(0, vm2, ConstantTrace(0.3)), over)
+            assert dc._transitions == {}
+            assert dc.columns.usage[0].tolist() == [0, 0, 0, 0]
+
+    def test_writes_after_rebuild_match_a_fresh_datacenter(
+        self, toy_shape, toy_table, vm2, vm4
+    ):
+        """The memo survives ``rebuild`` (it is keyed by value): writes
+        after it hit entries made before it, leave I1 and I2 clean and
+        decide as a datacenter that never rebuilt."""
+        import hashlib
+
+        from repro.core.policy import PlacementDecision
+
+        def run(rebuild):
+            dc = soa_datacenter(toy_shape)
+            policy = PageRankVMPolicy({toy_shape: toy_table})
+            digest = hashlib.sha256()
+            first = None
+            for step in range(24):
+                if step == 12:
+                    if rebuild:
+                        dc.rebuild()
+                    # The first placement (a vm4) again, on an empty PM: the
+                    # transition made before the rebuild is a hit.
+                    size = len(dc._transitions)
+                    empty = dc.indexed_machines().unused_list()[0].pm_id
+                    dc.apply(
+                        VirtualMachine(99, vm4, ConstantTrace(0.3)),
+                        PlacementDecision(empty, first.placement),
+                    )
+                    assert len(dc._transitions) == size
+                if step % 5 == 4:
+                    dc.evict(step - 3)
+                    continue
+                vm_type = (vm2, vm4)[step % 3 == 0]
+                decision = place(dc, policy, step, vm_type)
+                first = first or decision
+                digest.update(repr(
+                    (decision.pm_id, decision.placement.assignments)
+                ).encode())
+                assert dc.usage_index.check_consistency() == []
+                assert dc.check_columns() == []
+            return digest.hexdigest(), dc.columns.usage.tolist()
+
+        assert run(rebuild=True) == run(rebuild=False)
+
+
+def test_transition_memo_stays_bounded_over_a_fleet_day(monkeypatch):
+    """A 10k-PM day (e2ebench ``fleet_day``'s point) never holds more
+    than ``TRANSITION_MEMO_SIZE`` transitions, and most writes hit."""
+    from repro.core.soa import datacenter as soa_module
+    from repro.experiments.sweep import run_point, sweep_table
+
+    seen = {"writes": 0, "misses": 0}
+    transition = SoADatacenter._transition
+
+    def observed(self, pos, assignments, placing, vm_id):
+        size = len(self._transitions)
+        entry = transition(self, pos, assignments, placing, vm_id)
+        assert len(self._transitions) <= soa_module.TRANSITION_MEMO_SIZE
+        seen["writes"] += 1
+        seen["misses"] += len(self._transitions) != size
+        return entry
+
+    monkeypatch.setattr(SoADatacenter, "_transition", observed)
+    run_point(sweep_table(), 10_000)
+    assert seen["writes"] > 100 * seen["misses"] > 0, seen
