@@ -162,9 +162,10 @@ class CloudSimulation:
     through its usage-class index and runs the columnar monitor tick.
     The object :class:`~repro.cluster.datacenter.Datacenter` keeps no
     index and runs the verbatim seed code instead — plain machine lists
-    scanned per decision and the machine-by-machine tick — which is the
-    baseline the perf harness times against and the oracle the identity
-    tests compare with.
+    scanned per decision and the machine-by-machine tick.  No benchmark
+    times it: it is the oracle of ``tests/cluster/test_soa_identity.py``,
+    ``test_fast_path.py``, the ``soa`` sanitizer twin and
+    ``test_perf_online_serving_identical_under_faults`` (benchmarks/).
     Placement decisions, migrations and overload counts are identical
     on both; energy/SLO totals agree up to float summation order.
     """
@@ -340,8 +341,8 @@ class CloudSimulation:
     def _tick_scan(self, time_s: float, dt_s: float) -> None:
         """The seed machine-by-machine monitoring loop, kept verbatim.
 
-        Runs on the object datacenter: the perf harness baseline and the
-        oracle the columnar tick is asserted identical against.
+        Runs on the object datacenter: the oracle the columnar tick is
+        asserted identical against.
         """
         snapshots = self._monitor.snapshot(self._healthy(), time_s)
         for snap in snapshots:
@@ -493,7 +494,7 @@ class CloudSimulation:
         if self._columnar:
             return self._dc.indexed_machines()
         if self._faults is None:
-            return self._dc.machines  # prv: disable=PRV010 -- seed baseline path, kept verbatim for bit-identity benchmarking
+            return self._dc.machines  # prv: disable=PRV010 -- seed scan, kept verbatim as the identity tests' oracle
         return self._dc.healthy_machines()
 
     def _install_faults(self, loop: EventLoop) -> None:

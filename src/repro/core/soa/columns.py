@@ -98,12 +98,13 @@ class ShapeInfo:
 
     Maps the shape's per-group unit structure onto one flat row of the
     usage column: group ``g`` occupies columns ``offsets[g] ..
-    offsets[g+1]`` (``spans[g]``).
+    offsets[g+1]`` (``spans[g]``).  ``empty_usage`` is the shape's zero
+    usage, the one canonical usage every empty PM of the shape shares.
     """
 
     __slots__ = (
         "shape", "shape_id", "n_dims", "offsets", "spans", "cpu_group",
-        "cpu_capacities", "cpu_capacity",
+        "cpu_capacities", "cpu_capacity", "empty_usage",
     )
 
     def __init__(self, shape: MachineShape, shape_id: int) -> None:
@@ -121,6 +122,7 @@ class ShapeInfo:
         self.cpu_group = cpu_group_index(shape)
         self.cpu_capacities = shape.groups[self.cpu_group].capacities
         self.cpu_capacity = shape.groups[self.cpu_group].total_capacity
+        self.empty_usage = shape.empty_usage()
 
     def split_usage(self, values: List[int]) -> Usage:
         """Split one flat usage row (a list) into the nested ``Usage`` form."""

@@ -284,12 +284,12 @@ class SoADatacenter:
         self._transitions: Dict[
             Tuple[int, Usage, int, bool], _Transition
         ] = {}
-        self._index = UsageClassIndex(self._views)
+        self._index = UsageClassIndex(self)
         self._view = IndexedMachines(self._index)
 
     @classmethod
     def from_machines(cls, machines: Sequence[Any]) -> "SoADatacenter":
-        """Build from empty ``PhysicalMachine``-like specs (tests, twins)."""
+        """Build from empty ``PhysicalMachine``-like machines, in order."""
         return cls([(m.pm_id, m.shape, m.type_name) for m in machines])
 
     def _info_of_pos(self, pos: int) -> ShapeInfo:
@@ -377,7 +377,8 @@ class SoADatacenter:
         info = self._infos[cols.shape_id[pos]]
         usage = self._usage_cache[pos]
         if usage is None:
-            usage = self._views[pos].usage
+            # Not cached here: a failed write leaves the cache as it was.
+            usage = info.usage_tuple(cols.usage[pos])
         key = (info.shape_id, usage, id(assignments), placing)
         entry = self._transitions.get(key)
         if entry is not None and entry.assignments is assignments:
@@ -463,13 +464,14 @@ class SoADatacenter:
         for burst, csr in cols.csr.items():
             csr.append(pos, vm.vm_id, slot, entry.ceilings(burst))
         entry.class_id = self._index.refresh(
-            pm_id, entry.class_key, entry.class_id
+            pos, entry.class_key, entry.class_id
         )
         return allocation
 
     def _machine_remove(self, pos: int, vm_id: int) -> Allocation:
         """``PhysicalMachine.remove`` semantics against the columns; the
-        index is refreshed with the transition's class key and id."""
+        index is refreshed with the transition's class key and id unless
+        the PM is crashed (it left the index when it crashed)."""
         cols = self._cols
         pm_id = self._pm_ids[pos]
         allocation = cols.allocs[pos].get(vm_id)
@@ -482,9 +484,10 @@ class SoADatacenter:
         cols.alloc_count[pos] -= 1
         for csr in cols.csr.values():
             csr.remove(pos, vm_id)
-        entry.class_id = self._index.refresh(
-            pm_id, entry.class_key, entry.class_id
-        )
+        if not cols.failed[pos]:
+            entry.class_id = self._index.refresh(
+                pos, entry.class_key, entry.class_id
+            )
         return allocation
 
     # ------------------------------------------------------------------
@@ -520,8 +523,9 @@ class SoADatacenter:
         view = self.machine(pm_id)
         if view.is_failed:
             raise ValidationError(f"PM#{pm_id} is already crashed")
-        self._cols.failed[self._pos_of[pm_id]] = True
-        self._index.refresh(pm_id)
+        pos = self._pos_of[pm_id]
+        self._cols.failed[pos] = True
+        self._index.refresh(pos, None, -1)
         return [self.evict(a.vm_id) for a in view.allocations]
 
     def repair_machine(self, pm_id: int) -> None:
@@ -529,8 +533,9 @@ class SoADatacenter:
         view = self.machine(pm_id)
         if not view.is_failed:
             raise ValidationError(f"PM#{pm_id} is not crashed")
-        self._cols.failed[self._pos_of[pm_id]] = False
-        self._index.refresh(pm_id)
+        pos = self._pos_of[pm_id]
+        self._cols.failed[pos] = False
+        self._index.refresh(pos, None, -1)
 
     def migrate(
         self, vm_id: int, decision: PlacementDecision, time_s: float = 0.0

@@ -1,4 +1,4 @@
-"""Incremental usage-class index over a fixed machine inventory.
+"""The usage-class index of the columnar fleet.
 
 The paper's key observation (Section V.B) is that PMs at the same
 *canonical* usage are interchangeable: Algorithm 2 scores profiles, not
@@ -6,12 +6,13 @@ machines.  This module maintains that equivalence structure online so the
 serving path can evaluate each distinct ``(shape, canonical usage)``
 class once per request instead of rediscovering it machine by machine.
 
-The index partitions the inventory into three states:
+The index partitions an :class:`~repro.core.soa.SoADatacenter`'s fleet
+into three states, read from its columns:
 
 * **used** — hosts at least one VM and is not crashed; grouped into
   classes keyed by ``(shape, canonical usage)``.
 * **unused** — empty and healthy; usage is identically zero, so the
-  class is the shape alone.
+  class is the shape alone (grouped by shape id).
 * **failed** — crashed; invisible to every listing until repaired.
 
 Each class carries a deterministic *representative*: the member with the
@@ -31,7 +32,8 @@ The used classes live in two structures addressed by class id:
 * a ``class_ids`` column maps every inventory position to the class id
   of its current used class (-1 while unused or failed), indexed like
   the fleet columns.  A refresh reads the old class from it, so only
-  the new key is ever hashed.
+  the new key is ever hashed, and a used PM's canonical usage is its
+  class key's own tuple.
 
 Class ids are *content-addressed* (the key is the class content, not its
 membership), so a score memoized against an id stays valid while the
@@ -45,13 +47,12 @@ classes and a cheap single-PM exclusion used for migration-destination
 selection.  A :class:`ClassRanking` keeps one policy's best used class
 for one VM type current by reading the table's change log.
 
-The index is owned and driven by :class:`repro.core.soa.SoADatacenter`,
-which calls :meth:`UsageClassIndex.refresh` after every mutation;
-:meth:`UsageClassIndex.check_consistency` rebuilds from a fresh scan and
-reports any divergence (surfaced by the constraint auditor as check
-"I1").  The module sits in ``repro.core`` rather than ``repro.core.soa``
-because :mod:`repro.core.policy` imports it, and the ``repro.core.soa``
-package imports the policy module through the object datacenter.
+The datacenter builds its index and calls
+:meth:`UsageClassIndex.refresh` with the PM's position after every
+mutation; :meth:`UsageClassIndex.check_consistency` compares it with a
+fresh build (the constraint auditor's check "I1").  The module sits in
+``repro.core``, not ``repro.core.soa``, because :mod:`repro.core.policy`
+imports it and ``repro.core.soa.datacenter`` imports the policy module.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -77,7 +79,9 @@ from typing import (
 import numpy as np
 
 from repro.core.profile import MachineShape, Usage
-from repro.util.validation import require
+
+if TYPE_CHECKING:
+    from repro.core.soa.datacenter import SoADatacenter, SoAMachineView
 
 __all__ = [
     "UsageClass", "SoAClassTable", "UsageClassIndex", "IndexedMachines",
@@ -85,12 +89,6 @@ __all__ = [
 ]
 
 ClassKey = Tuple[MachineShape, Usage]
-
-# Machine states tracked per inventory position.
-_NEW = "new"          # pre-initialization sentinel
-_USED = "used"
-_UNUSED = "unused"
-_FAILED = "failed"
 
 #: Representative sentinel for ids whose class is currently empty; any
 #: real inventory position compares smaller.
@@ -218,122 +216,121 @@ class SoAClassTable:
 
 
 class UsageClassIndex:
-    """Maintained partition of a machine inventory into usage classes.
+    """Usage-class partition of one :class:`SoADatacenter`'s fleet.
 
-    Args:
-        machines: the full, fixed inventory.  Anything exposing
-            ``pm_id``, ``shape``, ``usage``, ``is_used`` and
-            ``is_failed`` qualifies.
+    Reads the datacenter's ``failed``, ``alloc_count`` and ``shape_id``
+    columns, views and PM-id map, and copies none of them; it adds the
+    healthy/used/unused position lists, the unused positions by shape
+    id, the class table and ``class_ids``.  A PM's canonical usage is
+    derived: its class key's tuple, its shape's zero usage while empty,
+    None while crashed.
     """
 
-    def __init__(self, machines: Sequence[Any]) -> None:
-        self._machines = list(machines)
-        self._pos: Dict[int, int] = {
-            m.pm_id: i for i, m in enumerate(self._machines)
-        }
-        require(
-            len(self._pos) == len(self._machines),
-            "usage index needs unique pm_ids",
-        )
+    def __init__(self, dc: SoADatacenter) -> None:
+        self._dc = dc
         #: Bulk-rebuild generation counter.  Incremental refreshes leave
         #: it untouched; :meth:`rebuild` bumps it so consumers that memoize
         #: against index-internal identifiers (class ids, per-class score
         #: vectors, the candidate memo) know their entries predate the
         #: rebuild and must be dropped.
         self.epoch = 0
-        self._reset()
+        self._build()
 
-    def _reset(self) -> None:
-        """(Re-)derive every maintained structure from a fresh scan.
+    def _build(self) -> None:
+        """Derive every maintained structure from the datacenter's columns.
 
-        The class table is created anew, so every class id is
-        re-interned in inventory order.
+        The position lists come straight from the ``failed`` and
+        ``alloc_count`` columns, and the empty PMs are grouped by their
+        ``shape_id``: no empty or crashed PM's usage is read.  Only the
+        used PMs are classified, one at a time in inventory order, so
+        the class table interns ids in inventory order.
         """
-        n = len(self._machines)
-        self._state: List[str] = [_NEW] * n
-        # Canonical usage per position; None while new or failed.
-        self._canon: List[Optional[Usage]] = [None] * n
-        self._healthy: List[int] = []
-        self._used: List[int] = []
-        self._unused: List[int] = []
-        self._unused_by_shape: Dict[MachineShape, List[int]] = {}
-        self.table = SoAClassTable()
-        self.class_ids = np.full(n, -1, dtype=np.int64)
-        for machine in self._machines:
-            self.refresh(machine.pm_id)
+        cols = self._dc._cols
+        healthy = ~cols.failed
+        used = healthy & (cols.alloc_count > 0)
+        unused = np.flatnonzero(healthy & ~used)
+        self._healthy: List[int] = np.flatnonzero(healthy).tolist()
+        self._used: List[int] = np.flatnonzero(used).tolist()
+        self._unused: List[int] = unused.tolist()
+        unused_shapes = cols.shape_id[unused]
+        self._unused_by_shape: Dict[int, List[int]] = {
+            int(shape_id): unused[unused_shapes == shape_id].tolist()
+            for shape_id in np.unique(unused_shapes)
+        }
+        self.table = table = SoAClassTable()
+        self.class_ids = np.full(cols.n, -1, dtype=np.int64)
+        infos, views = self._dc._infos, self._dc._views
+        for pos in self._used:
+            shape = infos[cols.shape_id[pos]].shape
+            canonical = shape.canonicalize(views[pos].usage)
+            class_id = table.intern((shape, canonical))
+            table.add(class_id, pos)  # prv: disable=PRV005 -- SoAClassTable is this index's own maintained state, not a memoized score table
+            self.class_ids[pos] = class_id
 
     def rebuild(self) -> None:
         """Re-derive the whole index in place and bump the epoch.
 
         The bulk-reload seam: after out-of-band machine mutation (a
         checkpoint restore, a columnar array rebuild) the incremental
-        structures are untrusted, so everything is rescanned and every
-        class id re-interned.  The object identity of the index is
-        preserved — only the epoch moves — which is what lets consumers
-        distinguish "same index, state rebuilt underneath me" from "a
-        different index".
+        structures are untrusted, so everything is rebuilt from the
+        columns and every class id re-interned.  The object identity of
+        the index is preserved — only the epoch moves — which is what
+        lets consumers distinguish "same index, state rebuilt underneath
+        me" from "a different index".
         """
-        self._reset()
+        self._build()
         self.epoch += 1
 
     # ------------------------------------------------------------------
     # Maintenance
     # ------------------------------------------------------------------
     def refresh(
-        self, pm_id: int, key: Optional[ClassKey] = None, class_id: int = -1
+        self, pos: int, key: Optional[ClassKey], class_id: int
     ) -> int:
-        """Re-derive one machine's class membership from its live state;
+        """Move the PM at ``pos`` to the state its columns now show;
         returns its used-class id (-1 while unused or failed).
 
-        Called by the datacenter after every mutation touching the PM
-        (place, evict, crash, repair).  Cost is one canonicalization and
-        one class-table lookup: the old class is read from ``class_ids``
-        by id, so its key is never rebuilt or hashed again.  A row write
-        passes ``key``, the ``(shape, canonical usage)`` of the usage it
-        left, and the id this method returned for that key before (its
-        memoized transition holds both): the canonicalization is skipped,
-        and so is the lookup while ``class_id`` still names the table's
-        own copy of ``key``.  A mutation
-        that keeps the machine's broad state (used→used, unused→unused)
-        leaves the healthy/used position lists untouched: at 100k PMs
-        those lists are ~800 KB each, and re-inserting into them would
-        memmove both on every placement.
-
-        Raises:
-            KeyError: for ids outside the indexed inventory.
+        Called once per change the index tracks: a place or remove on a
+        healthy PM, a crash, a repair.  A crashed PM's evictions are not
+        refreshed, so a PM found crashed was healthy before, and an
+        empty healthy PM without a class was crashed.  A write passes
+        the ``(shape, canonical usage)`` it left and the id this method
+        returned for that key before (its memoized transition holds
+        both): the lookup is skipped while ``class_id`` still names the
+        table's own copy of ``key``.  A crash or repair passes None.  A
+        used→used write leaves the position lists untouched: at 100k
+        PMs they are ~800 KB each, and re-inserting would memmove them.
         """
-        pos = self._pos.get(pm_id)
-        if pos is None:
-            raise KeyError(f"no PM with id {pm_id} in the usage index")
-        machine = self._machines[pos]
-        old_state = self._state[pos]
-        if machine.is_failed:
-            new_state = _FAILED
-        elif machine.is_used:
-            new_state = _USED
-        else:
-            new_state = _UNUSED
-        if new_state != old_state:
-            self._move(pos, machine, old_state, new_state)
-
+        cols = self._dc._cols
         table = self.table
         old_id = int(self.class_ids[pos])
         new_id = -1
-        if new_state != _FAILED:
-            if key is None:
-                shape = machine.shape
-                key = (shape, shape.canonicalize(machine.usage))
-            if new_state == _UNUSED:
-                self._canon[pos] = key[1]
+        if cols.failed[pos]:
+            if old_id < 0:
+                self._drop_unused(pos)
             else:
-                if not (
-                    0 <= class_id < table.n_classes
-                    and table.keys[class_id] is key
-                ):
-                    class_id = table.intern(key)
-                new_id = class_id
-                # Share the interned key's tuple: one copy per class.
-                self._canon[pos] = table.keys[new_id][1]
+                _discard_sorted(self._used, pos)
+            _discard_sorted(self._healthy, pos)
+        elif cols.alloc_count[pos] == 0:
+            if old_id < 0:
+                insort(self._healthy, pos)
+            else:
+                _discard_sorted(self._used, pos)
+            insort(self._unused, pos)
+            insort(
+                self._unused_by_shape.setdefault(int(cols.shape_id[pos]), []),
+                pos,
+            )
+        else:
+            if not (
+                0 <= class_id < table.n_classes
+                and table.keys[class_id] is key
+            ):
+                class_id = table.intern(cast(ClassKey, key))
+            new_id = class_id
+            if old_id < 0:
+                self._drop_unused(pos)
+                insort(self._used, pos)
         if new_id != old_id:
             if old_id >= 0:
                 table.remove(old_id, pos)  # prv: disable=PRV005 -- SoAClassTable is this index's own maintained state, not a memoized score table
@@ -342,38 +339,14 @@ class UsageClassIndex:
             self.class_ids[pos] = new_id
         return new_id
 
-    def _move(
-        self, pos: int, machine: Any, old_state: str, new_state: str
-    ) -> None:
-        """Move a position between the used/unused/failed partitions.
-
-        Class membership and canonical usage are left to
-        :meth:`refresh`; this maintains the position lists and the
-        unused shape classes, and clears the canonical usage of a
-        failed machine.
-        """
-        shape = machine.shape
-        if old_state == _USED:
-            _discard_sorted(self._used, pos)
-        elif old_state == _UNUSED:
-            _discard_sorted(self._unused, pos)
-            same_shape = self._unused_by_shape[shape]
-            _discard_sorted(same_shape, pos)
-            if not same_shape:
-                del self._unused_by_shape[shape]
-        was_healthy = old_state in (_USED, _UNUSED)
-        if new_state == _FAILED:
-            self._canon[pos] = None
-            if was_healthy:
-                _discard_sorted(self._healthy, pos)
-        elif not was_healthy:
-            insort(self._healthy, pos)
-        if new_state == _USED:
-            insort(self._used, pos)
-        elif new_state == _UNUSED:
-            insort(self._unused, pos)
-            insort(self._unused_by_shape.setdefault(shape, []), pos)
-        self._state[pos] = new_state
+    def _drop_unused(self, pos: int) -> None:
+        """Remove an empty PM from the unused lists."""
+        _discard_sorted(self._unused, pos)
+        shape_id = int(self._dc._cols.shape_id[pos])
+        same_shape = self._unused_by_shape[shape_id]
+        _discard_sorted(same_shape, pos)
+        if not same_shape:
+            del self._unused_by_shape[shape_id]
 
     # ------------------------------------------------------------------
     # Maintained lookups
@@ -388,37 +361,48 @@ class UsageClassIndex:
         """Number of distinct used classes (observability)."""
         return self.table.n_live
 
-    def used_machines(self) -> List[Any]:
+    def used_machines(self) -> List[SoAMachineView]:
         """Used healthy machines in inventory order (O(used))."""
-        return [self._machines[p] for p in self._used]
+        views = self._dc._views
+        return [views[p] for p in self._used]
 
-    def healthy_machines(self) -> List[Any]:
+    def healthy_machines(self) -> List[SoAMachineView]:
         """Non-crashed machines in inventory order (O(healthy))."""
-        return [self._machines[p] for p in self._healthy]
+        views = self._dc._views
+        return [views[p] for p in self._healthy]
 
     def canonical_usage(self, pm_id: int) -> Optional[Usage]:
-        """The maintained canonical usage of a healthy PM (None if failed)."""
-        return self._canon[self._pos[pm_id]]
+        """The canonical usage of a healthy PM (None if failed)."""
+        return self._canonical_at(self._dc._pos_of[pm_id])
+
+    def _canonical_at(self, pos: int) -> Optional[Usage]:
+        if self._dc._cols.failed[pos]:
+            return None
+        class_id = int(self.class_ids[pos])
+        if class_id >= 0:
+            return self.table.keys[class_id][1]
+        return self._dc._info_of_pos(pos).empty_usage
 
     # ------------------------------------------------------------------
     # Consistency
     # ------------------------------------------------------------------
     def check_consistency(self) -> List[str]:
-        """Compare the maintained state against a fresh scan.
+        """Compare the maintained state against a fresh build.
 
         Returns a list of human-readable discrepancies (empty when the
-        index matches reality): the partition against a freshly built
-        index, then the class table and the class-id column against the
-        maintained classes.  The constraint auditor runs this as check
-        "I1" so drift caused by out-of-band machine mutation is caught
-        rather than silently served.
+        index matches reality): the partition against an index freshly
+        built from the columns, then the class table and the class-id
+        column against the maintained classes.  The constraint auditor
+        runs this as check "I1" so drift caused by out-of-band machine
+        mutation is caught rather than silently served.
         """
-        fresh = UsageClassIndex(self._machines)
+        fresh = UsageClassIndex(self._dc)
         table = self.table
+        positions = range(len(self.class_ids))
         problems: List[str] = []
         for label, mine, theirs in (
-            ("state", self._state, fresh._state),
-            ("canonical usage", self._canon, fresh._canon),
+            ("canonical usage", [self._canonical_at(p) for p in positions],
+             [fresh._canonical_at(p) for p in positions]),
             ("healthy set", self._healthy, fresh._healthy),
             ("used set", self._used, fresh._used),
             ("unused set", self._unused, fresh._unused),
@@ -433,9 +417,11 @@ class UsageClassIndex:
                     f"index {label} diverged from a fresh scan: "
                     f"maintained {mine!r} != scanned {theirs!r}"
                 )
+        expected_ids = np.full(len(self.class_ids), -1, dtype=np.int64)
         for class_id, (key, members) in enumerate(
             zip(table.keys, table.members)
         ):
+            expected_ids[members] = class_id
             if table.lookup(key) != class_id:
                 problems.append(
                     f"class table key of row {class_id} is interned as "
@@ -448,18 +434,11 @@ class UsageClassIndex:
                     f"class table row {class_id} diverged: rep/size "
                     f"{rep_size} != {expected}"
                 )
-        for pos in range(len(self._machines)):
-            if self._state[pos] == _USED:
-                expected_id = table.lookup(
-                    (self._machines[pos].shape, cast(Usage, self._canon[pos]))
-                )
-            else:
-                expected_id = -1
-            if int(self.class_ids[pos]) != expected_id:
-                problems.append(
-                    f"class-id column stale at position {pos}: "
-                    f"{int(self.class_ids[pos])} != {expected_id}"
-                )
+        for pos in np.flatnonzero(expected_ids != self.class_ids).tolist():
+            problems.append(
+                f"class-id column stale at position {pos}: "
+                f"{int(self.class_ids[pos])} != {int(expected_ids[pos])}"
+            )
         return problems
 
 
@@ -473,13 +452,17 @@ class IndexedMachines(Sequence[Any]):
     filtering the serving path ever needs.
     """
 
-    __slots__ = ("_index", "_excluded")
+    __slots__ = ("_index", "_excluded", "_excluded_pos")
 
     def __init__(
         self, index: UsageClassIndex, excluded_pm: Optional[int] = None
     ) -> None:
         self._index = index
         self._excluded = excluded_pm
+        self._excluded_pos = (
+            -1 if excluded_pm is None
+            else index._dc._pos_of.get(excluded_pm, -1)
+        )
 
     @property
     def index(self) -> UsageClassIndex:
@@ -496,11 +479,6 @@ class IndexedMachines(Sequence[Any]):
         """The PM this view hides, or None."""
         return self._excluded
 
-    @property
-    def epoch(self) -> int:
-        """The backing index's bulk-rebuild generation counter."""
-        return self._index.epoch
-
     def excluding(self, pm_id: int) -> "IndexedMachines":
         """A view over the same index hiding ``pm_id``.
 
@@ -511,24 +489,22 @@ class IndexedMachines(Sequence[Any]):
 
     def excluded_position(self) -> int:
         """Inventory position of the hidden PM, or -1."""
-        if self._excluded is None:
-            return -1
-        return self._index._pos.get(self._excluded, -1)
+        return self._excluded_pos
 
     def class_members(self, class_id: int) -> List[int]:
         """Member positions of a used class id, ascending, exclusion applied."""
-        ex = self.excluded_position()
+        ex = self._excluded_pos
         return [p for p in self._index.table.members[class_id] if p != ex]
 
-    def machine_at(self, pos: int) -> Any:
+    def machine_at(self, pos: int) -> SoAMachineView:
         """The machine at inventory position ``pos``."""
-        return self._index._machines[pos]
+        return self._index._dc._views[pos]
 
     # ------------------------------------------------------------------
     # Sequence protocol (healthy machines, inventory order)
     # ------------------------------------------------------------------
     def _positions(self) -> List[int]:
-        ex = self.excluded_position()
+        ex = self._excluded_pos
         if ex < 0:
             return self._index._healthy
         return [p for p in self._index._healthy if p != ex]
@@ -544,31 +520,32 @@ class IndexedMachines(Sequence[Any]):
 
     def __getitem__(self, item: Union[int, slice]) -> Any:
         positions = self._positions()
+        views = self._index._dc._views
         if isinstance(item, slice):
-            return [self._index._machines[p] for p in positions[item]]
-        return self._index._machines[positions[item]]
+            return [views[p] for p in positions[item]]
+        return views[positions[item]]
 
     def __iter__(self) -> Iterator[Any]:
-        machines = self._index._machines
-        ex = self.excluded_position()
+        views = self._index._dc._views
+        ex = self._excluded_pos
         for p in self._index._healthy:
             if p != ex:
-                yield machines[p]
+                yield views[p]
 
     # ------------------------------------------------------------------
     # Class listings
     # ------------------------------------------------------------------
     def used_list(self) -> List[Any]:
         """Used machines in inventory order (the legacy scan's input)."""
-        machines = self._index._machines
-        ex = self.excluded_position()
-        return [machines[p] for p in self._index._used if p != ex]
+        views = self._index._dc._views
+        ex = self._excluded_pos
+        return [views[p] for p in self._index._used if p != ex]
 
     def unused_list(self) -> List[Any]:
         """Unused healthy machines in inventory order."""
-        machines = self._index._machines
-        ex = self.excluded_position()
-        return [machines[p] for p in self._index._unused if p != ex]
+        views = self._index._dc._views
+        ex = self._excluded_pos
+        return [views[p] for p in self._index._unused if p != ex]
 
     def unused_classes(self) -> List[UsageClass]:
         """Distinct unused shape classes ordered by representative position.
@@ -576,10 +553,10 @@ class IndexedMachines(Sequence[Any]):
         Empty healthy machines carry identically zero usage, so the
         shape alone determines feasibility and the resulting placement.
         """
-        index = self._index
-        ex = self.excluded_position()
-        rows: List[Tuple[int, MachineShape, int]] = []
-        for shape, members in index._unused_by_shape.items():
+        dc = self._index._dc
+        ex = self._excluded_pos
+        rows: List[Tuple[int, int, int]] = []
+        for shape_id, members in self._index._unused_by_shape.items():
             size = len(members)
             rep = members[0]
             if ex >= 0:
@@ -590,13 +567,14 @@ class IndexedMachines(Sequence[Any]):
                         continue
                     if rep == ex:
                         rep = members[1]
-            rows.append((rep, shape, size))
+            rows.append((rep, shape_id, size))
         rows.sort(key=lambda row: row[0])
-        # Unused positions always carry a canonical (zero) usage.
-        canon = cast(List[Usage], index._canon)
         return [
-            UsageClass(shape, canon[rep], index._machines[rep], size)
-            for rep, shape, size in rows
+            UsageClass(
+                dc._infos[shape_id].shape, dc._infos[shape_id].empty_usage,
+                dc._views[rep], size,
+            )
+            for rep, shape_id, size in rows
         ]
 
 

@@ -206,7 +206,7 @@ class TestPolicyOutlivesIndex:
             fleets.append(dc)
         reused = make_policy()
         for k in range(400):
-            index = UsageClassIndex(fleets[k % 2].machines)
+            index = UsageClassIndex(fleets[k % 2])
             view = IndexedMachines(index)
             got = reused.select(q, view)
             want = make_policy().select(q, view)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster.ec2 import ec2_pm_shape, ec2_vm_type
 from repro.cluster.machine import PhysicalMachine
 from repro.cluster.vm import VirtualMachine
 from repro.core import policy as policy_module
@@ -12,7 +13,7 @@ from repro.core.policy import (
     ProfileScorePolicy,
 )
 from repro.core.soa import SoADatacenter
-from repro.core.usage_index import IndexedMachines, UsageClassIndex
+from repro.core.usage_index import IndexedMachines
 from repro.traces.base import ConstantTrace
 from repro.util.validation import ValidationError
 
@@ -109,14 +110,14 @@ class TestIndexMaintenance:
     def test_unknown_pm_rejected(self, toy_shape):
         dc = toy_datacenter(toy_shape)
         with pytest.raises(KeyError):
-            dc.usage_index.refresh(99)
+            dc.crash_machine(99)
 
     def test_duplicate_pm_ids_rejected(self, toy_shape):
         machines = [
             PhysicalMachine(7, toy_shape, type_name="M3") for _ in range(2)
         ]
         with pytest.raises(ValidationError):
-            UsageClassIndex(machines)
+            SoADatacenter.from_machines(machines)
 
 
 class TestConsistencyCheck:
@@ -161,6 +162,71 @@ class TestConsistencyCheck:
         key_usage = index.table.keys[class_id][1]
         assert index.canonical_usage(0) is key_usage
         assert index.canonical_usage(2) is key_usage
+
+
+def interleaved_fleet(count=12):
+    """M3 at even positions, C3 at odd ones."""
+    names = ("M3", "C3")
+    return SoADatacenter([
+        (i, ec2_pm_shape(names[i % 2]), names[i % 2]) for i in range(count)
+    ])
+
+
+class TestColumnBuild:
+    def test_interleaved_fleet_rebuild_matches_upkeep(self):
+        dc = interleaved_fleet()
+        small, large = ec2_vm_type("m3.medium"), ec2_vm_type("m3.large")
+        # Out of inventory order, so the upkeep interns class ids in
+        # another order than a build does.
+        for vm_id, (vm_type, pm_id) in enumerate([
+            (large, 10), (large, 9), (small, 6), (small, 2), (large, 1),
+            (small, 5), (small, 3),
+        ]):
+            place(dc, vm_id, vm_type, pm_id)
+        dc.evict(1)           # PM 9 (C3) empty again
+        dc.crash_machine(3)   # a used C3
+        dc.crash_machine(4)   # an empty M3
+        index = dc.usage_index
+        table = index.table
+
+        def keys_by_position():
+            return [
+                table.keys[c] if c >= 0 else None
+                for c in index.class_ids.tolist()
+            ]
+
+        upkeep_keys = keys_by_position()
+        upkeep_classes = table.live_classes()
+        assert list(dict.fromkeys(
+            c for c in index.class_ids.tolist() if c >= 0
+        )) != list(range(table.n_live))
+        dc.rebuild()
+        table = index.table
+        assert index.check_consistency() == []
+        assert keys_by_position() == upkeep_keys
+        assert table.live_classes() == upkeep_classes
+        # Rebuilt used class ids come out in inventory order.
+        assert list(dict.fromkeys(
+            c for c in index.class_ids.tolist() if c >= 0
+        )) == list(range(table.n_classes))
+        classes = dc.indexed_machines().unused_classes()
+        assert [
+            (c.shape, c.representative.pm_id, c.size) for c in classes
+        ] == [(ec2_pm_shape("M3"), 0, 2), (ec2_pm_shape("C3"), 7, 3)]
+
+    def test_fresh_fleet_reads_no_usage(self):
+        dc = interleaved_fleet()
+        dc.usage_index.rebuild()
+        assert dc._usage_cache == [None] * dc.n_machines
+        index = dc.usage_index
+        for first in (0, 1):
+            zeros = {
+                id(index.canonical_usage(pm_id))
+                for pm_id in range(first, dc.n_machines, 2)
+            }
+            assert len(zeros) == 1
+        assert index.canonical_usage(0) == ec2_pm_shape("M3").empty_usage()
+        assert index.canonical_usage(1) == ec2_pm_shape("C3").empty_usage()
 
 
 class TestIndexedView:
