@@ -252,7 +252,7 @@ def test_perf_ec2_sweep_speedup_vs_iterative(ec2_graph):
         phase="kernel",
     )
     profile_pagerank(ec2_graph)           # cache the sparse kernel
-    sweep_profile_pagerank(ec2_graph)     # cache schedule + coefficients
+    sweep_profile_pagerank(ec2_graph)     # cache level order + coefficients
     iterative_wall = _median_wall(lambda: profile_pagerank(ec2_graph))
     sweep_wall = _median_wall(lambda: sweep_profile_pagerank(ec2_graph))
     speedup = iterative_wall / sweep_wall

@@ -130,6 +130,7 @@ PHASE_METRICS: Dict[str, Tuple[MetricSpec, ...]] = {
         MetricSpec("p99_ms", False, _key("p99_ms")),
     ),
     "kernel": (
+        MetricSpec("sweep_cold_wall_s", False, _key("sweep_cold_wall_s")),
         MetricSpec("sweep_wall_s", False, _key("sweep_wall_s")),
         MetricSpec(
             "sweep_speedup_vs_iterative", True,

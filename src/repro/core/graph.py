@@ -39,9 +39,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
+from scipy import sparse
 
 from repro.core import permutations
 from repro.core.interning import packed_dtype_for
@@ -59,6 +62,8 @@ __all__ = [
     "SuccessorStrategy",
     "GraphLimitExceeded",
     "ProfileGraph",
+    "LevelOrder",
+    "EdgeSegments",
     "build_profile_graph",
 ]
 
@@ -149,9 +154,9 @@ class ProfileGraph:
     def memo(self, key: str, builder: Callable[[], Any]) -> Any:
         """Cache an immutable derived structure on the graph.
 
-        The graph never changes after construction, so edge arrays and
-        DP schedules are built once and shared by every consumer
-        (PageRank kernel, BPRU/EFU DPs, benchmarks).
+        The graph never changes after construction, so the level order
+        and the kernels' derived arrays are built once and shared by
+        every consumer (PageRank kernels, BPRU/EFU passes, benchmarks).
         """
         try:
             return self._derived[key]
@@ -159,10 +164,6 @@ class ProfileGraph:
             value = builder()
             self._derived[key] = value
             return value
-
-    def flat_profiles(self) -> np.ndarray:
-        """All profiles flattened to an (n_nodes, n_dimensions) int matrix."""
-        return self.flat
 
     def packed_profiles(self) -> np.ndarray:
         """All profiles as a packed unsigned (n_nodes, n_dimensions) matrix.
@@ -174,31 +175,7 @@ class ProfileGraph:
         """
         return self.memo(
             "packed_profiles",
-            lambda: self.flat_profiles().astype(packed_dtype_for(self.shape)),
-        )
-
-    def successor_csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The adjacency in CSR form: ``(indptr, indices)`` int64 arrays."""
-        return self.indptr, self.indices
-
-    def total_units_array(self) -> np.ndarray:
-        """Total used units per node (the topological level of each node)."""
-        return self.memo(
-            "total_units", lambda: self.flat_profiles().sum(axis=1)
-        )
-
-    def topological_order(self) -> List[int]:
-        """Node ids sorted by total used units (a topological order).
-
-        Every edge adds a VM with positive total demand, so total usage
-        strictly increases along edges and sorting by it is topological.
-        """
-        return self.memo(
-            "topological_order",
-            lambda: [
-                int(i)
-                for i in np.argsort(self.total_units_array(), kind="stable")
-            ],
+            lambda: self.flat.astype(packed_dtype_for(self.shape)),
         )
 
     def utilization_array(self) -> np.ndarray:
@@ -209,74 +186,114 @@ class ProfileGraph:
                 [c for group in self.shape.groups for c in group.capacities],
                 dtype=float,
             )
-            return (self.flat_profiles() / caps).mean(axis=1)
+            return (self.flat / caps).mean(axis=1)
 
         return self.memo("utilization_array", build)
 
-    def edge_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """All edges as parallel (src, dst) int arrays, grouped by src.
+    def level_order(self) -> "LevelOrder":
+        """The graph's :class:`LevelOrder`, built once with array
+        operations only."""
 
-        This is :meth:`successor_csr` flattened: ``dst`` is its
-        ``indices`` and ``src`` repeats each node id ``out_degree`` times.
-        """
-
-        def build() -> Tuple[np.ndarray, np.ndarray]:
-            indptr, indices = self.successor_csr()
-            return np.repeat(np.arange(self.n_nodes), np.diff(indptr)), indices
-
-        return self.memo("edge_arrays", build)
-
-    def reverse_level_schedule(self) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Vectorized schedule for reverse-topological dynamic programs.
-
-        Nodes are grouped by total used units (their topological level) in
-        *descending* order; every successor of a node has strictly more
-        total units and therefore lives in an earlier-processed level, so
-        a DP may sweep the levels in schedule order and reduce over all
-        successors of a level at once.  Each entry is ``(nodes, flat_successors, starts)`` where
-        ``nodes`` are the level's node ids that have successors,
-        ``flat_successors`` is the concatenation of their successor ids and
-        ``starts`` are the segment offsets into it (one per node, suitable
-        for ``np.ufunc.reduceat``).  Sink-only levels are omitted.
-        """
-
-        def build() -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-            totals = self.total_units_array()
-            src, dst = self.edge_arrays()
-            out_deg = np.bincount(src, minlength=self.n_nodes).astype(np.int64)
-            order = np.argsort(-totals, kind="stable")
-            rank = np.empty(self.n_nodes, dtype=np.int64)
-            rank[order] = np.arange(self.n_nodes, dtype=np.int64)
-            # Edges re-sorted into node processing order; each node's
-            # successor slice stays contiguous because edge_arrays groups
-            # edges by src and the sort is stable.
-            flat_all = dst[np.argsort(rank[src], kind="stable")]
-            edge_start = np.concatenate(
-                ([0], np.cumsum(out_deg[order])[:-1])
+        def build() -> LevelOrder:
+            n = self.n_nodes
+            totals = self.flat.sum(axis=1)
+            nodes = np.argsort(totals, kind="stable")
+            cuts = np.concatenate(
+                ([0], np.flatnonzero(np.diff(totals[nodes])) + 1, [n])
             )
-            ordered_totals = totals[order]
-            boundaries = np.nonzero(np.diff(ordered_totals))[0] + 1
-            segments = np.split(np.arange(self.n_nodes), boundaries)
-            schedule: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-            for positions in segments:
-                nodes_seg = order[positions]
-                keep = out_deg[nodes_seg] > 0
-                if not np.any(keep):
-                    continue
-                nodes = nodes_seg[keep]
-                starts_abs = edge_start[positions][keep]
-                level_start = int(starts_abs[0])
-                level_end = level_start + int(out_deg[nodes].sum())
-                schedule.append(
-                    (
-                        nodes,
-                        flat_all[level_start:level_end],
-                        starts_abs - level_start,
-                    )
-                )
-            return schedule
+            # scipy's CSR-to-CSC conversion is a stable counting sort of
+            # the edges by target, so each target's sources ascend.
+            csc = sparse.csr_matrix(
+                (np.ones(self.n_edges, dtype=bool), self.indices, self.indptr),
+                shape=(n, n),
+            ).tocsc()
+            # int64 like the graph's arrays: a gather through int32
+            # indices converts them first, on every sweep.
+            in_indptr, in_indices = (
+                array.astype(np.int64) for array in (csc.indptr, csc.indices)
+            )
+            return LevelOrder(
+                nodes, cuts,
+                EdgeSegments.of(nodes, cuts, self.indptr, self.indices, True),
+                EdgeSegments.of(nodes, cuts, in_indptr, in_indices, False),
+                in_indptr, in_indices,
+            )
 
-        return self.memo("reverse_level_schedule", build)
+        return self.memo("level_order", build)
+
+
+class EdgeSegments(NamedTuple):
+    """One direction of a graph's edges, grouped by owner in level order.
+
+    ``others`` holds the other ends of ``owners``' edges, one segment
+    per owner; nodes without edges this way own none.  ``spans`` lists
+    ``[lo, hi, first, last]`` for each level with edges, lowest first:
+    its ``owners[lo:hi]`` and ``others[first:last]``.  ``offsets`` count
+    each segment's start from its level's first edge, for ``reduceat``.
+    """
+
+    owners: np.ndarray
+    offsets: np.ndarray
+    others: np.ndarray
+    spans: List[List[int]]
+    descending: bool
+
+    @classmethod
+    def of(
+        cls, nodes: np.ndarray, cuts: np.ndarray, indptr: np.ndarray,
+        ends: np.ndarray, descending: bool,
+    ) -> "EdgeSegments":
+        """Regroup the CSR-like ``(indptr, ends)`` into the node order
+        ``nodes``, whose levels start at ``cuts``."""
+        degree = np.diff(indptr)[nodes]
+        has_edges = degree > 0
+        owners, counts = nodes[has_edges], degree[has_edges]
+        starts = np.concatenate(([0], np.cumsum(counts)))
+        others = ends[
+            np.repeat(indptr[owners] - starts[:-1], counts)
+            + np.arange(starts[-1])
+        ]
+        owner_cuts = np.concatenate(([0], np.cumsum(has_edges)))[cuts]
+        edge_cuts = starts[owner_cuts]
+        offsets = starts[:-1] - np.repeat(edge_cuts[:-1], np.diff(owner_cuts))
+        spans = np.stack(
+            (owner_cuts[:-1], owner_cuts[1:], edge_cuts[:-1], edge_cuts[1:]),
+            axis=1,
+        )[np.diff(owner_cuts) > 0]
+        return cls(owners, offsets, others, spans.tolist(), descending)
+
+    def levels(self) -> Iterator[Tuple[np.ndarray, slice, np.ndarray]]:
+        """Each level's ``(owners, edges, offsets)``, ``edges`` a slice
+        of ``others``, in pass order: the top level first when
+        ``descending`` (out-edges, whose successors must finish first),
+        else the bottom level first (in-edges)."""
+        spans = reversed(self.spans) if self.descending else self.spans
+        for lo, hi, first, last in spans:
+            yield self.owners[lo:hi], slice(first, last), self.offsets[lo:hi]
+
+
+class LevelOrder(NamedTuple):
+    """A profile graph's one topological order, read by every pass.
+
+    Every edge adds a VM with positive total demand, so total used
+    units strictly grow along edges: the nodes of one total form a
+    level and every edge climbs.  ``nodes`` are the node ids stably
+    sorted by total, so ids ascend within a level, and level ``l`` is
+    ``nodes[level_cuts[l]:level_cuts[l + 1]]``.  ``out`` groups the
+    edges by source in CSR order, ``into`` by target in the order of
+    the CSC arrays ``in_indptr``/``in_indices``; either way a segment's
+    other ends ascend by id.  ``np.add.reduceat`` sums a segment in
+    stored order, so this order fixes the kernels' bits.  BPRU, EFU and
+    the reverse-direction sweep walk ``out``; the forward sweep walks
+    ``into``.
+    """
+
+    nodes: np.ndarray
+    level_cuts: np.ndarray
+    out: EdgeSegments
+    into: EdgeSegments
+    in_indptr: np.ndarray
+    in_indices: np.ndarray
 
 
 class _Table:

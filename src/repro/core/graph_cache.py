@@ -3,11 +3,11 @@
 An EC2-scale profile graph is expensive to construct but depends only on
 ``(shape, VM type set, strategy, mode)`` plus the builder generation —
 the same stability argument the paper makes for score tables.  This
-module persists built graphs as compressed ``.npz`` archives (packed
-profile matrix + CSR adjacency, the formats
-:meth:`~repro.core.graph.ProfileGraph.packed_profiles` and
-:meth:`~repro.core.graph.ProfileGraph.successor_csr` already define) so
-sweeps, policies and the CLI can reload one instead of rebuilding it.
+module persists built graphs as compressed ``.npz`` archives (the packed
+profile matrix of
+:meth:`~repro.core.graph.ProfileGraph.packed_profiles` and the graph's
+``indptr``/``indices`` CSR adjacency) so sweeps, policies and the CLI
+can reload one instead of rebuilding it.
 
 The cache directory is a deployment setting, the ``REPRO_TABLE_CACHE``
 environment variable, read here and nowhere else, so every road to a
@@ -133,7 +133,6 @@ def save_graph(graph: ProfileGraph, path: Union[str, Path], mode: str) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     key = graph_cache_key(graph.shape, graph.vm_types, graph.strategy, mode)
-    indptr, indices = graph.successor_csr()
     meta = json.dumps(
         {
             "format": GRAPH_CACHE_FORMAT,
@@ -154,8 +153,8 @@ def save_graph(graph: ProfileGraph, path: Union[str, Path], mode: str) -> Path:
                 handle,
                 meta=np.array(meta),
                 profiles=graph.packed_profiles(),
-                indptr=indptr,
-                indices=indices,
+                indptr=graph.indptr,
+                indices=graph.indices,
             )
         os.chmod(tmp_name, 0o666 & ~_current_umask())
         os.replace(tmp_name, path)

@@ -19,7 +19,8 @@ pre-normalization total is ``(1 - d) + d * (1 - S)``).  Substituting
     w(theta) = (I - theta * A)^{-1} @ 1 = sum_k theta^k * A^k @ 1,
 
 and nilpotence truncates the Neumann series after ``L`` terms: ``w``
-solves *exactly* in one pass over topological levels of the CSR —
+solves *exactly* in one pass over the graph's level order
+(:meth:`~repro.core.graph.ProfileGraph.level_order`) —
 
     x[i] = 1 + theta * sum_{j -> i} x[j] / outdeg[j]
 
@@ -51,14 +52,13 @@ kernel change can never serve stale scores.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.core.graph import ProfileGraph
 from repro.core.pagerank import (
     PageRankResult,
-    compute_bpru,
     profile_pagerank,
     transition_kernel,
 )
@@ -102,87 +102,26 @@ def ulp_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(ordered(a) - ordered(b))
 
 
-class _SweepSchedule(NamedTuple):
-    """Per-direction level schedule of the transition DAG.
-
-    ``levels`` entries are ``(dst_nodes, src_flat, w_flat, starts)``:
-    the level's in-edge targets, the concatenated transition sources,
-    the matching ``1/outdeg`` vote weights and the ``reduceat`` segment
-    offsets.  ``sink_mask`` flags transition out-degree-0 nodes (the
-    ``S`` mass of the module docstring).
-    """
-
-    levels: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
-    sink_mask: np.ndarray
-
-
-def _sweep_schedule(graph: ProfileGraph, direction: str) -> _SweepSchedule:
-    """The (cached) level-synchronous sweep schedule for a direction."""
-    require(
-        direction in ("forward", "reverse"),
-        f"vote_direction must be 'forward' or 'reverse', got {direction!r}",
-    )
-
-    def build() -> _SweepSchedule:
-        src, dst = graph.edge_arrays()
-        totals = graph.total_units_array()
-        n = graph.n_nodes
-        # Transition edges follow the vote direction; the topological
-        # key orders destinations so every transition source lands in a
-        # strictly earlier level.
-        if direction == "forward":
-            ts, td, key = src, dst, totals
-        else:
-            ts, td, key = dst, src, -totals
-        out_deg = (
-            np.bincount(ts, minlength=n).astype(np.int64)
-            if ts.size
-            else np.zeros(n, dtype=np.int64)
-        )
-        sink_mask = out_deg == 0
-        levels: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-        if ts.size:
-            weights = 1.0 / np.maximum(out_deg, 1).astype(float)
-            # Group edges by destination inside destination level; the
-            # stable lexsort keeps each destination's segment contiguous.
-            order = np.lexsort((td, key[td]))
-            ts_o, td_o = ts[order], td[order]
-            w_o = weights[ts_o]
-            seg_mask = np.empty(td_o.size, dtype=bool)
-            seg_mask[0] = True
-            np.not_equal(td_o[1:], td_o[:-1], out=seg_mask[1:])
-            seg_starts = np.nonzero(seg_mask)[0]
-            dst_nodes = td_o[seg_starts]
-            bounds = np.nonzero(np.diff(key[dst_nodes]))[0] + 1
-            seg_ends = np.append(seg_starts[1:], td_o.size)
-            for segment in np.split(
-                np.arange(dst_nodes.size), bounds
-            ):
-                lo = int(seg_starts[segment[0]])
-                hi = int(seg_ends[segment[-1]])
-                levels.append(
-                    (
-                        dst_nodes[segment],
-                        ts_o[lo:hi],
-                        w_o[lo:hi],
-                        seg_starts[segment] - lo,
-                    )
-                )
-        return _SweepSchedule(levels=levels, sink_mask=sink_mask)
-
-    return graph.memo(f"sweep_schedule:{direction}", build)
-
-
-def _sweep(x: np.ndarray, schedule: _SweepSchedule, theta: float) -> None:
+def _sweep(graph: ProfileGraph, direction: str, theta: float) -> np.ndarray:
     """One exact resolvent sweep: ``x = 1 + theta * A_hat @ x`` levelwise.
 
-    ``x`` starts as all ones: in-degree-0 nodes keep their (correct)
-    value 1 and every in-edge target is overwritten level by level.
+    ``x`` starts as all ones: nodes without vote sources keep their
+    (correct) value 1 and the rest are overwritten level by level in
+    the graph's level order, over in-edges forward and out-edges in
+    reverse.  The vote weights are gathered into that edge order once.
     """
-    for dst_nodes, src_flat, w_flat, starts in schedule.levels:
-        x[dst_nodes] = 1.0 + theta * np.add.reduceat(
-            x[src_flat] * w_flat, starts
+    order = graph.level_order()
+    segments = order.into if direction == "forward" else order.out
+    weights = graph.memo(
+        f"sweep_weights:{direction}",
+        lambda: transition_kernel(graph, direction).weights[segments.others],
+    )
+    x, sources = np.ones(graph.n_nodes, dtype=float), segments.others
+    for nodes, edges, starts in segments.levels():
+        x[nodes] = 1.0 + theta * np.add.reduceat(
+            x[sources[edges]] * weights[edges], starts
         )
+    return x
 
 
 def _theta_coefficients(
@@ -202,16 +141,15 @@ def _theta_coefficients(
 
     def build() -> Tuple[np.ndarray, np.ndarray]:
         kernel = transition_kernel(graph, direction)
-        sink_mask = _sweep_schedule(graph, direction).sink_mask
         v = np.ones(graph.n_nodes, dtype=float)
         totals = [float(v.sum())]
-        sinks = [float(v[sink_mask].sum())]
+        sinks = [float(v[kernel.sinks].sum())]
         for _ in range(graph.n_nodes):
             v = kernel.matvec(v)
             if not v.any():
                 break
             totals.append(float(v.sum()))
-            sinks.append(float(v[sink_mask].sum()))
+            sinks.append(float(v[kernel.sinks].sum()))
         return np.asarray(totals), np.asarray(sinks)
 
     return graph.memo(f"theta_coefficients:{direction}", build)
@@ -270,38 +208,6 @@ def _solve_theta(
             hi = mid
 
 
-def _zero_rank_result(graph: ProfileGraph) -> PageRankResult:
-    """The iterative kernel's exact fixed point at ``damping == 1``.
-
-    With no teleport mass, nilpotence drains the whole vector to exact
-    zero; the iterative loop skips normalization at total 0 and then
-    converges on the zero vector, so the closed form pins the same
-    answer.
-    """
-    zeros = np.zeros(graph.n_nodes, dtype=float)
-    return PageRankResult(
-        graph=graph,
-        raw=zeros,
-        bpru=compute_bpru(graph),
-        scores=zeros.copy(),
-        iterations=0,
-        converged=True,
-    )
-
-
-def _finish(graph: ProfileGraph, x: np.ndarray, sweeps: int) -> PageRankResult:
-    raw = x / float(x.sum())
-    bpru = compute_bpru(graph)
-    return PageRankResult(
-        graph=graph,
-        raw=raw,
-        bpru=bpru,
-        scores=raw * bpru,
-        iterations=sweeps,
-        converged=True,
-    )
-
-
 def sweep_profile_pagerank(
     graph: ProfileGraph,
     damping: float = 0.85,
@@ -330,14 +236,18 @@ def sweep_profile_pagerank(
     require(0.0 <= damping <= 1.0, f"damping must be in [0,1], got {damping}")
     require(graph.n_nodes > 0, "graph has no nodes")
     if damping == 1.0:  # prv: disable=PRV002 -- the d=1 degenerate case is the exact literal, not a computed float
-        result = _zero_rank_result(graph)
+        # The iterative kernel's exact fixed point: with no teleport
+        # mass, nilpotence drains the whole vector to exact zero; the
+        # iterative loop skips normalization at total 0 and then
+        # converges on the zero vector, so the closed form pins the
+        # same answer.
+        raw, sweeps = np.zeros(graph.n_nodes, dtype=float), 0
     else:
-        schedule = _sweep_schedule(graph, vote_direction)
         totals, sinks = _theta_coefficients(graph, vote_direction)
         theta = _solve_theta(totals, sinks, damping)
-        x = np.ones(graph.n_nodes, dtype=float)
-        _sweep(x, schedule, theta)
-        result = _finish(graph, x, sweeps=1)
+        x = _sweep(graph, vote_direction, theta)
+        raw, sweeps = x / float(x.sum()), 1
+    result = PageRankResult.discounted(graph, raw, sweeps, converged=True)
     if verify:
         moved = sweep_residual_ulps(result, damping, vote_direction)
         require(

@@ -64,15 +64,21 @@ class TransitionKernel:
     pr[src] / out_degree[src]``.  The seed implementation re-ran a
     ``np.add.at`` scatter over the raw edge list every iteration; this
     kernel builds the transition structure once as a ``scipy.sparse``
-    CSR matrix and reuses it for every iteration (an edgeless graph gets
-    an empty n x n matrix).  Kernels are memoized on the graph per vote
-    direction.
+    CSR matrix, straight from the graph's level order arrays, and
+    reuses it for every iteration (an edgeless graph gets an empty n x n
+    matrix).  ``weights`` holds each node's vote weight
+    ``1/out_degree`` and ``sinks`` flags out-degree 0.  Kernels are
+    memoized on the graph per vote direction.
     """
 
-    def __init__(self, n: int, src: np.ndarray, dst: np.ndarray):
-        out_deg = np.maximum(np.bincount(src, minlength=n), 1).astype(float)
+    def __init__(
+        self, indptr: np.ndarray, indices: np.ndarray, out_degree: np.ndarray
+    ):
+        n = len(out_degree)
+        self.sinks = out_degree == 0
+        self.weights = 1.0 / np.maximum(out_degree, 1).astype(float)
         self._matrix = sparse.csr_matrix(
-            (1.0 / out_deg[src], (dst, src)), shape=(n, n)
+            (self.weights[indices], indices, indptr), shape=(n, n)
         )
 
     def matvec(self, pr: np.ndarray) -> np.ndarray:
@@ -90,10 +96,13 @@ def transition_kernel(
     )
 
     def build() -> TransitionKernel:
-        src, dst = graph.edge_arrays()
+        # A row lists a node's vote sources: its in-edges (the CSC
+        # arrays) forward, its successors (the CSR) in reverse.
+        order = graph.level_order()
+        out_degree, in_degree = np.diff(graph.indptr), np.diff(order.in_indptr)
         if vote_direction == "forward":
-            return TransitionKernel(graph.n_nodes, src, dst)
-        return TransitionKernel(graph.n_nodes, dst, src)
+            return TransitionKernel(order.in_indptr, order.in_indices, out_degree)
+        return TransitionKernel(graph.indptr, graph.indices, in_degree)
 
     return graph.memo(f"transition_kernel:{vote_direction}", build)
 
@@ -117,6 +126,15 @@ class PageRankResult:
     scores: np.ndarray
     iterations: int
     converged: bool
+
+    @classmethod
+    def discounted(
+        cls, graph: ProfileGraph, raw: np.ndarray, iterations: int,
+        converged: bool,
+    ) -> "PageRankResult":
+        """Line 19: the result whose scores are ``raw`` times BPRU."""
+        bpru = compute_bpru(graph)
+        return cls(graph, raw, bpru, raw * bpru, iterations, converged)
 
     def score_of(self, node: int) -> float:
         """Final (BPRU-discounted) score of a node id."""
@@ -143,8 +161,9 @@ def compute_bpru(graph: ProfileGraph) -> np.ndarray:
         # Sweep levels in descending total usage; within a level every
         # node's successors are already final, so one reduceat handles
         # the whole level.
-        for nodes, flat, starts in graph.reverse_level_schedule():
-            best = np.maximum.reduceat(bpru[flat], starts)
+        out = graph.level_order().out
+        for nodes, edges, starts in out.levels():
+            best = np.maximum.reduceat(bpru[out.others[edges]], starts)
             bpru[nodes] = np.maximum(bpru[nodes], best)
         bpru.setflags(write=False)
         return bpru
@@ -165,10 +184,11 @@ def expected_final_utilization(graph: ProfileGraph) -> np.ndarray:
     ablation; the default scoring remains Algorithm 1.
     """
     values = graph.utilization_array().copy()
-    for nodes, flat, starts in graph.reverse_level_schedule():
-        sums = np.add.reduceat(values[flat], starts)
-        counts = np.diff(np.concatenate((starts, [flat.size])))
-        values[nodes] = sums / counts
+    out_degree = np.diff(graph.indptr)
+    out = graph.level_order().out
+    for nodes, edges, starts in out.levels():
+        sums = np.add.reduceat(values[out.others[edges]], starts)
+        values[nodes] = sums / out_degree[nodes]
     return values
 
 
@@ -205,10 +225,6 @@ def profile_pagerank(
     """
     require(0.0 <= damping <= 1.0, f"damping must be in [0,1], got {damping}")
     require(epsilon > 0, f"epsilon must be positive, got {epsilon}")
-    require(
-        vote_direction in ("forward", "reverse"),
-        f"vote_direction must be 'forward' or 'reverse', got {vote_direction!r}",
-    )
     n = graph.n_nodes
     require(n > 0, "graph has no nodes")
 
@@ -240,13 +256,4 @@ def profile_pagerank(
             converged = True
             break
 
-    bpru = compute_bpru(graph)
-    scores = pr * bpru
-    return PageRankResult(
-        graph=graph,
-        raw=pr,
-        bpru=bpru,
-        scores=scores,
-        iterations=iterations,
-        converged=converged,
-    )
+    return PageRankResult.discounted(graph, pr, iterations, converged)

@@ -140,7 +140,7 @@ class SoAMachineView:
     @property
     def is_used(self) -> bool:
         """True when at least one VM is hosted."""
-        return self._dc._cols.alloc_count[self._pos] > 0
+        return bool(self._dc._cols.alloc_count[self._pos] > 0)
 
     # ------------------------------------------------------------------
     # Inventory
@@ -246,27 +246,29 @@ class SoADatacenter:
         self._pm_ids: List[int] = ids
         self._pos_of: Dict[int, int] = {pm_id: i for i, pm_id in enumerate(ids)}
 
-        # Intern shapes and type names into dense ids.
-        self._shape_ids: Dict[MachineShape, int] = {}
-        self._infos: List[ShapeInfo] = []
+        # Intern shapes and type names into dense ids.  A shape is a
+        # frozen dataclass, hashed field by field, so each distinct shape
+        # object is hashed once (``specs`` keeps the objects alive).
+        shape_ids: Dict[MachineShape, int] = {}
+        by_object: Dict[int, int] = {}
         self.type_names: List[str] = []
         type_ids: Dict[str, int] = {}
         n = len(specs)
         shape_col = np.empty(n, dtype=np.int32)
         type_col = np.empty(n, dtype=np.int32)
         for i, (_, shape, type_name) in enumerate(specs):
-            shape_id = self._shape_ids.get(shape)
-            if shape_id is None:
-                shape_id = len(self._infos)
-                self._shape_ids[shape] = shape_id
-                self._infos.append(ShapeInfo(shape, shape_id))
-            shape_col[i] = shape_id
+            if id(shape) not in by_object:
+                by_object[id(shape)] = shape_ids.setdefault(
+                    shape, len(shape_ids)
+                )
+            shape_col[i] = by_object[id(shape)]
             type_id = type_ids.get(type_name)
             if type_id is None:
                 type_id = len(self.type_names)
                 type_ids[type_name] = type_id
                 self.type_names.append(type_name)
             type_col[i] = type_id
+        self._infos = [ShapeInfo(shape, i) for shape, i in shape_ids.items()]
         cols = FleetColumns(n, max(info.n_dims for info in self._infos))
         cols.shape_id[:] = shape_col
         cols.type_id[:] = type_col

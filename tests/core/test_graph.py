@@ -28,8 +28,8 @@ from repro.util.validation import ValidationError
 
 def successors_of(graph: ProfileGraph, node: int) -> Tuple[int, ...]:
     """Node ``node``'s successor ids: its slice of the CSR."""
-    indptr, indices = graph.successor_csr()
-    return tuple(indices[indptr[node]:indptr[node + 1]].tolist())
+    start, stop = graph.indptr[node], graph.indptr[node + 1]
+    return tuple(graph.indices[start:stop].tolist())
 
 
 class TestFullMode:
@@ -64,11 +64,120 @@ class TestFullMode:
         full_id = toy_graph.node_id(toy_shape.full_usage())
         assert successors_of(toy_graph, full_id) == ()
 
-    def test_topological_order_respects_edges(self, toy_graph):
-        position = {n: i for i, n in enumerate(toy_graph.topological_order())}
-        src, dst = toy_graph.edge_arrays()
-        for node, succ in zip(src.tolist(), dst.tolist()):
-            assert position[node] < position[succ]
+
+def edge_pairs(graph: ProfileGraph) -> np.ndarray:
+    """Every edge as a ``(source, target)`` row, in CSR order."""
+    sources = np.repeat(np.arange(graph.n_nodes), np.diff(graph.indptr))
+    return np.stack((sources, graph.indices), axis=1)
+
+
+def node_levels(order) -> np.ndarray:
+    """The level number of every node, from the level order's cuts."""
+    levels = np.empty(len(order.nodes), dtype=np.int64)
+    levels[order.nodes] = np.repeat(
+        np.arange(len(order.level_cuts) - 1), np.diff(order.level_cuts)
+    )
+    return levels
+
+
+def segment_pairs(segments) -> List[Tuple[int, int]]:
+    """``(owner, other end)`` for every edge the segments list, in pass
+    order."""
+    pairs = []
+    for owners, edges, offsets in segments.levels():
+        others = segments.others[edges]
+        bounds = np.append(offsets, len(others))
+        for owner, lo, hi in zip(owners.tolist(), bounds[:-1], bounds[1:]):
+            assert lo < hi, "an owner without edges"
+            pairs.extend((owner, other) for other in others[lo:hi].tolist())
+    return pairs
+
+
+def grouped(pairs) -> Dict[int, List[int]]:
+    """Second items of ``pairs`` listed per first item, in pair order."""
+    groups: Dict[int, List[int]] = {}
+    for key, value in pairs:
+        groups.setdefault(key, []).append(value)
+    return groups
+
+
+GRAPHS = ["toy_graph", "mixed_graph"]
+
+
+@pytest.fixture
+def mixed_graph(mixed_shape, mixed_vm):
+    """A graph over three resource groups where some level below the
+    top holds sinks only, so its out-edge pass has a level to skip."""
+    graph = build_profile_graph(
+        mixed_shape,
+        (mixed_vm, VMType(name="half", demands=((1,), (1,), (0,)))),
+    )
+    order = graph.level_order()
+    assert len(order.out.spans) < len(order.level_cuts) - 2
+    return graph
+
+
+class TestLevelOrder:
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_every_edge_climbs_a_level(self, name, request):
+        graph = request.getfixturevalue(name)
+        levels = node_levels(graph.level_order())
+        edges = edge_pairs(graph)
+        assert np.all(levels[edges[:, 0]] < levels[edges[:, 1]])
+
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_levels_group_nodes_by_total_units(self, name, request):
+        graph = request.getfixturevalue(name)
+        order = graph.level_order()
+        assert sorted(order.nodes.tolist()) == list(range(graph.n_nodes))
+        totals = graph.flat.sum(axis=1)[order.nodes]
+        for lo, hi in zip(order.level_cuts[:-1], order.level_cuts[1:]):
+            assert lo < hi
+            assert len(set(totals[lo:hi].tolist())) == 1
+            assert np.all(np.diff(order.nodes[lo:hi]) > 0)
+        assert np.all(np.diff(totals[order.level_cuts[:-1]]) > 0)
+
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_out_segments_list_every_edge_once(self, name, request):
+        graph = request.getfixturevalue(name)
+        out = graph.level_order().out
+        pairs = segment_pairs(out)
+        assert sorted(pairs) == sorted(map(tuple, edge_pairs(graph).tolist()))
+        assert len(set(pairs)) == graph.n_edges
+        # Top level first; a segment keeps its CSR order.
+        totals = graph.flat.sum(axis=1)
+        assert np.all(np.diff(totals[[owner for owner, _ in pairs]]) <= 0)
+        for owner, successors in grouped(pairs).items():
+            assert tuple(successors) == successors_of(graph, owner)
+
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_in_segments_list_every_edge_once(self, name, request):
+        graph = request.getfixturevalue(name)
+        order = graph.level_order()
+        pairs = segment_pairs(order.into)  # (target, source)
+        assert sorted((src, dst) for dst, src in pairs) == sorted(
+            map(tuple, edge_pairs(graph).tolist())
+        )
+        assert len(set(pairs)) == graph.n_edges
+        # Bottom level first; a target's sources ascend, and the CSC
+        # arrays list them in the same order.
+        totals = graph.flat.sum(axis=1)
+        assert np.all(np.diff(totals[[dst for dst, _ in pairs]]) >= 0)
+        sources = grouped(pairs)
+        for target in range(graph.n_nodes):
+            lo, hi = order.in_indptr[target], order.in_indptr[target + 1]
+            got = sources.get(target, [])
+            assert got == sorted(got) == order.in_indices[lo:hi].tolist()
+
+    def test_built_once(self, toy_graph):
+        assert toy_graph.level_order() is toy_graph.level_order()
+
+    def test_edgeless_graph(self, toy_shape):
+        big = VMType(name="big", demands=((5,),))
+        graph = build_profile_graph(toy_shape, (big,), mode="reachable")
+        order = graph.level_order()
+        assert graph.n_edges == 0 and order.nodes.tolist() == [0]
+        assert list(order.out.levels()) == list(order.into.levels()) == []
 
 
 class TestReachableMode:
@@ -178,7 +287,7 @@ class TestGraphQueries:
         packed = toy_graph.packed_profiles()
         assert packed.dtype.kind == "u"
         np.testing.assert_array_equal(
-            packed.astype(np.int64), toy_graph.flat_profiles()
+            packed.astype(np.int64), toy_graph.flat
         )
 
     def test_node_index_is_built_on_first_lookup(self, toy_shape, toy_vm_types):
@@ -205,9 +314,8 @@ class TestGraphQueries:
         assert len(built) == 1 and built[0].n_nodes > 100_000
         assert "node_index" not in built[0]._derived
 
-    def test_successor_csr_matches_successors(self, toy_graph):
-        indptr, indices = toy_graph.successor_csr()
-        assert indptr is toy_graph.indptr and indices is toy_graph.indices
+    def test_csr_matches_successors(self, toy_graph):
+        indptr = toy_graph.indptr
         assert indptr.shape == (toy_graph.n_nodes + 1,)
         assert int(indptr[0]) == 0
         assert int(indptr[-1]) == toy_graph.n_edges
@@ -377,12 +485,12 @@ def small_worlds(draw):
 
 def assert_same_graph(got: ProfileGraph, want: ProfileGraph):
     assert got.profiles == want.profiles
-    for left, right in zip(got.successor_csr(), want.successor_csr()):
+    for left, right in zip(
+        (got.flat, got.indptr, got.indices),
+        (want.flat, want.indptr, want.indices),
+    ):
         np.testing.assert_array_equal(left, right)
         assert left.dtype == right.dtype
-    np.testing.assert_array_equal(got.flat_profiles(), want.flat_profiles())
-    for left, right in zip(got.edge_arrays(), want.edge_arrays()):
-        np.testing.assert_array_equal(left, right)
 
 
 STRATEGIES = st.sampled_from(list(SuccessorStrategy))

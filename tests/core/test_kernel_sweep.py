@@ -7,9 +7,12 @@ directions, and the :data:`KERNEL_CODE_VERSION` stamp in every
 rank-derived cache key.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.cluster.ec2 import EC2_VM_TYPES, ec2_pm_shape
 from repro.core import kernel_sweep
 from repro.core.graph import SuccessorStrategy, build_profile_graph
 from repro.core.graph_cache import (
@@ -25,7 +28,7 @@ from repro.core.kernel_sweep import (
     sweep_residual_ulps,
     ulp_distance,
 )
-from repro.core.pagerank import profile_pagerank
+from repro.core.pagerank import expected_final_utilization, profile_pagerank
 from repro.core.score_table import ScoreTable, build_score_table
 from repro.experiments.tables import table_cache_key
 from repro.util.validation import ValidationError
@@ -91,6 +94,61 @@ class TestSweepMatchesIterative:
     def test_bad_damping_rejected(self, toy_graph):
         with pytest.raises(ValidationError):
             sweep_profile_pagerank(toy_graph, damping=1.5)
+
+
+def float_digest(values):
+    """SHA-256 of a vector's little-endian float64 bytes."""
+    return hashlib.sha256(
+        np.ascontiguousarray(values, dtype="<f8").tobytes()
+    ).hexdigest()
+
+
+class TestPinnedKernelBits:
+    """The rank kernel's output bits, pinned.
+
+    Every float reduction of the kernel (the sweep's ``reduceat``
+    segments, the theta matvecs, the BPRU/EFU passes) sums in the order
+    its arrays are stored, so a change to the graph's level order or to
+    the transition matrix's layout shows up here.  A change that moves
+    these bits must bump ``KERNEL_CODE_VERSION`` and re-pin them.
+    """
+
+    @pytest.mark.parametrize("pm, raw, bpru, scores", [
+        (
+            "M3",
+            "9630729ee576e7fca54413d132b7b76122b62a3cec87328be2fff01f70b513c2",
+            "a470f82e75395afbe59920b3cb780bdffa2dc9ab61fc955e15dea75e390cfa76",
+            "561ee0eee549403c7b0c9b0da474a55d8b6f36993ff292cfa6d7e232a319cd1a",
+        ),
+        (
+            "C3",
+            "83e9d03c1b58614de2baf5244df994d0369cb45aca5c2a177da98a3436819a9e",
+            "6bdf47c225cea32fdc9293dc4fbc0210e0474a3469aaa458bac1af2cc291e802",
+            "b8fd1f769a85fbebfc3431ae361ec060c762335e09d0cf023f971f1177e3159f",
+        ),
+    ])
+    def test_ec2_balanced_forward(self, pm, raw, bpru, scores):
+        assert KERNEL_CODE_VERSION == 1
+        graph = build_profile_graph(
+            ec2_pm_shape(pm), EC2_VM_TYPES, strategy=SuccessorStrategy.BALANCED
+        )
+        result = sweep_profile_pagerank(graph, damping=0.85)
+        assert float_digest(result.raw) == raw
+        assert float_digest(result.bpru) == bpru
+        assert float_digest(result.scores) == scores
+
+    def test_toy_reverse_raw(self, toy_graph):
+        result = sweep_profile_pagerank(
+            toy_graph, damping=0.85, vote_direction="reverse"
+        )
+        assert float_digest(result.raw) == (
+            "d05a673a14b2d0e3806c5972c8de60bdafa121f66eccb4dfb7f6c6b8cf118e6c"
+        )
+
+    def test_toy_expected_final_utilization(self, toy_graph):
+        assert float_digest(expected_final_utilization(toy_graph)) == (
+            "43ff9e1781b6dff4118667b67534b868fdda5ad1dabe8ec2940b67947988c997"
+        )
 
 
 class TestKernelVersionStamping:

@@ -128,7 +128,7 @@ class TestBPRU:
         # never holds universally; the correct invariant is
         # bpru(node) = max(bpru(successors)) when successors exist.
         bpru = compute_bpru(toy_graph)
-        indptr, indices = toy_graph.successor_csr()
+        indptr, indices = toy_graph.indptr, toy_graph.indices
         for node in range(toy_graph.n_nodes):
             successors = indices[indptr[node]:indptr[node + 1]]
             if successors.size:
@@ -148,7 +148,7 @@ class TestExpectedFinalUtilization:
 
     def test_interior_is_mean_of_successors(self, toy_graph):
         efu = expected_final_utilization(toy_graph)
-        indptr, indices = toy_graph.successor_csr()
+        indptr, indices = toy_graph.indptr, toy_graph.indices
         for node in range(toy_graph.n_nodes):
             successors = indices[indptr[node]:indptr[node + 1]]
             if successors.size:

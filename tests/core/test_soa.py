@@ -214,6 +214,29 @@ class TestPolicyOutlivesIndex:
             del index, view
 
 
+class TestMachineViews:
+    def test_flags_are_python_bools(self, toy_shape, toy_table, vm2):
+        dc = soa_datacenter(toy_shape, count=2)
+        place(dc, PageRankVMPolicy({toy_shape: toy_table}), 0, vm2)
+        used, empty = dc.machine(dc.locate(0)), dc.machine(
+            1 - dc.locate(0)
+        )
+        assert (used.is_used, empty.is_used) == (True, False)
+        for view in (used, empty):
+            assert type(view.is_used) is bool
+            assert type(view.is_failed) is bool
+
+    def test_equal_shapes_share_an_id_in_first_seen_order(self):
+        m3, c3 = ec2_pm_shape("M3"), ec2_pm_shape("C3")
+        m3_again = type(m3)(groups=m3.groups)
+        assert m3_again == m3 and m3_again is not m3
+        dc = SoADatacenter([
+            (0, c3, "C3"), (1, m3, "M3"), (2, m3_again, "M3"), (3, c3, "C3"),
+        ])
+        assert dc.columns.shape_id.tolist() == [0, 1, 1, 0]
+        assert [dc.machine(i).shape for i in range(4)] == [c3, m3, m3, c3]
+
+
 class TestColumnAudit:
     def test_tampered_usage_column_fails_i2(self, toy_shape, toy_table, vm2):
         dc = soa_datacenter(toy_shape)

@@ -1,5 +1,7 @@
 """Property-based tests for PageRank / BPRU / EFU invariants."""
 
+from functools import lru_cache
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,6 +79,27 @@ class TestBPRUInvariants:
         graph = build_profile_graph(shape, vm_types, mode="full")
         bpru = compute_bpru(graph)
         assert np.all(bpru >= 0) and np.all(bpru <= 1 + 1e-12)
+
+    @given(small_worlds())
+    @settings(max_examples=40, deadline=None)
+    def test_bpru_is_the_recursive_max_over_successors(self, world):
+        # The level-ordered pass against the definition, node by node:
+        # a max does not depend on the order it is taken in, so the two
+        # agree exactly.
+        shape, vm_types = world
+        graph = build_profile_graph(shape, vm_types, mode="full")
+        utils = graph.utilization_array().tolist()
+        indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
+
+        @lru_cache(maxsize=None)
+        def best(node: int) -> float:
+            successors = indices[indptr[node]:indptr[node + 1]]
+            if not successors:
+                return utils[node]
+            return max(best(successor) for successor in successors)
+
+        expected = [best(node) for node in range(graph.n_nodes)]
+        assert compute_bpru(graph).tolist() == expected
 
     @given(small_worlds())
     @settings(max_examples=40, deadline=None)
