@@ -7,21 +7,23 @@ Run as a script to append one entry per phase to the repo-root
 
 The harness keeps only the micro phases that the end-to-end benchmark
 (``e2ebench/``) cannot isolate.  The untagged ``"harness"`` entry
-records the PageRank power iteration on an EC2-scale graph, snap
-lookups against the EC2 score table (one at a time and batched), and
-graph construction on the same workload: a cold build, the seed
-builder with a node-for-node identity check, and a cache reload.  The
-tagged ``"kernel"`` entry times the exact DAG-sweep rank kernel cold
-(as a score-table build runs it) and warm against the warm power
-iteration, with its fixed-point residual.  ``repro perf
-check`` gates each phase's latest entry against that history.
+records snap lookups against the EC2 score table (one at a time and
+batched) and graph construction on the EC2-scale workload: a cold
+build, the seed builder with a node-for-node identity check, and a
+cache reload.  The tagged ``"kernel"`` entry times the exact DAG-sweep
+rank kernel cold (as a score-table build runs it) and warm against the
+warm power iteration, with its fixed-point residual.  ``repro perf
+check`` gates each phase's latest entry against that history.  No
+production path runs the power iteration, so the harness no longer
+records it on its own (older entries' ``pagerank_*`` keys stay in the
+trajectory, ungated).
 
 The seed (pre-optimization) implementations are kept here verbatim —
-:func:`seed_profile_pagerank` for the PageRank kernel and
-:func:`seed_build_profile_graph` for graph construction — so speedups
-stay measurable against fixed references.  :func:`run_online_serving`
-stays for the identity test that serves one workload on both
-datacenter substrates (``benchmarks/test_perf_core.py``).
+:func:`seed_profile_pagerank` for the PageRank kernel (the benchmark
+suite's speedup floor) and :func:`seed_build_profile_graph` for graph
+construction — so speedups stay measurable against fixed references.
+:func:`run_online_serving` stays for the identity test that serves one
+workload on both datacenter substrates (``benchmarks/test_perf_core.py``).
 """
 
 from __future__ import annotations
@@ -274,40 +276,11 @@ def off_graph_usages(shape, count: int, seed: int = 0):
     return usages
 
 
-def measure_kernels(
-    graph: ProfileGraph,
-    table: ScoreTable,
-    repeats: int = 3,
-    with_seed_baseline: bool = True,
-) -> Dict[str, float]:
-    """Kernel metrics: pagerank iteration rate and snap lookups."""
+def measure_snaps(table: ScoreTable) -> Dict[str, float]:
+    """Snap lookups against the EC2 score table, one at a time and batched."""
     metrics: Dict[str, float] = {}
 
-    # PageRank kernel (warm: derived structures cached on the graph).
-    profile_pagerank(graph)
-    wall = _best_of(lambda: profile_pagerank(graph), repeats)
-    result = profile_pagerank(graph)
-    metrics["pagerank_wall_s"] = wall
-    metrics["pagerank_iterations_per_s"] = result.iterations / wall
-    if with_seed_baseline:
-        # The speedup comes from production and seed runs in interleaved
-        # pairs, so a host-speed swing slows both legs of a pair: the
-        # median of the per-pair ratios.
-        pairs = [
-            (
-                _best_of(lambda: profile_pagerank(graph), 1),
-                _best_of(lambda: seed_profile_pagerank(graph), 1),
-            )
-            for _ in range(max(5, repeats))
-        ]
-        metrics["pagerank_seed_wall_s"] = statistics.median(
-            seed for _, seed in pairs
-        )
-        metrics["pagerank_speedup_vs_seed"] = statistics.median(
-            seed / own for own, seed in pairs
-        )
-
-    # Snap lookups: misses against the full EC2 table, then batched.
+    # Misses against the full EC2 table, one at a time, then batched.
     shape = table.shape
     misses = off_graph_usages(shape, 64)
     fresh = ScoreTable(
@@ -503,13 +476,7 @@ def run_harness(quick: bool = False) -> Dict[str, object]:
         "graph_edges": graph.n_edges,
         "quick": quick,
     }
-    entry.update(
-        measure_kernels(
-            graph, table,
-            repeats=1 if quick else 3,
-            with_seed_baseline=not quick,
-        )
-    )
+    entry.update(measure_snaps(table))
     # The seed graph build runs in quick mode too: its node-for-node
     # identity check (graph_build_matches_seed) is a CI gate.
     entry.update(measure_graph_build(repeats=1 if quick else 3))
@@ -556,7 +523,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--quick", action="store_true",
-        help="single timing repeat, skip the seed PageRank comparison",
+        help="single timing repeat",
     )
     parser.add_argument(
         "--out", type=Path, default=DEFAULT_OUT,

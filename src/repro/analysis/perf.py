@@ -22,8 +22,7 @@ module turns that history into a regression gate (``repro perf check``):
   term so a noisy metric earns a wider band;
 * only the metrics the newest entry of a phase carries are judged: a
   metric it lacks reports ``not-recorded`` instead of re-judging an
-  older entry's value (CI's quick harness entries omit
-  ``pagerank_speedup_vs_seed``, which full entries carry).
+  older entry's value.
 
 :func:`derived_speedup_floor` is the second consumer of the history: the
 benchmark suite's speedup assertions (``benchmarks/test_perf_core.py``)
@@ -103,11 +102,6 @@ class MetricSpec:
 #: entries grow keys over time, so absence is normal, not an error.
 PHASE_METRICS: Dict[str, Tuple[MetricSpec, ...]] = {
     "harness": (
-        MetricSpec("pagerank_wall_s", False, _key("pagerank_wall_s")),
-        MetricSpec(
-            "pagerank_speedup_vs_seed", True,
-            _key("pagerank_speedup_vs_seed"),
-        ),
         MetricSpec("snap_lookups_per_s", True, _key("snap_lookups_per_s")),
         MetricSpec(
             "snap_batch_lookups_per_s", True,

@@ -50,7 +50,6 @@ from repro.core import permutations
 from repro.core.interning import packed_dtype_for
 from repro.core.profile import (
     MachineShape,
-    Profile,
     Usage,
     VMType,
     count_all_profiles,
@@ -139,18 +138,6 @@ class ProfileGraph:
             "node_index", lambda: {u: i for i, u in enumerate(self.profiles)}
         )
 
-    def profile(self, node: int) -> Profile:
-        """The :class:`Profile` of a node id."""
-        return Profile(self.profiles[node])
-
-    def out_degree(self, node: int) -> int:
-        """Out-degree |S(P_i)| of a node."""
-        return int(self.indptr[node + 1] - self.indptr[node])
-
-    def sinks(self) -> List[int]:
-        """Node ids that cannot accommodate any further VM."""
-        return np.flatnonzero(np.diff(self.indptr) == 0).tolist()
-
     def memo(self, key: str, builder: Callable[[], Any]) -> Any:
         """Cache an immutable derived structure on the graph.
 
@@ -186,7 +173,12 @@ class ProfileGraph:
                 [c for group in self.shape.groups for c in group.capacities],
                 dtype=float,
             )
-            return (self.flat / caps).mean(axis=1)
+            # 4096-row blocks bound the float temporary (a whole M3
+            # graph's is 13 MB); each row's mean is the same expression.
+            out = np.empty(self.n_nodes)
+            for lo in range(0, self.n_nodes, 4096):
+                out[lo:lo + 4096] = (self.flat[lo:lo + 4096] / caps).mean(1)
+            return out
 
         return self.memo("utilization_array", build)
 

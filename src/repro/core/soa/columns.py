@@ -9,16 +9,18 @@ columns indexed by inventory position:
   unit order), health flag, allocation count, shape/type ids, CPU
   capacity, the per-row allocation records, and an append-only CSR of
   per-chunk CPU demand terms (``pm row, trace slot, burst ceiling``).
+  The CSR is built in one pass over the live allocations (each distinct
+  CPU assignment's ceilings computed once, each column converted to its
+  array once) and then appended to by every write.  Each entry span
+  keeps the ceilings tuple it was written from, so the relief loop's
+  per-machine fold reads it instead of re-deriving the ceilings.
 * :class:`TraceColumns` — the VM side: utilization traces grouped by
   kind so one tick evaluates every VM's current fraction with a handful
-  of array gathers instead of n_vms Python calls.
+  of array reads instead of n_vms Python calls.  Each sample-array
+  group is stored tick-major, ``(n_samples, n_slots)``, so a tick reads
+  one contiguous row per group.
 
-The columns used to be split into fixed 4,096-row blocks, each reduced on
-its own.  A/B on a 2-CPU host, split against one column set, results
-bit-identical across layouts: ``run_point`` at 10k PMs x 24 h took a
-median 6.12 s against 5.64 s (6 alternating pairs), and 100k PMs x 2 h
-took 55.5/45.8 s against 50.4/50.6 s.  The split bought nothing
-measurable, so the fleet is one column set.
+The fleet is one column set; DESIGN.md §3.11 says why.
 
 Bit-identity with the object path rests on two facts, both load-bearing:
 
@@ -35,7 +37,9 @@ Bit-identity with the object path rests on two facts, both load-bearing:
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -143,16 +147,21 @@ class _BurstCSR:
 
     __slots__ = ("rows", "slots", "ceilings", "n", "spans")
 
-    def __init__(self) -> None:
-        self.rows = np.empty(256, dtype=np.intp)
-        self.slots = np.empty(256, dtype=np.intp)
-        self.ceilings = np.empty(256, dtype=np.float64)
-        self.n = 0
-        #: (row, vm_id) -> (start, length) of the live entry span.
-        self.spans: Dict[Tuple[int, int], Tuple[int, int]] = {}
+    def __init__(
+        self,
+        rows: np.ndarray,
+        slots: np.ndarray,
+        ceilings: np.ndarray,
+        spans: Dict[Tuple[int, int], Tuple[int, Tuple[float, ...]]],
+    ) -> None:
+        self.rows, self.slots, self.ceilings = rows, slots, ceilings
+        self.n = rows.size
+        #: (row, vm_id) -> (start, ceilings) of the live entry span; the
+        #: ceilings tuple is the one its entries were written from.
+        self.spans = spans
 
     def _grow(self, need: int) -> None:
-        capacity = self.rows.size
+        capacity = max(self.rows.size, 256)
         while capacity < need:
             capacity *= 2
         for name in ("rows", "slots", "ceilings"):
@@ -162,7 +171,7 @@ class _BurstCSR:
             setattr(self, name, grown)
 
     def append(
-        self, row: int, vm_id: int, slot: int, ceilings: Sequence[float]
+        self, row: int, vm_id: int, slot: int, ceilings: Tuple[float, ...]
     ) -> None:
         k = len(ceilings)
         if self.n + k > self.rows.size:
@@ -172,13 +181,13 @@ class _BurstCSR:
         self.slots[start:start + k] = slot
         self.ceilings[start:start + k] = ceilings
         self.n += k
-        self.spans[(row, vm_id)] = (start, k)
+        self.spans[(row, vm_id)] = (start, ceilings)
 
     def remove(self, row: int, vm_id: int) -> None:
-        start, k = self.spans.pop((row, vm_id))
+        start, ceilings = self.spans.pop((row, vm_id))
         # Zeroing keeps surviving terms in order; 0.0-weight entries are
         # exact no-ops under bincount accumulation.
-        self.ceilings[start:start + k] = 0.0
+        self.ceilings[start:start + len(ceilings)] = 0.0
 
     def live(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (rows, slots, ceilings) views covering all entries."""
@@ -217,27 +226,45 @@ class FleetColumns:
         self.csr: Dict[Any, _BurstCSR] = {}
 
     def build_csr(
-        self, burst: Any, info_of: Sequence[ShapeInfo], slot_of: Dict[int, int]
+        self,
+        burst: Any,
+        info_of: Sequence[ShapeInfo],
+        slot_of: Callable[[int], int],
     ) -> _BurstCSR:
-        """Bulk-build the CSR for a burst model from the live allocations."""
+        """Bulk-build the CSR for a burst model from the live allocations.
+
+        One pass in row order, then each column converted once: the
+        entries land exactly where appends in that order would put them,
+        and each distinct (shape, CPU assignment) gets its ceilings once.
+        """
         validate_burst(burst)
-        csr = _BurstCSR()
-        for row in range(self.n):
-            row_allocs = self.allocs[row]
-            if not row_allocs:
-                continue
+        vm_rows: List[int] = []
+        vm_slots: List[int] = []
+        counts: List[int] = []
+        ceilings: List[float] = []
+        spans: Dict[Tuple[int, int], Tuple[int, Tuple[float, ...]]] = {}
+        known: Dict[Tuple[int, Any], Tuple[float, ...]] = {}
+        for row in np.flatnonzero(self.alloc_count).tolist():
             info = info_of[self.shape_id[row]]
-            for vm_id, allocation in row_allocs.items():
-                csr.append(
-                    row,
-                    vm_id,
-                    slot_of[vm_id],
-                    chunk_ceilings(
-                        allocation.assignments[info.cpu_group],
-                        info.cpu_capacities,
-                        burst,
-                    ),
-                )
+            for vm_id, allocation in self.allocs[row].items():
+                cpu_assign = allocation.assignments[info.cpu_group]
+                key = (info.shape_id, cpu_assign)
+                if key not in known:
+                    known[key] = chunk_ceilings(
+                        cpu_assign, info.cpu_capacities, burst
+                    )
+                terms = known[key]
+                spans[(row, vm_id)] = (len(ceilings), terms)
+                vm_rows.append(row)
+                vm_slots.append(slot_of(vm_id))
+                counts.append(len(terms))
+                ceilings.extend(terms)
+        csr = _BurstCSR(
+            np.repeat(np.asarray(vm_rows, dtype=np.intp), counts),
+            np.repeat(np.asarray(vm_slots, dtype=np.intp), counts),
+            np.asarray(ceilings, dtype=np.float64),
+            spans,
+        )
         self.csr[burst] = csr
         return csr
 
@@ -258,26 +285,28 @@ class FleetColumns:
 
 
 class _ArrayTraceGroup:
-    """ArrayTraces sharing (n_samples, interval, cycle): one sample matrix."""
+    """Traces sharing (n_samples, interval, cycle): one sample matrix.
 
-    __slots__ = ("slots", "samples", "interval", "cycle", "matrix", "slot_arr")
+    The matrix is tick-major, ``(n_samples, n_slots)``: one tick reads
+    one contiguous row.  Constant traces form the one-sample group.
+    """
 
-    def __init__(self, interval: float, cycle: bool) -> None:
-        self.interval = interval
-        self.cycle = cycle
+    __slots__ = ("slots", "samples", "matrix", "slot_arr")
+
+    def __init__(self) -> None:
         self.slots: List[int] = []
-        self.samples: List[np.ndarray] = []
+        self.samples: List[Union[np.ndarray, Tuple[float]]] = []
         self.matrix: Optional[np.ndarray] = None
         self.slot_arr: Optional[np.ndarray] = None
 
-    def add(self, slot: int, samples: np.ndarray) -> None:
+    def add(self, slot: int, samples: Union[np.ndarray, Tuple[float]]) -> None:
         self.slots.append(slot)
         self.samples.append(samples)
         self.matrix = None
 
     def materialize(self) -> Tuple[np.ndarray, np.ndarray]:
         if self.matrix is None:
-            self.matrix = np.vstack(self.samples)
+            self.matrix = np.stack(self.samples, axis=1)
             self.slot_arr = np.asarray(self.slots, dtype=np.intp)
         return self.slot_arr, self.matrix
 
@@ -291,20 +320,17 @@ class TraceColumns:
     grouped forms read the very same float64 sample values.
     """
 
-    __slots__ = ("n", "_slot_of", "_const", "_array_groups", "_fallback",
-                 "_const_cache")
+    __slots__ = ("n", "_slot_of", "_array_groups", "_fallback")
 
     def __init__(self) -> None:
         self.n = 0
         #: vm_id -> (slot, trace object); a *different* trace object for
         #: the same vm_id gets a fresh slot (the old one simply goes idle).
         self._slot_of: Dict[int, Tuple[int, UtilizationTrace]] = {}
-        self._const: List[Tuple[int, float]] = []
         self._array_groups: Dict[
             Tuple[int, float, bool], _ArrayTraceGroup
         ] = {}
         self._fallback: Dict[int, UtilizationTrace] = {}
-        self._const_cache: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def register(self, vm_id: int, trace: UtilizationTrace) -> int:
         """Slot of a VM's trace, interning it on first sight."""
@@ -314,18 +340,20 @@ class TraceColumns:
         slot = self.n
         self.n += 1
         self._slot_of[vm_id] = (slot, trace)
+        samples: Union[np.ndarray, Tuple[float]]
         if isinstance(trace, ConstantTrace):
-            self._const.append((slot, trace.mean()))
-            self._const_cache = None
+            key, samples = (1, 1.0, True), (trace.mean(),)
         elif isinstance(trace, ArrayTrace):
             key = (len(trace), trace.sample_interval_s, trace.cycle)
-            group = self._array_groups.get(key)
-            if group is None:
-                group = _ArrayTraceGroup(key[1], key[2])
-                self._array_groups[key] = group
-            group.add(slot, trace.samples)
+            samples = trace.samples
         else:
             self._fallback[slot] = trace
+            return slot
+        group = self._array_groups.get(key)
+        if group is None:
+            group = _ArrayTraceGroup()
+            self._array_groups[key] = group
+        group.add(slot, samples)
         return slot
 
     def slot(self, vm_id: int) -> int:
@@ -335,16 +363,6 @@ class TraceColumns:
     def fractions(self, time_s: float) -> np.ndarray:
         """Every slot's utilization fraction at ``time_s`` (float64)."""
         out = np.zeros(self.n, dtype=np.float64)
-        if self._const:
-            if self._const_cache is None or (
-                self._const_cache[0].size != len(self._const)
-            ):
-                self._const_cache = (
-                    np.asarray([s for s, _ in self._const], dtype=np.intp),
-                    np.asarray([v for _, v in self._const], dtype=np.float64),
-                )
-            slots, values = self._const_cache
-            out[slots] = values
         for (n_samples, interval, cycle), group in self._array_groups.items():
             index = int(time_s // interval)
             if cycle:
@@ -352,7 +370,7 @@ class TraceColumns:
             else:
                 index = min(index, n_samples - 1)
             slot_arr, matrix = group.materialize()
-            out[slot_arr] = matrix[:, index]
+            out[slot_arr] = matrix[index]
         for slot, trace in self._fallback.items():
             out[slot] = trace.utilization_at(time_s)
         return out

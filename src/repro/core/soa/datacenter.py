@@ -206,21 +206,20 @@ class SoAMachineView:
         Same left-fold over the same terms in the same order as
         ``PhysicalMachine.actual_cpu_utilization`` — the relief loop
         recomputes mid-tick utilizations through this, so it must agree
-        bitwise with both the object path and the fleet reduction.
+        bitwise with both the object path and the fleet reduction.  Each
+        allocation's ceilings are the ones its CSR span was written from.
         """
-        info = self._dc._info_of_pos(self._pos)
+        dc, pos = self._dc, self._pos
+        dc.ensure_csr(burst)
+        spans = dc._cols.csr[burst].spans
         demand = 0.0
-        for allocation in self._dc._cols.allocs[self._pos].values():
+        for vm_id, allocation in dc._cols.allocs[pos].items():
             fraction = allocation.vm.cpu_utilization_at(time_s)
             if fraction <= 0.0:
                 continue
-            for ceiling in chunk_ceilings(
-                allocation.assignments[info.cpu_group],
-                info.cpu_capacities,
-                burst,
-            ):
+            for ceiling in spans[(pos, vm_id)][1]:
                 demand += fraction * ceiling
-        return demand / info.cpu_capacity
+        return demand / dc._info_of_pos(pos).cpu_capacity
 
     def __repr__(self) -> str:
         return (
@@ -561,13 +560,9 @@ class SoADatacenter:
     # Columnar tick
     # ------------------------------------------------------------------
     def ensure_csr(self, burst: Any) -> None:
-        """Build the CSR for ``burst`` if it is missing (lazily, per tick)."""
+        """Build the CSR for ``burst`` if it is missing (on its first read)."""
         if burst not in self._cols.csr:
-            self._cols.build_csr(
-                burst, self._infos,
-                {vm_id: self._traces.slot(vm_id)
-                 for row_allocs in self._cols.allocs for vm_id in row_allocs},
-            )
+            self._cols.build_csr(burst, self._infos, self._traces.slot)
 
     def monitor_arrays(
         self, time_s: float, burst: Any = "core"
@@ -676,15 +671,15 @@ class SoADatacenter:
                             f"PM#{pm_id}"
                         )
                         continue
-                    start, k = span
+                    start, terms = span
                     want = chunk_ceilings(
                         allocation.assignments[info.cpu_group],
                         info.cpu_capacities,
                         burst,
                     )
-                    got = tuple(csr.ceilings[start:start + k])
-                    if got != want or not np.all(
-                        csr.rows[start:start + k] == pos
+                    got = tuple(csr.ceilings[start:start + len(terms)])
+                    if got != want or terms != want or not np.all(
+                        csr.rows[start:start + len(terms)] == pos
                     ):
                         problems.append(
                             f"CSR[{burst!r}] terms of VM#{vm_id} on "

@@ -148,12 +148,12 @@ class TestCheckTrajectory:
         path = write_trajectory(
             tmp_path / "b.json",
             harness_entries(
-                [1.0, 1.0, 1.1, 0.9, 2.5], metric="pagerank_wall_s"
+                [1.0, 1.0, 1.1, 0.9, 2.5], metric="graph_build_wall_s"
             ),
         )
         report = check_trajectory(path)
         (degraded,) = report.degraded
-        assert degraded.metric == "pagerank_wall_s"
+        assert degraded.metric == "graph_build_wall_s"
 
     def test_noisy_history_earns_a_wider_band(self, tmp_path):
         # ±40% swings around 1000: a 650 reading breaches the 30%
@@ -188,14 +188,14 @@ class TestCheckTrajectory:
         # not be judged again: it reports not-recorded and the gate
         # passes, while the metric the newest entry carries is judged.
         entries = [
-            {"snap_lookups_per_s": 1000.0, "pagerank_speedup_vs_seed": v}
+            {"snap_lookups_per_s": 1000.0, "graph_build_speedup_vs_seed": v}
             for v in (10.0, 10.5, 9.5, 10.0, 2.0)
         ] + [{"snap_lookups_per_s": 990.0, "quick": True}]
         path = write_trajectory(tmp_path / "b.json", entries)
         report = check_trajectory(path)
         assert report.ok
         by_metric = {c.metric: c for c in report.checks}
-        skipped = by_metric["pagerank_speedup_vs_seed"]
+        skipped = by_metric["graph_build_speedup_vs_seed"]
         assert skipped.status == "not-recorded"
         assert skipped.latest is None and skipped.n_history == 5
         assert "absent from the newest harness entry" in report.describe()
@@ -204,11 +204,11 @@ class TestCheckTrajectory:
         # Once the newest entry carries it again, it is judged (and the
         # degraded full value now sits in its history, as it should).
         entries.append(
-            {"snap_lookups_per_s": 1000.0, "pagerank_speedup_vs_seed": 1.0}
+            {"snap_lookups_per_s": 1000.0, "graph_build_speedup_vs_seed": 1.0}
         )
         path = write_trajectory(tmp_path / "b.json", entries)
         (degraded,) = check_trajectory(path).degraded
-        assert degraded.metric == "pagerank_speedup_vs_seed"
+        assert degraded.metric == "graph_build_speedup_vs_seed"
         assert degraded.latest == 1.0
 
     def test_hosts_with_other_cpu_counts_never_mix(self, tmp_path):

@@ -18,6 +18,7 @@ from repro.core.graph import (
 )
 from repro.core.profile import (
     MachineShape,
+    Profile,
     ResourceGroup,
     VMType,
     count_all_profiles,
@@ -254,9 +255,7 @@ class TestValidation:
 
 class TestGraphQueries:
     def test_n_edges(self, toy_graph):
-        assert toy_graph.n_edges == sum(
-            toy_graph.out_degree(n) for n in range(toy_graph.n_nodes)
-        )
+        assert toy_graph.n_edges == int(np.diff(toy_graph.indptr).sum())
         assert toy_graph.n_edges == len(toy_graph.indices)
 
     def test_node_id_roundtrip(self, toy_graph):
@@ -269,7 +268,9 @@ class TestGraphQueries:
     def test_sinks_cannot_host_any_vm(self, toy_graph, toy_shape, toy_vm_types):
         from repro.core.permutations import can_place
 
-        for sink in toy_graph.sinks():
+        sinks = np.flatnonzero(np.diff(toy_graph.indptr) == 0)
+        assert sinks.size
+        for sink in sinks:
             usage = toy_graph.profiles[sink]
             assert not any(
                 can_place(toy_shape, usage, vm) for vm in toy_vm_types
@@ -279,9 +280,10 @@ class TestGraphQueries:
         utils = toy_graph.utilization_array()
         assert np.all((0.0 <= utils) & (utils <= 1.0))
 
-    def test_profile_accessor(self, toy_graph):
-        profile = toy_graph.profile(0)
+    def test_profile_accessor(self, toy_graph, toy_shape):
+        profile = Profile(toy_graph.profiles[0])
         assert profile.usage == toy_graph.profiles[0]
+        assert profile.usage == toy_shape.empty_usage()
 
     def test_packed_profiles_match_flat(self, toy_graph):
         packed = toy_graph.packed_profiles()
@@ -322,7 +324,7 @@ class TestGraphQueries:
         for node in range(toy_graph.n_nodes):
             succ = successors_of(toy_graph, node)
             assert list(succ) == sorted(set(succ))
-            assert len(succ) == toy_graph.out_degree(node)
+            assert len(succ) == indptr[node + 1] - indptr[node]
 
 
 # ----------------------------------------------------------------------

@@ -13,22 +13,32 @@ writes included: one keeps its memoized row transitions, the other has
 its memo emptied before every op, so every write it makes takes the
 validating miss path.  Both must raise the same errors, leave the same
 rows, and pass I1 and I2 after every op.
+
+A third property checks the columnar monitor fold over mixed traces
+(constant, cycling and holding sample arrays of two lengths, a trace of
+neither kind, VMs re-registered with a new trace object): its
+utilization column must equal, bit for bit, every healthy PM's own fold
+and the fold of a datacenter rebuilt from the live allocation records,
+and the trace columns must match each trace at its cycle and hold
+boundaries.
 """
 
 from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.invariants import audit_datacenter
 from repro.cluster.allocation import Allocation
+from repro.cluster.datacenter import restore_placement
 from repro.cluster.vm import VirtualMachine
 from repro.core.permutations import Placement
 from repro.core.placement import PageRankVMPolicy
 from repro.core.policy import PlacementDecision
 from repro.core.soa import SoADatacenter
 from repro.core.soa import datacenter as soa_datacenter
-from repro.traces.base import ConstantTrace
+from repro.traces.base import ArrayTrace, ConstantTrace
 from repro.util.validation import ValidationError
 
 
@@ -161,8 +171,8 @@ def _state(dc):
         list(dc._usage_cache),
         {
             burst: {
-                key: tuple(csr.ceilings[start:start + k])
-                for key, (start, k) in csr.spans.items()
+                key: (terms, tuple(csr.ceilings[start:start + len(terms)]))
+                for key, (start, terms) in csr.spans.items()
             }
             for burst, csr in cols.csr.items()
         },
@@ -356,3 +366,153 @@ class TestMemoizedTransitions:
         audit_datacenter(
             driver.warm, expected_vm_ids=sorted(driver.placed)
         ).raise_if_failed()
+
+
+# ----------------------------------------------------------------------
+# The columnar fold against the per-machine fold, over mixed traces
+# ----------------------------------------------------------------------
+#: Times around the traces' cycle and hold boundaries: 300 s samples,
+#: 3 and 5 of them, so they wrap (or start holding) at 900 s and 1500 s.
+FOLD_TIMES = (
+    0.0, 299.99, 300.0, 899.99, 900.0, 1_199.99, 1_499.99, 1_500.0,
+    1_800.0, 2_700.0, 3_000.0, 4_500.0, 86_399.99,
+)
+
+FOLD_OPS = (
+    "place", "place", "place", "evict", "migrate", "crash", "repair",
+    "reregister", "tick",
+)
+
+
+class _RampTrace:
+    """A trace of neither columnar kind: served by the fallback."""
+
+    def __init__(self, slope):
+        self.slope = slope
+
+    def utilization_at(self, time_s):
+        return min(1.0, (time_s % 7_200.0) * self.slope)
+
+
+@st.composite
+def fold_cases(draw, max_ops=30):
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    samples = draw(st.lists(unit, min_size=14, max_size=14))
+    burst = draw(st.sampled_from(("core", "request", 1.5)))
+    n = draw(st.integers(min_value=1, max_value=max_ops))
+    ops = tuple(
+        (
+            draw(st.sampled_from(FOLD_OPS)),
+            draw(st.integers(min_value=0, max_value=63)),
+            draw(st.sampled_from(FOLD_TIMES)),
+        )
+        for _ in range(n)
+    )
+    return samples, burst, ops
+
+
+class _FoldDriver(_Driver):
+    """:class:`_Driver` placing VMs over mixed traces, each VM with its
+    own trace object; ``slots`` records every (slot, trace) registered,
+    the idle slots of re-registered VMs included."""
+
+    def __init__(self, toy_shape, toy_table, n_pms, samples, burst):
+        super().__init__(toy_shape, toy_table, n_pms)
+        self.specs = [(i, toy_shape, "M3") for i in range(n_pms)]
+        self.burst = burst
+        self.kinds = (
+            lambda: ConstantTrace(samples[0]),
+            lambda: ArrayTrace(samples[1:4], 300.0, cycle=True),
+            lambda: ArrayTrace(samples[4:9], 300.0, cycle=False),
+            lambda: ArrayTrace(samples[9:14], 300.0, cycle=True),
+            lambda: ArrayTrace(samples[1:4], 300.0, cycle=False),
+            lambda: _RampTrace(samples[0] * 1e-3),
+        )
+        self.slots = []
+
+    def trace(self, pick):
+        return self.kinds[pick % len(self.kinds)]()
+
+    def place(self, vm_id, vm_type, trace, pm_id, placement):
+        self.dc.apply(
+            VirtualMachine(vm_id, vm_type, trace),
+            PlacementDecision(pm_id=pm_id, placement=placement),
+        )
+        self.placed[vm_id] = vm_type
+        self.slots.append((self.dc._traces.slot(vm_id), trace))
+
+    def fold_step(self, op, vm_types):
+        kind, pick, time_s = op
+        if kind == "place":
+            vm_type = vm_types[pick % len(vm_types)]
+            decision = self.policy.select(vm_type, self.dc.indexed_machines())
+            if decision is not None:
+                self.next_id += 1
+                self.place(
+                    self.next_id - 1, vm_type, self.trace(pick // 3),
+                    decision.pm_id, decision.placement,
+                )
+        elif kind == "reregister":
+            # The same VM id, back on its PM with its assignments, under
+            # a new trace object: a fresh slot, the old one left idle.
+            if self.placed:
+                vm_id = sorted(self.placed)[pick % len(self.placed)]
+                pm_id = self.dc.locate(vm_id)
+                old = self.dc.evict(vm_id)
+                self.place(
+                    vm_id, old.vm.vm_type, self.trace(pick // 3), pm_id,
+                    restore_placement(self.dc.machine(pm_id), old),
+                )
+        elif kind == "tick":
+            self.check_fold(time_s)
+        else:
+            self.step((kind, pick), vm_types)
+
+    def rebuilt(self):
+        """A new datacenter holding the live allocation records, each
+        PM's in its own order."""
+        fresh = SoADatacenter(self.specs)
+        for machine in self.dc.machines:
+            if machine.is_failed:
+                fresh.crash_machine(machine.pm_id)
+            for allocation in machine.allocations:
+                fresh.apply(allocation.vm, PlacementDecision(
+                    pm_id=machine.pm_id,
+                    placement=restore_placement(
+                        fresh.machine(machine.pm_id), allocation
+                    ),
+                ))
+        return fresh
+
+    def check_fold(self, time_s):
+        dc = self.dc
+        columns = dc.monitor_arrays(time_s, self.burst)
+        positions, utilization = columns[0], columns[1]
+        own = np.array([
+            dc.machine_at(pos).actual_cpu_utilization(time_s, self.burst)
+            for pos in positions.tolist()
+        ], dtype=np.float64)
+        assert own.tobytes() == utilization.tobytes()
+        again = self.rebuilt().monitor_arrays(time_s, self.burst)
+        for mine, theirs in zip(columns, again):
+            assert mine.dtype == theirs.dtype
+            assert mine.tobytes() == theirs.tobytes()
+        for at in FOLD_TIMES:
+            fractions = dc._traces.fractions(at)
+            assert [fractions[slot] for slot, _ in self.slots] == [
+                trace.utilization_at(at) for _, trace in self.slots
+            ]
+
+
+class TestColumnarFold:
+    @given(case=fold_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_fold_matches_machines_and_rebuild(
+        self, case, toy_shape, toy_table, vm1, vm2, vm4
+    ):
+        samples, burst, ops = case
+        driver = _FoldDriver(toy_shape, toy_table, 6, samples, burst)
+        for op in ops:
+            driver.fold_step(op, (vm1, vm2, vm4))
+        driver.check_fold(ops[-1][2])
+        driver.check()
