@@ -10,11 +10,16 @@ capacity exactly the way the paper criticizes.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.permutations import can_place, first_fit_placement
-from repro.core.policy import MachineView, PlacementDecision, PlacementPolicy
-from repro.core.profile import MachineShape, VMType
+from repro.core.permutations import Placement, can_place, first_fit_placement
+from repro.core.policy import (
+    DEFAULT_CANDIDATE_CACHE_SIZE,
+    MachineView,
+    PlacementDecision,
+    PlacementPolicy,
+)
+from repro.core.profile import MachineShape, Usage, VMType
 from repro.core.usage_index import IndexedMachines, RankKey
 
 __all__ = ["FirstFitPolicy"]
@@ -37,9 +42,43 @@ class FirstFitPolicy(PlacementPolicy):
     lowest-index unit with room, which depends on the real unit order),
     so when that member fails the remaining members of the feasible
     classes are walked in order — bit-identical to the linear scan.
+
+    The first-fit placement is a function of (shape, real usage, VM
+    type), so it is memoized on that key (:meth:`_first_fit`): equal
+    machine states get the very same :class:`Placement` object, which
+    is what lets the SoA datacenter's row-transition memo, keyed on the
+    assignments' identity, serve the write.
     """
 
     name = "FF"
+
+    def __init__(self) -> None:
+        self._placements: Dict[
+            Tuple[MachineShape, Usage, str], Optional[Placement]
+        ] = {}
+
+    def invalidate_cache(self) -> None:
+        """Drop memoized placements and per-class state."""
+        self._placements.clear()
+        super().invalidate_cache()
+
+    def _first_fit(
+        self, shape: MachineShape, usage: Usage, vm: VMType
+    ) -> Optional[Placement]:
+        """:func:`first_fit_placement`, memoized; the memo is emptied
+        when it reaches :data:`DEFAULT_CANDIDATE_CACHE_SIZE`, like
+        :class:`ProfileScorePolicy`'s realization memo."""
+        key = (shape, usage, vm.name)
+        try:
+            return self._placements[key]
+        except KeyError:
+            pass
+        if len(self._placements) >= DEFAULT_CANDIDATE_CACHE_SIZE:
+            self._placements.clear()
+        placement = self._placements[key] = first_fit_placement(
+            shape, usage, vm
+        )
+        return placement
 
     def _tier(self, shape: MachineShape) -> float:
         """Sort key of a PM shape, ahead of inventory order (lower first)."""
@@ -51,7 +90,7 @@ class FirstFitPolicy(PlacementPolicy):
         # The one first-fit walk: a stable sort on the tier keeps the
         # given (inventory) order within a tier.
         for machine in sorted(used, key=lambda m: self._tier(m.shape)):
-            placement = first_fit_placement(machine.shape, machine.usage, vm)
+            placement = self._first_fit(machine.shape, machine.usage, vm)
             if placement is not None:
                 return PlacementDecision(pm_id=machine.pm_id, placement=placement)
         return None

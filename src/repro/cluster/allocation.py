@@ -19,7 +19,7 @@ __all__ = ["Allocation"]
 Assignments = Tuple[Tuple[Tuple[int, int], ...], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Allocation:
     """One VM's concrete placement on one PM.
 

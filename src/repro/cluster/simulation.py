@@ -363,13 +363,18 @@ class CloudSimulation:
             self._relieve(snap.machine, time_s)
 
     def _relieve(self, machine: PhysicalMachine, time_s: float) -> None:
-        """Migrate VMs off an overloaded PM until it drops below threshold."""
+        """Migrate VMs off an overloaded PM until it drops below threshold.
+
+        Both ticks call this only for a PM their snapshot found above
+        the same threshold, and until its turn the tick's writes can
+        only add VMs to it (adding non-negative terms never lowers the
+        fold), so the PM is known to be overloaded on entry: it is
+        checked after each migration, not before the first.
+        """
         threshold = self._config.overload_threshold
         burst = self._config.burst_model
-        while (
-            machine.is_used
-            and machine.actual_cpu_utilization(time_s, burst) > threshold
-        ):
+        overloaded = True
+        while overloaded:
             victim = self._selector.select_victim(
                 machine.shape, machine.usage, machine.allocations
             )
@@ -400,6 +405,10 @@ class CloudSimulation:
                     "migrate", vm=victim.vm_id,
                     src=machine.pm_id, dst=decision.pm_id,
                 )
+            overloaded = (
+                machine.is_used
+                and machine.actual_cpu_utilization(time_s, burst) > threshold
+            )
 
     def _consolidate_underloaded(self, time_s: float) -> None:
         """Drain PMs below the underload threshold (all-or-nothing).

@@ -16,7 +16,7 @@ from repro.traces.base import ConstantTrace, UtilizationTrace
 __all__ = ["VirtualMachine"]
 
 
-@dataclass
+@dataclass(slots=True)
 class VirtualMachine:
     """One VM request plus its runtime CPU utilization driver.
 

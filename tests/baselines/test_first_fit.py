@@ -68,3 +68,43 @@ class TestClassTable:
         scan = FirstFitPolicy().select(vm, list(view))
         assert ranked.pm_id == scan.pm_id == 2
         assert ranked.placement == scan.placement
+
+
+class TestPlacementMemo:
+    """Equal (shape, real usage, VM type) states share one placement."""
+
+    def test_equal_states_share_one_placement(
+        self, toy_shape, vm2, vm4, fake_machine
+    ):
+        from repro.core.permutations import first_fit_placement
+
+        policy = FirstFitPolicy()
+        usages = [
+            ((1, 0, 0, 0),), ((1, 0, 0, 0),), ((0, 2, 1, 0),), ((4,) * 4,),
+        ]
+        first = {}
+        for pm_id, usage in enumerate(usages):
+            machine = fake_machine(pm_id, toy_shape, usage)
+            for vm in (vm2, vm4):
+                decision = policy.select(vm, [machine])
+                expected = first_fit_placement(toy_shape, usage, vm)
+                if expected is None:
+                    assert decision is None
+                    continue
+                assert decision.placement == expected
+                shared = first.setdefault((usage, vm.name), decision.placement)
+                assert decision.placement is shared
+
+    def test_memo_is_bounded_and_invalidated(
+        self, toy_shape, vm2, fake_machine, monkeypatch
+    ):
+        from repro.baselines import first_fit
+
+        monkeypatch.setattr(first_fit, "DEFAULT_CANDIDATE_CACHE_SIZE", 2)
+        policy = FirstFitPolicy()
+        for pm_id, used in enumerate(range(3)):
+            machine = fake_machine(pm_id, toy_shape, ((used, 0, 0, 0),))
+            assert policy.select(vm2, [machine]) is not None
+            assert len(policy._placements) <= 2
+        policy.invalidate_cache()
+        assert not policy._placements

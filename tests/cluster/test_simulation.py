@@ -203,3 +203,64 @@ def simulation_result_fixture():
         slo_violation_rate=0.0,
         duration_s=600.0,
     )
+
+
+class TestRelief:
+    """Relief checks a PM after each migration, never on entry: the
+    tick only relieves PMs its snapshot found overloaded."""
+
+    @pytest.mark.parametrize("substrate", ["object", "soa"])
+    def test_one_utilization_read_per_migration(
+        self, toy_shape, vm2, vm4, monkeypatch, substrate
+    ):
+        from repro.core.soa import SoADatacenter
+
+        if substrate == "soa":
+            datacenter = SoADatacenter(
+                [(i, toy_shape, "M3") for i in range(6)]
+            )
+        else:
+            datacenter = toy_datacenter(toy_shape, 6)
+        sim = CloudSimulation(
+            datacenter,
+            FirstFitPolicy(),
+            MinimumMigrationTimeSelector(),
+            SimulationConfig(duration_s=3600.0, monitor_interval_s=300.0),
+        )
+        machine_cls = type(datacenter.machines[0])
+        reads = {"n": 0, "relieving": False}
+        utilization = machine_cls.actual_cpu_utilization
+
+        def counted(machine, *args, **kwargs):
+            if reads["relieving"]:
+                reads["n"] += 1
+            return utilization(machine, *args, **kwargs)
+
+        relieve = CloudSimulation._relieve
+        # (utilization reads, migrations, PM still used) per relief.
+        reliefs = []
+
+        def traced(self, machine, time_s):
+            reads["n"], reads["relieving"] = 0, True
+            before = self._migrations
+            try:
+                relieve(self, machine, time_s)
+            finally:
+                reads["relieving"] = False
+            reliefs.append(
+                (reads["n"], self._migrations - before, machine.is_used)
+            )
+
+        monkeypatch.setattr(machine_cls, "actual_cpu_utilization", counted)
+        monkeypatch.setattr(CloudSimulation, "_relieve", traced)
+        vms = [
+            VirtualMachine(i, vm4 if i % 3 == 0 else vm2, trace)
+            for i, trace in enumerate(
+                [ConstantTrace(1.0), ArrayTrace([0.9, 0.2, 1.0], 300.0)] * 6
+            )
+        ]
+        result = sim.run(vms)
+        assert result.migrations > 0 and reliefs
+        for n_reads, migrations, used in reliefs:
+            # The parent loop read once more: on entry.
+            assert n_reads == migrations - (0 if used else 1)

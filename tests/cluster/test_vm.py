@@ -43,3 +43,60 @@ class TestAllocation:
         )
         assert isinstance(allocation, AllocationView)
         assert isinstance(allocation, MigratableAllocation)
+
+
+class TestSlottedRecords:
+    """VMs, their traces and allocations carry no instance dict, and
+    still pickle (``run_experiment(workers=N)`` ships them to workers)."""
+
+    def test_pickle_round_trip(self, vm2):
+        import pickle
+
+        import numpy as np
+
+        matrix = np.array([[0.2, 0.8], [0.4, 0.6]])
+        batch = ArrayTrace.rows(matrix, 300.0, cycle=False)
+        records = [
+            ArrayTrace([0.2, 0.8], 300.0),
+            batch[1],
+            ConstantTrace(0.5),
+            VirtualMachine(3, vm2, batch[0]),
+            Allocation(
+                vm=VirtualMachine(4, vm2, ConstantTrace(0.25)),
+                pm_id=1,
+                assignments=(((0, 1), (1, 1)),),
+                placed_at=10.0,
+            ),
+        ]
+        for record in records:
+            assert not hasattr(record, "__dict__"), type(record).__name__
+            copy = pickle.loads(pickle.dumps(record))
+            assert type(copy) is type(record)
+            for t in (0.0, 300.0, 900.0):
+                if isinstance(record, Allocation):
+                    assert (copy.vm_id, copy.pm_id, copy.placed_at) == (
+                        record.vm_id, record.pm_id, record.placed_at
+                    )
+                    assert copy.assignments == record.assignments
+                    assert copy.vm.cpu_utilization_at(t) == 0.25
+                elif isinstance(record, VirtualMachine):
+                    assert copy.vm_id == record.vm_id
+                    assert copy.vm_type == record.vm_type
+                    assert copy.cpu_utilization_at(t) == (
+                        record.cpu_utilization_at(t)
+                    )
+                else:
+                    assert copy.utilization_at(t) == record.utilization_at(t)
+        unpickled = pickle.loads(pickle.dumps(batch[1]))
+        assert unpickled.cycle is False
+        assert not unpickled.samples.flags.writeable
+        assert unpickled.samples.tolist() == [0.4, 0.6]
+
+    def test_allocation_stays_frozen(self, vm2):
+        import dataclasses
+
+        allocation = Allocation(
+            vm=VirtualMachine(1, vm2), pm_id=0, assignments=(((0, 1),),)
+        )
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            allocation.pm_id = 2

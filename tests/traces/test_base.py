@@ -62,6 +62,83 @@ class TestArrayTrace:
         assert isinstance(ArrayTrace([0.5]), UtilizationTrace)
 
 
+    def test_non_finite_samples_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValidationError):
+                ArrayTrace([0.5, bad, 0.2])
+        with pytest.raises(ValidationError):
+            ArrayTrace(np.full(3, np.nan))
+
+
+class TestArrayTraceRows:
+    MATRIX = np.array(
+        [[0.1, 0.5, 0.9], [0.0, 1.0, 0.25], [0.3, 0.3, 0.7]]
+    )
+    #: Around every sample boundary, the cycle boundary (900 s) and the
+    #: hold past the end.
+    TIMES = (
+        0.0, 299.999, 300.0, 599.999, 600.0, 899.999, 900.0, 1199.0,
+        1200.0, 1800.0, 2699.0, 1e6, 1e9,
+    )
+
+    @pytest.mark.parametrize("cycle", [True, False])
+    def test_each_row_behaves_like_its_own_trace(self, cycle):
+        traces = ArrayTrace.rows(self.MATRIX, 300.0, cycle)
+        assert len(traces) == len(self.MATRIX)
+        for row, trace in zip(self.MATRIX, traces):
+            single = ArrayTrace(row, 300.0, cycle)
+            for t in self.TIMES:
+                assert trace.utilization_at(t) == single.utilization_at(t)
+            assert trace.cycle is cycle
+            assert trace.sample_interval_s == 300.0
+            assert len(trace) == len(single)
+            assert trace.mean() == single.mean()
+            assert repr(trace) == repr(single)
+
+    def test_rows_are_read_only_views_of_one_copy(self):
+        source = self.MATRIX.copy()
+        traces = ArrayTrace.rows(source)
+        source[0, 0] = 0.8
+        assert traces[0].utilization_at(0.0) == 0.1
+        base = traces[0].samples.base
+        for trace in traces:
+            assert not trace.samples.flags.writeable
+            assert trace.samples.base is base
+            with pytest.raises(ValueError):
+                trace.samples[0] = 0.5
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [[]],
+            [[0.2, -0.1]],
+            [[0.2, 1.5]],
+            [[0.2, np.nan, 0.3]],
+            [[0.2, np.inf]],
+        ],
+    )
+    def test_rejects_what_init_rejects_with_its_error(self, bad):
+        with pytest.raises(ValidationError) as single:
+            ArrayTrace(bad[0])
+        with pytest.raises(ValidationError) as batch:
+            ArrayTrace.rows(bad)
+        assert str(batch.value) == str(single.value)
+
+    def test_rejects_a_nan_in_any_row(self):
+        matrix = self.MATRIX.copy()
+        matrix[2, 1] = np.nan
+        with pytest.raises(ValidationError):
+            ArrayTrace.rows(matrix)
+
+    def test_rejects_no_rows_and_bad_shapes(self):
+        with pytest.raises(ValidationError, match="at least one sample"):
+            ArrayTrace.rows(np.empty((0, 16)))
+        with pytest.raises(ValidationError, match="2-D"):
+            ArrayTrace.rows([0.1, 0.2])
+        with pytest.raises(ValidationError, match="positive"):
+            ArrayTrace.rows(self.MATRIX, sample_interval_s=0.0)
+
+
 class TestConstantTrace:
     def test_constant(self):
         trace = ConstantTrace(0.7)
