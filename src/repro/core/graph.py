@@ -44,7 +44,6 @@ from typing import (
 )
 
 import numpy as np
-from scipy import sparse
 
 from repro.core import permutations
 from repro.core.interning import packed_dtype_for
@@ -193,17 +192,17 @@ class ProfileGraph:
             cuts = np.concatenate(
                 ([0], np.flatnonzero(np.diff(totals[nodes])) + 1, [n])
             )
-            # scipy's CSR-to-CSC conversion is a stable counting sort of
-            # the edges by target, so each target's sources ascend.
-            csc = sparse.csr_matrix(
-                (np.ones(self.n_edges, dtype=bool), self.indices, self.indptr),
-                shape=(n, n),
-            ).tocsc()
-            # int64 like the graph's arrays: a gather through int32
-            # indices converts them first, on every sweep.
-            in_indptr, in_indices = (
-                array.astype(np.int64) for array in (csc.indptr, csc.indices)
-            )
+            # The CSC arrays: the edges sorted by target, each target's
+            # sources ascending.  No two edges share a (target, source)
+            # pair, so one sort of the packed key ``target << bits |
+            # source`` orders them; its low bits are the sources.
+            bits = max(n - 1, 1).bit_length()
+            in_indices = self.indices << bits
+            in_indices |= np.repeat(np.arange(n), np.diff(self.indptr))
+            in_indices.sort()
+            in_indices &= (1 << bits) - 1
+            in_indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(self.indices, minlength=n), out=in_indptr[1:])
             return LevelOrder(
                 nodes, cuts,
                 EdgeSegments.of(nodes, cuts, self.indptr, self.indices, True),

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.graph import ProfileGraph
 from repro.util.validation import require
@@ -61,14 +60,12 @@ class TransitionKernel:
     """The vote-propagation step of Algorithm 1 as a sparse matvec.
 
     One power iteration computes ``aux[dst] = sum_{src -> dst}
-    pr[src] / out_degree[src]``.  The seed implementation re-ran a
-    ``np.add.at`` scatter over the raw edge list every iteration; this
-    kernel builds the transition structure once as a ``scipy.sparse``
-    CSR matrix, straight from the graph's level order arrays, and
-    reuses it for every iteration (an edgeless graph gets an empty n x n
-    matrix).  ``weights`` holds each node's vote weight
-    ``1/out_degree`` and ``sinks`` flags out-degree 0.  Kernels are
-    memoized on the graph per vote direction.
+    pr[src] / out_degree[src]`` as one weighted ``np.bincount`` over
+    the CSR rows from the graph's level order arrays; it adds each
+    row's products in stored order from 0.0, as a CSR matvec does.
+    ``weights`` holds each node's vote weight ``1/out_degree`` and
+    ``sinks`` flags out-degree 0.  Kernels are memoized on the graph
+    per vote direction.
     """
 
     def __init__(
@@ -77,13 +74,13 @@ class TransitionKernel:
         n = len(out_degree)
         self.sinks = out_degree == 0
         self.weights = 1.0 / np.maximum(out_degree, 1).astype(float)
-        self._matrix = sparse.csr_matrix(
-            (self.weights[indices], indices, indptr), shape=(n, n)
-        )
+        self._rows = np.repeat(np.arange(n), np.diff(indptr))
+        self._indices = indices
+        self._data = self.weights[indices]
 
     def matvec(self, pr: np.ndarray) -> np.ndarray:
         """One vote-propagation step: the auxiliary vector for ``pr``."""
-        return self._matrix @ pr
+        return np.bincount(self._rows, self._data * pr[self._indices], len(pr))
 
 
 def transition_kernel(

@@ -20,6 +20,7 @@ import tempfile
 from collections import OrderedDict
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Dict,
     Iterable,
     List,
@@ -31,7 +32,6 @@ from typing import (
 )
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.core.graph import ProfileGraph, SuccessorStrategy
 from repro.core.graph_cache import load_or_build_profile_graph
@@ -40,6 +40,9 @@ from repro.core.pagerank import expected_final_utilization
 from repro.core.profile import MachineShape, Profile, ResourceGroup, Usage, VMType
 from repro.util.floatguard import GUARD, check_finite
 from repro.util.validation import ValidationError, require
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 __all__ = ["ScoreTable", "build_score_table"]
 
@@ -82,7 +85,7 @@ class ScoreTable:
         self._scores: Dict[Usage, float] = dict(scores)
         self._flat_matrix: Optional[np.ndarray] = None
         self._flat_scores: Optional[np.ndarray] = None
-        self._snap_tree: Optional[cKDTree] = None
+        self._snap_tree: Optional["cKDTree"] = None
         self._snap_cache: "OrderedDict[Usage, float]" = OrderedDict()
         #: Off-graph usage -> (nearest L1 distance, that row's score),
         #: for :meth:`argmax_score_or_snap`; bounded like the snap cache.
@@ -275,14 +278,15 @@ class ScoreTable:
             dtype=float,
         )
 
-    def _tree(self) -> cKDTree:
+    def _tree(self) -> "cKDTree":
         """The snap tree, built on first use over the matrix in place.
 
         Sliding-midpoint splits (``balanced_tree=False``) answer queries
         far from every row about twice as fast as median splits on the
-        EC2 M3 table.
+        EC2 M3 table.  scipy is imported here, at the first snap.
         """
         if self._snap_tree is None:
+            from scipy.spatial import cKDTree
             self._snap_tree = cKDTree(
                 self._snap_structures()[0], copy_data=False,
                 balanced_tree=False,

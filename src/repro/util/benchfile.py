@@ -22,6 +22,7 @@ import json
 import os
 import platform
 import subprocess
+from importlib import metadata
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional
 
@@ -46,12 +47,10 @@ BENCH_FORMAT = "repro.bench_perf.v1"
 
 
 def host_stamp() -> Dict[str, object]:
-    """Where an entry was measured: cores, library versions and, as
-    ``git_sha``, ``git describe --always --dirty`` of the checkout (so
-    an entry recorded on uncommitted changes says so)."""
-    import numpy
-    import scipy
-
+    """Where an entry was measured: cores, library versions (read from
+    package metadata, importing neither) and, as ``git_sha``, ``git
+    describe --always --dirty`` of the checkout (so an entry recorded
+    on uncommitted changes says so)."""
     try:
         sha = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -62,7 +61,7 @@ def host_stamp() -> Dict[str, object]:
         sha = "unknown"
     return {
         "cpu_count": os.cpu_count() or 1, "python": platform.python_version(),
-        "numpy": numpy.__version__, "scipy": scipy.__version__,
+        "numpy": metadata.version("numpy"), "scipy": metadata.version("scipy"),
         "git_sha": sha,
     }
 

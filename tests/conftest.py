@@ -5,6 +5,8 @@ The "toy world" is the paper's running example — a PM with capacity
 {[1,1], [1,1,1,1]} — used throughout Sections III and V.
 """
 
+import functools
+
 import pytest
 
 from repro.core.graph import SuccessorStrategy, build_profile_graph
@@ -61,6 +63,23 @@ def toy_vm_types(vm2, vm4):
 def toy_graph(toy_shape, toy_vm_types):
     """Full-lattice profile graph of the toy world (70 canonical nodes)."""
     return build_profile_graph(toy_shape, toy_vm_types, mode="full")
+
+
+@pytest.fixture(scope="session")
+def ec2_graph():
+    """``ec2_graph(pm)``: the EC2 profile graph of PM kind ``pm`` under
+    BALANCED successors (what the sweep and the service rank), built
+    once per session."""
+    from repro.cluster.ec2 import EC2_VM_TYPES, ec2_pm_shape
+
+    @functools.lru_cache(maxsize=None)
+    def build(pm: str):
+        return build_profile_graph(
+            ec2_pm_shape(pm), EC2_VM_TYPES,
+            strategy=SuccessorStrategy.BALANCED,
+        )
+
+    return build
 
 
 @pytest.fixture(scope="session")

@@ -102,6 +102,59 @@ def grouped(pairs) -> Dict[int, List[int]]:
     return groups
 
 
+@st.composite
+def small_worlds(draw):
+    """1-3 groups (anti-collocation or scalar, mixed unit capacities)."""
+    groups = []
+    for g in range(draw(st.integers(min_value=1, max_value=3))):
+        if draw(st.booleans()):
+            caps = draw(st.lists(
+                st.integers(min_value=2, max_value=5), min_size=1, max_size=3
+            ))
+            groups.append(ResourceGroup(f"g{g}", tuple(sorted(caps))))
+        else:
+            cap = draw(st.integers(min_value=2, max_value=8))
+            groups.append(ResourceGroup(f"g{g}", (cap,), anti_collocation=False))
+    shape = MachineShape(groups=tuple(groups))
+    vm_types = []
+    for t in range(draw(st.integers(min_value=1, max_value=3))):
+        demands = tuple(
+            tuple(draw(st.lists(
+                st.integers(min_value=0, max_value=2),
+                min_size=1, max_size=group.n_units if group.anti_collocation else 1,
+            )))
+            for group in groups
+        )
+        vm = VMType(name=f"t{t}", demands=demands)
+        if vm.total_units() > 0:
+            vm_types.append(vm)
+    if not vm_types:
+        vm_types.append(VMType(
+            name="unit", demands=((1,),) + tuple((0,) for _ in groups[1:])
+        ))
+    return shape, tuple(vm_types)
+
+
+def scipy_csc(graph: ProfileGraph) -> Tuple[np.ndarray, np.ndarray]:
+    """The oracle for the level order's CSC arrays: scipy's conversion
+    of the graph's CSR adjacency, as int64."""
+    from scipy import sparse
+
+    n = graph.n_nodes
+    csc = sparse.csr_matrix(
+        (np.ones(graph.n_edges, dtype=bool), graph.indices, graph.indptr),
+        shape=(n, n),
+    ).tocsc()
+    return csc.indptr.astype(np.int64), csc.indices.astype(np.int64)
+
+
+def assert_csc_matches_scipy(graph: ProfileGraph) -> None:
+    order = graph.level_order()
+    for got, want in zip((order.in_indptr, order.in_indices), scipy_csc(graph)):
+        np.testing.assert_array_equal(got, want)
+        assert got.dtype == want.dtype
+
+
 GRAPHS = ["toy_graph", "mixed_graph"]
 
 
@@ -169,6 +222,26 @@ class TestLevelOrder:
             lo, hi = order.in_indptr[target], order.in_indptr[target + 1]
             got = sources.get(target, [])
             assert got == sorted(got) == order.in_indices[lo:hi].tolist()
+
+    @pytest.mark.parametrize("name", GRAPHS)
+    def test_csc_arrays_match_scipy(self, name, request):
+        assert_csc_matches_scipy(request.getfixturevalue(name))
+
+    @pytest.mark.parametrize("pm", ["M3", "C3"])
+    def test_ec2_csc_arrays_match_scipy(self, pm, ec2_graph):
+        assert_csc_matches_scipy(ec2_graph(pm))
+
+    @given(small_worlds(), st.sampled_from(list(SuccessorStrategy)))
+    @settings(max_examples=60, deadline=None)
+    def test_csc_arrays_match_scipy_on_small_worlds(self, world, strategy):
+        shape, vm_types = world
+        try:
+            graph = build_profile_graph(
+                shape, vm_types, strategy, node_limit=3000
+            )
+        except GraphLimitExceeded:
+            return
+        assert_csc_matches_scipy(graph)
 
     def test_built_once(self, toy_graph):
         assert toy_graph.level_order() is toy_graph.level_order()
@@ -450,39 +523,6 @@ def oracle_graph(shape, vm_types, strategy, mode="reachable", node_limit=10**6):
         np.concatenate(([0], np.cumsum([len(s) for s in successors]))),
         np.array([d for succ in successors for d in succ], dtype=np.int64),
     )
-
-
-@st.composite
-def small_worlds(draw):
-    """1-3 groups (anti-collocation or scalar, mixed unit capacities)."""
-    groups = []
-    for g in range(draw(st.integers(min_value=1, max_value=3))):
-        if draw(st.booleans()):
-            caps = draw(st.lists(
-                st.integers(min_value=2, max_value=5), min_size=1, max_size=3
-            ))
-            groups.append(ResourceGroup(f"g{g}", tuple(sorted(caps))))
-        else:
-            cap = draw(st.integers(min_value=2, max_value=8))
-            groups.append(ResourceGroup(f"g{g}", (cap,), anti_collocation=False))
-    shape = MachineShape(groups=tuple(groups))
-    vm_types = []
-    for t in range(draw(st.integers(min_value=1, max_value=3))):
-        demands = tuple(
-            tuple(draw(st.lists(
-                st.integers(min_value=0, max_value=2),
-                min_size=1, max_size=group.n_units if group.anti_collocation else 1,
-            )))
-            for group in groups
-        )
-        vm = VMType(name=f"t{t}", demands=demands)
-        if vm.total_units() > 0:
-            vm_types.append(vm)
-    if not vm_types:
-        vm_types.append(VMType(
-            name="unit", demands=((1,),) + tuple((0,) for _ in groups[1:])
-        ))
-    return shape, tuple(vm_types)
 
 
 def assert_same_graph(got: ProfileGraph, want: ProfileGraph):

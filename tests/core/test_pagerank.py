@@ -8,12 +8,36 @@ from repro.core.pagerank import (
     compute_bpru,
     expected_final_utilization,
     profile_pagerank,
+    transition_kernel,
 )
 from repro.util.validation import ValidationError
 
 
 def score_of(graph, result, usage):
     return float(result.scores[graph.node_id(usage)])
+
+
+def scipy_transition(graph, direction):
+    """The oracle for a kernel's matvec: its transition matrix as a
+    scipy CSR matrix, whose rows list each node's vote sources (the CSC
+    arrays forward, the CSR in reverse) weighted ``1/out_degree``."""
+    from scipy import sparse
+
+    order = graph.level_order()
+    if direction == "forward":
+        indptr, indices = order.in_indptr, order.in_indices
+    else:
+        indptr, indices = graph.indptr, graph.indices
+    weights = transition_kernel(graph, direction).weights
+    n = graph.n_nodes
+    return sparse.csr_matrix(
+        (weights[indices], indices, indptr), shape=(n, n)
+    )
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
 
 
 class TestAlgorithmOne:
@@ -166,6 +190,42 @@ class TestExpectedFinalUtilization:
         dead_end = efu[toy_graph.node_id(((3, 4, 4, 4),))]
         promising = efu[toy_graph.node_id(((2, 2, 3, 3),))]
         assert promising > dead_end - 1e-12 or dead_end <= 15 / 16
+
+
+DIRECTIONS = ["forward", "reverse"]
+
+
+class TestMatvecMatchesScipy:
+    """The ``bincount`` matvec is byte-equal to scipy's CSR matvec."""
+
+    def _graphs(self, toy_graph, ec2_graph):
+        return [toy_graph, ec2_graph("M3"), ec2_graph("C3")]
+
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_random_vectors(self, direction, toy_graph, ec2_graph):
+        rng = np.random.default_rng(7)
+        for graph in self._graphs(toy_graph, ec2_graph):
+            kernel = transition_kernel(graph, direction)
+            matrix = scipy_transition(graph, direction)
+            for scale in (1.0, 1.0 / graph.n_nodes, 1e6):
+                pr = rng.random(graph.n_nodes) * scale
+                assert_same_bytes(kernel.matvec(pr), matrix @ pr)
+
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_theta_recursion_iterates(self, direction, toy_graph, ec2_graph):
+        # The theta coefficients' recursion v <- A v from the ones
+        # vector, until the nilpotent matrix zeroes it.
+        for graph in self._graphs(toy_graph, ec2_graph):
+            kernel = transition_kernel(graph, direction)
+            matrix = scipy_transition(graph, direction)
+            v = np.ones(graph.n_nodes)
+            steps = 0
+            while v.any():
+                got, want = kernel.matvec(v), matrix @ v
+                assert_same_bytes(got, want)
+                v = got
+                steps += 1
+            assert 1 < steps <= graph.n_nodes
 
 
 class TestTransitionKernel:

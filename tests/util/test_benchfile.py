@@ -1,6 +1,10 @@
 """Append-safety of the shared BENCH_perf.json trajectory file."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +12,7 @@ from repro.util.benchfile import (
     BENCH_FORMAT,
     append_entry,
     bench_lock,
+    host_stamp,
     load_trajectory,
     validate_payload,
 )
@@ -110,3 +115,30 @@ class TestBenchLock:
             thread.join()
         assert not errors
         assert len(load_trajectory(out)["entries"]) == 40
+
+
+class TestHostStamp:
+    def test_keys_and_versions(self):
+        import numpy
+        import scipy
+
+        stamp = host_stamp()
+        assert set(stamp) == {"cpu_count", "python", "numpy", "scipy", "git_sha"}
+        assert stamp["numpy"] == numpy.__version__
+        assert stamp["scipy"] == scipy.__version__
+
+    def test_stamping_does_not_import_scipy(self):
+        src = Path(__file__).resolve().parents[2] / "src"
+        code = (
+            "import sys\n"
+            "from repro.util.benchfile import host_stamp\n"
+            "host_stamp()\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
